@@ -20,6 +20,8 @@ def main(argv=None) -> int:
                         default="text")
     parser.add_argument("--output", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     reports = verify_counts(default_suite(), jobs=args.jobs)
     if args.format == "csv":

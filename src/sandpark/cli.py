@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from .errors import SandparkError
 from .enumeration import (
     CLASSES,
+    _make_report,
     class_count,
     iter_class,
     reports_to_csv,
@@ -176,6 +177,8 @@ def cmd_enumerate(args) -> int:
     spec = _family_from_args(args)
     if spec is None and args.graph is None:
         raise ValueError("need either --family or --graph")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
 
     if args.output == "list":
@@ -186,23 +189,30 @@ def cmd_enumerate(args) -> int:
         print(f"count={count}")
         return OK
 
-    report = class_count(target, args.cls, jobs=args.jobs, cap=args.cap,
-                         with_expected=args.expected)
     if args.output == "json":
         elements = [list(item) for item in iter_class(target, args.cls,
                                                       cap=args.cap)]
+        # one serial walk gives both the elements and the count; the
+        # payload carries no timing
+        report = _make_report(target, args.cls, len(elements), 0.0,
+                              args.expected)
         payload = {"family": report.family, "params": report.params,
                    "class": report.cls, "count": report.count,
                    "expected": report.expected, "match": report.match,
                    "elements": elements}
         print(json.dumps(payload, indent=2))
-    elif args.output == "csv":
-        sys.stdout.write(reports_to_csv([report]))
     else:
-        line = f"{report.family} {report.params} {report.cls}: count={report.count}"
-        if args.expected:
-            line += f" expected={report.expected} match={str(report.match).lower()}"
-        print(line)
+        report = class_count(target, args.cls, jobs=args.jobs, cap=args.cap,
+                             with_expected=args.expected)
+        if args.output == "csv":
+            sys.stdout.write(reports_to_csv([report]))
+        else:
+            line = (f"{report.family} {report.params} {report.cls}: "
+                    f"count={report.count}")
+            if args.expected:
+                line += (f" expected={report.expected} "
+                         f"match={str(report.match).lower()}")
+            print(line)
     if args.expected and not report.match:
         return PROPERTY_FALSE
     return OK

@@ -17,12 +17,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import partial
+from itertools import combinations_with_replacement, product
 from multiprocessing import get_context
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError
 from .families import FamilySpec, catalan, closed_form_count, family_parts, make_family
@@ -30,6 +33,8 @@ from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import is_g_parking, is_g_parking_naive, is_prime, is_prime_bruteforce
 from .sandpile import (
     Config,
+    config_from_dict,
+    config_to_dict,
     is_recurrent,
     is_recurrent_burning,
     is_minimal_recurrent,
@@ -38,8 +43,6 @@ from .sandpile import (
     orientation_recurrent_set,
 )
 
-CLASSES = ("stable", "recurrent", "sr-forall", "sr-exists", "min-recurrent",
-           "pf", "ppf", "pf-inc", "ppf-inc")
 DEFAULT_SPACE_CAP = 100_000_000
 
 Target = Union[RootedMultigraph, FamilySpec]
@@ -51,103 +54,91 @@ def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
     return target, None
 
 
-def _space_guard(sizes: Iterable[int], cap: int) -> None:
-    space = 1
-    for s in sizes:
-        space *= s
+def _is_ppf(g: RootedMultigraph, cand: tuple[int, ...]) -> bool:
+    return is_g_parking(g, cand) and is_prime(g, cand)
+
+
+# class -> (membership test, or None when every candidate belongs; lowest
+# value of a coordinate).  Configurations take values 0..deg(v)-1 and
+# parking candidates 1..deg(v).
+_MEMBERSHIP = {
+    "stable": (None, 0),
+    "recurrent": (is_recurrent, 0),
+    "sr-forall": (partial(is_strongly_recurrent, quantifier="forall"), 0),
+    "sr-exists": (partial(is_strongly_recurrent, quantifier="exists"), 0),
+    "min-recurrent": (is_minimal_recurrent, 0),
+    "pf": (is_g_parking, 1),
+    "ppf": (_is_ppf, 1),
+    "pf-inc": (is_g_parking, 1),
+    "ppf-inc": (_is_ppf, 1),
+}
+CLASSES = tuple(_MEMBERSHIP)
+
+
+def _walk(target: Target, cls: str, cap: int,
+          first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Members of ``cls`` in lexicographic order, the one candidate-space walk.
+
+    The class, the target and the space size are checked when this is
+    called, before any candidate is tested.  With ``first`` set, only the
+    slice holding the ``first``-th value of the first coordinate is walked;
+    the slices partition the space in order.  Increasing classes walk the
+    tuples that are non-decreasing inside each part of the family, whose
+    vertices share a degree, so their space is a product of multiset counts.
+    """
+    if cls not in _MEMBERSHIP:
+        raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
+    test, low = _MEMBERSHIP[cls]
+    g, spec = _resolve(target)
+    if cls.endswith("-inc"):
+        if spec is None:
+            raise ValueError(
+                "increasing classes need a graph family with declared parts")
+        parts = [(range(low, low + g.deg(part[0])), len(part))
+                 for part in family_parts(spec)]
+        space = math.prod(math.comb(len(r) + s - 1, s) for r, s in parts)
+        cands = (sum(chunks, ()) for chunks in product(
+            *(combinations_with_replacement(r, s) for r, s in parts)))
+    else:
+        ranges = [range(low, low + d) for d in g.nonsink_degrees]
+        space = math.prod(map(len, ranges))
+        if first is not None:
+            ranges[0] = ranges[0][first:first + 1]
+        cands = product(*ranges)
     if space > cap:
         raise SizeCapError(f"search space of {space} exceeds cap {cap}")
-
-
-def _nondecreasing_tuples(bounds: Sequence[tuple[int, int]]
-                          ) -> Iterator[tuple[int, ...]]:
-    """All non-decreasing tuples with slot i in [lo_i, hi_i]."""
-    k = len(bounds)
-
-    def rec(i: int, floor: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield acc
-            return
-        lo, hi = bounds[i]
-        for x in range(max(lo, floor), hi + 1):
-            yield from rec(i + 1, x, acc + (x,))
-
-    return rec(0, 1, ())
-
-
-def _iter_inc_candidates(spec: FamilySpec) -> Iterator[tuple[int, ...]]:
-    g = make_family(spec)
-    parts = family_parts(spec)
-    flat_order = tuple(v for part in parts for v in part)
-    if flat_order != g.nonsink:
-        raise AssertionError("family parts must tile the non-sink vertices in order")
-    per_part = []
-    for part in parts:
-        per_part.append([(1, g.deg(v)) for v in part])
-    for combo in product(*(_nondecreasing_tuples(b) for b in per_part)):
-        yield tuple(x for chunk in combo for x in chunk)
+    return cands if test is None else filter(partial(test, g), cands)
 
 
 def iter_class(target: Target, cls: str, *,
                cap: int = DEFAULT_SPACE_CAP) -> Iterator[tuple[int, ...]]:
-    """Stream all members of an enumeration class, lexicographically."""
-    if cls not in CLASSES:
-        raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
-    g, spec = _resolve(target)
-    degs = g.nonsink_degrees
-    if cls in ("pf-inc", "ppf-inc"):
-        if spec is None:
-            raise ValueError(
-                "increasing classes need a graph family with declared parts")
-        test = is_g_parking if cls == "pf-inc" else _is_ppf
-        for cand in _iter_inc_candidates(spec):
-            if test(g, cand):
-                yield cand
-        return
-    if cls in ("pf", "ppf"):
-        _space_guard(degs, cap)
-        test = is_g_parking if cls == "pf" else _is_ppf
-        for cand in product(*(range(1, d + 1) for d in degs)):
-            if test(g, cand):
-                yield cand
-        return
-    _space_guard(degs, cap)
-    test = {
-        "stable": lambda g_, c: True,
-        "recurrent": is_recurrent,
-        "sr-forall": lambda g_, c: is_strongly_recurrent(g_, c, "forall"),
-        "sr-exists": lambda g_, c: is_strongly_recurrent(g_, c, "exists"),
-        "min-recurrent": is_minimal_recurrent,
-    }[cls]
-    for c in product(*(range(d) for d in degs)):
-        if test(g, c):
-            yield c
+    """Stream all members of an enumeration class, lexicographically.
 
-
-def _is_ppf(g: RootedMultigraph, cand: tuple[int, ...]) -> bool:
-    return is_g_parking(g, cand) and is_prime(g, cand)
+    An unknown class, a bare graph for an increasing class and a space
+    above ``cap`` raise at the call, before any candidate is tested.
+    """
+    return _walk(target, cls, cap)
 
 
 # ----------------------------------------------------------------------
 # counting, optionally across worker processes
 
 
-def _count_first_fixed(args) -> int:
-    target, cls, first, cap = args
-    return sum(1 for item in iter_class(target, cls, cap=cap)
-               if item[0] == first)
+def _count_slice(args) -> int:
+    target, cls, cap, first = args
+    return sum(1 for _ in _walk(target, cls, cap, first))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    g, spec = _resolve(target)
-    if jobs <= 1 or cls in ("pf-inc", "ppf-inc") or len(g.nonsink) == 0:
+    if jobs <= 1 or cls.endswith("-inc"):
         return sum(1 for _ in iter_class(target, cls, cap=cap))
-    d0 = g.nonsink_degrees[0]
-    firsts = range(d0) if cls not in ("pf", "ppf") else range(1, d0 + 1)
-    tasks = [(target, cls, first, cap) for first in firsts]
-    with get_context("fork").Pool(processes=jobs) as pool:
-        return sum(pool.map(_count_first_fixed, tasks))
+    _walk(target, cls, cap)     # raises on bad input before any worker starts
+    g, _ = _resolve(target)
+    tasks = [(target, cls, cap, first) for first in range(g.nonsink_degrees[0])]
+    processes = min(jobs, len(tasks), os.cpu_count() or 1)
+    with get_context("fork").Pool(processes=processes) as pool:
+        return sum(pool.map(_count_slice, tasks))
 
 
 @dataclass
@@ -169,10 +160,7 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
     """Known exact prediction for a class count, when one exists."""
     g, spec = _resolve(target)
     if cls == "stable":
-        space = 1
-        for d in g.nonsink_degrees:
-            space *= d
-        return space, "degree-product"
+        return math.prod(g.nonsink_degrees), "degree-product"
     if cls in ("recurrent", "pf"):
         return g.spanning_tree_count(), "matrix-tree"
     if spec is None:
@@ -197,22 +185,29 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
     return None
 
 
-def class_count(target: Target, cls: str, *, jobs: int = 1,
-                cap: int = DEFAULT_SPACE_CAP, with_expected: bool = True,
-                label: Optional[str] = None) -> EnumerationReport:
+def _make_report(target: Target, cls: str, count: int, millis: float,
+                 with_expected: bool,
+                 label: Optional[str] = None) -> EnumerationReport:
+    """Label a finished count and attach its expected value."""
     g, spec = _resolve(target)
     if spec is not None:
         family, params = spec.family, spec.params()
     else:
         family, params = "custom", label or f"|V|={len(g.vertices)},sink={g.sink}"
     exp = expected_count(target, cls) if with_expected else None
-    start = time.perf_counter()
-    count = count_class(target, cls, jobs=jobs, cap=cap)
-    millis = (time.perf_counter() - start) * 1000.0
     return EnumerationReport(family=family, params=params, cls=cls, count=count,
                              expected=exp[0] if exp else None,
                              expected_source=exp[1] if exp else None,
                              millis=millis)
+
+
+def class_count(target: Target, cls: str, *, jobs: int = 1,
+                cap: int = DEFAULT_SPACE_CAP, with_expected: bool = True,
+                label: Optional[str] = None) -> EnumerationReport:
+    start = time.perf_counter()
+    count = count_class(target, cls, jobs=jobs, cap=cap)
+    millis = (time.perf_counter() - start) * 1000.0
+    return _make_report(target, cls, count, millis, with_expected, label)
 
 
 def verify_counts(suite: Iterable[tuple[Target, str]], *,
@@ -302,7 +297,7 @@ def cross_validate_oracles(g: RootedMultigraph, *, label: str = "",
     degs = g.nonsink_degrees
     rec_set: set[Config] = set()
     sr_set: set[Config] = set()
-    for c in product(*(range(d) for d in degs)):
+    for c in iter_class(g, "stable"):
         report.stable_checked += 1
         by_burning = is_recurrent_burning(g, c)
         by_forbidden = is_recurrent(g, c)
@@ -328,7 +323,8 @@ def cross_validate_oracles(g: RootedMultigraph, *, label: str = "",
                 f"orientation set mismatch: extra={extra} missing={missing}")
 
     ppf_set: set[tuple[int, ...]] = set()
-    for cand in product(*(range(1, d + 1) for d in degs)):
+    for c in iter_class(g, "stable"):
+        cand = tuple(x + 1 for x in c)
         report.candidates_checked += 1
         fast = is_g_parking(g, cand)
         if include_naive:
@@ -399,15 +395,14 @@ class GapWitness:
 
     def to_dict(self) -> dict:
         return {"graph": graph_to_dict(self.graph),
-                "config": {"values": dict(zip(self.graph.nonsink, self.config))},
+                "config": config_to_dict(self.graph, self.config),
                 "seed": self.seed,
                 "graph_index": self.graph_index}
 
 
 def gap_witness_from_dict(data: dict) -> GapWitness:
     g = graph_from_dict(data["graph"])
-    values = data["config"]["values"]
-    config = tuple(values[v] for v in g.nonsink)
+    config = config_from_dict(g, data["config"])
     return GapWitness(g, config, data["seed"], data["graph_index"])
 
 
@@ -420,14 +415,10 @@ def find_quantifier_gap_witness(seed: int, *, max_graphs: int = 2000,
     for idx in range(max_graphs):
         n = rng.randint(3, max_vertices)
         g = random_connected_multigraph(rng, n, max_mult=2, extra_edges=3)
-        space = 1
-        for d in g.nonsink_degrees:
-            space *= d
-        if space > 20000:
+        if math.prod(g.nonsink_degrees) > 20000:
             continue
-        for c in product(*(range(d) for d in g.nonsink_degrees)):
-            if (is_strongly_recurrent(g, c, "exists")
-                    and not is_strongly_recurrent(g, c, "forall")):
+        for c in iter_class(g, "sr-exists"):
+            if not is_strongly_recurrent(g, c, "forall"):
                 return GapWitness(g, c, seed, idx)
     return None
 
@@ -444,10 +435,7 @@ def find_nonunique_decomposition_witness(seed: int, *, max_graphs: int = 300
     for _ in range(max_graphs):
         g = random_connected_multigraph(rng, rng.randint(4, 5),
                                         max_mult=1, extra_edges=3)
-        space = 1
-        for d in g.nonsink_degrees:
-            space *= d
-        if space > 5000:
+        if math.prod(g.nonsink_degrees) > 5000:
             continue
         for cand in iter_class(g, "pf"):
             decs = prime_decompositions(g, cand)

@@ -11,7 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -140,32 +140,26 @@ class RootedMultigraph:
         keep = [v2 for v2 in self.nonsink if v2 != v]
         return self.induced_with_sink(keep)
 
-    def is_connected(self) -> bool:
-        seen = {self.sink_index}
-        queue = deque([self.sink_index])
+    def _reachable(self, start: int, allowed: Collection[int]) -> set[int]:
+        """Indices reachable from ``start`` through vertices in ``allowed``."""
+        seen = {start}
+        queue = deque([start])
         while queue:
-            i = queue.popleft()
-            for j, m in enumerate(self.mult[i]):
-                if m and j not in seen:
+            row = self.mult[queue.popleft()]
+            for j in allowed:
+                if row[j] and j not in seen:
                     seen.add(j)
                     queue.append(j)
-        return len(seen) == len(self.vertices)
+        return seen
+
+    def is_connected(self) -> bool:
+        n = len(self.vertices)
+        return len(self._reachable(self.sink_index, range(n))) == n
 
     def sink_is_cut_vertex(self) -> bool:
         """True iff removing the sink disconnects the remaining vertices."""
-        k = len(self.nonsink)
-        if k <= 1:
-            return False
-        adj = self.nonsink_adj
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in range(k):
-                if adj[i][j] and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) != k
+        rest = self.nonsink_indices
+        return len(self._reachable(rest[0], rest)) != len(rest)
 
     def spanning_tree_count(self) -> int:
         """Number of spanning trees, via the reduced Laplacian determinant.

@@ -160,19 +160,8 @@ def restrict_partition(g: RootedMultigraph, p: Sequence[int],
 
 
 def _connected_with_sink(g: RootedMultigraph, block: tuple[str, ...]) -> bool:
-    members = {g.index[v] for v in block}
-    members.add(g.sink_index)
-    start = g.sink_index
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        row = g.mult[i]
-        for j in members:
-            if row[j] and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(members)
+    members = {g.index[v] for v in block} | {g.sink_index}
+    return len(g._reachable(g.sink_index, members)) == len(members)
 
 
 def _decomposable(g: RootedMultigraph, p: Parking,

@@ -190,6 +190,22 @@ class TestEnumerate:
                       "--class", "recurrent", "--cap", "1000")
         assert out.returncode == 2
 
+    def test_increasing_cap_breach(self):
+        out = run_cli("enumerate", "--family", "complete", "--n", "9",
+                      "--class", "ppf-inc", "--cap", "1000")
+        assert out.returncode == 2
+
+    def test_jobs_below_one_rejected(self):
+        out = run_cli("enumerate", "--family", "complete", "--n", "3",
+                      "--class", "ppf", "--jobs", "0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        script = Path(__file__).parent.parent / "scripts" / "verify_counts.py"
+        out = subprocess.run([sys.executable, str(script), "--jobs", "0"],
+                             capture_output=True, text=True)
+        assert out.returncode == 2
+        assert out.stdout == ""
+
     def test_needs_target(self):
         out = run_cli("enumerate", "--class", "recurrent")
         assert out.returncode == 2

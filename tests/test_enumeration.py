@@ -9,6 +9,7 @@ import pytest
 from sandpark import (
     FamilySpec,
     SizeCapError,
+    UnknownVertexError,
     class_count,
     count_class,
     cross_validate_oracles,
@@ -30,6 +31,9 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
+from sandpark import enumeration
+from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
+from sandpark.families import family_parts
 from conftest import triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,6 +72,41 @@ class TestIterClass:
         for p in iter_class(k2, "ppf"):
             assert is_g_parking(k2, p) and is_prime(k2, p)
 
+    def test_increasing_space_cap(self):
+        spec = FamilySpec("complete", n=9)
+        assert len(list(iter_class(spec, "ppf-inc", cap=24310))) == 1430
+        with pytest.raises(SizeCapError):
+            iter_class(spec, "ppf-inc", cap=1000)
+
+    def test_first_value_slices_partition_the_walk(self, pool):
+        for label, g in pool:
+            for cls in CLASSES:
+                if cls.endswith("-inc"):
+                    continue
+                slices = [item for first in range(g.nonsink_degrees[0])
+                          for item in _walk(g, cls, DEFAULT_SPACE_CAP, first)]
+                assert slices == list(iter_class(g, cls)), (label, cls)
+
+    def test_increasing_classes_are_sorted_members(self):
+        specs = [FamilySpec("complete", n=n) for n in (2, 3, 4)]
+        specs += [FamilySpec(family, p=p, q=q)
+                  for family in ("tripartite", "bipartite")
+                  for p, q in ((2, 2), (2, 3), (3, 2))]
+        specs += [FamilySpec("split", m=m, n=n)
+                  for m, n in ((2, 1), (2, 2), (3, 2))]
+        for spec in specs:
+            cuts, end = [], 0
+            for part in family_parts(spec):
+                cuts.append((end, end + len(part)))
+                end += len(part)
+
+            def sorted_in_parts(t):
+                return all(list(t[a:b]) == sorted(t[a:b]) for a, b in cuts)
+
+            for inc, full in (("pf-inc", "pf"), ("ppf-inc", "ppf")):
+                want = [t for t in iter_class(spec, full) if sorted_in_parts(t)]
+                assert list(iter_class(spec, inc)) == want, (spec.label(), inc)
+
     def test_deterministic_order(self):
         spec = FamilySpec("wheel", n=4)
         assert list(iter_class(spec, "recurrent")) == \
@@ -82,6 +121,37 @@ class TestCounting:
         spec = FamilySpec("complete", n=4)
         for cls in ("recurrent", "pf", "ppf"):
             assert count_class(spec, cls, jobs=2) == count_class(spec, cls)
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
+        spec = FamilySpec("complete", n=4)      # first coordinate: 4 slices
+        for cpus, jobs, clamped in ((3, 10**9, 3), (64, 10**9, 4),
+                                    (64, 2, 2), (None, 8, 1)):
+            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+            assert count_class(spec, "recurrent", jobs=jobs) == 125
+            assert sizes.pop() == clamped
+        with pytest.raises(SizeCapError):
+            count_class(FamilySpec("complete", n=12), "recurrent", jobs=2,
+                        cap=1000)
+        assert sizes == []
 
     def test_expected_count_sources(self, k2):
         assert expected_count(k2, "stable") == (4, "degree-product")
@@ -202,6 +272,18 @@ class TestGapWitness:
         data = json.loads((FIXTURES / "quantifier_gap_witness.json").read_text())
         w = gap_witness_from_dict(data)
         assert gap_witness_from_dict(w.to_dict()) == w
+
+    def test_missing_vertex_rejected(self):
+        data = json.loads((FIXTURES / "quantifier_gap_witness.json").read_text())
+        del data["config"]["values"]["v1"]
+        with pytest.raises(ValueError):
+            gap_witness_from_dict(data)
+
+    def test_extra_vertex_rejected(self):
+        data = json.loads((FIXTURES / "quantifier_gap_witness.json").read_text())
+        data["config"]["values"]["zz"] = 0
+        with pytest.raises(UnknownVertexError):
+            gap_witness_from_dict(data)
 
 
 class TestDecompositionWitness:
