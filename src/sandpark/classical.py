@@ -169,21 +169,21 @@ class StepPath:
             return "".join(self.steps)
         return ",".join(f"{r:+d}" for r in self.steps)
 
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """(i, height after i steps), from (0, 0).
+
+        A Dyck step moves by +1 or -1; a Lukasiewicz step by its rise.
+        """
+        pts = [(0, 0)]
+        for i, s in enumerate(self.steps, start=1):
+            rise = (1 if s == "U" else -1) if self.kind == "dyck" else s
+            pts.append((i, pts[-1][1] + rise))
+        return tuple(pts)
+
     def axis_touches(self) -> tuple[int, ...]:
-        touches = []
-        if self.kind == "dyck":
-            h = 0
-            for i, s in enumerate(self.steps, start=1):
-                h += 1 if s == "U" else -1
-                if h == 0:
-                    touches.append(i // 2)
-        else:
-            h = 0
-            for x, r in enumerate(self.steps, start=1):
-                h += r
-                if h == 0:
-                    touches.append(x)
-        return tuple(touches)
+        # a Dyck path spends two steps (one up, one down) per car
+        per_car = 2 if self.kind == "dyck" else 1
+        return tuple(i // per_car for i, h in self.points()[1:] if h == 0)
 
 
 def value_counts(p: Sequence[int]) -> tuple[int, ...]:

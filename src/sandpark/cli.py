@@ -41,9 +41,10 @@ from .parking import (
 )
 from .classical import breakpoints, is_parking_function, to_path
 from .sandpile import (
+    _document_values,
+    _failing_start,
+    _vertex_values,
     burning_sequence,
-    burning_starts,
-    drain_except,
     is_minimal_recurrent,
     is_recurrent,
     is_recurrent_burning,
@@ -151,10 +152,9 @@ def cmd_check(args) -> int:
         if forbidden:
             print(f"forbidden set: {_fmt_set(forbidden)}")
         if prop == "strongly-recurrent" and is_recurrent(g, values):
-            for v in burning_starts(g, values):
-                if not is_recurrent(g, drain_except(g, values, v)):
-                    print(f"draining start {v} leaves a non-recurrent state")
-                    break
+            v = _failing_start(g, values)
+            if v is not None:
+                print(f"draining start {v} leaves a non-recurrent state")
     return OK if verdict else PROPERTY_FALSE
 
 
@@ -240,15 +240,9 @@ def cmd_decompose(args) -> int:
 # simulate
 
 
-def _load_mu(g, path) -> dict[str, float]:
+def _load_mu(g, path) -> list:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "values" not in data:
-        raise ValueError("mu file must be a JSON object with a 'values' key")
-    values = data["values"]
-    if not isinstance(values, dict):
-        raise ValueError("mu 'values' must map vertex names to weights")
-    return {str(k): float(v) for k, v in values.items()}
+        return _vertex_values(g, _document_values(json.load(fh), "mu"), "mu")
 
 
 def cmd_simulate(args) -> int:
@@ -301,16 +295,6 @@ def _svg_from_polylines(polylines, width, height, unit=24, margin=12) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dyck_points(steps):
-    points = [(0, 0)]
-    x = y = 0
-    for s in steps:
-        x += 1
-        y += 1 if s == "U" else -1
-        points.append((x, y))
-    return points
-
-
 def cmd_paths(args) -> int:
     if (args.pf is None) == (args.pq is None):
         raise ValueError("give exactly one of --pf or --pq")
@@ -326,12 +310,7 @@ def cmd_paths(args) -> int:
         prime = touches == (len(p),)
         print(f"prime={str(prime).lower()}")
         if args.svg:
-            if args.kind == "dyck":
-                pts = _dyck_points(path.steps)
-            else:
-                pts = [(0, 0)]
-                for i, r in enumerate(path.steps, start=1):
-                    pts.append((i, pts[-1][1] + r))
+            pts = path.points()
             height = max(y for _, y in pts) - min(0, min(y for _, y in pts))
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(_svg_from_polylines([pts], len(pts) - 1, max(height, 1)))

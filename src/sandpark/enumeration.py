@@ -30,7 +30,8 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import SizeCapError
 from .families import FamilySpec, catalan, closed_form_count, family_parts, make_family
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
-from .parking import is_g_parking, is_g_parking_naive, is_prime, is_prime_bruteforce
+from .parking import (_complement, is_g_parking, is_g_parking_naive, is_prime,
+                      is_prime_bruteforce)
 from .sandpile import (
     Config,
     config_from_dict,
@@ -55,7 +56,7 @@ def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
 
 
 def _is_ppf(g: RootedMultigraph, cand: tuple[int, ...]) -> bool:
-    return is_g_parking(g, cand) and is_prime(g, cand)
+    return is_strongly_recurrent(g, _complement(g, cand))
 
 
 # class -> (membership test, or None when every candidate belongs; lowest
@@ -290,11 +291,10 @@ def cross_validate_oracles(g: RootedMultigraph, *, label: str = "",
     Checks, over the full stable space and the full candidate space:
     burning vs forbidden-set recurrence (vs orientations when feasible),
     subset-definition vs degree-complement parking membership, partition
-    vs boost primality, and the degree-complement bijection between
+    vs drain-test primality, and the degree-complement bijection between
     strongly recurrent configurations and prime parking functions.
     """
     report = OracleReport(label=label or f"graph(|V|={len(g.vertices)})")
-    degs = g.nonsink_degrees
     rec_set: set[Config] = set()
     sr_set: set[Config] = set()
     for c in iter_class(g, "stable"):
@@ -337,15 +337,15 @@ def cross_validate_oracles(g: RootedMultigraph, *, label: str = "",
             continue
         report.pf_count += 1
         brute = is_prime_bruteforce(g, cand)
-        boost = is_prime(g, cand)
-        if brute != boost:
+        drain = is_prime(g, cand)
+        if brute != drain:
             report.discrepancies.append(
-                f"primality mismatch at {cand}: partitions={brute} boost={boost}")
+                f"primality mismatch at {cand}: partitions={brute} drain={drain}")
         if brute:
             ppf_set.add(cand)
     report.ppf_count = len(ppf_set)
 
-    dual = {tuple(d - x for x, d in zip(c, degs)) for c in sr_set}
+    dual = {_complement(g, c) for c in sr_set}
     if dual != ppf_set:
         extra = sorted(dual - ppf_set)[:3]
         missing = sorted(ppf_set - dual)[:3]

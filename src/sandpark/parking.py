@@ -6,18 +6,20 @@ independent routes: the subset definition (every non-empty set of non-sink
 vertices contains a vertex that could park using only edges leaving the
 set) and the degree-complement duality with recurrent sandpile
 configurations.  Primality likewise has a partition brute force and a fast
-boost test; the test suite holds the pairs equal.
+route through the same duality: ``p`` is prime exactly when its degree
+complement is strongly recurrent, which the drain test of ``sandpile``
+decides.  The test suite holds the pairs equal.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import SizeCapError, UnknownVertexError
 from .graph import RootedMultigraph
-from .sandpile import is_recurrent
+from .sandpile import (_failing_start, burning_starts, config_from_dict,
+                       is_recurrent, is_strongly_recurrent)
 
 NAIVE_MAX_NONSINK = 20
 PARTITION_MAX_NONSINK = 10
@@ -37,8 +39,6 @@ def _check_candidate(g: RootedMultigraph, p: Sequence[int]) -> Parking:
 
 
 def parking_from_dict(g: RootedMultigraph, data: dict) -> Parking:
-    from .sandpile import config_from_dict
-
     return _check_candidate(g, config_from_dict(g, data))
 
 
@@ -49,6 +49,11 @@ def load_parking(g: RootedMultigraph, path) -> Parking:
 
 # ----------------------------------------------------------------------
 # membership
+
+
+def _complement(g: RootedMultigraph, x: Sequence[int]) -> tuple[int, ...]:
+    """deg - x, the degree-complement bijection in either direction."""
+    return tuple(d - v for v, d in zip(x, g.nonsink_degrees))
 
 
 def parking_violation(g: RootedMultigraph, p: Sequence[int], *,
@@ -88,35 +93,27 @@ def is_g_parking_naive(g: RootedMultigraph, p: Sequence[int], *,
 def is_g_parking(g: RootedMultigraph, p: Sequence[int]) -> bool:
     """Fast membership: the degree complement must be recurrent."""
     p = _check_candidate(g, p)
-    degs = g.nonsink_degrees
-    if any(x > d for x, d in zip(p, degs)):
-        return False
-    return is_recurrent(g, tuple(d - x for x, d in zip(p, degs)))
+    return is_recurrent(g, _complement(g, p))
 
 
 def pf_from_config(g: RootedMultigraph, c: Sequence[int]) -> Parking:
     """Degree complement of a recurrent configuration."""
     c = tuple(c)
-    if not is_recurrent(g, c) or any(x < 0 for x in c):
+    if not is_recurrent(g, c):
         raise ValueError("configuration is not recurrent")
-    return tuple(d - x for x, d in zip(c, g.nonsink_degrees))
+    return _complement(g, c)
 
 
 def config_from_pf(g: RootedMultigraph, p: Sequence[int]) -> tuple[int, ...]:
     """Degree complement of a parking function (always recurrent)."""
-    p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
+    c = _complement(g, _check_candidate(g, p))
+    if not is_recurrent(g, c):
         raise ValueError("candidate is not a parking function")
-    return tuple(d - x for x, d in zip(p, g.nonsink_degrees))
+    return c
 
 
 # ----------------------------------------------------------------------
 # partitions and decomposability
-
-
-@lru_cache(maxsize=None)
-def _induced(g: RootedMultigraph, keep: tuple[str, ...]) -> RootedMultigraph:
-    return g.induced_with_sink(keep)
 
 
 def _normalize_block(g: RootedMultigraph, block: Iterable[str]) -> tuple[str, ...]:
@@ -172,7 +169,7 @@ def _decomposable(g: RootedMultigraph, p: Parking,
             return False
     if not (_connected_with_sink(g, a) and _connected_with_sink(g, b)):
         return False
-    sub = _induced(g, a)
+    sub = g.induced_with_sink(a)
     p_a = tuple(p[pos[v]] for v in a)
     return is_g_parking(sub, p_a)
 
@@ -219,13 +216,9 @@ def is_prime_bruteforce(g: RootedMultigraph, p: Sequence[int], *,
 
 
 def burning_starts_pf(g: RootedMultigraph, p: Sequence[int]) -> tuple[str, ...]:
-    """Vertices whose value is within their sink multiplicity.
-
-    Under the degree complement these are exactly the burning starts of the
-    dual configuration.
-    """
-    p = _check_candidate(g, p)
-    return tuple(v for v, x, m in zip(g.nonsink, p, g.sink_mults) if x <= m)
+    """Vertices whose value is within their sink multiplicity: the burning
+    starts of the degree complement."""
+    return burning_starts(g, _complement(g, _check_candidate(g, p)))
 
 
 def boost_except(g: RootedMultigraph, p: Sequence[int], v: str) -> Parking:
@@ -239,20 +232,15 @@ def boost_except(g: RootedMultigraph, p: Sequence[int], v: str) -> Parking:
 
 
 def failing_boost_vertex(g: RootedMultigraph, p: Sequence[int]) -> Optional[str]:
-    """Witness for non-primality under the boost test, or None when prime."""
-    p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
-        raise ValueError("candidate is not a parking function")
-    for v in burning_starts_pf(g, p):
-        if not is_g_parking(g, boost_except(g, p, v)):
-            return v
-    return None
+    """First ``v`` for which ``boost_except(g, p, v)`` does not park, or None
+    when prime: the failing drain of the degree complement."""
+    return _failing_start(g, config_from_pf(g, p))
 
 
 def is_prime(g: RootedMultigraph, p: Sequence[int]) -> bool:
-    """Primality via the boost test: every burning start, when every other
-    vertex is raised by its sink multiplicity, must still leave a parking
-    function."""
+    """Primality via the degree complement: ``p`` is prime exactly when
+    ``deg - p`` is strongly recurrent (every burning start, drained, leaves
+    a recurrent configuration)."""
     return failing_boost_vertex(g, p) is None
 
 
@@ -298,10 +286,8 @@ def prime_decompositions(g: RootedMultigraph, p: Sequence[int], *,
                 continue
             if not _connected_with_sink(g, block):
                 continue
-            sub = _induced(g, block)
-            if not is_g_parking(sub, reduced):
-                continue
-            if not is_prime(sub, reduced):
+            sub = g.induced_with_sink(block)
+            if not is_strongly_recurrent(sub, _complement(sub, reduced)):
                 continue
             rest = tuple(i for i in rem if names[i] not in block)
             explore(rest, prefix_names + block, chosen + (block,))

@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations, product
+from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SizeCapError, ToppleLimitError, UnknownVertexError
@@ -43,25 +44,36 @@ def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
 # JSON interchange: {"values": {"v1": 2, "v2": 0}}
 
 
-def config_from_dict(g: RootedMultigraph, data: dict) -> Config:
+def _document_values(data, what: str):
+    """The vertex mapping inside a ``{"values": {...}}`` document."""
     if not isinstance(data, dict) or "values" not in data:
-        raise ValueError("configuration document must be {\"values\": {...}}")
-    values = data["values"]
-    if not isinstance(values, dict):
-        raise ValueError("'values' must be an object mapping vertex to integer")
+        raise ValueError(f"{what} document must be {{\"values\": {{...}}}}")
+    return data["values"]
+
+
+def _vertex_values(g: RootedMultigraph, values, what: str) -> list:
+    """Entries of a vertex-keyed mapping in declaration order.
+
+    The mapping must name every non-sink vertex and nothing else.
+    """
+    if not isinstance(values, Mapping):
+        raise ValueError(f"{what} values must map vertex names to values")
     extra = set(values) - set(g.nonsink)
     if extra:
         raise UnknownVertexError(
-            f"values given for unknown or sink vertices: {sorted(extra)}")
+            f"{what} names unknown or sink vertices: {sorted(extra)}")
     missing = set(g.nonsink) - set(values)
     if missing:
-        raise ValueError(f"values missing for vertices: {sorted(missing)}")
-    out = []
-    for v in g.nonsink:
-        x = values[v]
+        raise ValueError(f"{what} missing vertices: {sorted(missing)}")
+    return [values[v] for v in g.nonsink]
+
+
+def config_from_dict(g: RootedMultigraph, data: dict) -> Config:
+    out = _vertex_values(g, _document_values(data, "configuration"),
+                         "configuration")
+    for v, x in zip(g.nonsink, out):
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"value for {v!r} must be an integer, got {x!r}")
-        out.append(x)
     return tuple(out)
 
 
@@ -202,7 +214,9 @@ def max_forbidden_set(g: RootedMultigraph, c: Sequence[int], *,
     adj = g.nonsink_adj
     k = len(c)
     alive = [True] * k
-    deg_in = [sum(adj[i][j] for j in range(k) if adj[i][j]) for i in range(k)]
+    # graphs have no loops, so the edges into the non-sink set are all
+    # edges except those to the sink
+    deg_in = [d - m for d, m in zip(g.nonsink_degrees, g.sink_mults)]
     order = list(range(k))
     changed = True
     while changed:
@@ -228,8 +242,9 @@ def is_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
     return not max_forbidden_set(g, c)
 
 
-@lru_cache(maxsize=None)
-def _orientation_indegrees(g: RootedMultigraph) -> tuple[tuple[int, ...], ...]:
+def orientation_indegrees(g: RootedMultigraph, *,
+                          max_nonsink: int = ORIENTATION_MAX_NONSINK
+                          ) -> tuple[tuple[int, ...], ...]:
     """In-degree vectors of rooted acyclic orientations, minimal ones only.
 
     Every acyclic orientation arises from a vertex order with all edges
@@ -241,6 +256,10 @@ def _orientation_indegrees(g: RootedMultigraph) -> tuple[tuple[int, ...], ...]:
     matters for the recurrence test.
     """
     k = len(g.nonsink)
+    if k > max_nonsink:
+        raise SizeCapError(
+            f"orientation oracle capped at {max_nonsink} non-sink vertices, "
+            f"graph has {k}")
     adj = g.nonsink_adj
     sink_m = g.sink_mults
     seen: set[tuple[int, ...]] = set()
@@ -263,16 +282,6 @@ def _orientation_indegrees(g: RootedMultigraph) -> tuple[tuple[int, ...], ...]:
                if not any(e != d and all(x <= y for x, y in zip(e, d)) for e in seen)]
     minimal.sort()
     return tuple(minimal)
-
-
-def orientation_indegrees(g: RootedMultigraph, *,
-                          max_nonsink: int = ORIENTATION_MAX_NONSINK
-                          ) -> tuple[tuple[int, ...], ...]:
-    if len(g.nonsink) > max_nonsink:
-        raise SizeCapError(
-            f"orientation oracle capped at {max_nonsink} non-sink vertices, "
-            f"graph has {len(g.nonsink)}")
-    return _orientation_indegrees(g)
 
 
 def is_recurrent_orientation(g: RootedMultigraph, c: Sequence[int], *,
@@ -336,6 +345,17 @@ def drain_except(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
                  for i, (x, m) in enumerate(zip(c, g.sink_mults)))
 
 
+def _failing_start(g: RootedMultigraph, c: Config) -> Optional[str]:
+    """First burning start whose drained configuration is not recurrent.
+
+    None when every drain stays recurrent; ``c`` must be recurrent.
+    """
+    for v in burning_starts(g, c):
+        if not is_recurrent(g, drain_except(g, c, v)):
+            return v
+    return None
+
+
 def is_strongly_recurrent(g: RootedMultigraph, c: Sequence[int],
                           quantifier: str = "forall") -> bool:
     """Recurrence that survives draining the sink edges.
@@ -347,16 +367,18 @@ def is_strongly_recurrent(g: RootedMultigraph, c: Sequence[int],
     if quantifier not in ("forall", "exists"):
         raise ValueError("quantifier must be 'forall' or 'exists'")
     c = _check_config(g, c)
-    if not is_recurrent(g, c) or any(x < 0 for x in c):
+    if not is_recurrent(g, c):
         return False
-    checks = (is_recurrent(g, drain_except(g, c, v)) for v in burning_starts(g, c))
-    return all(checks) if quantifier == "forall" else any(checks)
+    if quantifier == "forall":
+        return _failing_start(g, c) is None
+    return any(is_recurrent(g, drain_except(g, c, v))
+               for v in burning_starts(g, c))
 
 
 def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
     """Recurrent, and removing any single grain breaks recurrence."""
     c = _check_config(g, c)
-    if any(x < 0 for x in c) or not is_recurrent(g, c):
+    if not is_recurrent(g, c):
         return False
     for i in range(len(c)):
         lowered = c[:i] + (c[i] - 1,) + c[i + 1:]
@@ -386,31 +408,28 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     """Drop ``steps`` grains at vertices sampled from ``mu`` and stabilise.
 
     ``mu`` defaults to uniform over non-sink vertices; explicit weights must
-    be strictly positive and sum to 1 within 1e-9 (then renormalised).  The
-    run is a pure function of its arguments.
+    be finite, strictly positive and sum to 1 within 1e-9 (then
+    renormalised).  Bad arguments raise before any step runs.  The run is a
+    pure function of its arguments.
     """
     start = _check_config(g, start)
     if not is_stable(g, start):
         raise ValueError("start configuration must be stable")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     k = len(g.nonsink)
     if mu is None:
         weights = [1.0 / k] * k
     else:
-        if isinstance(mu, Mapping):
-            extra = set(mu) - set(g.nonsink)
-            if extra:
-                raise UnknownVertexError(
-                    f"mu names unknown or sink vertices: {sorted(extra)}")
-            missing = set(g.nonsink) - set(mu)
-            if missing:
-                raise ValueError(f"mu missing vertices: {sorted(missing)}")
-            weights = [float(mu[v]) for v in g.nonsink]
-        else:
-            weights = [float(x) for x in mu]
-            if len(weights) != k:
-                raise ValueError("mu length does not match non-sink vertex count")
-        if any(w <= 0 for w in weights):
-            raise ValueError("mu weights must be strictly positive")
+        weights = (_vertex_values(g, mu, "mu") if isinstance(mu, Mapping)
+                   else list(mu))
+        if len(weights) != k:
+            raise ValueError("mu length does not match non-sink vertex count")
+        for w in weights:
+            if (isinstance(w, bool) or not isinstance(w, Real)
+                    or not math.isfinite(w) or w <= 0):
+                raise ValueError(
+                    f"mu weights must be finite and strictly positive, got {w!r}")
         total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mu weights must sum to 1, got {total}")

@@ -1,4 +1,4 @@
-"""Shared test graphs.
+"""Shared test graphs and reference helpers.
 
 The pool holds every named instance the exhaustive sweeps run on; all of
 them have at most 6 non-sink vertices so full stable/candidate spaces stay
@@ -8,7 +8,8 @@ cheap to enumerate.
 import pytest
 from hypothesis import settings
 
-from sandpark import build_graph, make_family, FamilySpec
+from sandpark import (build_graph, boost_except, burning_starts_pf,
+                      is_g_parking, make_family, FamilySpec)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -55,6 +56,15 @@ def graph_pool():
     pool.append(("sink-multiedge-pair", sink_multiedge_pair()))
     pool.append(("sink-multiedge-square", sink_multiedge_square()))
     return pool
+
+
+def boost_witness(g, p):
+    """Parking-side definition of the primality witness: the first burning
+    start whose boost leaves no parking function, or None."""
+    for v in burning_starts_pf(g, p):
+        if not is_g_parking(g, boost_except(g, p, v)):
+            return v
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -299,6 +299,26 @@ class TestSimulate:
                       "--seed", "0", "--start", start)
         assert out.returncode == 2
 
+    def test_negative_steps_rejected(self, triangle_file):
+        out = run_cli("simulate", "--graph", triangle_file, "--steps", "-5",
+                      "--seed", "0")
+        assert out.returncode == 2
+        assert "steps=" not in out.stdout
+
+    @pytest.mark.parametrize("text", [
+        '{"values": {"v1": null, "v2": 1.0}}',
+        '{"values": {"v1": [0.5], "v2": 0.5}}',
+        '{"values": {"v1": NaN, "v2": 1.0}}',
+    ], ids=["null", "list", "nan"])
+    def test_non_numeric_mu_weight_rejected(self, tmp_path, triangle_file, text):
+        mu = tmp_path / "mu.json"
+        mu.write_text(text)
+        out = run_cli("simulate", "--graph", triangle_file, "--steps", "0",
+                      "--seed", "0", "--mu", str(mu))
+        assert out.returncode == 2
+        assert "steps=" not in out.stdout
+        assert "Traceback" not in out.stderr
+
 
 class TestPaths:
     def test_dyck_not_prime(self):
@@ -346,6 +366,23 @@ class TestPaths:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+    @pytest.mark.parametrize("kind, size, points", [
+        ("dyck", 'width="456" height="96"',
+         "12,84 36,60 60,36 84,12 108,36 132,60 156,36 180,60 204,36 228,12 "
+         "252,36 276,60 300,84 324,60 348,36 372,12 396,36 420,60 444,84"),
+        ("lukasiewicz", 'width="240" height="72"',
+         "12,60 36,12 60,36 84,36 108,12 132,36 156,60 180,12 204,36 228,60"),
+    ])
+    def test_svg_polyline_pinned(self, tmp_path, kind, size, points):
+        svg = tmp_path / "path.svg"
+        out = run_cli("paths", "--pf", "1,1,1,3,4,4,7,7,7", "--kind", kind,
+                      "--svg", str(svg))
+        assert out.returncode == 1
+        assert svg.read_text() == (
+            f'<svg xmlns="http://www.w3.org/2000/svg" {size}>\n'
+            f'  <polyline points="{points}" fill="none" stroke="black" '
+            'stroke-width="2"/>\n</svg>\n')
 
     def test_pq_svg_has_two_polylines(self, tmp_path):
         svg = tmp_path / "pq.svg"

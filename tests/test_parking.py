@@ -28,7 +28,7 @@ from sandpark import (
     prime_decompositions,
     restrict_partition,
 )
-from conftest import graph_pool, triangle, twin_triangles
+from conftest import boost_witness, graph_pool, triangle, twin_triangles
 
 POOL = graph_pool()
 SMALL = [(label, g) for label, g in POOL if len(g.nonsink) <= 4]
@@ -187,6 +187,8 @@ class TestPrime:
         for label, g in SMALL:
             for p in parking_functions(g):
                 assert is_prime(g, p) == is_prime_bruteforce(g, p), (label, p)
+                assert failing_boost_vertex(g, p) == boost_witness(g, p), \
+                    (label, p)
 
     def test_requires_parking_input(self, k2):
         with pytest.raises(ValueError):

@@ -307,6 +307,11 @@ class TestMarkov:
             markov_run(k2, (0, 0), 5, seed=0, mu={"v1": 1.0})
         with pytest.raises(UnknownVertexError):
             markov_run(k2, (0, 0), 5, seed=0, mu={"v1": 0.5, "zz": 0.5})
+        for bad in (float("nan"), float("inf"), None, [0.5], "0.5", True):
+            with pytest.raises(ValueError):
+                markov_run(k2, (0, 0), 0, seed=0, mu=[bad, 0.5])
+        with pytest.raises(ValueError):
+            markov_run(k2, (0, 0), -1, seed=0)
 
     def test_mu_mapping_matches_sequence(self, k2):
         by_map = markov_run(k2, (0, 0), 100, seed=4, mu={"v1": 0.25, "v2": 0.75})
