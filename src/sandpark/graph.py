@@ -8,6 +8,7 @@ follow it, which keeps every run reproducible.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,7 @@ from .errors import (
     DuplicateVertexError,
     GraphError,
     LoopEdgeError,
+    SizeCapError,
     TooFewVerticesError,
     UnknownVertexError,
 )
@@ -78,6 +80,12 @@ class RootedMultigraph:
         """Multiplicity matrix restricted to non-sink vertices."""
         idx = self.nonsink_indices
         return tuple(tuple(self.mult[i][j] for j in idx) for i in idx)
+
+    @cached_property
+    def nonsink_nbrs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Sparse ``nonsink_adj``: (position, multiplicity) pairs per row."""
+        return tuple(tuple((j, m) for j, m in enumerate(row) if m)
+                     for row in self.nonsink_adj)
 
     @cached_property
     def edge_total(self) -> int:
@@ -162,39 +170,54 @@ class RootedMultigraph:
         return len(self._reachable(rest[0], rest)) != len(rest)
 
     def spanning_tree_count(self) -> int:
-        """Number of spanning trees, via the reduced Laplacian determinant.
+        """Number of spanning trees: the reduced Laplacian determinant.
 
-        Computed with fraction-free elimination over Python integers so the
-        result is exact for any multiplicities.
+        The reduced Laplacian of a connected graph is positive definite, so
+        every leading minor is a positive integer at most the Hadamard bound
+        (the root of the product of squared row norms).  Sparse elimination
+        with diagonal pivots modulo a Mersenne prime above that bound meets
+        no zero pivot, and the residue is the exact count.  Raises
+        ``SizeCapError`` before any elimination when the bound exceeds the
+        largest tabulated prime.
         """
-        idx = self.nonsink_indices
-        lap = [[self.degrees[i] if i == j else -self.mult[i][j] for j in idx]
-               for i in idx]
-        return _det_bareiss(lap)
+        deg = self.nonsink_degrees
+        nbrs = self.nonsink_nbrs
+        squared_norms = math.prod(d * d + sum(m * m for _, m in row)
+                                  for d, row in zip(deg, nbrs))
+        for e in _MERSENNE_EXPONENTS:
+            p = (1 << e) - 1
+            if squared_norms < p * p:
+                break
+        else:
+            raise SizeCapError(
+                f"spanning-tree count capped at a Hadamard bound of 2^{e}, "
+                f"graph has about 2^{squared_norms.bit_length() // 2}")
+        # Upper triangle only: the Schur complements stay symmetric.
+        # Entries are reduced loosely by folding, since 2^e = 1 mod p
+        # gives v = (v & p) + (v >> e) mod p, also for negative v.
+        rows = [{i: d} | {j: -m for j, m in row if j > i}
+                for i, (d, row) in enumerate(zip(deg, nbrs))]
+        count = 1
+        for k, row in enumerate(rows):
+            rows[k] = None
+            pivot = row.pop(k) % p
+            assert pivot, "zero pivot: the graph is not connected"
+            count = count * pivot % p
+            inv = pow(pivot, -1, p)
+            tail = sorted(row.items())
+            for a, (i, x) in enumerate(tail):
+                factor = x * inv % p
+                target = rows[i]
+                for j, y in tail[a:]:
+                    v = target.get(j, 0) - factor * y
+                    target[j] = (v & p) + (v >> e)
+        return count
 
 
-def _det_bareiss(a: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# Exponents e of the Mersenne primes 2^e - 1 that spanning_tree_count works
+# modulo; the last one caps the size of the count.
+_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607,
+                       1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
 
 
 def build_graph(vertices: Sequence[str], sink: str,

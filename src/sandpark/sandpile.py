@@ -18,6 +18,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import permutations, product
 from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
@@ -107,12 +108,10 @@ def topple(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
     deg = g.nonsink_degrees[pos]
     if c[pos] < deg:
         raise ValueError(f"vertex {v!r} is stable (value {c[pos]} < degree {deg})")
-    row = g.nonsink_adj[pos]
     out = list(c)
     out[pos] -= deg
-    for j, m in enumerate(row):
-        if m:
-            out[j] += m
+    for j, m in g.nonsink_nbrs[pos]:
+        out[j] += m
     return tuple(out)
 
 
@@ -130,6 +129,49 @@ class StabilisationTrace:
     log: tuple[str, ...]
 
 
+def _relax(g: RootedMultigraph, cur: list[int], pending: list[int], *,
+           rng: Optional[random.Random], max_topplings: int,
+           log: Optional[list[int]] = None) -> None:
+    """Fire unstable positions of ``cur`` in place until none is left.
+
+    ``pending`` must hold exactly the unstable positions.  Without ``rng``
+    it is a min-heap and the first unstable position in declaration order
+    fires; with ``rng`` a uniformly chosen pending position fires.  Each
+    firing walks only the sparse neighbour row, and a neighbour joins
+    ``pending`` when it crosses its degree.  Fired positions are appended
+    to ``log`` when one is given.
+    """
+    degs = g.nonsink_degrees
+    nbrs = g.nonsink_nbrs
+    fired = 0
+    while pending:
+        at = 0 if rng is None else rng.randrange(len(pending))
+        i = pending[at]
+        fired += 1
+        if fired > max_topplings:
+            raise ToppleLimitError(
+                f"stabilisation exceeded {max_topplings} topplings")
+        cur[i] -= degs[i]
+        if log is not None:
+            log.append(i)
+        # drop i before any neighbour joins, while it is still at ``at``
+        if cur[i] < degs[i]:
+            if rng is None:
+                heappop(pending)
+            else:
+                last = pending.pop()
+                if at < len(pending):
+                    pending[at] = last
+        for j, m in nbrs[i]:
+            x = cur[j]
+            cur[j] = x + m
+            if x < degs[j] <= x + m:
+                if rng is None:
+                    heappush(pending, j)
+                else:
+                    pending.append(j)
+
+
 def stabilize(g: RootedMultigraph, c: Sequence[int], *,
               rng: Optional[random.Random] = None,
               max_topplings: int = DEFAULT_MAX_TOPPLINGS) -> StabilisationTrace:
@@ -137,34 +179,23 @@ def stabilize(g: RootedMultigraph, c: Sequence[int], *,
 
     The default order fires the first unstable vertex in declaration order;
     passing ``rng`` picks uniformly among unstable vertices instead.  The
-    final configuration and odometer do not depend on the order.  A budget
-    of ``max_topplings`` firings guards against runaway input.
+    final configuration and odometer do not depend on the order (Dhar's
+    abelian property).  A budget of ``max_topplings`` firings guards
+    against runaway input.
     """
     c = _check_config(g, c)
     degs = g.nonsink_degrees
-    adj = g.nonsink_adj
-    k = len(degs)
     cur = list(c)
-    odometer = [0] * k
-    log: list[str] = []
-    fired = 0
-    while True:
-        unstable = [i for i in range(k) if cur[i] >= degs[i]]
-        if not unstable:
-            break
-        i = unstable[0] if rng is None else rng.choice(unstable)
-        fired += 1
-        if fired > max_topplings:
-            raise ToppleLimitError(
-                f"stabilisation exceeded {max_topplings} topplings")
-        cur[i] -= degs[i]
-        row = adj[i]
-        for j in range(k):
-            if row[j]:
-                cur[j] += row[j]
+    # ascending, so already a heap
+    pending = [i for i, (x, d) in enumerate(zip(cur, degs)) if x >= d]
+    log: list[int] = []
+    _relax(g, cur, pending, rng=rng, max_topplings=max_topplings, log=log)
+    odometer = [0] * len(cur)
+    for i in log:
         odometer[i] += 1
-        log.append(g.nonsink[i])
-    return StabilisationTrace(tuple(cur), tuple(odometer), tuple(log))
+    names = g.nonsink
+    return StabilisationTrace(tuple(cur), tuple(odometer),
+                              tuple(names[i] for i in log))
 
 
 def add_sink_grains(g: RootedMultigraph, c: Sequence[int]) -> Config:
@@ -438,11 +469,14 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     run = MarkovRun(start=start, steps=steps, seed=seed)
     run.visit_counts[start] = 1
     positions = list(range(k))
-    current = start
+    degs = g.nonsink_degrees
+    cur = list(start)
     for step in range(1, steps + 1):
         i = rng.choices(positions, weights=weights)[0]
-        bumped = current[:i] + (current[i] + 1,) + current[i + 1:]
-        current = stabilize(g, bumped).final
+        cur[i] += 1
+        if cur[i] >= degs[i]:
+            _relax(g, cur, [i], rng=None, max_topplings=DEFAULT_MAX_TOPPLINGS)
+        current = tuple(cur)
         run.visit_counts[current] = run.visit_counts.get(current, 0) + 1
         run.trace.append((step, g.nonsink[i], current))
     return run

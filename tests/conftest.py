@@ -9,7 +9,9 @@ import pytest
 from hypothesis import settings
 
 from sandpark import (build_graph, boost_except, burning_starts_pf,
-                      is_g_parking, make_family, FamilySpec)
+                      is_g_parking, make_family, FamilySpec,
+                      StabilisationTrace, ToppleLimitError)
+from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -65,6 +67,84 @@ def boost_witness(g, p):
         if not is_g_parking(g, boost_except(g, p, v)):
             return v
     return None
+
+
+def grid_with_sink_border(side):
+    """side x side grid, row-major names r.c; each missing border neighbour
+    is an edge to the sink "s", so every vertex has degree 4."""
+    names = ["s"] + [f"{r}.{c}" for r in range(side) for c in range(side)]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < side and 0 <= cc < side:
+                    if (dr, dc) in ((0, 1), (1, 0)):
+                        edges.append((f"{r}.{c}", f"{rr}.{cc}", 1))
+                else:
+                    edges.append((f"{r}.{c}", "s", 1))
+    return build_graph(names, "s", edges)
+
+
+def reference_stabilize(g, c, *, rng=None,
+                        max_topplings=DEFAULT_MAX_TOPPLINGS):
+    """Scan-order stabilisation: rescan every vertex before each firing and
+    walk the dense row.  Reference for the worklist ``stabilize``."""
+    degs = g.nonsink_degrees
+    adj = g.nonsink_adj
+    k = len(degs)
+    cur = list(c)
+    odometer = [0] * k
+    log = []
+    fired = 0
+    while True:
+        unstable = [i for i in range(k) if cur[i] >= degs[i]]
+        if not unstable:
+            break
+        i = unstable[0] if rng is None else rng.choice(unstable)
+        fired += 1
+        if fired > max_topplings:
+            raise ToppleLimitError(
+                f"stabilisation exceeded {max_topplings} topplings")
+        cur[i] -= degs[i]
+        row = adj[i]
+        for j in range(k):
+            if row[j]:
+                cur[j] += row[j]
+        odometer[i] += 1
+        log.append(g.nonsink[i])
+    return StabilisationTrace(tuple(cur), tuple(odometer), tuple(log))
+
+
+def det_bareiss(a):
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    a = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reference_tree_count(g):
+    """Matrix-tree count by Bareiss on the dense reduced Laplacian."""
+    idx = g.nonsink_indices
+    return det_bareiss([[g.degrees[i] if i == j else -g.mult[i][j]
+                         for j in idx] for i in idx])
 
 
 @pytest.fixture(scope="session")

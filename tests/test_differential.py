@@ -6,24 +6,35 @@ chain started at the maximal stable configuration, whose states are all
 recurrent.  Recurrence is also checked on uniform stable configurations and
 on chain states with one grain removed, which fall on both sides of the
 recurrent boundary.
+
+The worklist ``stabilize``, the Markov chain built on it and the modular
+``spanning_tree_count`` are checked against the scan stabilizer and Bareiss
+(``conftest``) on the pool, the random multigraphs, grids with a sink
+border and wheels.
 """
 
+import math
 import random
 
 import pytest
 
 from sandpark import (
+    FamilySpec,
     failing_boost_vertex,
     is_prime,
     is_prime_bruteforce,
     is_recurrent,
     is_recurrent_burning,
     is_strongly_recurrent,
+    make_family,
     markov_run,
     pf_from_config,
     random_connected_multigraph,
+    stabilize,
+    topple,
 )
-from conftest import boost_witness
+from conftest import (boost_witness, graph_pool, grid_with_sink_border,
+                      reference_stabilize, reference_tree_count)
 
 SEEDS = range(16)
 
@@ -63,3 +74,75 @@ def test_primality_routes_agree_on_sampled_parking_functions(seed):
         witness = failing_boost_vertex(g, p)
         assert (witness is None) == prime, p
         assert witness == boost_witness(g, p), p
+
+
+def random_multigraph(seed):
+    rng = random.Random(seed)
+    return random_connected_multigraph(rng, rng.randint(8, 11), max_mult=2,
+                                       extra_edges=14)
+
+
+SPARSE_CORE_GRAPHS = (
+    graph_pool()
+    + [(f"random-{seed}", random_multigraph(seed)) for seed in SEEDS]
+    + [(f"grid-{side}", grid_with_sink_border(side)) for side in range(3, 11)]
+    + [(f"W{n}", make_family(FamilySpec("wheel", n=n))) for n in range(4, 13)])
+GRAPH_IDS = [label for label, _ in SPARSE_CORE_GRAPHS]
+
+
+def unstable_samples(g, rng, count):
+    """Configurations from -1 to 3 deg - 1 per vertex, so most need firing
+    and some vertices owe grains."""
+    return [tuple(rng.randint(-1, 3 * d - 1) for d in g.nonsink_degrees)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)
+def test_worklist_stabilize_matches_scan_reference(label, g):
+    rng = random.Random(label)
+    for c in unstable_samples(g, rng, 4):
+        ref = reference_stabilize(g, c)
+        assert stabilize(g, c) == ref, c
+        for _ in range(2):
+            seed = rng.randrange(2 ** 30)
+            alt = stabilize(g, c, rng=random.Random(seed))
+            assert (alt.final, alt.odometer) == (ref.final, ref.odometer), c
+            cur = c
+            for v in alt.log:
+                cur = topple(g, cur, v)
+            assert cur == alt.final, c
+
+
+@pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)
+def test_markov_states_match_reference_drops(label, g):
+    top = tuple(d - 1 for d in g.nonsink_degrees)
+    run = markov_run(g, top, 60, seed=len(label))
+    prev = run.start
+    for _, vertex, state in run.trace:
+        pos = g.nonsink_pos[vertex]
+        bumped = prev[:pos] + (prev[pos] + 1,) + prev[pos + 1:]
+        assert state == reference_stabilize(g, bumped).final, (vertex, prev)
+        prev = state
+
+
+@pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)
+def test_tree_count_matches_bareiss(label, g):
+    assert g.spanning_tree_count() == reference_tree_count(g)
+
+
+@pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)
+def test_tree_count_matches_networkx(label, g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    n = len(g.vertices)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g.mult[i][j]:
+                h.add_edge(g.vertices[i], g.vertices[j], weight=g.mult[i][j])
+    # networkx returns a floating-point determinant
+    expected = nx.number_of_spanning_trees(h, weight="weight")
+    count = g.spanning_tree_count()
+    assert math.isclose(count, expected, rel_tol=1e-9)
+    if count < 2 ** 50:
+        assert count == round(expected)

@@ -9,6 +9,7 @@ from sandpark import (
     GraphError,
     LoopEdgeError,
     RootedMultigraph,
+    SizeCapError,
     TooFewVerticesError,
     UnknownVertexError,
     build_graph,
@@ -19,7 +20,9 @@ from sandpark import (
     FamilySpec,
     save_graph,
 )
-from conftest import graph_pool, sink_multiedge_pair, triangle, twin_triangles
+from sandpark import graph as graph_module
+from conftest import (graph_pool, grid_with_sink_border, sink_multiedge_pair,
+                      triangle, twin_triangles)
 
 POOL = graph_pool()
 
@@ -181,6 +184,22 @@ class TestSpanningTrees:
     def test_positive_on_pool(self):
         for label, g in POOL:
             assert g.spanning_tree_count() >= 1, label
+
+    def test_hadamard_bound_capped_before_elimination(self, monkeypatch):
+        # the 16x16 grid's Hadamard bound is about 2^553, above 2^89 - 1
+        g = grid_with_sink_border(16)
+        expected = g.spanning_tree_count()
+
+        def no_inverse(*args):
+            raise AssertionError("elimination started")
+
+        monkeypatch.setattr(graph_module, "pow", no_inverse, raising=False)
+        monkeypatch.setattr(graph_module, "_MERSENNE_EXPONENTS", (61, 89))
+        with pytest.raises(SizeCapError):
+            g.spanning_tree_count()
+        monkeypatch.undo()
+        monkeypatch.setattr(graph_module, "_MERSENNE_EXPONENTS", (61, 89, 607))
+        assert g.spanning_tree_count() == expected
 
 
 class TestJson:

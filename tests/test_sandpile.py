@@ -32,7 +32,8 @@ from sandpark import (
     trace_to_csv,
     write_trace_csv,
 )
-from conftest import graph_pool, sink_multiedge_pair, triangle
+from conftest import (graph_pool, grid_with_sink_border, sink_multiedge_pair,
+                      triangle)
 
 POOL = graph_pool()
 
@@ -117,6 +118,18 @@ class TestStabilize:
     def test_topple_budget(self, k2):
         with pytest.raises(ToppleLimitError):
             stabilize(k2, (50, 50), max_topplings=3)
+
+    def test_topple_budget_is_exact(self):
+        # the 4,000-grain centre pile on the 16x16 grid fires 78,381 times,
+        # in any order
+        g = grid_with_sink_border(16)
+        c = [0] * 256
+        c[8 * 16 + 8] = 4000
+        for rng in (None, random.Random(5)):
+            with pytest.raises(ToppleLimitError):
+                stabilize(g, c, rng=rng, max_topplings=78_380)
+            tr = stabilize(g, c, rng=rng, max_topplings=78_381)
+            assert sum(tr.odometer) == 78_381
 
     def test_negative_values_permitted(self, k2):
         # vertices may owe grains; stabilisation still terminates
