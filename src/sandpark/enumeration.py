@@ -8,8 +8,16 @@ Enumeration classes (lexicographic in declaration order):
 * pf-inc / ppf-inc restrict to candidates non-decreasing inside each
   interchangeable part, so they need a family, not a bare graph.
 
+One depth-first walk serves every class.  It assigns positions in
+declaration order and prunes a prefix that holds a forbidden
+subconfiguration (no completion is recurrent) and, for sr-forall, ppf and
+ppf-inc, a prefix in which an assigned burning start's drain holds one.
+The cap bounds the full candidate space before the walk starts, however
+much of it the pruning skips.
+
 Counting can split the search space by the first coordinate across worker
-processes; results do not depend on the worker count.
+processes; results do not depend on the worker count, but pruning leaves
+the slices unequal in work.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, product
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
@@ -34,12 +41,12 @@ from .parking import (_complement, is_g_parking, is_g_parking_naive, is_prime,
                       is_prime_bruteforce)
 from .sandpile import (
     Config,
+    _discard,
     config_from_dict,
     config_to_dict,
     is_recurrent,
     is_recurrent_burning,
     is_minimal_recurrent,
-    is_stable,
     is_strongly_recurrent,
     orientation_recurrent_set,
 )
@@ -55,60 +62,159 @@ def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
     return target, None
 
 
-def _is_ppf(g: RootedMultigraph, cand: tuple[int, ...]) -> bool:
-    return is_strongly_recurrent(g, _complement(g, cand))
+# What the walk checks on each assigned prefix.
+_NONE, _RECURRENT, _DRAINS = 0, 1, 2
 
-
-# class -> (membership test, or None when every candidate belongs; lowest
-# value of a coordinate).  Configurations take values 0..deg(v)-1 and
-# parking candidates 1..deg(v).
-_MEMBERSHIP = {
-    "stable": (None, 0),
-    "recurrent": (is_recurrent, 0),
-    "sr-forall": (partial(is_strongly_recurrent, quantifier="forall"), 0),
-    "sr-exists": (partial(is_strongly_recurrent, quantifier="exists"), 0),
-    "min-recurrent": (is_minimal_recurrent, 0),
-    "pf": (is_g_parking, 1),
-    "ppf": (_is_ppf, 1),
-    "pf-inc": (is_g_parking, 1),
-    "ppf-inc": (_is_ppf, 1),
+# class -> (lowest value of a coordinate, prefix checks, test left for the
+# complete candidate).  Configurations take values 0..deg(v)-1 and parking
+# candidates 1..deg(v); parking classes are checked on the degree complement.
+_CLASS_WALKS = {
+    "stable": (0, _NONE, None),
+    "recurrent": (0, _RECURRENT, None),
+    "sr-forall": (0, _DRAINS, None),
+    "sr-exists": (0, _RECURRENT,
+                  partial(is_strongly_recurrent, quantifier="exists")),
+    "min-recurrent": (0, _RECURRENT, is_minimal_recurrent),
+    "pf": (1, _RECURRENT, None),
+    "ppf": (1, _DRAINS, None),
+    "pf-inc": (1, _RECURRENT, None),
+    "ppf-inc": (1, _DRAINS, None),
 }
-CLASSES = tuple(_MEMBERSHIP)
+CLASSES = tuple(_CLASS_WALKS)
 
 
 def _walk(target: Target, cls: str, cap: int,
           first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Members of ``cls`` in lexicographic order, the one candidate-space walk.
 
-    The class, the target and the space size are checked when this is
-    called, before any candidate is tested.  With ``first`` set, only the
-    slice holding the ``first``-th value of the first coordinate is walked;
-    the slices partition the space in order.  Increasing classes walk the
-    tuples that are non-decreasing inside each part of the family, whose
-    vertices share a degree, so their space is a product of multiset counts.
+    The class, the target and the size of the full candidate space are
+    checked when this is called, before any candidate is tested.  With
+    ``first`` set, only the slice holding the ``first``-th value of the
+    first coordinate is walked; the slices partition the space in order.
+    Increasing classes walk the tuples that are non-decreasing inside each
+    part of the family, whose vertices share a degree, so their space is a
+    product of multiset counts.
     """
-    if cls not in _MEMBERSHIP:
+    if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
-    test, low = _MEMBERSHIP[cls]
+    low, checks, leaf = _CLASS_WALKS[cls]
     g, spec = _resolve(target)
+    degs = g.nonsink_degrees
+    # the position whose value bounds each position from below, or None
+    prev: list[Optional[int]] = [None] * len(degs)
     if cls.endswith("-inc"):
         if spec is None:
             raise ValueError(
                 "increasing classes need a graph family with declared parts")
-        parts = [(range(low, low + g.deg(part[0])), len(part))
-                 for part in family_parts(spec)]
-        space = math.prod(math.comb(len(r) + s - 1, s) for r, s in parts)
-        cands = (sum(chunks, ()) for chunks in product(
-            *(combinations_with_replacement(r, s) for r, s in parts)))
+        parts = [[g.nonsink_pos[v] for v in part] for part in family_parts(spec)]
+        space = math.prod(math.comb(degs[part[0]] + len(part) - 1, len(part))
+                          for part in parts)
+        for part in parts:
+            for before, at in zip(part, part[1:]):
+                prev[at] = before
     else:
-        ranges = [range(low, low + d) for d in g.nonsink_degrees]
-        space = math.prod(map(len, ranges))
-        if first is not None:
-            ranges[0] = ranges[0][first:first + 1]
-        cands = product(*ranges)
+        space = math.prod(degs)
     if space > cap:
         raise SizeCapError(f"search space of {space} exceeds cap {cap}")
-    return cands if test is None else filter(partial(test, g), cands)
+    first_values = range(low, low + degs[0])
+    if first is not None:
+        first_values = first_values[first:first + 1]
+    return _search(g, low, checks, leaf, prev, first_values)
+
+
+def _search(g: RootedMultigraph, low: int, checks: int, leaf, prev,
+            first_values: range) -> Iterator[tuple[int, ...]]:
+    """Iterative depth-first walk over positions in declaration order.
+
+    After a value is assigned at position ``t`` the forbidden-set fixpoint
+    runs on the configuration restricted to positions ``0..t`` (Dhar 1990):
+    a non-empty fixpoint there stays non-empty however the rest is filled
+    in, so no completion is recurrent.  The prefix ``0..t-1`` already
+    passed, so the fixpoint can only be non-empty when ``t`` holds fewer
+    grains than it has edges back into the prefix.  With drain checks, the
+    drained configuration of every burning start assigned so far is tested
+    the same way.  On the last position these checks are exactly recurrence
+    and strong recurrence (``forall``).  Parking candidates are checked on
+    their degree complement, so a larger value leaves fewer grains: a
+    failure that does not hinge on ``t`` being a burning start ends the
+    value loop.
+    """
+    degs = g.nonsink_degrees
+    sink = g.sink_mults
+    nbrs = g.nonsink_nbrs
+    k = len(degs)
+    parking = low == 1
+    drains = checks == _DRAINS
+    vals = [0] * k
+    conf = [0] * k       # the configuration; the degree complement for parking
+    drained = [0] * k    # conf minus the sink edges
+    deg_in = [0] * k     # edges of each assigned position into the prefix
+    starts: list[int] = []   # assigned burning starts, ascending
+    it: list = [iter(first_values)] + [None] * (k - 1)
+    t = 0
+    while True:
+        x = next(it[t], None)
+        if x is None:
+            # t leaves the prefix
+            for j, m in nbrs[t]:
+                if j >= t:
+                    break
+                deg_in[j] -= m
+            if t == 0:
+                return
+            t -= 1
+            continue
+        vals[t] = x
+        c = degs[t] - x if parking else x
+        conf[t] = c
+        n = t + 1
+        back = deg_in[t]
+        if checks:
+            if c < back and _discard(conf, deg_in[:n], nbrs, range(n)):
+                if parking:
+                    it[t] = iter(())
+                continue
+        if drains:
+            while starts and starts[-1] >= t:
+                starts.pop()
+            dc = c - sink[t]
+            drained[t] = dc
+            blocked = 0
+            if dc < back:
+                for v in starts:
+                    drained[v] = conf[v]
+                    blocked = _discard(drained, deg_in[:n], nbrs, range(n))
+                    drained[v] -= sink[v]
+                    if blocked:
+                        break
+            if blocked:
+                if parking:
+                    it[t] = iter(())
+                continue
+            if sink[t] and c >= degs[t] - sink[t]:
+                # t is a burning start: its drain keeps c at t
+                drained[t] = c
+                blocked = _discard(drained, deg_in[:n], nbrs, range(n))
+                drained[t] = dc
+                if blocked:
+                    continue
+                starts.append(t)
+        if n == k:
+            cand = tuple(vals)
+            if leaf is None or leaf(g, cand):
+                yield cand
+            continue
+        # t + 1 joins the prefix
+        t = n
+        back = 0
+        for j, m in nbrs[t]:
+            if j >= t:
+                break
+            deg_in[j] += m
+            back += m
+        deg_in[t] = back
+        lo = low if prev[t] is None else vals[prev[t]]
+        it[t] = iter(range(lo, low + degs[t]))
 
 
 def iter_class(target: Target, cls: str, *,
@@ -219,11 +325,11 @@ def verify_counts(suite: Iterable[tuple[Target, str]], *,
 def default_suite() -> list[tuple[FamilySpec, str]]:
     """The standard closed-form verification battery."""
     suite: list[tuple[FamilySpec, str]] = []
-    for n in range(2, 6):
+    for n in range(2, 7):
         suite.append((FamilySpec("complete", n=n), "ppf"))
     for n in range(2, 9):
         suite.append((FamilySpec("complete", n=n), "ppf-inc"))
-    for n in range(3, 8):
+    for n in range(3, 13):
         suite.append((FamilySpec("wheel", n=n), "sr-forall"))
     for p, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
         suite.append((FamilySpec("tripartite", p=p, q=q), "ppf"))

@@ -230,6 +230,39 @@ def is_recurrent_burning(g: RootedMultigraph, c: Sequence[int]) -> bool:
     return burning_sequence(g, c) is not None
 
 
+def _discard(c: Sequence[int], deg_in: list, nbrs, order: Iterable[int]) -> int:
+    """Run the forbidden-set fixpoint on positions ``0..len(deg_in)-1``.
+
+    ``deg_in`` holds each position's edges into that prefix and is updated
+    in place: a discarded position's entry becomes None.  Positions of
+    ``order`` holding at least their internal degree are discarded first,
+    then each discard lowers its neighbours' degrees along the sparse rows
+    ``nbrs`` (ascending positions, so the prefix ends the walk).  Returns
+    the number of positions left, the size of the fixpoint.
+    """
+    n = len(deg_in)
+    stack = []
+    for i in order:
+        if c[i] >= deg_in[i]:
+            deg_in[i] = None
+            stack.append(i)
+    left = n - len(stack)
+    while stack and left:
+        for j, m in nbrs[stack.pop()]:
+            if j >= n:
+                break
+            d = deg_in[j]
+            if d is not None:
+                d -= m
+                if c[j] >= d:
+                    deg_in[j] = None
+                    stack.append(j)
+                    left -= 1
+                else:
+                    deg_in[j] = d
+    return left
+
+
 def max_forbidden_set(g: RootedMultigraph, c: Sequence[int], *,
                       rng: Optional[random.Random] = None) -> tuple[str, ...]:
     """Largest vertex set on which ``c`` is everywhere below internal degree.
@@ -242,27 +275,14 @@ def max_forbidden_set(g: RootedMultigraph, c: Sequence[int], *,
     with negative entries are never recurrent.
     """
     c = _check_config(g, c)
-    adj = g.nonsink_adj
-    k = len(c)
-    alive = [True] * k
     # graphs have no loops, so the edges into the non-sink set are all
     # edges except those to the sink
     deg_in = [d - m for d, m in zip(g.nonsink_degrees, g.sink_mults)]
-    order = list(range(k))
-    changed = True
-    while changed:
-        changed = False
-        if rng is not None:
-            rng.shuffle(order)
-        for i in order:
-            if alive[i] and c[i] >= deg_in[i]:
-                alive[i] = False
-                changed = True
-                row = adj[i]
-                for j in range(k):
-                    if row[j]:
-                        deg_in[j] -= row[j]
-    return tuple(g.nonsink[i] for i in range(k) if alive[i])
+    order = list(range(len(c)))
+    if rng is not None:
+        rng.shuffle(order)
+    _discard(c, deg_in, g.nonsink_nbrs, order)
+    return tuple(v for v, d in zip(g.nonsink, deg_in) if d is not None)
 
 
 def is_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:

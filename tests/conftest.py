@@ -5,12 +5,17 @@ them have at most 6 non-sink vertices so full stable/candidate spaces stay
 cheap to enumerate.
 """
 
+from functools import partial
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import settings
 
 from sandpark import (build_graph, boost_except, burning_starts_pf,
-                      is_g_parking, make_family, FamilySpec,
-                      StabilisationTrace, ToppleLimitError)
+                      family_parts, is_g_parking, is_minimal_recurrent,
+                      is_prime, is_recurrent, is_strongly_recurrent,
+                      make_family, FamilySpec, StabilisationTrace,
+                      ToppleLimitError)
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
 settings.register_profile("suite", deadline=None)
@@ -145,6 +150,47 @@ def reference_tree_count(g):
     idx = g.nonsink_indices
     return det_bareiss([[g.degrees[i] if i == j else -g.mult[i][j]
                          for j in idx] for i in idx])
+
+
+def _is_prime_pf(g, p):
+    return is_g_parking(g, p) and is_prime(g, p)
+
+
+# class -> (membership test of a complete candidate, or None; lowest value)
+_REFERENCE_MEMBERSHIP = {
+    "stable": (None, 0),
+    "recurrent": (is_recurrent, 0),
+    "sr-forall": (partial(is_strongly_recurrent, quantifier="forall"), 0),
+    "sr-exists": (partial(is_strongly_recurrent, quantifier="exists"), 0),
+    "min-recurrent": (is_minimal_recurrent, 0),
+    "pf": (is_g_parking, 1),
+    "ppf": (_is_prime_pf, 1),
+    "pf-inc": (is_g_parking, 1),
+    "ppf-inc": (_is_prime_pf, 1),
+}
+
+
+def reference_iter_class(target, cls, first=None):
+    """Generate-and-test enumeration: every candidate of the full space in
+    lexicographic order, filtered by the class's membership test.  Increasing
+    classes take the candidates non-decreasing inside each family part.
+    ``first`` keeps only the ``first``-th value of the first coordinate.
+    Reference for the pruned walk of ``iter_class``."""
+    test, low = _REFERENCE_MEMBERSHIP[cls]
+    g = make_family(target) if isinstance(target, FamilySpec) else target
+    if cls.endswith("-inc"):
+        parts = [(range(low, low + g.deg(part[0])), len(part))
+                 for part in family_parts(target)]
+        cands = (sum(chunks, ()) for chunks in product(
+            *(combinations_with_replacement(r, s) for r, s in parts)))
+        if first is not None:
+            cands = (c for c in cands if c[0] == low + first)
+    else:
+        ranges = [range(low, low + d) for d in g.nonsink_degrees]
+        if first is not None:
+            ranges[0] = ranges[0][first:first + 1]
+        cands = product(*ranges)
+    return [c for c in cands if test is None or test(g, c)]
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,15 @@ The worklist ``stabilize``, the Markov chain built on it and the modular
 ``spanning_tree_count`` are checked against the scan stabilizer and Bareiss
 (``conftest``) on the pool, the random multigraphs, grids with a sink
 border and wheels.
+
+The pruned enumeration walk is checked against generate-and-test
+(``conftest.reference_iter_class``) for every class and every first-value
+slice, on the pool, the increasing-class families, the random multigraphs
+and smaller ones with up to triple edges.  Generate-and-test visits the
+whole candidate space, up to 18.7 million candidates on the random
+multigraphs, so each multigraph is cut to the leading induced subgraph
+(first non-sink vertices in declaration order, plus the sink) whose space
+stays within ``WALK_SPACE``.
 """
 
 import math
@@ -26,6 +35,7 @@ from sandpark import (
     is_recurrent,
     is_recurrent_burning,
     is_strongly_recurrent,
+    iter_class,
     make_family,
     markov_run,
     pf_from_config,
@@ -33,8 +43,10 @@ from sandpark import (
     stabilize,
     topple,
 )
+from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
 from conftest import (boost_witness, graph_pool, grid_with_sink_border,
-                      reference_stabilize, reference_tree_count)
+                      reference_iter_class, reference_stabilize,
+                      reference_tree_count)
 
 SEEDS = range(16)
 
@@ -146,3 +158,55 @@ def test_tree_count_matches_networkx(label, g):
     assert math.isclose(count, expected, rel_tol=1e-9)
     if count < 2 ** 50:
         assert count == round(expected)
+
+
+WALK_SPACE = 5000
+GRAPH_CLASSES = [cls for cls in CLASSES if not cls.endswith("-inc")]
+
+
+def leading_subgraph(g, space):
+    """The induced subgraph on the longest run of leading non-sink vertices
+    whose candidate space is at most ``space``.  The random multigraphs
+    attach each vertex to an earlier one, so every such run is connected."""
+    for n in range(len(g.nonsink), 0, -1):
+        sub = g.induced_with_sink(g.nonsink[:n])
+        if math.prod(sub.nonsink_degrees) <= space:
+            return sub
+    raise AssertionError("no leading subgraph fits")
+
+
+def triple_edge_multigraph(seed):
+    """3 to 6 non-sink vertices with up to triple edges.  Wide sink edges
+    make burning starts that stop being starts as their value falls."""
+    rng = random.Random(seed)
+    return random_connected_multigraph(rng, rng.randint(4, 7), max_mult=3,
+                                       extra_edges=6)
+
+
+INC_FAMILIES = ([FamilySpec("complete", n=n) for n in range(2, 9)]
+                + [FamilySpec(family, p=p, q=q)
+                   for family in ("tripartite", "bipartite")
+                   for p, q in ((2, 2), (2, 3), (3, 2), (3, 3))]
+                + [FamilySpec("split", m=m, n=n)
+                   for m, n in ((2, 1), (2, 2), (3, 2), (3, 3))])
+WALK_CASES = (
+    [(label, g, cls) for label, g in graph_pool() for cls in GRAPH_CLASSES]
+    + [(f"random-{seed}", leading_subgraph(random_multigraph(seed), WALK_SPACE),
+        cls) for seed in SEEDS for cls in GRAPH_CLASSES]
+    + [(f"triple-{seed}",
+        leading_subgraph(triple_edge_multigraph(seed), WALK_SPACE), cls)
+       for seed in SEEDS for cls in GRAPH_CLASSES]
+    + [(spec.label(), spec, cls) for spec in INC_FAMILIES
+       for cls in ("pf-inc", "ppf-inc")])
+
+
+@pytest.mark.parametrize("label,target,cls", WALK_CASES,
+                         ids=[f"{label}-{cls}" for label, _, cls in WALK_CASES])
+def test_pruned_walk_matches_generate_and_test(label, target, cls):
+    g = make_family(target) if isinstance(target, FamilySpec) else target
+    want = []
+    for first in range(g.nonsink_degrees[0]):
+        part = reference_iter_class(target, cls, first)
+        assert list(_walk(target, cls, DEFAULT_SPACE_CAP, first)) == part, first
+        want += part
+    assert list(iter_class(target, cls)) == want

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from sandpark import (
     FamilySpec,
     SizeCapError,
     UnknownVertexError,
+    build_graph,
     class_count,
     count_class,
     cross_validate_oracles,
@@ -106,6 +108,21 @@ class TestIterClass:
             for inc, full in (("pf-inc", "pf"), ("ppf-inc", "ppf")):
                 want = [t for t in iter_class(spec, full) if sorted_in_parts(t)]
                 assert list(iter_class(spec, inc)) == want, (spec.label(), inc)
+
+    def test_walk_deeper_than_recursion_limit(self, monkeypatch):
+        leaves = [f"v{i}" for i in range(1500)]
+        assert len(leaves) > sys.getrecursionlimit()
+        star = build_graph(["s"] + leaves, "s", [(v, "s", 1) for v in leaves])
+        for cls in ("stable", "recurrent", "pf"):
+            assert count_class(star, cls) == 1, cls
+
+        def untouchable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        for cls in ("stable", "recurrent", "pf"):
+            with pytest.raises(SizeCapError):
+                iter_class(star, cls, cap=0)
 
     def test_deterministic_order(self):
         spec = FamilySpec("wheel", n=4)
