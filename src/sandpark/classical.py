@@ -55,8 +55,7 @@ def simulate_park(p: Sequence[int]) -> ParkOutcome:
     return ParkOutcome(tuple(spots))
 
 
-def is_pf_by_condition(p: Sequence[int], condition: int, *,
-                       max_n: int = SUBSET_MAX_N) -> bool:
+def is_pf_by_condition(p: Sequence[int], condition: int) -> bool:
     """Membership by one of the four equivalent tests.
 
     1: the parking simulation succeeds.
@@ -73,8 +72,8 @@ def is_pf_by_condition(p: Sequence[int], condition: int, *,
     if condition == 3:
         return all(sum(1 for x in p if x <= i) >= i for i in range(1, n + 1))
     if condition == 4:
-        if n > max_n:
-            raise SizeCapError(f"subset test capped at n = {max_n}, got {n}")
+        if n > SUBSET_MAX_N:
+            raise SizeCapError(f"subset test capped at n = {SUBSET_MAX_N}, got {n}")
         for mask in range(1, 1 << n):
             size = mask.bit_count()
             bound = n + 1 - size

@@ -11,15 +11,17 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import SandparkError
+from .errors import SandparkError, SizeCapError
 from .enumeration import (
     CLASSES,
+    DEFAULT_SPACE_CAP,
     _make_report,
     class_count,
     iter_class,
     reports_to_csv,
 )
 from .families import (
+    FAMILIES,
     FamilySpec,
     is_pq_parking,
     is_prime_pq,
@@ -28,18 +30,16 @@ from .families import (
 )
 from .graph import load_graph
 from .parking import (
-    decomposing_partition,
     failing_boost_vertex,
     is_g_parking,
-    is_g_parking_naive,
     is_prime,
-    is_prime_bruteforce,
     load_parking,
-    parking_violation,
     prime_decompositions,
-    PARTITION_MAX_NONSINK,
 )
-from .classical import breakpoints, is_parking_function, to_path
+from .classical import is_parking_function, to_path
+from .reference import (decomposing_partition, is_g_parking_naive,
+                        is_prime_bruteforce, is_recurrent_orientation,
+                        parking_violation)
 from .sandpile import (
     _document_values,
     _failing_start,
@@ -48,7 +48,6 @@ from .sandpile import (
     is_minimal_recurrent,
     is_recurrent,
     is_recurrent_burning,
-    is_recurrent_orientation,
     is_stable,
     is_strongly_recurrent,
     load_config,
@@ -75,6 +74,14 @@ def _fmt_set(names: Sequence[str]) -> str:
 
 def _fmt_blocks(blocks: Sequence[Sequence[str]]) -> str:
     return "(" + ", ".join(_fmt_set(b) for b in blocks) + ")"
+
+
+def _witness(oracle, *args):
+    """The oracle's witness, or None when the graph is above its size cap."""
+    try:
+        return oracle(*args)
+    except SizeCapError:
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +115,7 @@ def cmd_check(args) -> int:
         if prop == "parking":
             print(f"parking={str(parks).lower()}")
             if not parks:
-                witness = parking_violation(g, values)
+                witness = _witness(parking_violation, g, values)
                 if witness is not None:
                     print(f"violating set: {_fmt_set(witness)}")
                 return PROPERTY_FALSE
@@ -122,10 +129,9 @@ def cmd_check(args) -> int:
             v = failing_boost_vertex(g, values)
             if v is not None:
                 print(f"failing boost vertex: {v}")
-            if len(g.nonsink) <= PARTITION_MAX_NONSINK:
-                parts = decomposing_partition(g, values)
-                if parts is not None:
-                    print(f"decomposing partition: {_fmt_blocks(parts)}")
+            parts = _witness(decomposing_partition, g, values)
+            if parts is not None:
+                print(f"decomposing partition: {_fmt_blocks(parts)}")
             return PROPERTY_FALSE
         return OK
 
@@ -372,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     enum = sub.add_parser("enumerate", help="list or count a class")
-    enum.add_argument("--family",
-                      choices=["complete", "wheel", "tripartite",
-                               "bipartite", "split"])
+    enum.add_argument("--family", choices=FAMILIES)
     enum.add_argument("--n", type=int)
     enum.add_argument("--p", type=int)
     enum.add_argument("--q", type=int)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--expected", action="store_true",
                       help="compare against the known exact count")
     enum.add_argument("--jobs", type=int, default=1)
-    enum.add_argument("--cap", type=int, default=100_000_000,
+    enum.add_argument("--cap", type=int, default=DEFAULT_SPACE_CAP,
                       help="maximum candidate-space size")
     enum.set_defaults(func=cmd_enumerate)
 

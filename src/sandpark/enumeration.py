@@ -1,4 +1,4 @@
-"""Exhaustive enumeration, count verification and oracle cross-validation.
+"""Exhaustive enumeration, count verification and witness searches.
 
 Enumeration classes (lexicographic in declaration order):
 
@@ -29,7 +29,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
@@ -37,18 +37,14 @@ from typing import Iterable, Iterator, Optional, Union
 from .errors import SizeCapError
 from .families import FamilySpec, catalan, closed_form_count, family_parts, make_family
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
-from .parking import (_complement, is_g_parking, is_g_parking_naive, is_prime,
-                      is_prime_bruteforce)
+from .parking import prime_decompositions
 from .sandpile import (
     Config,
     _discard,
     config_from_dict,
     config_to_dict,
-    is_recurrent,
-    is_recurrent_burning,
     is_minimal_recurrent,
     is_strongly_recurrent,
-    orientation_recurrent_set,
 )
 
 DEFAULT_SPACE_CAP = 100_000_000
@@ -238,7 +234,7 @@ def _count_slice(args) -> int:
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    if jobs <= 1 or cls.endswith("-inc"):
+    if jobs <= 1:
         return sum(1 for _ in iter_class(target, cls, cap=cap))
     _walk(target, cls, cap)     # raises on bad input before any worker starts
     g, _ = _resolve(target)
@@ -365,103 +361,6 @@ def reports_to_json(reports: Iterable[EnumerationReport]) -> str:
 
 
 # ----------------------------------------------------------------------
-# oracle cross-validation
-
-
-@dataclass
-class OracleReport:
-    """Outcome of playing the independent membership routes off each other."""
-
-    label: str
-    stable_checked: int = 0
-    candidates_checked: int = 0
-    recurrent_count: int = 0
-    pf_count: int = 0
-    ppf_count: int = 0
-    sr_count: int = 0
-    orientation_checked: bool = False
-    naive_checked: bool = False
-    discrepancies: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-
-def cross_validate_oracles(g: RootedMultigraph, *, label: str = "",
-                           include_orientation: bool = True,
-                           include_naive: bool = True,
-                           orientation_max_nonsink: int = 8) -> OracleReport:
-    """Exhaustively compare every independent route on one graph.
-
-    Checks, over the full stable space and the full candidate space:
-    burning vs forbidden-set recurrence (vs orientations when feasible),
-    subset-definition vs degree-complement parking membership, partition
-    vs drain-test primality, and the degree-complement bijection between
-    strongly recurrent configurations and prime parking functions.
-    """
-    report = OracleReport(label=label or f"graph(|V|={len(g.vertices)})")
-    rec_set: set[Config] = set()
-    sr_set: set[Config] = set()
-    for c in iter_class(g, "stable"):
-        report.stable_checked += 1
-        by_burning = is_recurrent_burning(g, c)
-        by_forbidden = is_recurrent(g, c)
-        if by_burning != by_forbidden:
-            report.discrepancies.append(
-                f"recurrence mismatch at {c}: burning={by_burning} "
-                f"forbidden={by_forbidden}")
-        if by_forbidden:
-            rec_set.add(c)
-            if is_strongly_recurrent(g, c, "forall"):
-                sr_set.add(c)
-    report.recurrent_count = len(rec_set)
-    report.sr_count = len(sr_set)
-
-    if include_orientation and len(g.nonsink) <= orientation_max_nonsink:
-        report.orientation_checked = True
-        by_orientation = orientation_recurrent_set(
-            g, max_nonsink=orientation_max_nonsink)
-        if set(by_orientation) != rec_set:
-            extra = sorted(set(by_orientation) - rec_set)[:3]
-            missing = sorted(rec_set - set(by_orientation))[:3]
-            report.discrepancies.append(
-                f"orientation set mismatch: extra={extra} missing={missing}")
-
-    ppf_set: set[tuple[int, ...]] = set()
-    for c in iter_class(g, "stable"):
-        cand = tuple(x + 1 for x in c)
-        report.candidates_checked += 1
-        fast = is_g_parking(g, cand)
-        if include_naive:
-            report.naive_checked = True
-            naive = is_g_parking_naive(g, cand)
-            if naive != fast:
-                report.discrepancies.append(
-                    f"parking mismatch at {cand}: naive={naive} fast={fast}")
-        if not fast:
-            continue
-        report.pf_count += 1
-        brute = is_prime_bruteforce(g, cand)
-        drain = is_prime(g, cand)
-        if brute != drain:
-            report.discrepancies.append(
-                f"primality mismatch at {cand}: partitions={brute} drain={drain}")
-        if brute:
-            ppf_set.add(cand)
-    report.ppf_count = len(ppf_set)
-
-    dual = {_complement(g, c) for c in sr_set}
-    if dual != ppf_set:
-        extra = sorted(dual - ppf_set)[:3]
-        missing = sorted(ppf_set - dual)[:3]
-        report.discrepancies.append(
-            f"strong-recurrence/prime bijection mismatch: "
-            f"dual-not-prime={extra} prime-not-dual={missing}")
-    return report
-
-
-# ----------------------------------------------------------------------
 # seeded random multigraphs and witness searches
 
 
@@ -535,8 +434,6 @@ def find_nonunique_decomposition_witness(seed: int, *, max_graphs: int = 300
                                                              list]]:
     """Search for a parking function admitting two prime decompositions
     whose block-size multisets differ."""
-    from .parking import prime_decompositions
-
     rng = random.Random(seed)
     for _ in range(max_graphs):
         g = random_connected_multigraph(rng, rng.randint(4, 5),

@@ -33,5 +33,12 @@ class SizeCapError(SandparkError, ValueError):
     """An exhaustive search was requested above its configured size cap."""
 
 
+def _check_cap(search: str, k: int, cap: int) -> None:
+    """Refuse a search over ``k`` non-sink vertices above ``cap``."""
+    if k > cap:
+        raise SizeCapError(
+            f"{search} capped at {cap} non-sink vertices, graph has {k}")
+
+
 class ToppleLimitError(SandparkError, RuntimeError):
     """Stabilisation exceeded the configured toppling budget."""

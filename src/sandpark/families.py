@@ -390,60 +390,59 @@ def _check_increasing_pair(pair: Pair) -> Pair:
     return first, second
 
 
+# family -> (graph on the two part sizes, name of the first part's vertices)
+_DELETION_FAMILIES = {"bipartite": (bipartite_graph, "P-vertices"),
+                      "split": (split_graph, "clique vertices")}
+
+
+def _delete_first(pair: Pair, family: str) -> Pair:
+    """Drop the first vertex of an increasing prime parking pair."""
+    first, second = _check_increasing_pair(pair)
+    make_graph, what = _DELETION_FAMILIES[family]
+    if len(first) < 2:
+        raise ValueError(f"need at least two {what} to delete one")
+    g = make_graph(len(first), len(second))
+    flat = first + second
+    if not is_g_parking(g, flat):
+        raise ValueError(f"not a parking function on {family} graph")
+    if not is_prime(g, flat):
+        raise ValueError("not prime")
+    if first[0] != 1:
+        raise AssertionError("prime increasing pair must start at 1")
+    return first[1:], second
+
+
+def _prepend_one(pair: Pair, family: str) -> Pair:
+    """Inverse of ``_delete_first``: a fresh first vertex with value 1."""
+    first, second = _check_increasing_pair(pair)
+    g = _DELETION_FAMILIES[family][0](len(first), len(second))
+    if not is_g_parking(g, first + second):
+        raise ValueError(f"not a parking function on {family} graph")
+    return (1,) + first, second
+
+
 def bipartite_prime_bijection(pair: Pair) -> Pair:
     """Delete the first P-vertex of an increasing prime parking function on
     bipartite(p, q); the result parks on bipartite(p-1, q).
 
     Primality forces the deleted value to be 1.
     """
-    pvals, qvals = _check_increasing_pair(pair)
-    p, q = len(pvals), len(qvals)
-    if p < 2:
-        raise ValueError("need at least two P-vertices to delete one")
-    g = bipartite_graph(p, q)
-    flat = pvals + qvals
-    if not is_g_parking(g, flat):
-        raise ValueError("not a parking function on bipartite graph")
-    if not is_prime(g, flat):
-        raise ValueError("not prime")
-    if pvals[0] != 1:
-        raise AssertionError("prime increasing pair must start at 1")
-    return pvals[1:], qvals
+    return _delete_first(pair, "bipartite")
 
 
 def bipartite_prime_bijection_inverse(pair: Pair) -> Pair:
     """Prepend a fresh P-vertex with value 1; the result is prime on
     bipartite(p+1, q)."""
-    pvals, qvals = _check_increasing_pair(pair)
-    g = bipartite_graph(len(pvals), len(qvals))
-    if not is_g_parking(g, pvals + qvals):
-        raise ValueError("not a parking function on bipartite graph")
-    return (1,) + pvals, qvals
+    return _prepend_one(pair, "bipartite")
 
 
 def split_prime_bijection(pair: Pair) -> Pair:
     """Delete the first clique vertex of an increasing prime parking
     function on split(m, n); the result parks on split(m-1, n)."""
-    cvals, ivals = _check_increasing_pair(pair)
-    m, n = len(cvals), len(ivals)
-    if m < 2:
-        raise ValueError("need at least two clique vertices to delete one")
-    g = split_graph(m, n)
-    flat = cvals + ivals
-    if not is_g_parking(g, flat):
-        raise ValueError("not a parking function on split graph")
-    if not is_prime(g, flat):
-        raise ValueError("not prime")
-    if cvals[0] != 1:
-        raise AssertionError("prime increasing pair must start at 1")
-    return cvals[1:], ivals
+    return _delete_first(pair, "split")
 
 
 def split_prime_bijection_inverse(pair: Pair) -> Pair:
     """Prepend a fresh clique vertex with value 1; the result is prime on
     split(m+1, n)."""
-    cvals, ivals = _check_increasing_pair(pair)
-    g = split_graph(len(cvals), len(ivals))
-    if not is_g_parking(g, cvals + ivals):
-        raise ValueError("not a parking function on split graph")
-    return (1,) + cvals, ivals
+    return _prepend_one(pair, "split")

@@ -1,14 +1,12 @@
 """Graphical parking functions: membership, primality, decompositions.
 
 A parking candidate assigns a positive integer to every non-sink vertex
-(tuples in declaration order, like configurations).  Membership has two
-independent routes: the subset definition (every non-empty set of non-sink
-vertices contains a vertex that could park using only edges leaving the
-set) and the degree-complement duality with recurrent sandpile
-configurations.  Primality likewise has a partition brute force and a fast
-route through the same duality: ``p`` is prime exactly when its degree
-complement is strongly recurrent, which the drain test of ``sandpile``
-decides.  The test suite holds the pairs equal.
+(tuples in declaration order, like configurations).  Membership and
+primality take the degree-complement duality with sandpile configurations:
+``p`` parks exactly when ``deg - p`` is recurrent, and is prime exactly when
+``deg - p`` is strongly recurrent, which the drain test of ``sandpile``
+decides.  The subset and partition definitions they are tested against
+live in ``reference``.
 """
 
 from __future__ import annotations
@@ -16,12 +14,11 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .errors import SizeCapError, UnknownVertexError
+from .errors import UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
-from .sandpile import (_failing_start, burning_starts, config_from_dict,
-                       is_recurrent, is_strongly_recurrent)
+from .sandpile import (_failing_start, config_from_dict, is_recurrent,
+                       is_strongly_recurrent)
 
-NAIVE_MAX_NONSINK = 20
 PARTITION_MAX_NONSINK = 10
 
 Parking = tuple[int, ...]
@@ -54,40 +51,6 @@ def load_parking(g: RootedMultigraph, path) -> Parking:
 def _complement(g: RootedMultigraph, x: Sequence[int]) -> tuple[int, ...]:
     """deg - x, the degree-complement bijection in either direction."""
     return tuple(d - v for v, d in zip(x, g.nonsink_degrees))
-
-
-def parking_violation(g: RootedMultigraph, p: Sequence[int], *,
-                      max_nonsink: int = NAIVE_MAX_NONSINK
-                      ) -> Optional[tuple[str, ...]]:
-    """First vertex set witnessing failure of the subset condition, or None.
-
-    A set violates when every member needs more grains than its edges
-    leaving the set (towards the complement, sink included) provide.
-    """
-    p = _check_candidate(g, p)
-    k = len(p)
-    if k > max_nonsink:
-        raise SizeCapError(
-            f"subset test capped at {max_nonsink} non-sink vertices, graph has {k}")
-    adj = g.nonsink_adj
-    degs = g.nonsink_degrees
-    for mask in range(1, 1 << k):
-        members = [i for i in range(k) if mask >> i & 1]
-        ok = False
-        for i in members:
-            row = adj[i]
-            outward = degs[i] - sum(row[j] for j in members)
-            if p[i] <= outward:
-                ok = True
-                break
-        if not ok:
-            return tuple(g.nonsink[i] for i in members)
-    return None
-
-
-def is_g_parking_naive(g: RootedMultigraph, p: Sequence[int], *,
-                       max_nonsink: int = NAIVE_MAX_NONSINK) -> bool:
-    return parking_violation(g, p, max_nonsink=max_nonsink) is None
 
 
 def is_g_parking(g: RootedMultigraph, p: Sequence[int]) -> bool:
@@ -189,51 +152,9 @@ def is_decomposable(g: RootedMultigraph, p: Sequence[int],
     return _decomposable(g, p, a, b)
 
 
-def decomposing_partition(g: RootedMultigraph, p: Sequence[int], *,
-                          max_nonsink: int = PARTITION_MAX_NONSINK
-                          ) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """First ordered partition that decomposes ``p``, or None (prime)."""
-    p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
-        raise ValueError("candidate is not a parking function")
-    k = len(g.nonsink)
-    if k > max_nonsink:
-        raise SizeCapError(
-            f"partition search capped at {max_nonsink} non-sink vertices, "
-            f"graph has {k}")
-    names = g.nonsink
-    for mask in range(1, (1 << k) - 1):
-        a = tuple(names[i] for i in range(k) if mask >> i & 1)
-        b = tuple(names[i] for i in range(k) if not mask >> i & 1)
-        if _decomposable(g, p, a, b):
-            return a, b
-    return None
-
-
-def is_prime_bruteforce(g: RootedMultigraph, p: Sequence[int], *,
-                        max_nonsink: int = PARTITION_MAX_NONSINK) -> bool:
-    return decomposing_partition(g, p, max_nonsink=max_nonsink) is None
-
-
-def burning_starts_pf(g: RootedMultigraph, p: Sequence[int]) -> tuple[str, ...]:
-    """Vertices whose value is within their sink multiplicity: the burning
-    starts of the degree complement."""
-    return burning_starts(g, _complement(g, _check_candidate(g, p)))
-
-
-def boost_except(g: RootedMultigraph, p: Sequence[int], v: str) -> Parking:
-    """Raise every value except at ``v`` by its sink multiplicity."""
-    p = _check_candidate(g, p)
-    if v not in g.nonsink_pos:
-        raise UnknownVertexError(f"unknown or sink vertex {v!r}")
-    pos = g.nonsink_pos[v]
-    return tuple(x if i == pos else x + m
-                 for i, (x, m) in enumerate(zip(p, g.sink_mults)))
-
-
 def failing_boost_vertex(g: RootedMultigraph, p: Sequence[int]) -> Optional[str]:
-    """First ``v`` for which ``boost_except(g, p, v)`` does not park, or None
-    when prime: the failing drain of the degree complement."""
+    """First ``v`` for which ``reference.boost_except(g, p, v)`` does not
+    park, or None when prime: the failing drain of the degree complement."""
     return _failing_start(g, config_from_pf(g, p))
 
 
@@ -248,8 +169,7 @@ def is_prime(g: RootedMultigraph, p: Sequence[int]) -> bool:
 # prime decompositions
 
 
-def prime_decompositions(g: RootedMultigraph, p: Sequence[int], *,
-                         max_nonsink: int = PARTITION_MAX_NONSINK
+def prime_decompositions(g: RootedMultigraph, p: Sequence[int]
                          ) -> list[tuple[tuple[str, ...], ...]]:
     """All ordered partitions splitting ``p`` into prime parking parts.
 
@@ -264,10 +184,7 @@ def prime_decompositions(g: RootedMultigraph, p: Sequence[int], *,
     if not is_g_parking(g, p):
         raise ValueError("candidate is not a parking function")
     k = len(g.nonsink)
-    if k > max_nonsink:
-        raise SizeCapError(
-            f"partition search capped at {max_nonsink} non-sink vertices, "
-            f"graph has {k}")
+    _check_cap("partition search", k, PARTITION_MAX_NONSINK)
     names = g.nonsink
     pos = g.nonsink_pos
     results: list[tuple[tuple[str, ...], ...]] = []

@@ -3,11 +3,11 @@
 Configurations are plain integer tuples aligned with ``graph.nonsink``
 (declaration order).  The sink absorbs grains and never topples.
 
-Three independent recurrence oracles live here: the burning test (drop one
-grain per sink edge and watch for a full round of topplings), the maximal
-forbidden-subconfiguration fixpoint, and an exhaustive search over rooted
-acyclic orientations.  They are proved equivalent by the test suite; fast
-paths use the forbidden-set fixpoint.
+Two recurrence tests live here: the burning test (drop one grain per sink
+edge and watch for a full round of topplings) and the maximal
+forbidden-subconfiguration fixpoint, which the fast paths use.  The test
+suite holds them equal to each other and to the rooted acyclic orientation
+oracle of ``reference``.
 """
 
 from __future__ import annotations
@@ -19,17 +19,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import permutations, product
 from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import SizeCapError, ToppleLimitError, UnknownVertexError
+from .errors import ToppleLimitError, UnknownVertexError
 from .graph import RootedMultigraph
 
 Config = tuple[int, ...]
 
 DEFAULT_MAX_TOPPLINGS = 10_000_000
-ORIENTATION_MAX_NONSINK = 8
 
 
 def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
@@ -205,7 +203,7 @@ def add_sink_grains(g: RootedMultigraph, c: Sequence[int]) -> Config:
 
 
 # ----------------------------------------------------------------------
-# recurrence oracles
+# recurrence
 
 
 def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[str, ...]]:
@@ -291,78 +289,6 @@ def is_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
     if not is_stable(g, c):
         return False
     return not max_forbidden_set(g, c)
-
-
-def orientation_indegrees(g: RootedMultigraph, *,
-                          max_nonsink: int = ORIENTATION_MAX_NONSINK
-                          ) -> tuple[tuple[int, ...], ...]:
-    """In-degree vectors of rooted acyclic orientations, minimal ones only.
-
-    Every acyclic orientation arises from a vertex order with all edges
-    pointing towards earlier vertices, and the first vertex is forcibly a
-    target, so orders starting at the sink enumerate exactly the acyclic
-    orientations in which the sink is a target.  Uniqueness of the target
-    amounts to every other vertex having some earlier neighbour.  Vectors
-    dominated by another vector are dropped, since only the lower envelope
-    matters for the recurrence test.
-    """
-    k = len(g.nonsink)
-    if k > max_nonsink:
-        raise SizeCapError(
-            f"orientation oracle capped at {max_nonsink} non-sink vertices, "
-            f"graph has {k}")
-    adj = g.nonsink_adj
-    sink_m = g.sink_mults
-    seen: set[tuple[int, ...]] = set()
-    for perm in permutations(range(k)):
-        ok = True
-        placed: list[int] = []
-        indeg = [0] * k
-        for i in perm:
-            if not (sink_m[i] or any(adj[i][j] for j in placed)):
-                ok = False
-                break
-            row = adj[i]
-            for j in placed:
-                if row[j]:
-                    indeg[j] += row[j]
-            placed.append(i)
-        if ok:
-            seen.add(tuple(indeg))
-    minimal = [d for d in seen
-               if not any(e != d and all(x <= y for x, y in zip(e, d)) for e in seen)]
-    minimal.sort()
-    return tuple(minimal)
-
-
-def is_recurrent_orientation(g: RootedMultigraph, c: Sequence[int], *,
-                             max_nonsink: int = ORIENTATION_MAX_NONSINK) -> bool:
-    """Recurrence via acyclic orientations rooted at the sink.
-
-    ``c`` is recurrent exactly when it dominates, pointwise, the in-degree
-    vector of some acyclic orientation whose unique target is the sink.
-    Exponential oracle for small instances only.
-    """
-    c = _check_config(g, c)
-    if not is_stable(g, c):
-        raise ValueError("orientation test needs a stable configuration")
-    if any(x < 0 for x in c):
-        raise ValueError("orientation test needs a non-negative configuration")
-    vectors = orientation_indegrees(g, max_nonsink=max_nonsink)
-    return any(all(x >= d for x, d in zip(c, vec)) for vec in vectors)
-
-
-def orientation_recurrent_set(g: RootedMultigraph, *,
-                              max_nonsink: int = ORIENTATION_MAX_NONSINK
-                              ) -> frozenset[Config]:
-    """All stable configurations accepted by the orientation oracle."""
-    vectors = orientation_indegrees(g, max_nonsink=max_nonsink)
-    degs = g.nonsink_degrees
-    out: set[Config] = set()
-    for vec in vectors:
-        for c in product(*(range(d, deg) for d, deg in zip(vec, degs))):
-            out.add(c)
-    return frozenset(out)
 
 
 # ----------------------------------------------------------------------

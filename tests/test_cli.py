@@ -5,10 +5,17 @@ from pathlib import Path
 
 import pytest
 
+from sandpark import cli, complete_graph, enumeration, save_graph
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 TRIANGLE = {"vertices": ["0", "v1", "v2"], "sink": "0",
             "edges": [["0", "v1", 1], ["0", "v2", 1], ["v1", "v2", 1]]}
+
+HUGE = 10 ** 30
+HUGE_TRIANGLE = {"vertices": ["0", "a", "b"], "sink": "0",
+                 "edges": [["0", "a", HUGE], ["a", "b", HUGE],
+                           ["0", "b", HUGE]]}
 
 
 def run_cli(*args):
@@ -20,6 +27,13 @@ def run_cli(*args):
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(TRIANGLE))
+    return str(path)
+
+
+@pytest.fixture()
+def huge_file(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_TRIANGLE))
     return str(path)
 
 
@@ -128,6 +142,35 @@ class TestCheck:
                       "--property", "transient")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("oracle, code, stdout", [
+        ("fast", 1, "parking=false\n"),
+        ("bruteforce", 2, ""),
+    ])
+    def test_witness_above_cap_keeps_verdict(self, tmp_path, oracle, code,
+                                             stdout):
+        # K21 is above the subset oracle's cap of 20 non-sink vertices: the
+        # fast verdict stands without its witness line, while the capped
+        # oracle asked for the verdict itself is a usage error
+        graph = tmp_path / "k21.json"
+        save_graph(complete_graph(21), graph)
+        values = values_file(tmp_path, "p.json",
+                             {str(i): 21 for i in range(1, 22)})
+        out = run_cli("check", "--graph", str(graph), "--input", values,
+                      "--property", "parking", "--oracle", oracle)
+        assert out.returncode == code
+        assert out.stdout == stdout
+        if code == 1:
+            assert out.stderr == ""
+        else:
+            assert "subset test capped at 20" in out.stderr
+
+    def test_huge_multiplicities_recurrent(self, tmp_path, huge_file):
+        cfg = values_file(tmp_path, "c.json", {"a": 0, "b": 0})
+        out = run_cli("check", "--graph", huge_file, "--input", cfg,
+                      "--property", "recurrent")
+        assert out.returncode == 1
+        assert out.stdout == "recurrent=false\nforbidden set: {a, b}\n"
+
 
 class TestEnumerate:
     def test_wheel_strong_count_matches(self):
@@ -214,6 +257,18 @@ class TestEnumerate:
         out = run_cli("enumerate", "--graph", triangle_file,
                       "--class", "ppf-inc")
         assert out.returncode == 2
+
+    def test_huge_multiplicities_capped_before_walk(self, monkeypatch,
+                                                     capsys, huge_file):
+        def untouchable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        rc = cli.main(["enumerate", "--graph", huge_file,
+                       "--class", "recurrent"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"search space of {(2 * HUGE) ** 2} exceeds cap" in err
 
 
 class TestDecompose:
@@ -304,6 +359,12 @@ class TestSimulate:
                       "--seed", "0")
         assert out.returncode == 2
         assert "steps=" not in out.stdout
+
+    def test_huge_multiplicities(self, huge_file):
+        out = run_cli("simulate", "--graph", huge_file, "--steps", "100",
+                      "--seed", "0")
+        assert out.returncode == 0
+        assert "distinct stable states visited: 101" in out.stdout
 
     @pytest.mark.parametrize("text", [
         '{"values": {"v1": null, "v2": 1.0}}',

@@ -136,8 +136,13 @@ class TestCounting:
 
     def test_parallel_agrees_with_serial(self):
         spec = FamilySpec("complete", n=4)
-        for cls in ("recurrent", "pf", "ppf"):
+        for cls in ("recurrent", "pf", "ppf", "pf-inc", "ppf-inc"):
             assert count_class(spec, cls, jobs=2) == count_class(spec, cls)
+        for spec in (FamilySpec("bipartite", p=3, q=3),
+                     FamilySpec("split", m=3, n=2)):
+            for cls in ("pf-inc", "ppf-inc"):
+                assert count_class(spec, cls, jobs=2) == \
+                    count_class(spec, cls), (spec, cls)
 
     def test_pool_size_is_clamped(self, monkeypatch):
         sizes = []
@@ -248,9 +253,14 @@ class TestCrossValidation:
         assert report.recurrent_count == 45
         assert report.sr_count == 5
 
-    def test_orientation_can_be_skipped(self, k2):
-        report = cross_validate_oracles(k2, include_orientation=False)
+    def test_orientation_can_be_skipped(self):
+        # nine non-sink vertices: above the orientation oracle's cap, so the
+        # size of the graph alone skips it and every other route still runs
+        names = [str(i) for i in range(10)]
+        g = build_graph(names, "0", [(a, b, 1) for a, b in zip(names, names[1:])])
+        report = cross_validate_oracles(g)
         assert not report.orientation_checked
+        assert report.naive_checked
         assert report.ok
 
 

@@ -344,6 +344,42 @@ class TestSplitBijection:
             split_prime_bijection(((1, 3), (1,)))
 
 
+BIJECTIONS = {
+    "bipartite": (bipartite_prime_bijection, bipartite_prime_bijection_inverse,
+                  "P-vertices"),
+    "split": (split_prime_bijection, split_prime_bijection_inverse,
+              "clique vertices"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BIJECTIONS))
+class TestDeletionBijectionErrors:
+    """Every ValueError path of the bipartite* and split deletion bijections."""
+
+    def test_one_vertex_in_first_part(self, family):
+        forward, _, part = BIJECTIONS[family]
+        with pytest.raises(ValueError, match=f"need at least two {part}"):
+            forward(((1,), (1, 1)))
+
+    def test_not_parking(self, family):
+        forward, _, _ = BIJECTIONS[family]
+        bad = ((1, 1), (2, 2)) if family == "bipartite" else ((1, 1), (4, 4))
+        with pytest.raises(ValueError,
+                           match=f"not a parking function on {family} graph"):
+            forward(bad)
+
+    def test_parking_but_not_prime(self, family):
+        forward, _, _ = BIJECTIONS[family]
+        with pytest.raises(ValueError, match="^not prime$"):
+            forward(((2, 2), (1, 1)))
+
+    def test_inverse_of_non_parking_pair(self, family):
+        _, inverse, _ = BIJECTIONS[family]
+        with pytest.raises(ValueError,
+                           match=f"not a parking function on {family} graph"):
+            inverse(((1,), (4, 4)))
+
+
 class TestDeletionHypotheses:
     def test_complete_satisfies_deletion_condition(self):
         g = complete_graph(4)
