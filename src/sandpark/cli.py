@@ -171,12 +171,7 @@ def cmd_check(args) -> int:
 def _family_from_args(args) -> Optional[FamilySpec]:
     if not args.family:
         return None
-    kwargs = {}
-    for key in ("n", "p", "q", "m"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
-    return FamilySpec(args.family, **kwargs)
+    return FamilySpec(args.family, n=args.n, p=args.p, q=args.q, m=args.m)
 
 
 def cmd_enumerate(args) -> int:

@@ -35,7 +35,8 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError
-from .families import FamilySpec, catalan, closed_form_count, family_parts, make_family
+from .families import (FamilySpec, _grow_first_part, closed_form_count,
+                       family_parts, make_family)
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import prime_decompositions
 from .sandpile import (
@@ -268,21 +269,13 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
         return g.spanning_tree_count(), "matrix-tree"
     if spec is None:
         return None
-    f = spec.family
     try:
         if cls in ("ppf", "sr-forall"):
             return closed_form_count(spec, "ppf"), "closed-form"
         if cls == "ppf-inc":
             return closed_form_count(spec, "ppf-inc"), "closed-form"
         if cls == "pf-inc":
-            if f == "complete":
-                return catalan(spec.n), "closed-form"
-            if f == "bipartite":
-                bigger = FamilySpec("bipartite", p=spec.p + 1, q=spec.q)
-                return closed_form_count(bigger, "ppf-inc"), "closed-form"
-            if f == "split":
-                bigger = FamilySpec("split", m=spec.m + 1, n=spec.n)
-                return closed_form_count(bigger, "ppf-inc"), "closed-form"
+            return closed_form_count(_grow_first_part(spec), "ppf-inc"), "closed-form"
     except ValueError:
         return None
     return None

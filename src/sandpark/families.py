@@ -11,6 +11,11 @@ Families (parameters are at least 1 unless noted):
 * split(m, n): a clique of m+1 vertices containing the sink, plus an
   independent set of n vertices adjacent to every clique vertex.
 
+All but the wheel are complete multipartite graphs, built by one
+constructor.  Everything the package knows about a family is one record of
+``_FAMILY_TABLE``; validation, labels, ``make_family``, ``family_parts``,
+``closed_form_count`` and the deletion bijections all read it.
+
 Wheels admit a direct recurrence test; bipartite-with-sink parking pairs
 admit a two-lattice-path test; bipartite* and split carry vertex-deletion
 bijections between prime and plain increasing parking functions.
@@ -19,13 +24,107 @@ bijections between prime and plain increasing parking functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .graph import RootedMultigraph, build_graph
 from .parking import is_g_parking, is_prime
 
-FAMILIES = ("complete", "wheel", "tripartite", "bipartite", "split")
+
+def _complete_multipartite(sink: str, parts: list[Sequence[str]]) -> RootedMultigraph:
+    """One edge between any two vertices in different parts; the sink opens
+    the first part, and a clique is a run of one-vertex parts."""
+    names = [v for part in parts for v in part]
+    edges = [(v, w, 1) for i, part in enumerate(parts)
+             for other in parts[i + 1:] for v in part for w in other]
+    return build_graph(names, sink, edges)
+
+
+def _part_names(family: str, *sizes: int) -> tuple[tuple[str, ...], ...]:
+    """Names of a family's interchangeable parts: the prefix, then 1..size."""
+    return tuple(tuple(f"{prefix}{i}" for i in range(1, size + 1))
+                 for (prefix, _), size in zip(_FAMILY_TABLE[family].parts, sizes))
+
+
+def complete_graph(n: int) -> RootedMultigraph:
+    (rest,) = _part_names("complete", n)
+    return _complete_multipartite("0", [(v,) for v in ("0", *rest)])
+
+
+def wheel_graph(n: int) -> RootedMultigraph:
+    if n < 3:
+        raise ValueError("wheel needs n >= 3")
+    names = ["0"] + [str(i) for i in range(1, n + 1)]
+    edges = [(str(i), str(i % n + 1), 1) for i in range(1, n + 1)]
+    edges += [("0", str(i), 1) for i in range(1, n + 1)]
+    return build_graph(names, "0", edges)
+
+
+def tripartite_graph(p: int, q: int) -> RootedMultigraph:
+    ps, qs = _part_names("tripartite", p, q)
+    return _complete_multipartite("v0", [("v0",), ps, qs])
+
+
+def bipartite_graph(p: int, q: int) -> RootedMultigraph:
+    ps, qs = _part_names("bipartite", p, q)
+    return _complete_multipartite("p0", [("p0", *ps), qs])
+
+
+def split_graph(m: int, n: int) -> RootedMultigraph:
+    cs, xs = _part_names("split", m, n)
+    return _complete_multipartite("c0", [(c,) for c in ("c0", *cs)] + [xs])
+
+
+# ----------------------------------------------------------------------
+# the family table
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return q
+
+
+def catalan(k: int) -> int:
+    return _exact_div(math.comb(2 * k, k), k + 1)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one family."""
+
+    params: tuple[str, ...]                 # names, in constructor order
+    build: Callable[..., RootedMultigraph]  # the constructor
+    label: str                              # str.format template
+    closed_forms: dict[str, Callable[..., int]]  # class -> f(*params)
+    parts: tuple[tuple[str, str], ...] = ()  # (name prefix, size parameter)
+    first_part: Optional[str] = None        # the deletion bijections' name
+    min_n: int = 1
+
+
+_FAMILY_TABLE = {
+    "complete": _Family(("n",), complete_graph, "K{n}^0", {
+        "ppf": lambda n: (n - 1) ** (n - 1),
+        "ppf-inc": lambda n: catalan(n - 1),
+        "catalan": lambda n: catalan(n - 1)}, parts=(("", "n"),)),
+    "wheel": _Family(("n",), wheel_graph, "W{n}^0", {
+        "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1}, min_n=3),
+    "tripartite": _Family(("p", "q"), tripartite_graph, "K({p},{q})^0", {
+        "ppf": lambda p, q: (p ** q * (q - 1) ** (p - 1) + q ** p * (p - 1) ** (q - 1)
+                             - (p + q - 1) * (p - 1) ** (q - 1) * (q - 1) ** (p - 1))},
+        parts=(("p", "p"), ("q", "q"))),
+    "bipartite": _Family(("p", "q"), bipartite_graph, "K({p}*,{q})", {
+        "ppf-inc": lambda p, q: _exact_div(
+            math.comb(p + q - 1, p) * math.comb(p + q - 1, p - 1), p + q - 1)},
+        parts=(("p", "p"), ("q", "q")), first_part="P-vertices"),
+    "split": _Family(("m", "n"), split_graph, "S({m}*,{n})", {
+        "ppf-inc": lambda m, n: _exact_div(
+            math.comb(2 * m - 2, m - 1) * math.comb(2 * m + n - 2, n), m)},
+        parts=(("c", "m"), ("i", "n")), first_part="clique vertices"),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -41,111 +140,75 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        need = {"complete": ("n",), "wheel": ("n",),
-                "tripartite": ("p", "q"), "bipartite": ("p", "q"),
-                "split": ("m", "n")}[self.family]
-        for name in need:
+        record = _FAMILY_TABLE[self.family]
+        for name in record.params:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(
                     f"family {self.family!r} needs integer {name} >= 1")
         for name in ("n", "p", "q", "m"):
-            if name not in need and getattr(self, name) is not None:
+            if name not in record.params and getattr(self, name) is not None:
                 raise ValueError(
                     f"family {self.family!r} does not take parameter {name}")
-        if self.family == "wheel" and self.n < 3:
-            raise ValueError("wheel needs n >= 3")
+        if self.n is not None and self.n < record.min_n:
+            raise ValueError(f"{self.family} needs n >= {record.min_n}")
+
+    def _args(self) -> list[int]:
+        """The parameters in constructor order."""
+        return [getattr(self, name) for name in _FAMILY_TABLE[self.family].params]
 
     def label(self) -> str:
-        if self.family == "complete":
-            return f"K{self.n}^0"
-        if self.family == "wheel":
-            return f"W{self.n}^0"
-        if self.family == "tripartite":
-            return f"K({self.p},{self.q})^0"
-        if self.family == "bipartite":
-            return f"K({self.p}*,{self.q})"
-        return f"S({self.m}*,{self.n})"
+        return _FAMILY_TABLE[self.family].label.format(**vars(self))
 
     def params(self) -> str:
-        if self.family in ("complete", "wheel"):
-            return f"n={self.n}"
-        if self.family in ("tripartite", "bipartite"):
-            return f"p={self.p},q={self.q}"
-        return f"m={self.m},n={self.n}"
-
-
-def complete_graph(n: int) -> RootedMultigraph:
-    names = ["0"] + [str(i) for i in range(1, n + 1)]
-    edges = [(names[i], names[j], 1)
-             for i in range(n + 1) for j in range(i + 1, n + 1)]
-    return build_graph(names, "0", edges)
-
-
-def wheel_graph(n: int) -> RootedMultigraph:
-    if n < 3:
-        raise ValueError("wheel needs n >= 3")
-    names = ["0"] + [str(i) for i in range(1, n + 1)]
-    edges = [(str(i), str(i % n + 1), 1) for i in range(1, n + 1)]
-    edges += [("0", str(i), 1) for i in range(1, n + 1)]
-    return build_graph(names, "0", edges)
-
-
-def tripartite_graph(p: int, q: int) -> RootedMultigraph:
-    ps = [f"p{i}" for i in range(1, p + 1)]
-    qs = [f"q{j}" for j in range(1, q + 1)]
-    names = ["v0"] + ps + qs
-    edges = [(a, b, 1) for a in ps for b in qs]
-    edges += [("v0", a, 1) for a in ps + qs]
-    return build_graph(names, "v0", edges)
-
-
-def bipartite_graph(p: int, q: int) -> RootedMultigraph:
-    ps = [f"p{i}" for i in range(1, p + 1)]
-    qs = [f"q{j}" for j in range(1, q + 1)]
-    names = ["p0"] + ps + qs
-    edges = [(a, b, 1) for a in ["p0"] + ps for b in qs]
-    return build_graph(names, "p0", edges)
-
-
-def split_graph(m: int, n: int) -> RootedMultigraph:
-    cs = [f"c{i}" for i in range(1, m + 1)]
-    xs = [f"i{j}" for j in range(1, n + 1)]
-    names = ["c0"] + cs + xs
-    clique = ["c0"] + cs
-    edges = [(clique[i], clique[j], 1)
-             for i in range(m + 1) for j in range(i + 1, m + 1)]
-    edges += [(c, x, 1) for c in clique for x in xs]
-    return build_graph(names, "c0", edges)
+        return ",".join(f"{name}={getattr(self, name)}"
+                        for name in _FAMILY_TABLE[self.family].params)
 
 
 def make_family(spec: FamilySpec) -> RootedMultigraph:
-    if spec.family == "complete":
-        return complete_graph(spec.n)
-    if spec.family == "wheel":
-        return wheel_graph(spec.n)
-    if spec.family == "tripartite":
-        return tripartite_graph(spec.p, spec.q)
-    if spec.family == "bipartite":
-        return bipartite_graph(spec.p, spec.q)
-    return split_graph(spec.m, spec.n)
+    return _FAMILY_TABLE[spec.family].build(*spec._args())
+
+
+def _interchangeable(spec: FamilySpec) -> tuple[tuple[str, str], ...]:
+    """The table's parts of ``spec``; wheels have none (rim vertices are
+    only cyclically symmetric), so they are rejected."""
+    parts = _FAMILY_TABLE[spec.family].parts
+    if not parts:
+        raise ValueError(f"family {spec.family!r} has no interchangeable parts")
+    return parts
 
 
 def family_parts(spec: FamilySpec) -> tuple[tuple[str, ...], ...]:
-    """Interchangeable vertex groups, for 'increasing' enumeration classes.
+    """Interchangeable vertex groups, for 'increasing' enumeration classes."""
+    sizes = (getattr(spec, size) for _, size in _interchangeable(spec))
+    return _part_names(spec.family, *sizes)
 
-    Wheels have no such groups (rim vertices are only cyclically
-    symmetric), so they are rejected.
+
+def closed_form_count(spec: FamilySpec, which: str) -> int:
+    """Known exact counts for special families.
+
+    which = 'ppf' (prime parking functions), 'ppf-inc' (non-decreasing
+    prime), 'sr-wheel' (strongly recurrent wheel configurations) or
+    'catalan' (alias of 'ppf-inc' on complete graphs).  Everything is exact
+    integer arithmetic.
     """
-    if spec.family == "complete":
-        return (tuple(str(i) for i in range(1, spec.n + 1)),)
-    if spec.family == "tripartite" or spec.family == "bipartite":
-        return (tuple(f"p{i}" for i in range(1, spec.p + 1)),
-                tuple(f"q{j}" for j in range(1, spec.q + 1)))
-    if spec.family == "split":
-        return (tuple(f"c{i}" for i in range(1, spec.m + 1)),
-                tuple(f"i{j}" for j in range(1, spec.n + 1)))
-    raise ValueError(f"family {spec.family!r} has no interchangeable parts")
+    formula = _FAMILY_TABLE[spec.family].closed_forms.get(which)
+    if formula is None:
+        raise ValueError(
+            f"no closed form for class {which!r} on family {spec.family!r}")
+    return formula(*spec._args())
+
+
+def _grow_first_part(spec: FamilySpec) -> FamilySpec:
+    """``spec`` with one more vertex in its first interchangeable part.
+
+    The ``pf-inc`` count of ``spec`` is the ``ppf-inc`` count of the result:
+    deleting the fresh vertex, which a prime function sets to 1, is the
+    bijection below on bipartite* and split graphs, and on complete graphs
+    both counts are Catalan numbers.
+    """
+    size = _interchangeable(spec)[0][1]
+    return replace(spec, **{size: getattr(spec, size) + 1})
 
 
 # ----------------------------------------------------------------------
@@ -326,52 +389,6 @@ def is_prime_pq(pp: Sequence[int], pq: Sequence[int]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# closed-form counts
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
-
-
-def catalan(k: int) -> int:
-    return _exact_div(math.comb(2 * k, k), k + 1)
-
-
-def closed_form_count(spec: FamilySpec, which: str) -> int:
-    """Known exact counts for special families.
-
-    which = 'ppf' (prime parking functions), 'ppf-inc' (non-decreasing
-    prime), 'sr-wheel' (strongly recurrent wheel configurations) or
-    'catalan' (alias of 'ppf-inc' on complete graphs).  Everything is exact
-    integer arithmetic.
-    """
-    f = spec.family
-    if f == "complete" and which == "ppf":
-        return (spec.n - 1) ** (spec.n - 1)
-    if f == "complete" and which in ("ppf-inc", "catalan"):
-        return catalan(spec.n - 1)
-    if f == "wheel" and which in ("ppf", "sr-wheel"):
-        return spec.n + 1
-    if f == "tripartite" and which == "ppf":
-        p, q = spec.p, spec.q
-        return (p ** q * (q - 1) ** (p - 1)
-                + q ** p * (p - 1) ** (q - 1)
-                - (p + q - 1) * (p - 1) ** (q - 1) * (q - 1) ** (p - 1))
-    if f == "bipartite" and which == "ppf-inc":
-        p, q = spec.p, spec.q
-        return _exact_div(math.comb(p + q - 1, p) * math.comb(p + q - 1, p - 1),
-                          p + q - 1)
-    if f == "split" and which == "ppf-inc":
-        m, n = spec.m, spec.n
-        return _exact_div(math.comb(2 * m - 2, m - 1) * math.comb(2 * m + n - 2, n),
-                          m)
-    raise ValueError(f"no closed form for class {which!r} on family {f!r}")
-
-
-# ----------------------------------------------------------------------
 # deletion bijections for bipartite* and split families
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -390,18 +407,13 @@ def _check_increasing_pair(pair: Pair) -> Pair:
     return first, second
 
 
-# family -> (graph on the two part sizes, name of the first part's vertices)
-_DELETION_FAMILIES = {"bipartite": (bipartite_graph, "P-vertices"),
-                      "split": (split_graph, "clique vertices")}
-
-
 def _delete_first(pair: Pair, family: str) -> Pair:
     """Drop the first vertex of an increasing prime parking pair."""
     first, second = _check_increasing_pair(pair)
-    make_graph, what = _DELETION_FAMILIES[family]
+    record = _FAMILY_TABLE[family]
     if len(first) < 2:
-        raise ValueError(f"need at least two {what} to delete one")
-    g = make_graph(len(first), len(second))
+        raise ValueError(f"need at least two {record.first_part} to delete one")
+    g = record.build(len(first), len(second))
     flat = first + second
     if not is_g_parking(g, flat):
         raise ValueError(f"not a parking function on {family} graph")
@@ -415,7 +427,7 @@ def _delete_first(pair: Pair, family: str) -> Pair:
 def _prepend_one(pair: Pair, family: str) -> Pair:
     """Inverse of ``_delete_first``: a fresh first vertex with value 1."""
     first, second = _check_increasing_pair(pair)
-    g = _DELETION_FAMILIES[family][0](len(first), len(second))
+    g = _FAMILY_TABLE[family].build(len(first), len(second))
     if not is_g_parking(g, first + second):
         raise ValueError(f"not a parking function on {family} graph")
     return (1,) + first, second

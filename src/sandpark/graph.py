@@ -173,25 +173,24 @@ class RootedMultigraph:
         """Number of spanning trees: the reduced Laplacian determinant.
 
         The reduced Laplacian of a connected graph is positive definite, so
-        every leading minor is a positive integer at most the Hadamard bound
-        (the root of the product of squared row norms).  Sparse elimination
-        with diagonal pivots modulo a Mersenne prime above that bound meets
-        no zero pivot, and the residue is the exact count.  Raises
-        ``SizeCapError`` before any elimination when the bound exceeds the
-        largest tabulated prime.
+        every leading minor is a positive integer at most the product of its
+        diagonal (Hadamard's inequality), hence at most the product of the
+        non-sink degrees.  Sparse elimination with diagonal pivots modulo a
+        Mersenne prime above that product meets no zero pivot, and the
+        residue is the exact count.  Raises ``SizeCapError`` before any
+        elimination when the product exceeds the largest tabulated prime.
         """
         deg = self.nonsink_degrees
         nbrs = self.nonsink_nbrs
-        squared_norms = math.prod(d * d + sum(m * m for _, m in row)
-                                  for d, row in zip(deg, nbrs))
+        bound = math.prod(deg)
         for e in _MERSENNE_EXPONENTS:
             p = (1 << e) - 1
-            if squared_norms < p * p:
+            if bound < p:
                 break
         else:
             raise SizeCapError(
-                f"spanning-tree count capped at a Hadamard bound of 2^{e}, "
-                f"graph has about 2^{squared_norms.bit_length() // 2}")
+                f"spanning-tree count capped at a degree-product bound of "
+                f"2^{e}, graph has about 2^{bound.bit_length() - 1}")
         # Upper triangle only: the Schur complements stay symmetric.
         # Entries are reduced loosely by folding, since 2^e = 1 mod p
         # gives v = (v & p) + (v >> e) mod p, also for negative v.

@@ -169,7 +169,6 @@ class OracleReport:
     ppf_count: int = 0
     sr_count: int = 0
     orientation_checked: bool = False
-    naive_checked: bool = False
     discrepancies: list[str] = field(default_factory=list)
 
     @property
@@ -216,7 +215,6 @@ def cross_validate_oracles(g: RootedMultigraph, *,
                 f"orientation set mismatch: extra={extra} missing={missing}")
 
     ppf_set: set[tuple[int, ...]] = set()
-    report.naive_checked = True
     for c in iter_class(g, "stable"):
         cand = tuple(x + 1 for x in c)
         report.candidates_checked += 1

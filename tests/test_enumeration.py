@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -245,7 +246,7 @@ class TestCrossValidation:
         assert report.ppf_count == 1
         assert report.sr_count == 1
         assert report.orientation_checked
-        assert report.naive_checked
+        assert report.candidates_checked == math.prod(k2.nonsink_degrees)
 
     def test_wheel_clean(self):
         report = cross_validate_oracles(make_family(FamilySpec("wheel", n=4)))
@@ -260,7 +261,7 @@ class TestCrossValidation:
         g = build_graph(names, "0", [(a, b, 1) for a, b in zip(names, names[1:])])
         report = cross_validate_oracles(g)
         assert not report.orientation_checked
-        assert report.naive_checked
+        assert report.candidates_checked == math.prod(g.nonsink_degrees)
         assert report.ok
 
 

@@ -11,6 +11,7 @@ from sandpark import (
     closed_form_count,
     complete_graph,
     family_parts,
+    graph_to_dict,
     is_g_parking,
     is_pq_parking,
     is_prime,
@@ -65,6 +66,10 @@ class TestSpecs:
             FamilySpec("wheel", n=2)
         with pytest.raises(ValueError):
             FamilySpec("split", m=0, n=1)
+        with pytest.raises(ValueError, match="needs integer n >= 1"):
+            FamilySpec("complete", n=True)
+        with pytest.raises(ValueError, match="needs integer p >= 1"):
+            FamilySpec("bipartite", p=False, q=2)
 
     def test_parts_tile_nonsink(self):
         for spec in (FamilySpec("complete", n=3),
@@ -78,6 +83,34 @@ class TestSpecs:
     def test_wheel_has_no_parts(self):
         with pytest.raises(ValueError):
             family_parts(FamilySpec("wheel", n=4))
+
+
+FAMILY_DOCUMENTS = [
+    (FamilySpec("complete", n=2),
+     {"vertices": ["0", "1", "2"], "sink": "0",
+      "edges": [["0", "1", 1], ["0", "2", 1], ["1", "2", 1]]}),
+    (FamilySpec("wheel", n=3),
+     {"vertices": ["0", "1", "2", "3"], "sink": "0",
+      "edges": [["0", "1", 1], ["0", "2", 1], ["0", "3", 1],
+                ["1", "2", 1], ["1", "3", 1], ["2", "3", 1]]}),
+    (FamilySpec("tripartite", p=1, q=2),
+     {"vertices": ["v0", "p1", "q1", "q2"], "sink": "v0",
+      "edges": [["v0", "p1", 1], ["v0", "q1", 1], ["v0", "q2", 1],
+                ["p1", "q1", 1], ["p1", "q2", 1]]}),
+    (FamilySpec("bipartite", p=2, q=1),
+     {"vertices": ["p0", "p1", "p2", "q1"], "sink": "p0",
+      "edges": [["p0", "q1", 1], ["p1", "q1", 1], ["p2", "q1", 1]]}),
+    (FamilySpec("split", m=1, n=2),
+     {"vertices": ["c0", "c1", "i1", "i2"], "sink": "c0",
+      "edges": [["c0", "c1", 1], ["c0", "i1", 1], ["c0", "i2", 1],
+                ["c1", "i1", 1], ["c1", "i2", 1]]}),
+]
+
+
+@pytest.mark.parametrize("spec,document", FAMILY_DOCUMENTS,
+                         ids=[spec.label() for spec, _ in FAMILY_DOCUMENTS])
+def test_family_graph_documents(spec, document):
+    assert graph_to_dict(make_family(spec)) == document
 
 
 class TestConstruction:

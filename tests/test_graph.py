@@ -186,7 +186,7 @@ class TestSpanningTrees:
             assert g.spanning_tree_count() >= 1, label
 
     def test_hadamard_bound_capped_before_elimination(self, monkeypatch):
-        # the 16x16 grid's Hadamard bound is about 2^553, above 2^89 - 1
+        # the 16x16 grid's degree-product bound is 4^256 = 2^512, above 2^89 - 1
         g = grid_with_sink_border(16)
         expected = g.spanning_tree_count()
 
@@ -199,6 +199,14 @@ class TestSpanningTrees:
             g.spanning_tree_count()
         monkeypatch.undo()
         monkeypatch.setattr(graph_module, "_MERSENNE_EXPONENTS", (61, 89, 607))
+        assert g.spanning_tree_count() == expected
+
+    def test_degree_product_bound_picks_smaller_prime(self, monkeypatch):
+        # the degree product 2^512 fits below 2^521 - 1; the product of the
+        # row norms (about 2^551) does not
+        g = grid_with_sink_border(16)
+        expected = g.spanning_tree_count()
+        monkeypatch.setattr(graph_module, "_MERSENNE_EXPONENTS", (61, 89, 521))
         assert g.spanning_tree_count() == expected
 
 
