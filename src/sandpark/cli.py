@@ -253,19 +253,18 @@ def cmd_simulate(args) -> int:
     mu = _load_mu(g, args.mu) if args.mu else None
     run = markov_run(g, start, args.steps, args.seed, mu=mu)
 
-    visited = list(run.visit_counts)
-    recurrent = [c for c in visited if is_recurrent(g, c)]
+    recurrent = {c: is_recurrent(g, c) for c in run.visit_counts}
     first_entry = None
     tail_recurrent = True
     for step, _, cfg in run.trace:
-        if is_recurrent(g, cfg):
+        if recurrent[cfg]:
             if first_entry is None:
                 first_entry = step
         elif first_entry is not None:
             tail_recurrent = False
     print(f"steps={args.steps} seed={args.seed}")
-    print(f"distinct stable states visited: {len(visited)}")
-    print(f"recurrent among visited: {len(recurrent)}")
+    print(f"distinct stable states visited: {len(recurrent)}")
+    print(f"recurrent among visited: {sum(recurrent.values())}")
     if first_entry is not None:
         print(f"first recurrent state at step {first_entry}; "
               f"all later states recurrent: {str(tail_recurrent).lower()}")

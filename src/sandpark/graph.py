@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -172,16 +173,19 @@ class RootedMultigraph:
     def spanning_tree_count(self) -> int:
         """Number of spanning trees: the reduced Laplacian determinant.
 
-        The reduced Laplacian of a connected graph is positive definite, so
-        every leading minor is a positive integer at most the product of its
-        diagonal (Hadamard's inequality), hence at most the product of the
-        non-sink degrees.  Sparse elimination with diagonal pivots modulo a
-        Mersenne prime above that product meets no zero pivot, and the
-        residue is the exact count.  Raises ``SizeCapError`` before any
-        elimination when the product exceeds the largest tabulated prime.
+        The reduced Laplacian of a connected graph is positive definite, and
+        so is any symmetric permutation of it.  Its rows are eliminated in
+        greedy minimum-degree order, which keeps the fill small; every
+        leading minor in that order is a principal minor of the original, a
+        positive integer at most the product of its diagonal (Hadamard's
+        inequality), hence at most the product of the non-sink degrees.
+        Sparse elimination with diagonal pivots modulo a Mersenne prime above
+        that product meets no zero pivot, and the residue is the exact
+        count.  A zero pivot therefore means the graph is disconnected and
+        raises ``DisconnectedGraphError``.  Raises ``SizeCapError`` before
+        any elimination when the product exceeds the largest tabulated prime.
         """
         deg = self.nonsink_degrees
-        nbrs = self.nonsink_nbrs
         bound = math.prod(deg)
         for e in _MERSENNE_EXPONENTS:
             p = (1 << e) - 1
@@ -191,16 +195,21 @@ class RootedMultigraph:
             raise SizeCapError(
                 f"spanning-tree count capped at a degree-product bound of "
                 f"2^{e}, graph has about 2^{bound.bit_length() - 1}")
+        nbrs = self.nonsink_nbrs
+        order = _min_degree_order(nbrs)
+        new_pos = {old: i for i, old in enumerate(order)}
         # Upper triangle only: the Schur complements stay symmetric.
         # Entries are reduced loosely by folding, since 2^e = 1 mod p
         # gives v = (v & p) + (v >> e) mod p, also for negative v.
-        rows = [{i: d} | {j: -m for j, m in row if j > i}
-                for i, (d, row) in enumerate(zip(deg, nbrs))]
+        rows = [{i: deg[old]} | {new_pos[j]: -m for j, m in nbrs[old]
+                                 if new_pos[j] > i}
+                for i, old in enumerate(order)]
         count = 1
         for k, row in enumerate(rows):
             rows[k] = None
             pivot = row.pop(k) % p
-            assert pivot, "zero pivot: the graph is not connected"
+            if not pivot:
+                raise DisconnectedGraphError("graph is not connected")
             count = count * pivot % p
             inv = pow(pivot, -1, p)
             tail = sorted(row.items())
@@ -211,6 +220,33 @@ class RootedMultigraph:
                     v = target.get(j, 0) - factor * y
                     target[j] = (v & p) + (v >> e)
         return count
+
+
+def _min_degree_order(nbrs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Greedy minimum-degree elimination order of a sparse symmetric pattern.
+
+    Each step takes the position with the fewest remaining neighbours, ties
+    to the lowest position, and joins its neighbours into a clique, as
+    eliminating it would.  Stale heap entries are skipped on pop.
+    """
+    adj = [{j for j, _ in row} for row in nbrs]
+    heap = [(len(a), i) for i, a in enumerate(adj)]
+    heapify(heap)
+    order = []
+    while heap:
+        d, i = heappop(heap)
+        nb = adj[i]
+        if nb is None or d != len(nb):
+            continue
+        adj[i] = None
+        order.append(i)
+        for j in nb:
+            a = adj[j]
+            a.discard(i)
+            a |= nb
+            a.discard(j)
+            heappush(heap, (len(a), j))
+    return order
 
 
 # Exponents e of the Mersenne primes 2^e - 1 that spanning_tree_count works

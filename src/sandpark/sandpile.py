@@ -17,8 +17,10 @@ import io
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import accumulate
 from numbers import Real
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -411,14 +413,17 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mu weights must sum to 1, got {total}")
         weights = [w / total for w in weights]
-    rng = random.Random(seed)
+    # The cumulative weights are summed once; each draw is then the one
+    # random.choices(range(k), weights) makes: a bisection of one random().
+    cum = list(accumulate(weights))
+    total = cum[-1]
+    draw = random.Random(seed).random
     run = MarkovRun(start=start, steps=steps, seed=seed)
     run.visit_counts[start] = 1
-    positions = list(range(k))
     degs = g.nonsink_degrees
     cur = list(start)
     for step in range(1, steps + 1):
-        i = rng.choices(positions, weights=weights)[0]
+        i = bisect(cum, draw() * total, 0, k - 1)
         cur[i] += 1
         if cur[i] >= degs[i]:
             _relax(g, cur, [i], rng=None, max_topplings=DEFAULT_MAX_TOPPLINGS)

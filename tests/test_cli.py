@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sandpark import cli, complete_graph, enumeration, save_graph
+from conftest import grid_with_sink_border
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -326,6 +327,19 @@ class TestSimulate:
                           "50", "--seed", "9", "--trace", str(path))
             assert out.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_grid_summary_pinned(self, tmp_path):
+        path = tmp_path / "grid.json"
+        save_graph(grid_with_sink_border(4), path)
+        out = run_cli("simulate", "--graph", str(path), "--steps", "300",
+                      "--seed", "21")
+        assert out.returncode == 0
+        assert out.stdout == (
+            "steps=300 seed=21\n"
+            "distinct stable states visited: 301\n"
+            "recurrent among visited: 271\n"
+            "first recurrent state at step 30; "
+            "all later states recurrent: true\n")
 
     def test_zero_steps(self, triangle_file):
         out = run_cli("simulate", "--graph", triangle_file, "--steps", "0",

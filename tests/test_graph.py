@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +20,12 @@ from sandpark import (
     load_graph,
     make_family,
     FamilySpec,
+    random_connected_multigraph,
     save_graph,
 )
 from sandpark import graph as graph_module
-from conftest import (graph_pool, grid_with_sink_border, sink_multiedge_pair,
-                      triangle, twin_triangles)
+from conftest import (graph_pool, grid_with_sink_border, reference_tree_count,
+                      sink_multiedge_pair, triangle, twin_triangles)
 
 POOL = graph_pool()
 
@@ -208,6 +211,48 @@ class TestSpanningTrees:
         expected = g.spanning_tree_count()
         monkeypatch.setattr(graph_module, "_MERSENNE_EXPONENTS", (61, 89, 521))
         assert g.spanning_tree_count() == expected
+
+    def test_star_with_hub_declared_first(self):
+        # Eliminating the hub first would fill the whole leaf block; the
+        # minimum-degree order takes the leaves first and fills nothing.
+        leaves = [f"l{i}" for i in range(40)]
+        edges = [("h", "s", 1)]
+        for i, v in enumerate(leaves):
+            edges.append(("h", v, 2 if i % 3 == 0 else 1))
+            edges.append((v, "s", 2 if i % 5 == 0 else 1))
+        g = build_graph(["h", *leaves, "s"], "s", edges)
+        assert g.spanning_tree_count() == reference_tree_count(g)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_invariant_under_declaration_order(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_multigraph(rng, 12, max_mult=3, extra_edges=12)
+        names = list(g.vertices)
+        rng.shuffle(names)
+        edges = [tuple(e) for e in graph_to_dict(g)["edges"]]
+        shuffled = build_graph(names, g.sink, edges)
+        assert shuffled.vertices != g.vertices
+        expected = reference_tree_count(g)
+        assert g.spanning_tree_count() == expected
+        assert shuffled.spanning_tree_count() == expected
+
+    @pytest.mark.parametrize("side", [12, 16, 20])
+    def test_grid_matches_eigenvalue_product(self, side):
+        # The sink-border grid's reduced Laplacian is the Dirichlet
+        # Laplacian of the side x side grid, whose eigenvalues are known.
+        angles = [j * math.pi / (side + 1) for j in range(1, side + 1)]
+        expected = math.fsum(math.log(4 - 2 * math.cos(a) - 2 * math.cos(b))
+                             for a in angles for b in angles)
+        count = grid_with_sink_border(side).spanning_tree_count()
+        assert math.isclose(math.log(count), expected, rel_tol=1e-12)
+
+    def test_disconnected_graph_rejected(self):
+        # Hand-built, since build_graph refuses it: sink-a and b-c.
+        g = RootedMultigraph(("s", "a", "b", "c"), "s",
+                             ((0, 1, 0, 0), (1, 0, 0, 0),
+                              (0, 0, 0, 1), (0, 0, 1, 0)))
+        with pytest.raises(DisconnectedGraphError):
+            g.spanning_tree_count()
 
 
 class TestJson:

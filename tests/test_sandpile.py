@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -346,6 +347,23 @@ class TestMarkov:
         a = trace_to_csv(k2, markov_run(k2, (0, 0), 40, seed=12))
         b = trace_to_csv(k2, markov_run(k2, (0, 0), 40, seed=12))
         assert a == b
+
+    # SHA-256 of trace_to_csv, pinned so that any change to the sequence of
+    # draws shows; same-seed determinism alone would not catch one.
+    def test_trace_pinned_non_uniform_mu(self, k2):
+        run = markov_run(k2, (0, 0), 100, seed=5, mu=[0.2, 0.8])
+        text = trace_to_csv(k2, run)
+        assert text.startswith('step,dropped_vertex,config\n0,,"0,0"\n'
+                               '1,v2,"0,1"\n2,v2,"1,0"\n3,v2,"1,1"\n')
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9ef4f62eccd62715acafc19816b4660836f5941fd3b3d99c599cabac3b672f83")
+
+    def test_trace_pinned_grid_from_maximal_stable(self):
+        g = grid_with_sink_border(4)
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        text = trace_to_csv(g, markov_run(g, top, 300, seed=21))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4ea02f5393ea4f31fc9730c8456df10dffa0a021d7b36ca3fea0e10e8b152a91")
 
 
 class TestConfigIO:
