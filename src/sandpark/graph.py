@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -30,14 +30,14 @@ from .errors import (
 class RootedMultigraph:
     """Finite connected loop-free multigraph with a designated sink.
 
-    ``mult`` is the symmetric multiplicity matrix indexed by declaration
-    order.  Instances are immutable value objects: equality and hashing use
-    the vertex list, the sink and the matrix, so graphs can key caches.
+    ``rows`` lists each vertex's ``(index, multiplicity)`` pairs, sorted by
+    index.  Instances are immutable value objects: equality and hashing use
+    the vertex list, the sink and the rows, so graphs can key caches.
     """
 
     vertices: tuple[str, ...]
     sink: str
-    mult: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     # ------------------------------------------------------------------
     # derived lookups (computed once per instance)
@@ -64,7 +64,7 @@ class RootedMultigraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.mult)
+        return tuple(sum(m for _, m in row) for row in self.rows)
 
     @cached_property
     def nonsink_degrees(self) -> tuple[int, ...]:
@@ -74,19 +74,24 @@ class RootedMultigraph:
     def sink_mults(self) -> tuple[int, ...]:
         """Multiplicity towards the sink, per non-sink position."""
         si = self.sink_index
-        return tuple(self.mult[i][si] for i in self.nonsink_indices)
-
-    @cached_property
-    def nonsink_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Multiplicity matrix restricted to non-sink vertices."""
-        idx = self.nonsink_indices
-        return tuple(tuple(self.mult[i][j] for j in idx) for i in idx)
+        return tuple(dict(self.rows[i]).get(si, 0) for i in self.nonsink_indices)
 
     @cached_property
     def nonsink_nbrs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Sparse ``nonsink_adj``: (position, multiplicity) pairs per row."""
-        return tuple(tuple((j, m) for j, m in enumerate(row) if m)
-                     for row in self.nonsink_adj)
+        """``rows`` minus the sink, in non-sink positions (still ascending)."""
+        si = self.sink_index
+        return tuple(tuple((j - (j > si), m) for j, m in self.rows[i] if j != si)
+                     for i in self.nonsink_indices)
+
+    @cached_property
+    def nonsink_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Dense non-sink multiplicity matrix, O(V^2): reference oracles only."""
+        k = len(self.nonsink)
+        dense = [[0] * k for _ in range(k)]
+        for i, row in enumerate(self.nonsink_nbrs):
+            for j, m in row:
+                dense[i][j] = m
+        return tuple(map(tuple, dense))
 
     @cached_property
     def edge_total(self) -> int:
@@ -102,15 +107,15 @@ class RootedMultigraph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def multiplicity(self, v: str, w: str) -> int:
-        return self.mult[self._vertex_index(v)][self._vertex_index(w)]
+        return self.deg_within(v, (w,))
 
     def deg(self, v: str) -> int:
         return self.degrees[self._vertex_index(v)]
 
     def deg_within(self, v: str, within: Iterable[str]) -> int:
         """Number of edge endpoints at ``v`` leading into ``within``."""
-        row = self.mult[self._vertex_index(v)]
-        return sum(row[self._vertex_index(w)] for w in within)
+        row = dict(self.rows[self._vertex_index(v)])
+        return sum(row.get(self._vertex_index(w), 0) for w in within)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -131,8 +136,9 @@ class RootedMultigraph:
                 raise GraphError("the sink is always kept; do not list it")
         names = tuple(v for v in self.vertices
                       if v == self.sink or v in keep_set)
-        idx = [self.index[v] for v in names]
-        sub = tuple(tuple(self.mult[i][j] for j in idx) for i in idx)
+        new = {self.index[v]: k for k, v in enumerate(names)}
+        sub = tuple(tuple((new[j], m) for j, m in self.rows[i] if j in new)
+                    for i in new)
         g = RootedMultigraph(names, self.sink, sub)
         if not g.is_connected():
             raise DisconnectedGraphError(
@@ -154,9 +160,8 @@ class RootedMultigraph:
         seen = {start}
         queue = deque([start])
         while queue:
-            row = self.mult[queue.popleft()]
-            for j in allowed:
-                if row[j] and j not in seen:
+            for j, _ in self.rows[queue.popleft()]:
+                if j in allowed and j not in seen:
                     seen.add(j)
                     queue.append(j)
         return seen
@@ -168,7 +173,7 @@ class RootedMultigraph:
     def sink_is_cut_vertex(self) -> bool:
         """True iff removing the sink disconnects the remaining vertices."""
         rest = self.nonsink_indices
-        return len(self._reachable(rest[0], rest)) != len(rest)
+        return len(self._reachable(rest[0], set(rest))) != len(rest)
 
     def spanning_tree_count(self) -> int:
         """Number of spanning trees: the reduced Laplacian determinant.
@@ -272,8 +277,7 @@ def build_graph(vertices: Sequence[str], sink: str,
     index = {v: i for i, v in enumerate(names)}
     if sink not in index:
         raise UnknownVertexError(f"sink {sink!r} is not a declared vertex")
-    n = len(names)
-    mat = [[0] * n for _ in range(n)]
+    adj = [Counter() for _ in names]
     for v, w, m in edges:
         if v not in index:
             raise UnknownVertexError(f"unknown vertex {v!r} in edge list")
@@ -283,9 +287,9 @@ def build_graph(vertices: Sequence[str], sink: str,
             raise LoopEdgeError(f"loop edge at {v!r}")
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise GraphError(f"edge multiplicity must be a positive integer, got {m!r}")
-        mat[index[v]][index[w]] += m
-        mat[index[w]][index[v]] += m
-    g = RootedMultigraph(names, sink, tuple(tuple(row) for row in mat))
+        adj[index[v]][index[w]] += m
+        adj[index[w]][index[v]] += m
+    g = RootedMultigraph(names, sink, tuple(tuple(sorted(a.items())) for a in adj))
     if not g.is_connected():
         raise DisconnectedGraphError("graph is not connected")
     return g
@@ -319,17 +323,15 @@ def graph_from_dict(data: dict) -> RootedMultigraph:
         if not isinstance(e, list) or len(e) != 3:
             raise GraphError(
                 f"each edge must be a [v, w, multiplicity] triple, got {e!r}")
+        if not (isinstance(e[0], str) and isinstance(e[1], str)):
+            raise GraphError(f"edge endpoints must be strings, got {e!r}")
         triples.append((e[0], e[1], e[2]))
     return build_graph(vertices, sink, triples)
 
 
 def graph_to_dict(g: RootedMultigraph) -> dict:
-    edges = []
-    n = len(g.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.mult[i][j]:
-                edges.append([g.vertices[i], g.vertices[j], g.mult[i][j]])
+    edges = [[g.vertices[i], g.vertices[j], m]
+             for i, row in enumerate(g.rows) for j, m in row if j > i]
     return {"vertices": list(g.vertices), "sink": g.sink, "edges": edges}
 
 

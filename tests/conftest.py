@@ -147,9 +147,10 @@ def det_bareiss(a):
 
 def reference_tree_count(g):
     """Matrix-tree count by Bareiss on the dense reduced Laplacian."""
-    idx = g.nonsink_indices
-    return det_bareiss([[g.degrees[i] if i == j else -g.mult[i][j]
-                         for j in idx] for i in idx])
+    deg, adj = g.nonsink_degrees, g.nonsink_adj
+    k = len(deg)
+    return det_bareiss([[deg[i] if i == j else -adj[i][j] for j in range(k)]
+                        for i in range(k)])
 
 
 def _is_prime_pf(g, p):

@@ -131,6 +131,17 @@ class TestCheck:
                           str(tmp_path / "nope.json"), "--property", "recurrent")
         assert missing.returncode == 2
 
+    def test_non_string_edge_endpoint(self, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": ["0", "a"], "sink": "0",
+                                     "edges": [[["a"], "0", 1]]}))
+        cfg = values_file(tmp_path, "c.json", {"a": 0})
+        out = run_cli("check", "--graph", str(graph), "--input", cfg,
+                      "--property", "recurrent")
+        assert out.returncode == 2
+        assert "error:" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_config_vertex_mismatch(self, tmp_path, triangle_file):
         cfg = values_file(tmp_path, "c.json", {"v1": 1})
         out = run_cli("check", "--graph", triangle_file, "--input", cfg,

@@ -15,17 +15,24 @@ from sandpark import (
     TooFewVerticesError,
     UnknownVertexError,
     build_graph,
+    count_class,
     graph_from_dict,
     graph_to_dict,
+    is_recurrent,
+    is_strongly_recurrent,
+    iter_class,
     load_graph,
     make_family,
+    markov_run,
     FamilySpec,
     random_connected_multigraph,
     save_graph,
+    stabilize,
 )
 from sandpark import graph as graph_module
 from conftest import (graph_pool, grid_with_sink_border, reference_tree_count,
-                      sink_multiedge_pair, triangle, twin_triangles)
+                      sink_multiedge_pair, sink_multiedge_square, triangle,
+                      twin_triangles)
 
 POOL = graph_pool()
 
@@ -249,8 +256,7 @@ class TestSpanningTrees:
     def test_disconnected_graph_rejected(self):
         # Hand-built, since build_graph refuses it: sink-a and b-c.
         g = RootedMultigraph(("s", "a", "b", "c"), "s",
-                             ((0, 1, 0, 0), (1, 0, 0, 0),
-                              (0, 0, 0, 1), (0, 0, 1, 0)))
+                             (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),)))
         with pytest.raises(DisconnectedGraphError):
             g.spanning_tree_count()
 
@@ -277,6 +283,13 @@ class TestJson:
         with pytest.raises(GraphError):
             graph_from_dict({"vertices": ["0", "a"], "edges": []})
 
+    @pytest.mark.parametrize("endpoint", [["a"], {"a": 1}])
+    def test_non_string_endpoint_rejected(self, endpoint):
+        for edge in ([endpoint, "0", 1], ["0", endpoint, 1]):
+            d = {"vertices": ["0", "a"], "sink": "0", "edges": [edge]}
+            with pytest.raises(GraphError):
+                graph_from_dict(d)
+
     def test_file_contents_are_json(self, tmp_path):
         path = tmp_path / "g.json"
         save_graph(triangle(), path)
@@ -296,3 +309,66 @@ class TestValueSemantics:
 
     def test_is_dataclass_instance(self):
         assert isinstance(triangle(), RootedMultigraph)
+
+
+class TestSparseRows:
+    def test_rows_are_sorted_index_multiplicity_pairs(self):
+        g = sink_multiedge_pair()
+        assert g.rows == (((1, 2), (2, 3)), ((0, 2), (2, 1)),
+                          ((0, 3), (1, 1)))
+
+    @pytest.mark.parametrize("make", [sink_multiedge_square,
+                                      lambda: grid_with_sink_border(6)],
+                             ids=["pool", "grid6"])
+    def test_fast_paths_never_build_dense_view(self, make):
+        # cached_property stores into the instance __dict__, so a view that
+        # was ever built shows up there.
+        g = make()
+        assert g.is_connected() and not g.sink_is_cut_vertex()
+        g.nonsink_nbrs, g.sink_mults
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        stabilize(g, tuple(2 * d for d in g.nonsink_degrees))
+        assert is_recurrent(g, top)
+        is_strongly_recurrent(g, top)
+        assert g.spanning_tree_count() >= 1
+        markov_run(g, top, 50, 1)
+        if len(g.nonsink) <= 6:
+            assert count_class(g, "recurrent") == g.spanning_tree_count()
+        else:
+            next(iter_class(g, "recurrent", cap=math.prod(g.nonsink_degrees)))
+        graph_to_dict(g)
+        v = g.nonsink[0]
+        g.induced_with_sink([v])
+        g.multiplicity(v, g.sink)
+        g.deg_within(v, g.nonsink)
+        assert "nonsink_adj" not in g.__dict__
+
+
+def _star(leaves):
+    """The sink as hub, each leaf joined to it by one edge."""
+    names = [f"v{i}" for i in range(leaves)]
+    return build_graph(["s"] + names, "s", [(v, "s", 1) for v in names])
+
+
+class TestLargeSparse:
+    @pytest.mark.parametrize("make,k,sink_deg,deg", [
+        (lambda: grid_with_sink_border(100), 10000, 400, 4),
+        (lambda: _star(1501), 1501, 1501, 1)], ids=["grid100", "star1501"])
+    def test_build_query_round_trip(self, tmp_path, make, k, sink_deg, deg):
+        g = make()
+        assert g.degrees == (sink_deg,) + (deg,) * k
+        assert g.edge_total == (sink_deg + deg * k) // 2
+        assert g.is_connected()
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert load_graph(path) == g
+        assert is_recurrent(g, tuple(d - 1 for d in g.nonsink_degrees))
+
+    def test_grid100_tree_count_capped_before_elimination(self, monkeypatch):
+        # degree product 4^10000 = 2^20000, above 2^11213 - 1
+        def no_order(*args):
+            raise AssertionError("elimination started")
+
+        monkeypatch.setattr(graph_module, "_min_degree_order", no_order)
+        with pytest.raises(SizeCapError):
+            grid_with_sink_border(100).spanning_tree_count()
