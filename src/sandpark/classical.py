@@ -3,14 +3,16 @@
 Car i drives to its preferred spot p_i and takes the first free spot at or
 after it; the vector parks when every car finds a spot.  Four equivalent
 membership conditions are implemented separately so they can be played off
-against each other, together with breakpoints, the prime/non-prime split
-and the two lattice-path encodings of non-decreasing vectors.
+against each other, together with breakpoints, the prime/non-prime split,
+the two lattice-path encodings of non-decreasing vectors, and the
+staircases that families.py draws for two-part parking pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .errors import SizeCapError
 
@@ -148,15 +150,22 @@ def prime_bijection_classical_inverse(p: Sequence[int]) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# lattice-path encodings of non-decreasing vectors
+# lattice paths: the two encodings of non-decreasing vectors, and staircases
+
+# the unit move of each step, per kind (None for a step outside the kind);
+# a Lukasiewicz step is its own rise
+_MOVES = {"dyck": {"U": (1, 1), "D": (1, -1)}.get,
+          "staircase": {"E": (1, 0), "N": (0, 1)}.get,
+          "lukasiewicz": lambda s: (1, s) if type(s) is int else None}
 
 
 @dataclass(frozen=True)
 class StepPath:
-    """Either a Dyck path (U/D steps) or a Lukasiewicz path (integer rises).
+    """A lattice path from (0, 0): a Dyck path (U/D steps), a Lukasiewicz
+    path (integer rises) or an East/North staircase (E/N steps).
 
-    Positive x-axis touch points of either encoding sit exactly at the
-    breakpoints of the encoded parking function.
+    Positive x-axis touch points of a Dyck or Lukasiewicz encoding sit
+    exactly at the breakpoints of the encoded parking function.
     """
 
     kind: str
@@ -164,25 +173,41 @@ class StepPath:
 
     @property
     def word(self) -> str:
-        if self.kind == "dyck":
-            return "".join(self.steps)
-        return ",".join(f"{r:+d}" for r in self.steps)
+        if self.kind == "lukasiewicz":
+            return ",".join(f"{r:+d}" for r in self.steps)
+        return "".join(self.steps)
 
     def points(self) -> tuple[tuple[int, int], ...]:
-        """(i, height after i steps), from (0, 0).
-
-        A Dyck step moves by +1 or -1; a Lukasiewicz step by its rise.
-        """
+        """Every lattice point visited, in order, from (0, 0)."""
+        move = _MOVES.get(self.kind)
+        if move is None:
+            raise ValueError(f"bad path kind {self.kind!r}")
+        x = y = 0
         pts = [(0, 0)]
-        for i, s in enumerate(self.steps, start=1):
-            rise = (1 if s == "U" else -1) if self.kind == "dyck" else s
-            pts.append((i, pts[-1][1] + rise))
+        for s in self.steps:
+            m = move(s)
+            if m is None:
+                raise ValueError(f"bad {self.kind} step {s!r}")
+            x, y = x + m[0], y + m[1]
+            pts.append((x, y))
         return tuple(pts)
 
     def axis_touches(self) -> tuple[int, ...]:
         # a Dyck path spends two steps (one up, one down) per car
         per_car = 2 if self.kind == "dyck" else 1
         return tuple(i // per_car for i, h in self.points()[1:] if h == 0)
+
+
+def _staircase(levels: Iterable[int], end: int, rise: str, run: str
+               ) -> tuple[str, ...]:
+    """Rise to each level in turn and take one run step there, then rise
+    to ``end``."""
+    steps: list[str] = []
+    y = 0
+    for level in levels:
+        steps += [rise] * (level - y) + [run]
+        y = level
+    return tuple(steps + [rise] * (end - y))
 
 
 def value_counts(p: Sequence[int]) -> tuple[int, ...]:
@@ -207,11 +232,7 @@ def to_path(p: Sequence[int], kind: str) -> StepPath:
         raise ValueError("not a parking function")
     counts = value_counts(p)
     if kind == "dyck":
-        steps: list = []
-        for q in counts:
-            steps.extend(["U"] * q)
-            steps.append("D")
-        return StepPath("dyck", tuple(steps))
+        return StepPath("dyck", _staircase(accumulate(counts), len(p), "U", "D"))
     if kind == "lukasiewicz":
         return StepPath("lukasiewicz", tuple(q - 1 for q in counts))
     raise ValueError("kind must be 'dyck' or 'lukasiewicz'")
@@ -220,18 +241,11 @@ def to_path(p: Sequence[int], kind: str) -> StepPath:
 def from_path(path: StepPath) -> tuple[int, ...]:
     """Decode a path back to the non-decreasing parking function."""
     if path.kind == "dyck":
-        counts = []
-        run = 0
-        for s in path.steps:
-            if s == "U":
-                run += 1
-            elif s == "D":
-                counts.append(run)
-                run = 0
-            else:
-                raise ValueError(f"bad Dyck step {s!r}")
-        if run:
+        path.points()  # rejects a step other than U or D
+        *runs, tail = path.word.split("D")
+        if tail:
             raise ValueError("Dyck word must end with a down-step")
+        counts = [len(r) for r in runs]
     elif path.kind == "lukasiewicz":
         counts = [r + 1 for r in path.steps]
     else:

@@ -135,9 +135,10 @@ def cmd_check(args) -> int:
             return PROPERTY_FALSE
         return OK
 
-    oracle = args.oracle or "burning"
     if prop == "recurrent":
-        verdict = _check_recurrent(g, c=values, oracle=oracle)
+        verdict = _check_recurrent(g, c=values, oracle=args.oracle or "burning")
+    elif args.oracle is not None:
+        raise ValueError(f"oracle {args.oracle!r} does not test {prop}")
     elif prop == "strongly-recurrent":
         verdict = is_strongly_recurrent(g, values, args.quantifier)
     elif prop == "minimal-recurrent":
@@ -278,7 +279,9 @@ def cmd_simulate(args) -> int:
 # paths
 
 
-def _svg_from_polylines(polylines, width, height, unit=24, margin=12) -> str:
+def _svg_from_polylines(polylines, unit=24, margin=12) -> str:
+    width = max(x for pts in polylines for x, _ in pts)
+    height = max(1, max(y for pts in polylines for _, y in pts))
     w = width * unit + 2 * margin
     h = height * unit + 2 * margin
 
@@ -310,10 +313,8 @@ def cmd_paths(args) -> int:
         prime = touches == (len(p),)
         print(f"prime={str(prime).lower()}")
         if args.svg:
-            pts = path.points()
-            height = max(y for _, y in pts) - min(0, min(y for _, y in pts))
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(_svg_from_polylines([pts], len(pts) - 1, max(height, 1)))
+                fh.write(_svg_from_polylines([path.points()]))
             print(f"svg written to {args.svg}")
         return OK if prime else PROPERTY_FALSE
 
@@ -325,8 +326,8 @@ def cmd_paths(args) -> int:
     p, q = len(a), len(b)
     lower = path_with_e_heights(a, q)
     upper = path_with_n_positions(b, p)
-    print(f"lower path: {lower.steps}")
-    print(f"upper path: {upper.steps}")
+    print(f"lower path: {lower.word}")
+    print(f"upper path: {upper.word}")
     pp = tuple(x + 1 for x in a)
     pq_vals = tuple(x + 1 for x in b)
     parking = is_pq_parking(pp, pq_vals)
@@ -339,9 +340,8 @@ def cmd_paths(args) -> int:
               " ".join(f"({x},{y})" for x, y in meet))
         print(f"endpoint-only intersection={str(prime).lower()}")
     if args.svg:
-        polylines = [lower.points(), upper.points()]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_from_polylines(polylines, p, q))
+            fh.write(_svg_from_polylines([lower.points(), upper.points()]))
         print(f"svg written to {args.svg}")
     return OK if parking and prime else PROPERTY_FALSE
 

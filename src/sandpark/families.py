@@ -16,9 +16,10 @@ constructor.  Everything the package knows about a family is one record of
 ``_FAMILY_TABLE``; validation, labels, ``make_family``, ``family_parts``,
 ``closed_form_count`` and the deletion bijections all read it.
 
-Wheels admit a direct recurrence test; bipartite-with-sink parking pairs
-admit a two-lattice-path test; bipartite* and split carry vertex-deletion
-bijections between prime and plain increasing parking functions.
+Wheels admit a direct recurrence test; the parking functions of
+tripartite(p, q), the (p, q)-parking functions, admit a two-lattice-path
+test; bipartite* and split carry vertex-deletion bijections between prime
+and plain increasing parking functions.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+from .classical import StepPath, _staircase
 from .graph import RootedMultigraph, build_graph
 from .parking import is_g_parking, is_prime
 
@@ -256,53 +258,8 @@ def wheel_strongly_recurrent(c: Sequence[int]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# bipartite-with-sink parking via two monotone lattice paths
-
-
-@dataclass(frozen=True)
-class MonotonePath:
-    """East/North staircase from (0, 0); steps is a string over 'E', 'N'."""
-
-    steps: str
-
-    @property
-    def width(self) -> int:
-        return self.steps.count("E")
-
-    @property
-    def height(self) -> int:
-        return self.steps.count("N")
-
-    def points(self) -> tuple[tuple[int, int], ...]:
-        x = y = 0
-        pts = [(0, 0)]
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return tuple(pts)
-
-    def e_heights(self) -> tuple[int, ...]:
-        out = []
-        y = 0
-        for s in self.steps:
-            if s == "N":
-                y += 1
-            else:
-                out.append(y)
-        return tuple(out)
-
-    def n_positions(self) -> tuple[int, ...]:
-        out = []
-        x = 0
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                out.append(x)
-        return tuple(out)
+# (p, q)-parking functions, the parking functions of tripartite(p, q),
+# via two staircases
 
 
 def _check_lattice_vector(a: Sequence[int], bound: int, what: str) -> tuple[int, ...]:
@@ -316,36 +273,22 @@ def _check_lattice_vector(a: Sequence[int], bound: int, what: str) -> tuple[int,
     return a
 
 
-def path_with_e_heights(a: Sequence[int], height: int) -> MonotonePath:
+def path_with_e_heights(a: Sequence[int], height: int) -> StepPath:
     """Staircase whose i-th east step sits at y = a_i, ending at
     (len(a), height)."""
     a = _check_lattice_vector(a, height, "east-height vector")
-    steps = []
-    y = 0
-    for ai in a:
-        steps.append("N" * (ai - y))
-        steps.append("E")
-        y = ai
-    steps.append("N" * (height - y))
-    return MonotonePath("".join(steps))
+    return StepPath("staircase", _staircase(a, height, "N", "E"))
 
 
-def path_with_n_positions(b: Sequence[int], width: int) -> MonotonePath:
+def path_with_n_positions(b: Sequence[int], width: int) -> StepPath:
     """Staircase whose j-th north step sits at x = b_j, ending at
     (width, len(b))."""
     b = _check_lattice_vector(b, width, "north-position vector")
-    steps = []
-    x = 0
-    for bj in b:
-        steps.append("E" * (bj - x))
-        steps.append("N")
-        x = bj
-    steps.append("E" * (width - x))
-    return MonotonePath("".join(steps))
+    return StepPath("staircase", _staircase(b, width, "E", "N"))
 
 
 def pq_paths(pp: Sequence[int], pq: Sequence[int]
-             ) -> tuple[MonotonePath, MonotonePath]:
+             ) -> tuple[StepPath, StepPath]:
     """The lower and upper staircases of a candidate pair.
 
     Sorting each side and subtracting 1 gives the east-height vector of the
@@ -359,7 +302,8 @@ def pq_paths(pp: Sequence[int], pq: Sequence[int]
 
 
 def is_pq_parking(pp: Sequence[int], pq: Sequence[int]) -> bool:
-    """Two-part parking test: upper path weakly above the lower one.
+    """Two-part parking test: upper path weakly above the lower one in
+    every column.
 
     Values must be positive; values beyond the opposite part size plus one
     simply fail (no vertex degree admits them).
@@ -374,9 +318,9 @@ def is_pq_parking(pp: Sequence[int], pq: Sequence[int]) -> bool:
         raise ValueError("values must be positive")
     if any(x > q + 1 for x in pp) or any(x > p + 1 for x in pq):
         return False
-    lower, upper = pq_paths(pp, pq)
-    a = lower.e_heights()
-    return all(h >= ai for h, ai in zip(upper.e_heights(), a))
+    # the highest point of each column, x = 0..p
+    lower, upper = (dict(path.points()) for path in pq_paths(pp, pq))
+    return all(upper[x] >= y for x, y in lower.items())
 
 
 def is_prime_pq(pp: Sequence[int], pq: Sequence[int]) -> bool:

@@ -18,6 +18,7 @@ import json
 import math
 import random
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -377,8 +378,13 @@ class MarkovRun:
     start: Config
     steps: int
     seed: int
-    visit_counts: dict[Config, int] = field(default_factory=dict)
     trace: list[tuple[int, str, Config]] = field(default_factory=list)
+
+    @property
+    def visit_counts(self) -> Counter[Config]:
+        """Visits per configuration, ``start`` included, in first-visit
+        order."""
+        return Counter((self.start, *(cfg for _, _, cfg in self.trace)))
 
 
 def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
@@ -419,7 +425,6 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     total = cum[-1]
     draw = random.Random(seed).random
     run = MarkovRun(start=start, steps=steps, seed=seed)
-    run.visit_counts[start] = 1
     degs = g.nonsink_degrees
     cur = list(start)
     for step in range(1, steps + 1):
@@ -427,9 +432,7 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
         cur[i] += 1
         if cur[i] >= degs[i]:
             _relax(g, cur, [i], rng=None, max_topplings=DEFAULT_MAX_TOPPLINGS)
-        current = tuple(cur)
-        run.visit_counts[current] = run.visit_counts.get(current, 0) + 1
-        run.trace.append((step, g.nonsink[i], current))
+        run.trace.append((step, g.nonsink[i], tuple(cur)))
     return run
 
 

@@ -210,8 +210,8 @@ def test_criterion_10_worked_examples():
     assert is_pq_parking(*pair)
     assert is_g_parking(tripartite_graph(5, 4), pair[0] + pair[1])
     lower, upper = pq_paths(*pair)
-    assert lower.steps == "EENNEENEN"
-    assert upper.steps == "NNENENEEE"
+    assert lower.word == "EENNEENEN"
+    assert upper.word == "NNENENEEE"
     print("CRITERION 10 (worked examples: parking outcomes, breakpoints, "
           "two-part paths): PASS")
 

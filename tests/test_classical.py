@@ -231,6 +231,16 @@ class TestPaths:
         with pytest.raises(ValueError):
             from_path(StepPath("spiral", ()))
 
+    @pytest.mark.parametrize("kind, steps", [
+        ("dyck", ("U", "N", "D")),
+        ("staircase", ("E", "U")),
+        ("lukasiewicz", (1, "D")),
+        ("spiral", ("U",)),
+    ])
+    def test_step_outside_kind_rejected(self, kind, steps):
+        with pytest.raises(ValueError):
+            StepPath(kind, steps).points()
+
     def test_requires_parking_function(self):
         with pytest.raises(ValueError):
             to_path((2, 2), "dyck")

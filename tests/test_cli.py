@@ -121,6 +121,21 @@ class TestCheck:
                       "--property", "parking", "--oracle", "burning")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("prop", ["strongly-recurrent",
+                                      "minimal-recurrent"])
+    @pytest.mark.parametrize("oracle", ["burning", "forbidden", "orientation",
+                                        "bruteforce", "fast"])
+    def test_oracle_rejected_where_it_has_no_route(self, tmp_path,
+                                                   triangle_file, prop,
+                                                   oracle):
+        cfg = values_file(tmp_path, "c.json", {"v1": 1, "v2": 1})
+        out = run_cli("check", "--graph", triangle_file, "--input", cfg,
+                      "--property", prop, "--oracle", oracle)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"error: oracle '{oracle}' does not test {prop}" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_malformed_files(self, tmp_path, triangle_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -459,16 +474,50 @@ class TestPaths:
          "252,36 276,60 300,84 324,60 348,36 372,12 396,36 420,60 444,84"),
         ("lukasiewicz", 'width="240" height="72"',
          "12,60 36,12 60,36 84,36 108,12 132,36 156,60 180,12 204,36 228,60"),
+        ("pq", 'width="144" height="120"',
+         ("12,108 36,108 60,108 60,84 60,60 84,60 108,60 108,36 132,36 132,12",
+          "12,108 12,84 12,60 36,60 36,36 60,36 60,12 84,12 108,12 132,12")),
     ])
     def test_svg_polyline_pinned(self, tmp_path, kind, size, points):
         svg = tmp_path / "path.svg"
-        out = run_cli("paths", "--pf", "1,1,1,3,4,4,7,7,7", "--kind", kind,
-                      "--svg", str(svg))
-        assert out.returncode == 1
+        if kind == "pq":
+            out = run_cli("paths", "--pq", "0,0,2,2,3;0,0,1,2",
+                          "--svg", str(svg))
+            assert out.returncode == 0
+        else:
+            out = run_cli("paths", "--pf", "1,1,1,3,4,4,7,7,7",
+                          "--kind", kind, "--svg", str(svg))
+            assert out.returncode == 1
+            points = (points,)
+        polylines = "".join(
+            f'  <polyline points="{pts}" fill="none" stroke="{color}" '
+            'stroke-width="2"/>\n'
+            for pts, color in zip(points, ("black", "firebrick")))
         assert svg.read_text() == (
             f'<svg xmlns="http://www.w3.org/2000/svg" {size}>\n'
-            f'  <polyline points="{points}" fill="none" stroke="black" '
-            'stroke-width="2"/>\n</svg>\n')
+            f'{polylines}</svg>\n')
+
+    def test_svg_flat_path_keeps_one_unit_of_height(self, tmp_path):
+        svg = tmp_path / "flat.svg"
+        out = run_cli("paths", "--pf", "1,2", "--kind", "lukasiewicz",
+                      "--svg", str(svg))
+        assert out.returncode == 1
+        assert svg.read_text().startswith(
+            '<svg xmlns="http://www.w3.org/2000/svg" width="72" height="48">\n'
+            '  <polyline points="12,36 36,36 60,36" ')
+
+    @pytest.mark.parametrize("args, code, stdout", [
+        (("--pf", "1,1,1,3,4,4,7,7,7", "--kind", "dyck"), 1,
+         "dyck word: UUUDDUDUUDDDUUUDDD\naxis touches: 6,9\nprime=false\n"),
+        (("--pq", "0,0,2,2,3;0,0,1,2"), 0,
+         "lower path: EENNEENEN\nupper path: NNENENEEE\nweakly-above=true\n"
+         "intersection points: (0,0) (5,4)\n"
+         "endpoint-only intersection=true\n"),
+    ])
+    def test_readme_examples_full_stdout(self, args, code, stdout):
+        out = run_cli("paths", *args)
+        assert out.returncode == code
+        assert out.stdout == stdout
 
     def test_pq_svg_has_two_polylines(self, tmp_path):
         svg = tmp_path / "pq.svg"

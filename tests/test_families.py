@@ -191,10 +191,14 @@ class TestWheelCharacterisations:
 class TestLatticePaths:
     def test_figure_paths(self):
         lower, upper = pq_paths(*EXAMPLE_PAIR)
-        assert lower.steps == "EENNEENEN"
-        assert upper.steps == "NNENENEEE"
-        assert lower.e_heights() == (0, 0, 2, 2, 3)
-        assert upper.n_positions() == (0, 0, 1, 2)
+        assert lower.word == "EENNEENEN"
+        assert upper.word == "NNENENEEE"
+        # each step paired with the point it starts from: the heights of
+        # the lower path's east steps, the positions of the upper's north
+        assert tuple(y for (_, y), s in zip(lower.points(), lower.steps)
+                     if s == "E") == (0, 0, 2, 2, 3)
+        assert tuple(x for (x, _), s in zip(upper.points(), upper.steps)
+                     if s == "N") == (0, 0, 1, 2)
 
     def test_path_constructors_validate(self):
         with pytest.raises(ValueError):
