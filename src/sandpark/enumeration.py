@@ -9,15 +9,13 @@ Enumeration classes (lexicographic in declaration order):
   interchangeable part, so they need a family, not a bare graph.
 
 One depth-first walk serves every class.  It assigns positions in
-declaration order and prunes a prefix that holds a forbidden
-subconfiguration (no completion is recurrent) and, for sr-forall, ppf and
-ppf-inc, a prefix in which an assigned burning start's drain holds one.
-The cap bounds the full candidate space before the walk starts, however
-much of it the pruning skips.
-
-Counting can split the search space by the first coordinate across worker
-processes; results do not depend on the worker count, but pruning leaves
-the slices unequal in work.
+declaration order, and as each position joins the prefix, one pinned
+forbidden-set fixpoint per check turns the prefix into the interval of
+values the position may take.  The last position is not listed: the walk
+yields ``(prefix, lo, hi)`` runs, which counting adds up and listing
+expands.  The cap bounds the full candidate space before the walk starts.
+Counting can split the space by the first coordinate across worker
+processes; the count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ _CLASS_WALKS = {
 CLASSES = tuple(_CLASS_WALKS)
 
 
-def _walk(target: Target, cls: str, cap: int,
-          first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Members of ``cls`` in lexicographic order, the one candidate-space walk.
+def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
+    """The graph, the leaf test and the run stream of ``cls``.
 
     The class, the target and the size of the full candidate space are
     checked when this is called, before any candidate is tested.  With
@@ -116,25 +113,45 @@ def _walk(target: Target, cls: str, cap: int,
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return _search(g, low, checks, leaf, prev, first_values)
+    return g, leaf, _search(g, low, checks, prev, first_values)
 
 
-def _search(g: RootedMultigraph, low: int, checks: int, leaf, prev,
-            first_values: range) -> Iterator[tuple[int, ...]]:
-    """Iterative depth-first walk over positions in declaration order.
+def _members(g: RootedMultigraph, leaf, runs) -> Iterator[tuple[int, ...]]:
+    """Expand ``(prefix, lo, hi)`` runs into members, lexicographically."""
+    for vals, lo, hi in runs:
+        prefix = tuple(vals[:-1])
+        for x in range(lo, hi + 1):
+            cand = prefix + (x,)
+            if leaf is None or leaf(g, cand):
+                yield cand
 
-    After a value is assigned at position ``t`` the forbidden-set fixpoint
-    runs on the configuration restricted to positions ``0..t`` (Dhar 1990):
-    a non-empty fixpoint there stays non-empty however the rest is filled
-    in, so no completion is recurrent.  The prefix ``0..t-1`` already
-    passed, so the fixpoint can only be non-empty when ``t`` holds fewer
-    grains than it has edges back into the prefix.  With drain checks, the
-    drained configuration of every burning start assigned so far is tested
-    the same way.  On the last position these checks are exactly recurrence
-    and strong recurrence (``forall``).  Parking candidates are checked on
-    their degree complement, so a larger value leaves fewer grains: a
-    failure that does not hinge on ``t`` being a burning start ends the
-    value loop.
+
+def _walk(target: Target, cls: str, cap: int,
+          first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Members of ``cls`` in lexicographic order, checked as by ``_runs``."""
+    return _members(*_runs(target, cls, cap, first))
+
+
+def _search(g: RootedMultigraph, low: int, checks: int, prev,
+            first_values: range) -> Iterator[tuple[list, int, int]]:
+    """Depth-first walk over positions in declaration order.
+
+    Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
+    position completes the prefix ``vals[:-1]`` (one list, reused) to a
+    candidate that passes every prefix check.
+
+    The prefix ``0..t-1`` has passed when ``t`` joins, so each forbidden
+    subconfiguration (Dhar 1990) of ``0..t`` holds ``t``.  One fixpoint with
+    ``t`` pinned at -1 (negative values are never discarded) leaves a set R,
+    and a value passes exactly when ``t`` holds at least its edges into R.
+    Each assigned burning start's drain, pinned the same way, bounds the
+    value less the sink edges of ``t``.  One fixpoint that discards ``t``
+    first says whether ``t`` may be a burning start itself.  So the values
+    that pass form one interval, found once per prefix.  On the last
+    position these checks are exactly recurrence and strong recurrence
+    (``forall``).  Parking values are the degree complement of the
+    configuration, and increasing classes cut the interval with ``prev``
+    before the fixpoints, which stop once it is empty.
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults
@@ -147,11 +164,16 @@ def _search(g: RootedMultigraph, low: int, checks: int, leaf, prev,
     drained = [0] * k    # conf minus the sink edges
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
-    it: list = [iter(first_values)] + [None] * (k - 1)
+    top = [0] * k        # the last admissible value of each position
     t = 0
+    lo, hi = first_values.start, first_values.stop - 1
     while True:
-        x = next(it[t], None)
-        if x is None:
+        if t == k - 1:
+            if lo <= hi:
+                yield vals, lo, hi
+            hi = lo - 1
+        vals[t], top[t] = lo - 1, hi
+        while vals[t] >= top[t]:
             # t leaves the prefix
             for j, m in nbrs[t]:
                 if j >= t:
@@ -160,49 +182,19 @@ def _search(g: RootedMultigraph, low: int, checks: int, leaf, prev,
             if t == 0:
                 return
             t -= 1
-            continue
-        vals[t] = x
+        vals[t] = x = vals[t] + 1
         c = degs[t] - x if parking else x
         conf[t] = c
-        n = t + 1
-        back = deg_in[t]
-        if checks:
-            if c < back and _discard(conf, deg_in[:n], nbrs, range(n)):
-                if parking:
-                    it[t] = iter(())
-                continue
         if drains:
             while starts and starts[-1] >= t:
                 starts.pop()
-            dc = c - sink[t]
-            drained[t] = dc
-            blocked = 0
-            if dc < back:
-                for v in starts:
-                    drained[v] = conf[v]
-                    blocked = _discard(drained, deg_in[:n], nbrs, range(n))
-                    drained[v] -= sink[v]
-                    if blocked:
-                        break
-            if blocked:
-                if parking:
-                    it[t] = iter(())
-                continue
+            drained[t] = c - sink[t]
             if sink[t] and c >= degs[t] - sink[t]:
-                # t is a burning start: its drain keeps c at t
-                drained[t] = c
-                blocked = _discard(drained, deg_in[:n], nbrs, range(n))
-                drained[t] = dc
-                if blocked:
-                    continue
                 starts.append(t)
-        if n == k:
-            cand = tuple(vals)
-            if leaf is None or leaf(g, cand):
-                yield cand
-            continue
-        # t + 1 joins the prefix
-        t = n
+        # t + 1 joins the prefix; find the values c it may take
+        t += 1
+        n = t + 1
+        d = degs[t]
         back = 0
         for j, m in nbrs[t]:
             if j >= t:
@@ -210,8 +202,31 @@ def _search(g: RootedMultigraph, low: int, checks: int, leaf, prev,
             deg_in[j] += m
             back += m
         deg_in[t] = back
-        lo = low if prev[t] is None else vals[prev[t]]
-        it[t] = iter(range(lo, low + degs[t]))
+        # an increasing class takes at least the value of prev[t]
+        p = low if prev[t] is None else vals[prev[t]]
+        cmin, cmax = (0, d - p) if parking else (p, d - 1)
+        if checks and back:
+            conf[t] = -1
+            pinned = deg_in[:n]
+            _discard(conf, pinned, nbrs, range(n))
+            cmin = max(cmin, pinned[t])
+        if drains:
+            s = sink[t]
+            drained[t] = -1
+            for v in starts:
+                if cmin >= s + back or cmin > cmax:
+                    break
+                drained[v] = conf[v]
+                pinned = deg_in[:n]
+                _discard(drained, pinned, nbrs, range(n))
+                drained[v] -= sink[v]
+                cmin = max(cmin, s + pinned[t])
+            if s and cmax >= max(cmin, d - s):
+                # t would be a burning start: its drain keeps t, discarded first
+                drained[t] = d
+                if _discard(drained, deg_in[:n], nbrs, range(n)):
+                    cmax = d - s - 1
+        lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
 def iter_class(target: Target, cls: str, *,
@@ -229,16 +244,21 @@ def iter_class(target: Target, cls: str, *,
 
 
 def _count_slice(args) -> int:
-    target, cls, cap, first = args
-    return sum(1 for _ in _walk(target, cls, cap, first))
+    """Members of one slice; a run without a leaf test counts at once."""
+    g, leaf, runs = _runs(*args)
+    if leaf is None:
+        return sum(hi - lo + 1 for _, lo, hi in runs)
+    return sum(1 for _ in _members(g, leaf, runs))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    if jobs <= 1:
-        return sum(1 for _ in iter_class(target, cls, cap=cap))
-    _walk(target, cls, cap)     # raises on bad input before any worker starts
-    g, _ = _resolve(target)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return _count_slice((target, cls, cap, None))
+    # raises on bad input before any worker starts
+    g, _, _ = _runs(target, cls, cap)
     tasks = [(target, cls, cap, first) for first in range(g.nonsink_degrees[0])]
     processes = min(jobs, len(tasks), os.cpu_count() or 1)
     with get_context("fork").Pool(processes=processes) as pool:
@@ -314,7 +334,7 @@ def verify_counts(suite: Iterable[tuple[Target, str]], *,
 def default_suite() -> list[tuple[FamilySpec, str]]:
     """The standard closed-form verification battery."""
     suite: list[tuple[FamilySpec, str]] = []
-    for n in range(2, 7):
+    for n in range(2, 8):
         suite.append((FamilySpec("complete", n=n), "ppf"))
     for n in range(2, 9):
         suite.append((FamilySpec("complete", n=n), "ppf-inc"))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -131,6 +132,42 @@ class TestIterClass:
             list(iter_class(spec, "recurrent"))
 
 
+# SHA-256 of each member stream, one "v1,v2,...\n" line per member, pinned
+# from the per-value walk that preceded the interval walk.  They hold the
+# members and their order on instances past the generate-and-test size cut.
+PINNED_STREAMS = [
+    (FamilySpec("complete", n=6), "ppf", 3125,
+     "4caf7c0688e3802073c81295e9823bbd62a4bdbf4506c06a3124317b6b16c1b7"),
+    (FamilySpec("tripartite", p=4, q=3), "ppf", 809,
+     "c705efd164be86d5e55b30b1cad46a4a37d33409676b295d3a14b1c0be073a3e"),
+    (FamilySpec("wheel", n=10), "sr-forall", 11,
+     "c5dbe06d57670961bfd7bbaa9a92a3ec76de37c1aba7beca75cdb1978bf325b8"),
+    (FamilySpec("complete", n=9), "ppf-inc", 1430,
+     "ca64e6bc0eb1b98f23e0118c28b37bd441e175f1004169202f61283efb0afb81"),
+    (FamilySpec("complete", n=6), "recurrent", 16807,
+     "e03ba14ef174c39628a21e870ade85d5dcce7b3a179627ae725d089ec4b2d369"),
+    (FamilySpec("wheel", n=10), "recurrent", 15125,
+     "db8c9ff3c1cf6a55d7ad440545d2cdc99b092a0cac7b89c132e9caaf0234ad97"),
+    (FamilySpec("wheel", n=8), "sr-exists", 9,
+     "514f538d847228131957ad3db92d83fd3bd4b04963c371435b276322800dd6c1"),
+    (FamilySpec("wheel", n=8), "min-recurrent", 254,
+     "bfec67027100383465edb64a3f6c9923f7f48b505ec9c129655043fca8f695b9"),
+]
+
+
+@pytest.mark.parametrize("spec,cls,count,digest", PINNED_STREAMS,
+                         ids=[f"{spec.label()}-{cls}"
+                              for spec, cls, _, _ in PINNED_STREAMS])
+def test_member_stream_pinned(spec, cls, count, digest):
+    h = hashlib.sha256()
+    seen = 0
+    for c in iter_class(spec, cls):
+        h.update((",".join(map(str, c)) + "\n").encode())
+        seen += 1
+    assert (seen, h.hexdigest()) == (count, digest)
+    assert count_class(spec, cls) == count
+
+
 class TestCounting:
     def test_matches_matrix_tree(self, k2):
         assert count_class(k2, "recurrent") == k2.spanning_tree_count() == 3
@@ -176,6 +213,18 @@ class TestCounting:
                         cap=1000)
         assert sizes == []
 
+    def test_jobs_below_one_rejected_before_the_walk(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        spec = FamilySpec("complete", n=4)
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                count_class(spec, "recurrent", jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                class_count(spec, "recurrent", jobs=jobs)
+
     def test_expected_count_sources(self, k2):
         assert expected_count(k2, "stable") == (4, "degree-product")
         assert expected_count(k2, "recurrent") == (3, "matrix-tree")
@@ -212,7 +261,7 @@ class TestCounting:
 class TestReports:
     def test_suite_all_match(self):
         reports = verify_counts(default_suite())
-        assert len(reports) >= 20
+        assert len(reports) == 43
         for r in reports:
             assert r.expected is not None, (r.family, r.params, r.cls)
             assert r.match, (r.family, r.params, r.cls, r.count, r.expected)
