@@ -88,15 +88,18 @@ def _witness(oracle, *args):
 # check
 
 
+_RECURRENCE_ORACLES = {"burning": is_recurrent_burning,
+                       "forbidden": is_recurrent,
+                       "orientation": is_recurrent_orientation}
+
+
 def _check_recurrent(g, c, oracle: str) -> bool:
-    if oracle == "burning":
-        return is_recurrent_burning(g, c)
-    if oracle == "forbidden":
-        return is_recurrent(g, c)
-    if oracle == "orientation":
-        return is_stable(g, c) and all(x >= 0 for x in c) \
-            and is_recurrent_orientation(g, c)
-    raise ValueError(f"oracle {oracle!r} does not test recurrence")
+    test = _RECURRENCE_ORACLES.get(oracle)
+    if test is None:
+        raise ValueError(f"oracle {oracle!r} does not test recurrence")
+    # recurrent configurations are stable and non-negative, whatever the
+    # oracle; the burning and orientation oracles refuse any other input
+    return is_stable(g, c) and all(x >= 0 for x in c) and test(g, c)
 
 
 def cmd_check(args) -> int:
@@ -175,6 +178,14 @@ def _family_from_args(args) -> Optional[FamilySpec]:
     return FamilySpec(args.family, n=args.n, p=args.p, q=args.q, m=args.m)
 
 
+def _count_line(report, expected: bool) -> str:
+    line = f"count={report.count}"
+    if expected:
+        line += (f" expected={report.expected} "
+                 f"match={str(report.match).lower()}")
+    return line
+
+
 def cmd_enumerate(args) -> int:
     spec = _family_from_args(args)
     if spec is None and args.graph is None:
@@ -188,10 +199,9 @@ def cmd_enumerate(args) -> int:
         for item in iter_class(target, args.cls, cap=args.cap):
             print(",".join(str(x) for x in item))
             count += 1
-        print(f"count={count}")
-        return OK
-
-    if args.output == "json":
+        report = _make_report(target, args.cls, count, 0.0, args.expected)
+        print(_count_line(report, args.expected))
+    elif args.output == "json":
         elements = [list(item) for item in iter_class(target, args.cls,
                                                       cap=args.cap)]
         # one serial walk gives both the elements and the count; the
@@ -209,12 +219,8 @@ def cmd_enumerate(args) -> int:
         if args.output == "csv":
             sys.stdout.write(reports_to_csv([report]))
         else:
-            line = (f"{report.family} {report.params} {report.cls}: "
-                    f"count={report.count}")
-            if args.expected:
-                line += (f" expected={report.expected} "
-                         f"match={str(report.match).lower()}")
-            print(line)
+            print(f"{report.family} {report.params} {report.cls}: "
+                  + _count_line(report, args.expected))
     if args.expected and not report.match:
         return PROPERTY_FALSE
     return OK

@@ -208,7 +208,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         if checks and back:
             conf[t] = -1
             pinned = deg_in[:n]
-            _discard(conf, pinned, nbrs, range(n))
+            _discard(conf, pinned, nbrs)
             cmin = max(cmin, pinned[t])
         if drains:
             s = sink[t]
@@ -218,13 +218,13 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                     break
                 drained[v] = conf[v]
                 pinned = deg_in[:n]
-                _discard(drained, pinned, nbrs, range(n))
+                _discard(drained, pinned, nbrs)
                 drained[v] -= sink[v]
                 cmin = max(cmin, s + pinned[t])
             if s and cmax >= max(cmin, d - s):
                 # t would be a burning start: its drain keeps t, discarded first
                 drained[t] = d
-                if _discard(drained, deg_in[:n], nbrs, range(n)):
+                if _discard(drained, deg_in[:n], nbrs):
                     cmax = d - s - 1
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 

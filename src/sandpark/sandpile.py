@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
 from numbers import Real
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ToppleLimitError, UnknownVertexError
 from .graph import RootedMultigraph
@@ -131,23 +131,20 @@ class StabilisationTrace:
 
 
 def _relax(g: RootedMultigraph, cur: list[int], pending: list[int], *,
-           rng: Optional[random.Random], max_topplings: int,
-           log: Optional[list[int]] = None) -> None:
+           max_topplings: int, log: Optional[list[int]] = None) -> None:
     """Fire unstable positions of ``cur`` in place until none is left.
 
-    ``pending`` must hold exactly the unstable positions.  Without ``rng``
-    it is a min-heap and the first unstable position in declaration order
-    fires; with ``rng`` a uniformly chosen pending position fires.  Each
-    firing walks only the sparse neighbour row, and a neighbour joins
-    ``pending`` when it crosses its degree.  Fired positions are appended
-    to ``log`` when one is given.
+    ``pending`` is a min-heap of exactly the unstable positions, so the
+    first unstable position in declaration order fires.  Each firing walks
+    only the sparse neighbour row, and a neighbour joins ``pending`` when it
+    crosses its degree.  Fired positions are appended to ``log`` when one
+    is given.
     """
     degs = g.nonsink_degrees
     nbrs = g.nonsink_nbrs
     fired = 0
     while pending:
-        at = 0 if rng is None else rng.randrange(len(pending))
-        i = pending[at]
+        i = pending[0]
         fired += 1
         if fired > max_topplings:
             raise ToppleLimitError(
@@ -155,34 +152,25 @@ def _relax(g: RootedMultigraph, cur: list[int], pending: list[int], *,
         cur[i] -= degs[i]
         if log is not None:
             log.append(i)
-        # drop i before any neighbour joins, while it is still at ``at``
+        # drop i before any neighbour joins, while it is still at the top
         if cur[i] < degs[i]:
-            if rng is None:
-                heappop(pending)
-            else:
-                last = pending.pop()
-                if at < len(pending):
-                    pending[at] = last
+            heappop(pending)
         for j, m in nbrs[i]:
             x = cur[j]
             cur[j] = x + m
             if x < degs[j] <= x + m:
-                if rng is None:
-                    heappush(pending, j)
-                else:
-                    pending.append(j)
+                heappush(pending, j)
 
 
 def stabilize(g: RootedMultigraph, c: Sequence[int], *,
-              rng: Optional[random.Random] = None,
               max_topplings: int = DEFAULT_MAX_TOPPLINGS) -> StabilisationTrace:
-    """Topple until stable.
+    """Topple until stable, firing the first unstable vertex in declaration
+    order.
 
-    The default order fires the first unstable vertex in declaration order;
-    passing ``rng`` picks uniformly among unstable vertices instead.  The
-    final configuration and odometer do not depend on the order (Dhar's
-    abelian property).  A budget of ``max_topplings`` firings guards
-    against runaway input.
+    The final configuration and odometer do not depend on the order (Dhar's
+    abelian property); the tests check this against the scan reference in
+    random orders.  A budget of ``max_topplings`` firings guards against
+    runaway input.
     """
     c = _check_config(g, c)
     degs = g.nonsink_degrees
@@ -190,7 +178,7 @@ def stabilize(g: RootedMultigraph, c: Sequence[int], *,
     # ascending, so already a heap
     pending = [i for i, (x, d) in enumerate(zip(cur, degs)) if x >= d]
     log: list[int] = []
-    _relax(g, cur, pending, rng=rng, max_topplings=max_topplings, log=log)
+    _relax(g, cur, pending, max_topplings=max_topplings, log=log)
     odometer = [0] * len(cur)
     for i in log:
         odometer[i] += 1
@@ -231,19 +219,19 @@ def is_recurrent_burning(g: RootedMultigraph, c: Sequence[int]) -> bool:
     return burning_sequence(g, c) is not None
 
 
-def _discard(c: Sequence[int], deg_in: list, nbrs, order: Iterable[int]) -> int:
+def _discard(c: Sequence[int], deg_in: list, nbrs) -> int:
     """Run the forbidden-set fixpoint on positions ``0..len(deg_in)-1``.
 
     ``deg_in`` holds each position's edges into that prefix and is updated
-    in place: a discarded position's entry becomes None.  Positions of
-    ``order`` holding at least their internal degree are discarded first,
+    in place: a discarded position's entry becomes None.  A scan of the
+    prefix discards every position holding at least its internal degree,
     then each discard lowers its neighbours' degrees along the sparse rows
     ``nbrs`` (ascending positions, so the prefix ends the walk).  Returns
     the number of positions left, the size of the fixpoint.
     """
     n = len(deg_in)
     stack = []
-    for i in order:
+    for i in range(n):
         if c[i] >= deg_in[i]:
             deg_in[i] = None
             stack.append(i)
@@ -264,25 +252,22 @@ def _discard(c: Sequence[int], deg_in: list, nbrs, order: Iterable[int]) -> int:
     return left
 
 
-def max_forbidden_set(g: RootedMultigraph, c: Sequence[int], *,
-                      rng: Optional[random.Random] = None) -> tuple[str, ...]:
+def max_forbidden_set(g: RootedMultigraph, c: Sequence[int]) -> tuple[str, ...]:
     """Largest vertex set on which ``c`` is everywhere below internal degree.
 
     Starts from all non-sink vertices and repeatedly discards any vertex
     holding at least as many grains as it has edges into the remaining set.
-    The fixpoint is independent of the discard order (``rng`` shuffles it,
-    for testing).  Stable configurations are recurrent exactly when the
-    result is empty.  Negative values never get discarded, so configurations
-    with negative entries are never recurrent.
+    The fixpoint is independent of the discard order; the tests check this
+    on graphs with their vertices redeclared in shuffled orders.  Stable
+    configurations are recurrent exactly when the result is empty.  Negative
+    values never get discarded, so configurations with negative entries are
+    never recurrent.
     """
     c = _check_config(g, c)
     # graphs have no loops, so the edges into the non-sink set are all
     # edges except those to the sink
     deg_in = [d - m for d, m in zip(g.nonsink_degrees, g.sink_mults)]
-    order = list(range(len(c)))
-    if rng is not None:
-        rng.shuffle(order)
-    _discard(c, deg_in, g.nonsink_nbrs, order)
+    _discard(c, deg_in, g.nonsink_nbrs)
     return tuple(v for v, d in zip(g.nonsink, deg_in) if d is not None)
 
 
@@ -431,7 +416,7 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
         i = bisect(cum, draw() * total, 0, k - 1)
         cur[i] += 1
         if cur[i] >= degs[i]:
-            _relax(g, cur, [i], rng=None, max_topplings=DEFAULT_MAX_TOPPLINGS)
+            _relax(g, cur, [i], max_topplings=DEFAULT_MAX_TOPPLINGS)
         run.trace.append((step, g.nonsink[i], tuple(cur)))
     return run
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import settings
 
 from sandpark import (build_graph, boost_except, burning_starts_pf,
-                      family_parts, is_g_parking, is_minimal_recurrent,
-                      is_prime, is_recurrent, is_strongly_recurrent,
-                      make_family, FamilySpec, StabilisationTrace,
-                      ToppleLimitError)
+                      family_parts, graph_to_dict, is_g_parking,
+                      is_minimal_recurrent, is_prime, is_recurrent,
+                      is_strongly_recurrent, make_family, FamilySpec,
+                      StabilisationTrace, ToppleLimitError)
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
 settings.register_profile("suite", deadline=None)
@@ -94,7 +94,9 @@ def grid_with_sink_border(side):
 def reference_stabilize(g, c, *, rng=None,
                         max_topplings=DEFAULT_MAX_TOPPLINGS):
     """Scan-order stabilisation: rescan every vertex before each firing and
-    walk the dense row.  Reference for the worklist ``stabilize``."""
+    walk the dense row.  Reference for the worklist ``stabilize``.  With
+    ``rng`` a uniformly chosen unstable vertex fires instead of the first:
+    the shuffled orders the abelian-property tests draw."""
     degs = g.nonsink_degrees
     adj = g.nonsink_adj
     k = len(degs)
@@ -119,6 +121,23 @@ def reference_stabilize(g, c, *, rng=None,
         odometer[i] += 1
         log.append(g.nonsink[i])
     return StabilisationTrace(tuple(cur), tuple(odometer), tuple(log))
+
+
+def redeclared(g, rng):
+    """``g`` with its non-sink vertices declared in a shuffled order; the
+    sink, its place and every edge stay."""
+    order = list(g.nonsink)
+    rng.shuffle(order)
+    names = iter(order)
+    vertices = [v if v == g.sink else next(names) for v in g.vertices]
+    return build_graph(vertices, g.sink,
+                       [tuple(e) for e in graph_to_dict(g)["edges"]])
+
+
+def carried(g, h, c):
+    """Configuration ``c`` of ``g`` in the declaration order of ``h``, a
+    relabelling of ``g``."""
+    return tuple(c[g.nonsink_pos[v]] for v in h.nonsink)
 
 
 def det_bareiss(a):

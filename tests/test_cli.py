@@ -191,6 +191,21 @@ class TestCheck:
         else:
             assert "subset test capped at 20" in out.stderr
 
+    @pytest.mark.parametrize("values, stdout", [
+        ({"v1": 5, "v2": 0}, "recurrent=false\nconfiguration is not stable\n"),
+        ({"v1": -1, "v2": 1}, "recurrent=false\nforbidden set: {v1}\n"),
+    ], ids=["unstable", "negative"])
+    def test_every_recurrence_oracle_answers_false_off_the_domain(
+            self, tmp_path, triangle_file, values, stdout):
+        cfg = values_file(tmp_path, "c.json", values)
+        for oracle in ((), ("--oracle", "burning"), ("--oracle", "forbidden"),
+                       ("--oracle", "orientation")):
+            out = run_cli("check", "--graph", triangle_file, "--input", cfg,
+                          "--property", "recurrent", *oracle)
+            assert out.returncode == 1, oracle
+            assert out.stdout == stdout, oracle
+            assert out.stderr == "", oracle
+
     def test_huge_multiplicities_recurrent(self, tmp_path, huge_file):
         cfg = values_file(tmp_path, "c.json", {"a": 0, "b": 0})
         out = run_cli("check", "--graph", huge_file, "--input", cfg,
@@ -221,6 +236,21 @@ class TestEnumerate:
         assert lines[-1] == "count=5"
         assert len(lines) == 6
         assert "1,1,1,1" in lines
+
+    def test_list_output_compares_with_expected(self):
+        out = run_cli("enumerate", "--family", "complete", "--n", "3",
+                      "--class", "ppf", "--output", "list", "--expected")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[-1] == "count=4 expected=4 match=true"
+
+    def test_list_output_mismatch_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(enumeration, "expected_count",
+                            lambda target, cls: (5, "closed-form"))
+        rc = cli.main(["enumerate", "--family", "complete", "--n", "3",
+                       "--class", "ppf", "--output", "list", "--expected"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "count=4 expected=5 match=false"
 
     def test_json_round_trips_elements(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
@@ -296,6 +326,45 @@ class TestEnumerate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"search space of {(2 * HUGE) ** 2} exceeds cap" in err
+
+
+class TestReadmeExamples:
+    """The README's command-line examples, with its triangle.json,
+    config.json and pf.json."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, triangle_file):
+        return {"triangle.json": triangle_file,
+                "config.json": values_file(tmp_path, "config.json",
+                                           {"v1": 1, "v2": 0}),
+                "pf.json": values_file(tmp_path, "pf.json",
+                                       {"v1": 1, "v2": 2})}
+
+    @pytest.mark.parametrize("args, code, stdout", [
+        ("check --graph triangle.json --input config.json "
+         "--property recurrent", 0,
+         "recurrent=true\nburning sequence: 0 -> v1 -> v2\n"),
+        ("check --graph triangle.json --input pf.json --property prime", 1,
+         "prime=false\nfailing boost vertex: v1\n"
+         "decomposing partition: ({v1}, {v2})\n"),
+        ("enumerate --family wheel --n 5 --class sr-forall --expected", 0,
+         "wheel n=5 sr-forall: count=6 expected=6 match=true\n"),
+        ("enumerate --family tripartite --p 2 --q 2 --class ppf "
+         "--output list", 0,
+         "1,1,1,1\n1,1,1,2\n1,1,2,1\n1,2,1,1\n2,1,1,1\ncount=5\n"),
+        ("decompose --graph triangle.json --pf pf.json --all", 0,
+         "({v1}, {v2})\ndecompositions=1 prime=false\n"),
+        ("simulate --graph triangle.json --steps 200 --seed 7", 0,
+         "steps=200 seed=7\ndistinct stable states visited: 4\n"
+         "recurrent among visited: 3\n"
+         "first recurrent state at step 1; all later states recurrent: "
+         "true\n"),
+    ], ids=["check-recurrent", "check-prime", "enumerate-expected",
+            "enumerate-list", "decompose", "simulate"])
+    def test_full_stdout(self, files, args, code, stdout):
+        out = run_cli(*(files.get(word, word) for word in args.split()))
+        assert out.returncode == code
+        assert out.stdout == stdout
 
 
 class TestDecompose:

@@ -10,7 +10,10 @@ recurrent boundary.
 The worklist ``stabilize``, the Markov chain built on it and the modular
 ``spanning_tree_count`` are checked against the scan stabilizer and Bareiss
 (``conftest``) on the pool, the random multigraphs, grids with a sink
-border and wheels.
+border and wheels.  Their order independence is checked twice: the scan
+stabilizer fires in shuffled orders, and every fast path must answer the
+same on a copy of the graph with its non-sink vertices redeclared in a
+shuffled order.
 
 The pruned enumeration walk is checked against generate-and-test
 (``conftest.reference_iter_class``) for every class and every first-value
@@ -29,6 +32,8 @@ import pytest
 
 from sandpark import (
     FamilySpec,
+    burning_sequence,
+    count_class,
     failing_boost_vertex,
     is_prime,
     is_prime_bruteforce,
@@ -38,15 +43,16 @@ from sandpark import (
     iter_class,
     make_family,
     markov_run,
+    max_forbidden_set,
     pf_from_config,
     random_connected_multigraph,
     stabilize,
     topple,
 )
 from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
-from conftest import (boost_witness, graph_pool, grid_with_sink_border,
-                      reference_iter_class, reference_stabilize,
-                      reference_tree_count)
+from conftest import (boost_witness, carried, graph_pool,
+                      grid_with_sink_border, redeclared, reference_iter_class,
+                      reference_stabilize, reference_tree_count)
 
 SEEDS = range(16)
 
@@ -117,7 +123,7 @@ def test_worklist_stabilize_matches_scan_reference(label, g):
         assert stabilize(g, c) == ref, c
         for _ in range(2):
             seed = rng.randrange(2 ** 30)
-            alt = stabilize(g, c, rng=random.Random(seed))
+            alt = reference_stabilize(g, c, rng=random.Random(seed))
             assert (alt.final, alt.odometer) == (ref.final, ref.odometer), c
             cur = c
             for v in alt.log:
@@ -157,6 +163,52 @@ def test_tree_count_matches_networkx(label, g):
     assert math.isclose(count, expected, rel_tol=1e-9)
     if count < 2 ** 50:
         assert count == round(expected)
+
+
+def seven_to_nine(seed):
+    """A seeded multigraph with 7 to 9 non-sink vertices and up to triple
+    edges."""
+    rng = random.Random(seed)
+    return random_connected_multigraph(rng, rng.randint(8, 10), max_mult=3,
+                                       extra_edges=10)
+
+
+RELABEL_GRAPHS = (
+    [(label, g, True) for label, g in graph_pool()]
+    + [(f"seven-to-nine-{seed}", seven_to_nine(seed), False)
+       for seed in SEEDS])
+
+
+@pytest.mark.parametrize("label,g,counted", RELABEL_GRAPHS,
+                         ids=[label for label, _, _ in RELABEL_GRAPHS])
+def test_fast_paths_invariant_under_redeclaration(label, g, counted):
+    # declaration order fixes the firing order, the fixpoint's scan, the
+    # walker's assignment order and the elimination's ties; no answer
+    # may depend on it
+    rng = random.Random(label)
+    h = redeclared(g, rng)
+    assert h.spanning_tree_count() == g.spanning_tree_count()
+    for c in unstable_samples(g, rng, 6):
+        a, b = stabilize(g, c), stabilize(h, carried(g, h, c))
+        assert b.final == carried(g, h, a.final), c
+        assert b.odometer == carried(g, h, a.odometer), c
+    top = tuple(d - 1 for d in g.nonsink_degrees)
+    samples = []
+    for _ in range(15):
+        c = tuple(rng.randrange(d) for d in g.nonsink_degrees)
+        rec = stabilize(g, [x + y for x, y in zip(c, top)]).final
+        i = rng.randrange(len(c))
+        samples += [c, rec, rec[:i] + (rec[i] - 1,) + rec[i + 1:]]
+    for c in samples:
+        d = carried(g, h, c)
+        assert set(max_forbidden_set(h, d)) == set(max_forbidden_set(g, c))
+        assert is_recurrent(h, d) == is_recurrent(g, c), c
+        if min(c) >= 0:
+            assert ((burning_sequence(h, d) is None)
+                    == (burning_sequence(g, c) is None)), c
+    if counted:
+        for cls in ("recurrent", "pf", "ppf"):
+            assert count_class(h, cls) == count_class(g, cls), cls
 
 
 WALK_SPACE = 5000

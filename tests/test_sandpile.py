@@ -33,8 +33,8 @@ from sandpark import (
     trace_to_csv,
     write_trace_csv,
 )
-from conftest import (graph_pool, grid_with_sink_border, sink_multiedge_pair,
-                      triangle)
+from conftest import (carried, graph_pool, grid_with_sink_border, redeclared,
+                      reference_stabilize, sink_multiedge_pair, triangle)
 
 POOL = graph_pool()
 
@@ -111,8 +111,8 @@ class TestStabilize:
         seed_a = data.draw(st.integers(0, 2**16))
         seed_b = data.draw(st.integers(0, 2**16))
         base = stabilize(g, c)
-        alt_a = stabilize(g, c, rng=random.Random(seed_a))
-        alt_b = stabilize(g, c, rng=random.Random(seed_b))
+        alt_a = reference_stabilize(g, c, rng=random.Random(seed_a))
+        alt_b = reference_stabilize(g, c, rng=random.Random(seed_b))
         assert alt_a.final == alt_b.final == base.final
         assert alt_a.odometer == alt_b.odometer == base.odometer
 
@@ -121,16 +121,14 @@ class TestStabilize:
             stabilize(k2, (50, 50), max_topplings=3)
 
     def test_topple_budget_is_exact(self):
-        # the 4,000-grain centre pile on the 16x16 grid fires 78,381 times,
-        # in any order
+        # the 4,000-grain centre pile on the 16x16 grid fires 78,381 times
         g = grid_with_sink_border(16)
         c = [0] * 256
         c[8 * 16 + 8] = 4000
-        for rng in (None, random.Random(5)):
-            with pytest.raises(ToppleLimitError):
-                stabilize(g, c, rng=rng, max_topplings=78_380)
-            tr = stabilize(g, c, rng=rng, max_topplings=78_381)
-            assert sum(tr.odometer) == 78_381
+        with pytest.raises(ToppleLimitError):
+            stabilize(g, c, max_topplings=78_380)
+        tr = stabilize(g, c, max_topplings=78_381)
+        assert sum(tr.odometer) == 78_381
 
     def test_negative_values_permitted(self, k2):
         # vertices may owe grains; stabilisation still terminates
@@ -167,12 +165,14 @@ class TestForbiddenSet:
         assert max_forbidden_set(k2, (1, 0)) == ()
 
     def test_peel_order_irrelevant(self):
-        rng = random.Random(23)
+        # redeclaring the vertices changes the order the fixpoint scans
+        # and discards them in
         for label, g in POOL:
+            shuffled = [redeclared(g, random.Random(seed)) for seed in (1, 2)]
             for c in itertools.islice(stable_configs(g), 40):
                 base = max_forbidden_set(g, c)
-                for seed in (1, 2):
-                    alt = max_forbidden_set(g, c, rng=random.Random(seed))
+                for h in shuffled:
+                    alt = max_forbidden_set(h, carried(g, h, c))
                     assert set(alt) == set(base), label
 
     def test_negative_vertex_never_burns(self, k2):
