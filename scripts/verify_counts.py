@@ -2,7 +2,8 @@
 """Run the closed-form count battery and report every comparison.
 
 Exit status is 0 only when every enumerated count matches its predicted
-value (closed form or spanning-tree determinant).
+value (closed form or spanning-tree determinant); a row without a
+prediction counts as a mismatch.
 """
 
 import argparse
@@ -33,7 +34,7 @@ def main(argv=None) -> int:
         for r in reports:
             verdict = "ok" if r.match else "MISMATCH"
             lines.append(f"{r.family:10s} {r.params:12s} {r.cls:10s} "
-                         f"count={r.count:<8d} expected={r.expected:<8d} "
+                         f"count={r.count:<8d} expected={r.expected!s:<8} "
                          f"[{r.expected_source}] {r.millis:8.1f}ms  {verdict}")
         rendered = "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ domain).
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 from .errors import SandparkError, SizeCapError
@@ -16,7 +17,8 @@ from .enumeration import (
     CLASSES,
     DEFAULT_SPACE_CAP,
     _make_report,
-    class_count,
+    count_class,
+    expected_count,
     iter_class,
     reports_to_csv,
 )
@@ -36,14 +38,13 @@ from .parking import (
     load_parking,
     prime_decompositions,
 )
-from .classical import is_parking_function, to_path
+from .classical import to_path
 from .reference import (decomposing_partition, is_g_parking_naive,
                         is_prime_bruteforce, is_recurrent_orientation,
                         parking_violation)
 from .sandpile import (
     _document_values,
     _failing_start,
-    _vertex_values,
     burning_sequence,
     is_minimal_recurrent,
     is_recurrent,
@@ -88,45 +89,38 @@ def _witness(oracle, *args):
 # check
 
 
-_RECURRENCE_ORACLES = {"burning": is_recurrent_burning,
-                       "forbidden": is_recurrent,
-                       "orientation": is_recurrent_orientation}
-
-
-def _check_recurrent(g, c, oracle: str) -> bool:
-    test = _RECURRENCE_ORACLES.get(oracle)
-    if test is None:
-        raise ValueError(f"oracle {oracle!r} does not test recurrence")
-    # recurrent configurations are stable and non-negative, whatever the
-    # oracle; the burning and orientation oracles refuse any other input
-    return is_stable(g, c) and all(x >= 0 for x in c) and test(g, c)
+# property -> {oracle: route}, the default route first.  A property with no
+# routes has one test, and takes no --oracle.
+_ROUTES = {
+    "recurrent": {"burning": is_recurrent_burning, "forbidden": is_recurrent,
+                  "orientation": is_recurrent_orientation},
+    "strongly-recurrent": {},
+    "minimal-recurrent": {},
+    "parking": {"fast": is_g_parking, "bruteforce": is_g_parking_naive},
+    "prime": {"fast": is_prime, "bruteforce": is_prime_bruteforce},
+}
 
 
 def cmd_check(args) -> int:
+    prop = args.property
+    routes = _ROUTES[prop]
+    if args.oracle not in (None, *routes):
+        raise ValueError(f"oracle {args.oracle!r} does not test {prop}")
+    route = routes.get(args.oracle) or next(iter(routes.values()), None)
     g = load_graph(args.graph)
     values = load_config(g, args.input)
-    prop = args.property
 
-    if prop in ("parking", "prime"):
-        if any(x < 1 for x in values):
-            raise ValueError("parking values must be positive integers")
-        oracle = args.oracle or "fast"
-        if oracle not in ("fast", "bruteforce"):
-            raise ValueError(f"oracle {oracle!r} does not test parking")
-        parks = (is_g_parking(g, values) if oracle == "fast"
-                 else is_g_parking_naive(g, values))
-        if prop == "parking":
-            print(f"parking={str(parks).lower()}")
-            if not parks:
-                witness = _witness(parking_violation, g, values)
-                if witness is not None:
-                    print(f"violating set: {_fmt_set(witness)}")
-                return PROPERTY_FALSE
-            return OK
+    if prop == "parking":
+        parks = route(g, values)
+        print(f"parking={str(parks).lower()}")
         if not parks:
-            raise ValueError("primality is only defined for parking functions")
-        prime = (is_prime(g, values) if oracle == "fast"
-                 else is_prime_bruteforce(g, values))
+            witness = _witness(parking_violation, g, values)
+            if witness is not None:
+                print(f"violating set: {_fmt_set(witness)}")
+            return PROPERTY_FALSE
+        return OK
+    if prop == "prime":
+        prime = route(g, values)
         print(f"prime={str(prime).lower()}")
         if not prime:
             v = failing_boost_vertex(g, values)
@@ -138,19 +132,17 @@ def cmd_check(args) -> int:
             return PROPERTY_FALSE
         return OK
 
+    stable = is_stable(g, values)
     if prop == "recurrent":
-        verdict = _check_recurrent(g, c=values, oracle=args.oracle or "burning")
-    elif args.oracle is not None:
-        raise ValueError(f"oracle {args.oracle!r} does not test {prop}")
+        # recurrent configurations are stable and non-negative, whatever the
+        # route; the burning and orientation routes refuse any other input
+        verdict = stable and all(x >= 0 for x in values) and route(g, values)
     elif prop == "strongly-recurrent":
         verdict = is_strongly_recurrent(g, values, args.quantifier)
-    elif prop == "minimal-recurrent":
-        verdict = is_minimal_recurrent(g, values)
     else:
-        raise ValueError(f"unknown property {prop!r}")
+        verdict = is_minimal_recurrent(g, values)
 
     print(f"{prop}={str(verdict).lower()}")
-    stable = is_stable(g, values)
     if not stable:
         print("configuration is not stable")
     if verdict and stable and all(x >= 0 for x in values):
@@ -178,9 +170,9 @@ def _family_from_args(args) -> Optional[FamilySpec]:
     return FamilySpec(args.family, n=args.n, p=args.p, q=args.q, m=args.m)
 
 
-def _count_line(report, expected: bool) -> str:
+def _count_line(report) -> str:
     line = f"count={report.count}"
-    if expected:
+    if report.match is not None:
         line += (f" expected={report.expected} "
                  f"match={str(report.match).lower()}")
     return line
@@ -193,37 +185,40 @@ def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
+    expected = expected_count(target, args.cls) if args.expected else None
+    if args.expected and expected is None:
+        name = f"{spec.family} {spec.params()}" if spec else args.graph
+        raise ValueError(f"no exact prediction for class {args.cls} on {name}")
 
     if args.output == "list":
         count = 0
         for item in iter_class(target, args.cls, cap=args.cap):
             print(",".join(str(x) for x in item))
             count += 1
-        report = _make_report(target, args.cls, count, 0.0, args.expected)
-        print(_count_line(report, args.expected))
+        report = _make_report(target, args.cls, count, 0.0, expected)
+        print(_count_line(report))
     elif args.output == "json":
         elements = [list(item) for item in iter_class(target, args.cls,
                                                       cap=args.cap)]
         # one serial walk gives both the elements and the count; the
         # payload carries no timing
-        report = _make_report(target, args.cls, len(elements), 0.0,
-                              args.expected)
+        report = _make_report(target, args.cls, len(elements), 0.0, expected)
         payload = {"family": report.family, "params": report.params,
                    "class": report.cls, "count": report.count,
                    "expected": report.expected, "match": report.match,
                    "elements": elements}
         print(json.dumps(payload, indent=2))
     else:
-        report = class_count(target, args.cls, jobs=args.jobs, cap=args.cap,
-                             with_expected=args.expected)
+        start = time.perf_counter()
+        count = count_class(target, args.cls, jobs=args.jobs, cap=args.cap)
+        report = _make_report(target, args.cls, count,
+                              (time.perf_counter() - start) * 1000.0, expected)
         if args.output == "csv":
             sys.stdout.write(reports_to_csv([report]))
         else:
             print(f"{report.family} {report.params} {report.cls}: "
-                  + _count_line(report, args.expected))
-    if args.expected and not report.match:
-        return PROPERTY_FALSE
-    return OK
+                  + _count_line(report))
+    return PROPERTY_FALSE if report.match is False else OK
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +228,6 @@ def cmd_enumerate(args) -> int:
 def cmd_decompose(args) -> int:
     g = load_graph(args.graph)
     values = load_parking(g, args.pf)
-    if not is_g_parking(g, values):
-        raise ValueError("input is not a parking function on this graph")
     decompositions = prime_decompositions(g, values)
     shown = decompositions if args.all else decompositions[:1]
     for blocks in shown:
@@ -248,16 +241,16 @@ def cmd_decompose(args) -> int:
 # simulate
 
 
-def _load_mu(g, path) -> list:
+def _load_mu(path):
     with open(path, encoding="utf-8") as fh:
-        return _vertex_values(g, _document_values(json.load(fh), "mu"), "mu")
+        return _document_values(json.load(fh), "mu")
 
 
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
     start = (load_config(g, args.start) if args.start
              else (0,) * len(g.nonsink))
-    mu = _load_mu(g, args.mu) if args.mu else None
+    mu = _load_mu(args.mu) if args.mu else None
     run = markov_run(g, start, args.steps, args.seed, mu=mu)
 
     recurrent = {c: is_recurrent(g, c) for c in run.visit_counts}
@@ -310,8 +303,6 @@ def cmd_paths(args) -> int:
 
     if args.pf is not None:
         p = _parse_vector(args.pf)
-        if not is_parking_function(p):
-            raise ValueError("input is not a parking function")
         path = to_path(p, args.kind)
         print(f"{args.kind} word: {path.word}")
         touches = path.axis_touches()
@@ -367,14 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--graph", required=True, help="graph JSON file")
     check.add_argument("--input", required=True,
                        help="configuration/parking JSON file")
-    check.add_argument("--property", required=True,
-                       choices=["recurrent", "strongly-recurrent",
-                                "minimal-recurrent", "parking", "prime"])
+    check.add_argument("--property", required=True, choices=_ROUTES)
     check.add_argument("--quantifier", choices=["forall", "exists"],
                        default="forall")
-    check.add_argument("--oracle",
-                       choices=["burning", "forbidden", "orientation",
-                                "bruteforce", "fast"])
+    check.add_argument("--oracle", choices=list(dict.fromkeys(
+        oracle for routes in _ROUTES.values() for oracle in routes)))
     check.set_defaults(func=cmd_check)
 
     enum = sub.add_parser("enumerate", help="list or count a class")

@@ -276,8 +276,10 @@ class EnumerationReport:
     millis: float
 
     @property
-    def match(self) -> bool:
-        return self.expected is None or self.count == self.expected
+    def match(self) -> Optional[bool]:
+        """Whether the count equals the prediction; None when none is
+        attached."""
+        return None if self.expected is None else self.count == self.expected
 
 
 def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
@@ -302,28 +304,25 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
 
 
 def _make_report(target: Target, cls: str, count: int, millis: float,
-                 with_expected: bool,
-                 label: Optional[str] = None) -> EnumerationReport:
-    """Label a finished count and attach its expected value."""
+                 expected: Optional[tuple[int, str]]) -> EnumerationReport:
+    """Label a finished count and attach the ``expected_count`` pair."""
     g, spec = _resolve(target)
     if spec is not None:
         family, params = spec.family, spec.params()
     else:
-        family, params = "custom", label or f"|V|={len(g.vertices)},sink={g.sink}"
-    exp = expected_count(target, cls) if with_expected else None
+        family, params = "custom", f"|V|={len(g.vertices)},sink={g.sink}"
     return EnumerationReport(family=family, params=params, cls=cls, count=count,
-                             expected=exp[0] if exp else None,
-                             expected_source=exp[1] if exp else None,
+                             expected=expected[0] if expected else None,
+                             expected_source=expected[1] if expected else None,
                              millis=millis)
 
 
 def class_count(target: Target, cls: str, *, jobs: int = 1,
-                cap: int = DEFAULT_SPACE_CAP, with_expected: bool = True,
-                label: Optional[str] = None) -> EnumerationReport:
+                cap: int = DEFAULT_SPACE_CAP) -> EnumerationReport:
     start = time.perf_counter()
     count = count_class(target, cls, jobs=jobs, cap=cap)
     millis = (time.perf_counter() - start) * 1000.0
-    return _make_report(target, cls, count, millis, with_expected, label)
+    return _make_report(target, cls, count, millis, expected_count(target, cls))
 
 
 def verify_counts(suite: Iterable[tuple[Target, str]], *,
@@ -361,7 +360,8 @@ def reports_to_csv(reports: Iterable[EnumerationReport]) -> str:
     for r in reports:
         writer.writerow([r.family, r.params, r.cls, r.count,
                          "" if r.expected is None else r.expected,
-                         str(r.match).lower(), f"{r.millis:.3f}"])
+                         "" if r.match is None else str(r.match).lower(),
+                         f"{r.millis:.3f}"])
     return buf.getvalue()
 
 
@@ -424,14 +424,17 @@ def gap_witness_from_dict(data: dict) -> GapWitness:
     return GapWitness(g, config, data["seed"], data["graph_index"])
 
 
-def find_quantifier_gap_witness(seed: int, *, max_graphs: int = 2000,
-                                max_vertices: int = 5
-                                ) -> Optional[GapWitness]:
+GAP_SEARCH_GRAPHS = 2000
+GAP_SEARCH_MAX_VERTICES = 5
+DECOMPOSITION_SEARCH_GRAPHS = 300
+
+
+def find_quantifier_gap_witness(seed: int) -> Optional[GapWitness]:
     """Search seeded random multigraphs for an exists-but-not-forall
     strongly recurrent configuration."""
     rng = random.Random(seed)
-    for idx in range(max_graphs):
-        n = rng.randint(3, max_vertices)
+    for idx in range(GAP_SEARCH_GRAPHS):
+        n = rng.randint(3, GAP_SEARCH_MAX_VERTICES)
         g = random_connected_multigraph(rng, n, max_mult=2, extra_edges=3)
         if math.prod(g.nonsink_degrees) > 20000:
             continue
@@ -441,14 +444,14 @@ def find_quantifier_gap_witness(seed: int, *, max_graphs: int = 2000,
     return None
 
 
-def find_nonunique_decomposition_witness(seed: int, *, max_graphs: int = 300
+def find_nonunique_decomposition_witness(seed: int
                                          ) -> Optional[tuple[RootedMultigraph,
                                                              tuple[int, ...],
                                                              list]]:
     """Search for a parking function admitting two prime decompositions
     whose block-size multisets differ."""
     rng = random.Random(seed)
-    for _ in range(max_graphs):
+    for _ in range(DECOMPOSITION_SEARCH_GRAPHS):
         g = random_connected_multigraph(rng, rng.randint(4, 5),
                                         max_mult=1, extra_edges=3)
         if math.prod(g.nonsink_degrees) > 5000:

@@ -11,12 +11,12 @@ routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from .enumeration import iter_class
-from .errors import UnknownVertexError, _check_cap
+from .errors import SizeCapError, UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
 from .parking import (PARTITION_MAX_NONSINK, Parking, _check_candidate,
                       _complement, _decomposable, is_g_parking, is_prime)
@@ -25,6 +25,7 @@ from .sandpile import (Config, _check_config, burning_starts, is_recurrent,
 
 NAIVE_MAX_NONSINK = 20
 ORIENTATION_MAX_NONSINK = 8
+CROSS_CHECK_MAX_SPACE = 100_000_000
 
 
 # ----------------------------------------------------------------------
@@ -180,17 +181,25 @@ def cross_validate_oracles(g: RootedMultigraph, *,
                            label: str = "") -> OracleReport:
     """Exhaustively compare every independent route on one graph.
 
-    Checks, over the full stable space and the full candidate space:
+    One walk over the stable space checks each configuration ``c`` and
+    then the candidate ``c + 1``, so the candidate space is covered too:
     burning vs forbidden-set recurrence (vs orientations up to
     ``ORIENTATION_MAX_NONSINK`` non-sink vertices), subset-definition vs
     degree-complement parking membership, partition vs drain-test
     primality, and the degree-complement bijection between strongly
-    recurrent configurations and prime parking functions.
+    recurrent configurations and prime parking functions.  The walk is a
+    plain product, not the enumeration walker these routes also check,
+    and a space above ``CROSS_CHECK_MAX_SPACE`` raises before it starts.
     """
+    space = math.prod(g.nonsink_degrees)
+    if space > CROSS_CHECK_MAX_SPACE:
+        raise SizeCapError(
+            f"search space of {space} exceeds cap {CROSS_CHECK_MAX_SPACE}")
     report = OracleReport(label=label or f"graph(|V|={len(g.vertices)})")
     rec_set: set[Config] = set()
     sr_set: set[Config] = set()
-    for c in iter_class(g, "stable"):
+    ppf_set: set[tuple[int, ...]] = set()
+    for c in product(*(range(d) for d in g.nonsink_degrees)):
         report.stable_checked += 1
         by_burning = is_recurrent_burning(g, c)
         by_forbidden = is_recurrent(g, c)
@@ -202,20 +211,7 @@ def cross_validate_oracles(g: RootedMultigraph, *,
             rec_set.add(c)
             if is_strongly_recurrent(g, c, "forall"):
                 sr_set.add(c)
-    report.recurrent_count = len(rec_set)
-    report.sr_count = len(sr_set)
 
-    if len(g.nonsink) <= ORIENTATION_MAX_NONSINK:
-        report.orientation_checked = True
-        by_orientation = orientation_recurrent_set(g)
-        if set(by_orientation) != rec_set:
-            extra = sorted(set(by_orientation) - rec_set)[:3]
-            missing = sorted(rec_set - set(by_orientation))[:3]
-            report.discrepancies.append(
-                f"orientation set mismatch: extra={extra} missing={missing}")
-
-    ppf_set: set[tuple[int, ...]] = set()
-    for c in iter_class(g, "stable"):
         cand = tuple(x + 1 for x in c)
         report.candidates_checked += 1
         fast = is_g_parking(g, cand)
@@ -233,7 +229,18 @@ def cross_validate_oracles(g: RootedMultigraph, *,
                 f"primality mismatch at {cand}: partitions={brute} drain={drain}")
         if brute:
             ppf_set.add(cand)
+    report.recurrent_count = len(rec_set)
+    report.sr_count = len(sr_set)
     report.ppf_count = len(ppf_set)
+
+    if len(g.nonsink) <= ORIENTATION_MAX_NONSINK:
+        report.orientation_checked = True
+        by_orientation = orientation_recurrent_set(g)
+        if set(by_orientation) != rec_set:
+            extra = sorted(set(by_orientation) - rec_set)[:3]
+            missing = sorted(rec_set - set(by_orientation))[:3]
+            report.discrepancies.append(
+                f"orientation set mismatch: extra={extra} missing={missing}")
 
     dual = {_complement(g, c) for c in sr_set}
     if dual != ppf_set:

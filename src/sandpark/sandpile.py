@@ -48,18 +48,16 @@ def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
 
 def _document_values(data, what: str):
     """The vertex mapping inside a ``{"values": {...}}`` document."""
-    if not isinstance(data, dict) or "values" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("values"), Mapping):
         raise ValueError(f"{what} document must be {{\"values\": {{...}}}}")
     return data["values"]
 
 
-def _vertex_values(g: RootedMultigraph, values, what: str) -> list:
+def _vertex_values(g: RootedMultigraph, values: Mapping, what: str) -> list:
     """Entries of a vertex-keyed mapping in declaration order.
 
     The mapping must name every non-sink vertex and nothing else.
     """
-    if not isinstance(values, Mapping):
-        raise ValueError(f"{what} values must map vertex names to values")
     extra = set(values) - set(g.nonsink)
     if extra:
         raise UnknownVertexError(

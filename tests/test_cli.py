@@ -214,6 +214,123 @@ class TestCheck:
         assert out.stdout == "recurrent=false\nforbidden set: {a, b}\n"
 
 
+def run_main(capsys, *args):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    rc = cli.main(list(args))
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+# each property's routes by oracle name, the default first
+ROUTES = {"recurrent": ["burning", "forbidden", "orientation"],
+          "strongly-recurrent": [],
+          "minimal-recurrent": [],
+          "parking": ["fast", "bruteforce"],
+          "prime": ["fast", "bruteforce"]}
+ORACLES = ["burning", "forbidden", "orientation", "fast", "bruteforce"]
+ROUTED = [(prop, oracle) for prop, routes in ROUTES.items()
+          for oracle in routes]
+UNROUTED = [(prop, oracle) for prop, routes in ROUTES.items()
+            for oracle in ORACLES if oracle not in routes]
+
+
+@pytest.fixture()
+def route_inputs(tmp_path, triangle_file):
+    """(graph file, value files) on the triangle and on the quantifier-gap
+    fixture: configurations inside and outside the recurrent set, parking
+    functions prime and not, and a candidate that does not park."""
+    gap = json.loads((FIXTURES / "quantifier_gap_witness.json").read_text())
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(json.dumps(gap["graph"]))
+    cases = {triangle_file: [{"v1": 1, "v2": 0}, {"v1": 0, "v2": 0},
+                             {"v1": 1, "v2": 2}, {"v1": 1, "v2": 1},
+                             {"v1": 2, "v2": 2}],
+             str(gap_file): [gap["config"]["values"], {"v1": 0, "v2": 1},
+                             {"v1": 2, "v2": 1}, {"v1": 1, "v2": 1},
+                             {"v1": 3, "v2": 4}]}
+    return [(graph, values_file(tmp_path, f"in{i}-{j}.json", values))
+            for i, (graph, inputs) in enumerate(cases.items())
+            for j, values in enumerate(inputs)]
+
+
+class TestCheckRoutes:
+    def test_one_table_names_every_route(self):
+        assert {prop: list(routes) for prop, routes in cli._ROUTES.items()} \
+            == ROUTES
+        check = cli.build_parser()._subparsers._group_actions[0].choices["check"]
+        choices = {a.dest: list(a.choices) for a in check._actions if a.choices}
+        assert choices["property"] == list(ROUTES)
+        assert choices["oracle"] == ORACLES
+
+    @pytest.mark.parametrize("prop, oracle", UNROUTED)
+    def test_pair_outside_the_table_is_rejected(self, capsys, triangle_file,
+                                                tmp_path, prop, oracle):
+        cfg = values_file(tmp_path, "c.json", {"v1": 1, "v2": 1})
+        rc, out, err = run_main(capsys, "check", "--graph", triangle_file,
+                                "--input", cfg, "--property", prop,
+                                "--oracle", oracle)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: oracle '{oracle}' does not test {prop}\n"
+
+    @pytest.mark.parametrize("prop, oracle", ROUTED)
+    def test_every_route_prints_the_default_verdict(self, capsys,
+                                                    route_inputs, prop,
+                                                    oracle):
+        for graph, values in route_inputs:
+            args = ("check", "--graph", graph, "--input", values,
+                    "--property", prop)
+            default = run_main(capsys, *args)
+            chosen = run_main(capsys, *args, "--oracle", oracle)
+            assert chosen[:2] == default[:2], (graph, values)
+            if default[0] != 2:
+                assert chosen[1].startswith(f"{prop}="), (graph, values)
+
+    @pytest.mark.parametrize("args", [
+        ("check", "--input", "zero.json", "--property", "parking"),
+        ("check", "--input", "zero.json", "--property", "prime"),
+        ("check", "--input", "zero.json", "--property", "parking",
+         "--oracle", "bruteforce"),
+        ("check", "--input", "two.json", "--property", "prime"),
+        ("check", "--input", "two.json", "--property", "prime",
+         "--oracle", "bruteforce"),
+        ("decompose", "--pf", "two.json"),
+        ("simulate", "--steps", "5", "--seed", "0", "--mu", "mu.json"),
+    ], ids=["parking-zero", "prime-zero", "bruteforce-zero",
+            "prime-non-parking", "bruteforce-prime-non-parking",
+            "decompose-non-parking", "mu-unknown-vertex"])
+    def test_library_rejections_exit_two(self, capsys, tmp_path,
+                                         triangle_file, args):
+        files = {"zero.json": values_file(tmp_path, "zero.json",
+                                          {"v1": 0, "v2": 1}),
+                 "two.json": values_file(tmp_path, "two.json",
+                                         {"v1": 2, "v2": 2}),
+                 "mu.json": values_file(tmp_path, "mu.json",
+                                        {"v1": 0.5, "v2": 0.25, "v9": 0.25})}
+        rc, out, err = run_main(capsys, args[0], "--graph", triangle_file,
+                                *(files.get(a, a) for a in args[1:]))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_paths_rejects_non_parking_vector(self, capsys):
+        rc, out, err = run_main(capsys, "paths", "--pf", "3,3,1")
+        assert (rc, out) == (2, "")
+        assert err == "error: not a parking function\n"
+
+    @pytest.mark.parametrize("text", ['{"values": [0.5, 0.5]}',
+                                      '{"values": 5}'])
+    def test_mu_document_needs_a_mapping(self, capsys, tmp_path,
+                                         triangle_file, text):
+        mu = tmp_path / "mu.json"
+        mu.write_text(text)
+        rc, out, err = run_main(capsys, "simulate", "--graph", triangle_file,
+                                "--steps", "5", "--seed", "0", "--mu",
+                                str(mu))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: mu document must be")
+
+
 class TestEnumerate:
     def test_wheel_strong_count_matches(self):
         out = run_cli("enumerate", "--family", "wheel", "--n", "5",
@@ -244,7 +361,7 @@ class TestEnumerate:
         assert out.stdout.splitlines()[-1] == "count=4 expected=4 match=true"
 
     def test_list_output_mismatch_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(enumeration, "expected_count",
+        monkeypatch.setattr(cli, "expected_count",
                             lambda target, cls: (5, "closed-form"))
         rc = cli.main(["enumerate", "--family", "complete", "--n", "3",
                        "--class", "ppf", "--output", "list", "--expected"])
@@ -326,6 +443,57 @@ class TestEnumerate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"search space of {(2 * HUGE) ** 2} exceeds cap" in err
+
+
+class TestEnumerateMatch:
+    """``match`` is true or false only when a prediction was compared."""
+
+    def test_csv_without_expected_leaves_match_empty(self, capsys):
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "3", "--class", "recurrent",
+                              "--output", "csv")
+        assert rc == 0
+        row = out.splitlines()[1].split(",")
+        assert row[:6] == ["complete", "n=3", "recurrent", "16", "", ""]
+
+    def test_json_without_expected_has_null_match(self, capsys):
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "3", "--class", "ppf", "--output", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["expected"] is None
+        assert payload["match"] is None
+
+    def test_json_with_expected_compares(self, capsys):
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "3", "--class", "ppf", "--output", "json",
+                              "--expected")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["expected"], payload["match"]) == (4, True)
+
+    @pytest.mark.parametrize("output", [(), ("--output", "csv"),
+                                        ("--output", "json"),
+                                        ("--output", "list")])
+    @pytest.mark.parametrize("target, name", [
+        (("--graph", "TRIANGLE"), "ppf on TRIANGLE"),
+        (("--family", "complete", "--n", "3", "--class", "sr-exists"),
+         "sr-exists on complete n=3"),
+    ], ids=["graph-ppf", "family-sr-exists"])
+    def test_expected_without_prediction_exits_before_the_walk(
+            self, monkeypatch, capsys, triangle_file, output, target, name):
+        def untouchable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        target = tuple(triangle_file if a == "TRIANGLE" else a for a in target)
+        if "--class" not in target:
+            target += ("--class", "ppf")
+        rc, out, err = run_main(capsys, "enumerate", *target, *output,
+                                "--expected")
+        assert (rc, out) == (2, "")
+        assert err == ("error: no exact prediction for class "
+                       + name.replace("TRIANGLE", triangle_file) + "\n")
 
 
 class TestReadmeExamples:

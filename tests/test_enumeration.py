@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import runpy
 import sys
 from pathlib import Path
 
@@ -252,9 +253,9 @@ class TestCounting:
         assert report.match
 
     def test_custom_graph_label(self, k2):
-        report = class_count(k2, "recurrent", label="triangle")
+        report = class_count(k2, "recurrent")
         assert report.family == "custom"
-        assert report.params == "triangle"
+        assert report.params == "|V|=3,sink=0"
         assert report.match
 
 
@@ -267,12 +268,12 @@ class TestReports:
             assert r.match, (r.family, r.params, r.cls, r.count, r.expected)
 
     def test_csv_shape(self, k2):
-        reports = [class_count(k2, "recurrent", label="triangle")]
+        reports = [class_count(k2, "recurrent")]
         text = reports_to_csv(reports)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["family", "params", "class", "count", "expected",
                            "match", "millis"]
-        assert rows[1][:4] == ["custom", "triangle", "recurrent", "3"]
+        assert rows[1][:4] == ["custom", "|V|=3,sink=0", "recurrent", "3"]
         assert rows[1][5] == "true"
 
     def test_json_shape(self):
@@ -284,7 +285,47 @@ class TestReports:
         assert rows[0]["match"] is True
 
 
+    def test_no_prediction_leaves_match_unset(self, k2):
+        # a bare graph has no closed form for its prime parking functions
+        report = class_count(k2, "ppf")
+        assert (report.count, report.expected, report.match) == (1, None, None)
+        row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
+        assert row[4:6] == ["", ""]
+        assert json.loads(reports_to_json([report]))[0]["match"] is None
+
+    def test_battery_script_reports_an_unpredicted_row(self, monkeypatch,
+                                                       capsys, k2):
+        script = runpy.run_path(str(Path(__file__).parent.parent / "scripts"
+                                    / "verify_counts.py"))
+        monkeypatch.setitem(script["main"].__globals__, "default_suite",
+                            lambda: [(k2, "recurrent"), (k2, "ppf")])
+        assert script["main"]([]) == 1
+        out, err = capsys.readouterr()
+        ok_row, bad_row = out.splitlines()
+        assert ok_row.endswith("  ok")
+        assert "expected=None" in bad_row
+        assert bad_row.endswith("  MISMATCH")
+        assert err == "1 mismatching counts\n"
+
+
 class TestCrossValidation:
+    def test_does_not_use_the_walker(self, monkeypatch, k2):
+        def untouchable(*args):
+            raise AssertionError("the enumeration walker ran")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        report = cross_validate_oracles(k2)
+        assert report.ok
+        assert (report.stable_checked, report.recurrent_count,
+                report.ppf_count) == (4, 3, 1)
+
+    def test_space_capped_before_any_route(self):
+        huge = 10 ** 30
+        g = build_graph(["0", "a", "b"], "0",
+                        [("0", "a", huge), ("a", "b", huge), ("0", "b", huge)])
+        with pytest.raises(SizeCapError, match="exceeds cap"):
+            cross_validate_oracles(g)
+
     def test_triangle_clean(self, k2):
         report = cross_validate_oracles(k2, label="triangle")
         assert report.ok
