@@ -240,8 +240,8 @@ def to_path(p: Sequence[int], kind: str) -> StepPath:
 
 def from_path(path: StepPath) -> tuple[int, ...]:
     """Decode a path back to the non-decreasing parking function."""
+    path.points()  # rejects an unknown kind or a step outside the kind
     if path.kind == "dyck":
-        path.points()  # rejects a step other than U or D
         *runs, tail = path.word.split("D")
         if tail:
             raise ValueError("Dyck word must end with a down-step")
@@ -249,7 +249,7 @@ def from_path(path: StepPath) -> tuple[int, ...]:
     elif path.kind == "lukasiewicz":
         counts = [r + 1 for r in path.steps]
     else:
-        raise ValueError(f"bad path kind {path.kind!r}")
+        raise ValueError("a staircase encodes no parking function")
     out = []
     for j, q in enumerate(counts, start=1):
         out.extend([j] * q)

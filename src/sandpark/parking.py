@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
-from .sandpile import (_failing_start, config_from_dict, is_recurrent,
-                       is_strongly_recurrent)
+from .sandpile import (_check_config, _failing_start, config_from_dict,
+                       is_recurrent, is_strongly_recurrent)
 
 PARTITION_MAX_NONSINK = 10
 
@@ -25,11 +25,7 @@ Parking = tuple[int, ...]
 
 
 def _check_candidate(g: RootedMultigraph, p: Sequence[int]) -> Parking:
-    p = tuple(p)
-    if len(p) != len(g.nonsink):
-        raise ValueError(
-            f"candidate has {len(p)} values, graph has {len(g.nonsink)} "
-            "non-sink vertices")
+    p = _check_config(g, p)
     if any(x < 1 for x in p):
         raise ValueError("parking candidates must be positive everywhere")
     return p

@@ -98,15 +98,16 @@ def boost_except(g: RootedMultigraph, p: Sequence[int], v: str) -> Parking:
 
 
 def orientation_indegrees(g: RootedMultigraph) -> tuple[tuple[int, ...], ...]:
-    """In-degree vectors of rooted acyclic orientations, minimal ones only.
+    """In-degree vectors of rooted acyclic orientations, sorted.
 
     Every acyclic orientation arises from a vertex order with all edges
     pointing towards earlier vertices, and the first vertex is forcibly a
     target, so orders starting at the sink enumerate exactly the acyclic
     orientations in which the sink is a target.  Uniqueness of the target
-    amounts to every other vertex having some earlier neighbour.  Vectors
-    dominated by another vector are dropped, since only the lower envelope
-    matters for the recurrence test.
+    amounts to every other vertex having some earlier neighbour.  Each
+    vector counts every non-sink edge once, so all sum to
+    ``edge_total - sum(sink_mults)`` and none dominates another: they are
+    the minimal recurrent configurations.
     """
     k = len(g.nonsink)
     _check_cap("orientation oracle", k, ORIENTATION_MAX_NONSINK)
@@ -125,10 +126,7 @@ def orientation_indegrees(g: RootedMultigraph) -> tuple[tuple[int, ...], ...]:
             placed.append(i)
         else:
             seen.add(tuple(indeg))
-    minimal = [d for d in seen
-               if not any(e != d and all(x <= y for x, y in zip(e, d)) for e in seen)]
-    minimal.sort()
-    return tuple(minimal)
+    return tuple(sorted(seen))
 
 
 def is_recurrent_orientation(g: RootedMultigraph, c: Sequence[int]) -> bool:
@@ -162,9 +160,7 @@ def orientation_recurrent_set(g: RootedMultigraph) -> frozenset[Config]:
 class OracleReport:
     """Outcome of playing the independent membership routes off each other."""
 
-    label: str
-    stable_checked: int = 0
-    candidates_checked: int = 0
+    stable_checked: int = 0  # each with its parking candidate c + 1
     recurrent_count: int = 0
     pf_count: int = 0
     ppf_count: int = 0
@@ -177,8 +173,7 @@ class OracleReport:
         return not self.discrepancies
 
 
-def cross_validate_oracles(g: RootedMultigraph, *,
-                           label: str = "") -> OracleReport:
+def cross_validate_oracles(g: RootedMultigraph) -> OracleReport:
     """Exhaustively compare every independent route on one graph.
 
     One walk over the stable space checks each configuration ``c`` and
@@ -195,7 +190,7 @@ def cross_validate_oracles(g: RootedMultigraph, *,
     if space > CROSS_CHECK_MAX_SPACE:
         raise SizeCapError(
             f"search space of {space} exceeds cap {CROSS_CHECK_MAX_SPACE}")
-    report = OracleReport(label=label or f"graph(|V|={len(g.vertices)})")
+    report = OracleReport()
     rec_set: set[Config] = set()
     sr_set: set[Config] = set()
     ppf_set: set[tuple[int, ...]] = set()
@@ -213,7 +208,6 @@ def cross_validate_oracles(g: RootedMultigraph, *,
                 sr_set.add(c)
 
         cand = tuple(x + 1 for x in c)
-        report.candidates_checked += 1
         fast = is_g_parking(g, cand)
         naive = is_g_parking_naive(g, cand)
         if naive != fast:

@@ -34,11 +34,15 @@ DEFAULT_MAX_TOPPLINGS = 10_000_000
 
 
 def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
+    """``c`` as a tuple: one integer (not a bool) per non-sink vertex."""
     c = tuple(c)
     if len(c) != len(g.nonsink):
         raise ValueError(
-            f"configuration has {len(c)} values, graph has {len(g.nonsink)} "
+            f"got {len(c)} values, graph has {len(g.nonsink)} "
             "non-sink vertices")
+    for v, x in zip(g.nonsink, c):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"value for {v!r} must be an integer, got {x!r}")
     return c
 
 
@@ -69,12 +73,8 @@ def _vertex_values(g: RootedMultigraph, values: Mapping, what: str) -> list:
 
 
 def config_from_dict(g: RootedMultigraph, data: dict) -> Config:
-    out = _vertex_values(g, _document_values(data, "configuration"),
-                         "configuration")
-    for v, x in zip(g.nonsink, out):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"value for {v!r} must be an integer, got {x!r}")
-    return tuple(out)
+    return _check_config(g, _vertex_values(
+        g, _document_values(data, "configuration"), "configuration"))
 
 
 def config_to_dict(g: RootedMultigraph, c: Sequence[int]) -> dict:
@@ -339,15 +339,14 @@ def is_strongly_recurrent(g: RootedMultigraph, c: Sequence[int],
 
 
 def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
-    """Recurrent, and removing any single grain breaks recurrence."""
+    """Recurrent, and removing any single grain breaks recurrence.
+
+    A recurrent configuration holds at least one grain per non-sink edge,
+    and the minimal ones hold exactly that many (level 0, Merino 1997), so
+    a grain count and one recurrence test decide.
+    """
     c = _check_config(g, c)
-    if not is_recurrent(g, c):
-        return False
-    for i in range(len(c)):
-        lowered = c[:i] + (c[i] - 1,) + c[i + 1:]
-        if lowered[i] >= 0 and is_recurrent(g, lowered):
-            return False
-    return True
+    return sum(c) == g.edge_total - sum(g.sink_mults) and is_recurrent(g, c)
 
 
 # ----------------------------------------------------------------------

@@ -230,6 +230,13 @@ class TestPaths:
             from_path(StepPath("lukasiewicz", (-1, 1)))
         with pytest.raises(ValueError):
             from_path(StepPath("spiral", ()))
+        with pytest.raises(ValueError):
+            from_path(StepPath("staircase", ("E", "N")))
+        # a bool or a float is not a Lukasiewicz rise
+        with pytest.raises(ValueError):
+            from_path(StepPath("lukasiewicz", (True, -1)))
+        with pytest.raises(ValueError):
+            from_path(StepPath("lukasiewicz", (1.0, -1)))
 
     @pytest.mark.parametrize("kind, steps", [
         ("dyck", ("U", "N", "D")),

@@ -60,6 +60,15 @@ class TestMembership:
         with pytest.raises(ValueError):
             is_g_parking(k2, (1,))
 
+    @pytest.mark.parametrize("bad", [(1.5, 1), (True, 1)])
+    @pytest.mark.parametrize("route", [
+        is_g_parking, is_g_parking_naive, is_prime, is_prime_bruteforce,
+        config_from_pf, failing_boost_vertex, parking_violation,
+        burning_starts_pf, prime_decompositions])
+    def test_entries_must_be_integers(self, k2, route, bad):
+        with pytest.raises(ValueError, match="'v1' must be an integer"):
+            route(k2, bad)
+
     def test_above_degree_is_not_parking(self, k2):
         assert is_g_parking(k2, (1, 3)) is False
 

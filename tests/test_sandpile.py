@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from sandpark import (
     build_graph,
     burning_sequence,
     burning_starts,
+    complete_graph,
     config_from_dict,
     config_to_dict,
     drain_except,
@@ -24,10 +26,12 @@ from sandpark import (
     is_strongly_recurrent,
     make_family,
     FamilySpec,
+    iter_class,
     markov_run,
     max_forbidden_set,
     orientation_indegrees,
     orientation_recurrent_set,
+    random_connected_multigraph,
     stabilize,
     topple,
     trace_to_csv,
@@ -201,11 +205,32 @@ class TestOrientations:
 
     def test_recurrent_set_matches_burning(self):
         for label, g in POOL:
-            if len(g.nonsink) > 5:
-                continue
             byor = orientation_recurrent_set(g)
             byburn = {c for c in stable_configs(g) if is_recurrent_burning(g, c)}
             assert byor == byburn, label
+
+    def test_vectors_hold_one_grain_per_nonsink_edge(self):
+        # level 0, so no vector dominates another
+        rng = random.Random(20261018)
+        seeded = [random_connected_multigraph(rng, rng.randint(8, 9))
+                  for _ in range(4)]
+        for g in [g for _, g in POOL] + seeded:
+            grains = g.edge_total - sum(g.sink_mults)
+            vecs = orientation_indegrees(g)
+            assert vecs and all(sum(d) == grains for d in vecs), g
+
+    def test_min_recurrent_walk_matches_orientations(self):
+        graphs = POOL + [(s.label(), make_family(s))
+                         for s in (FamilySpec("wheel", n=7),
+                                   FamilySpec("complete", n=6))]
+        for label, g in graphs:
+            assert set(iter_class(g, "min-recurrent")) == set(
+                orientation_indegrees(g)), label
+        assert len(orientation_indegrees(graphs[-1][1])) == math.factorial(6)
+
+    def test_usable_at_cap(self):
+        # one vector per order of the non-sink vertices of K8
+        assert len(orientation_indegrees(complete_graph(8))) == math.factorial(8)
 
 
 class TestStrongRecurrence:
@@ -383,3 +408,18 @@ class TestConfigIO:
     def test_non_integer(self, k2):
         with pytest.raises(ValueError):
             config_from_dict(k2, {"values": {"v1": 1.5, "v2": 0}})
+
+    @pytest.mark.parametrize("bad", [(1.5, 0.5), (2.5, 0), (True, 0)])
+    @pytest.mark.parametrize("route", [
+        is_stable, is_recurrent, is_recurrent_burning, is_strongly_recurrent,
+        is_minimal_recurrent, is_recurrent_orientation, stabilize,
+        add_sink_grains, burning_sequence, burning_starts, max_forbidden_set,
+        config_to_dict])
+    def test_entries_must_be_integers(self, k2, route, bad):
+        with pytest.raises(ValueError, match="'v1' must be an integer"):
+            route(k2, bad)
+
+    @pytest.mark.parametrize("bad", [(1.5, 0.5), (True, 0)])
+    def test_chain_start_must_be_integers(self, k2, bad):
+        with pytest.raises(ValueError, match="'v1' must be an integer"):
+            markov_run(k2, bad, 1, seed=0)
