@@ -17,20 +17,24 @@ import io
 import json
 import math
 import random
+from array import array
 from bisect import bisect
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
 from numbers import Real
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
-from .errors import ToppleLimitError, UnknownVertexError
+from .errors import SizeCapError, ToppleLimitError, UnknownVertexError
 from .graph import RootedMultigraph
 
 Config = tuple[int, ...]
 
 DEFAULT_MAX_TOPPLINGS = 10_000_000
+# Largest steps * non-sink vertices a grain-drop chain may store.
+CHAIN_CAP = 100_000_000
 
 
 def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
@@ -353,6 +357,51 @@ def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
 # grain-dropping Markov chain
 
 
+class ChainTrace(Sequence):
+    """Read-only steps of a grain-drop chain: ``trace[i]`` is
+    ``(i + 1, dropped vertex, state)``, decoded on access.
+
+    Dropped positions sit in one ``array('I')``.  Each state is stored as
+    ``bytes`` (one byte per non-sink vertex) when every value the chain can
+    reach fits in 0..255, and as an exact tuple otherwise.  Slices return
+    lists; ``==`` compares element-wise with lists and other traces.
+    """
+
+    __slots__ = ("_names", "_drops", "_states")
+
+    def __init__(self, names: Sequence[str], drops: array, states: list):
+        self._names = names
+        self._drops = drops
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._drops)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self._drops)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        return (i + 1, self._names[self._drops[i]], tuple(self._states[i]))
+
+    def __iter__(self):
+        names = self._names
+        for step, (i, state) in enumerate(zip(self._drops, self._states), 1):
+            yield step, names[i], tuple(state)
+
+    def __eq__(self, other):
+        if not isinstance(other, (ChainTrace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"ChainTrace({len(self)} steps)"
+
+
 @dataclass
 class MarkovRun:
     """Trajectory of the single-grain-drop chain over stable configurations."""
@@ -360,7 +409,7 @@ class MarkovRun:
     start: Config
     steps: int
     seed: int
-    trace: list[tuple[int, str, Config]] = field(default_factory=list)
+    trace: Sequence[tuple[int, str, Config]] = field(default_factory=list)
 
     @property
     def visit_counts(self) -> Counter[Config]:
@@ -376,15 +425,23 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
 
     ``mu`` defaults to uniform over non-sink vertices; explicit weights must
     be finite, strictly positive and sum to 1 within 1e-9 (then
-    renormalised).  Bad arguments raise before any step runs.  The run is a
-    pure function of its arguments.
+    renormalised).  ``steps`` must be a non-negative integer, and
+    ``steps * len(g.nonsink)`` at most ``CHAIN_CAP`` (``SizeCapError``).
+    Bad arguments raise before any step runs.  The run is a pure function of
+    its arguments; its ``trace`` is a ``ChainTrace``.
     """
     start = _check_config(g, start)
     if not is_stable(g, start):
         raise ValueError("start configuration must be stable")
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     k = len(g.nonsink)
+    if steps * k > CHAIN_CAP:
+        raise SizeCapError(
+            f"chain of {steps} steps over {k} non-sink vertices stores "
+            f"{steps * k} values, cap {CHAIN_CAP}")
     if mu is None:
         weights = [1.0 / k] * k
     else:
@@ -406,16 +463,24 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     cum = list(accumulate(weights))
     total = cum[-1]
     draw = random.Random(seed).random
-    run = MarkovRun(start=start, steps=steps, seed=seed)
     degs = g.nonsink_degrees
+    # A stored state is stable, so each entry is below max(degs); only a
+    # firing lowers an entry, and it leaves it non-negative, so no entry
+    # falls below min(0, *start).  Bytes hold every value in that range
+    # when the start has no negative entry and no degree exceeds 256.
+    pack = bytes if min(start) >= 0 and max(degs) <= 256 else tuple
+    drops = array("I")
+    states = []
     cur = list(start)
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         i = bisect(cum, draw() * total, 0, k - 1)
         cur[i] += 1
         if cur[i] >= degs[i]:
             _relax(g, cur, [i], max_topplings=DEFAULT_MAX_TOPPLINGS)
-        run.trace.append((step, g.nonsink[i], tuple(cur)))
-    return run
+        drops.append(i)
+        states.append(pack(cur))
+    return MarkovRun(start=start, steps=steps, seed=seed,
+                     trace=ChainTrace(g.nonsink, drops, states))
 
 
 def trace_to_csv(g: RootedMultigraph, run: MarkovRun) -> str:

@@ -637,6 +637,13 @@ class TestSimulate:
         assert out.returncode == 2
         assert "steps=" not in out.stdout
 
+    def test_steps_above_cap_rejected(self, triangle_file):
+        out = run_cli("simulate", "--graph", triangle_file, "--steps",
+                      "1000000000", "--seed", "0")
+        assert out.returncode == 2
+        assert "steps=" not in out.stdout
+        assert "cap 100000000" in out.stderr
+
     def test_huge_multiplicities(self, huge_file):
         out = run_cli("simulate", "--graph", huge_file, "--steps", "100",
                       "--seed", "0")

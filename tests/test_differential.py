@@ -27,6 +27,7 @@ stays within ``WALK_SPACE``.
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -133,14 +134,23 @@ def test_worklist_stabilize_matches_scan_reference(label, g):
 
 @pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)
 def test_markov_states_match_reference_drops(label, g):
+    # The drops are redrawn as random.choices draws them from the same
+    # cumulative weights, and each state by the scan reference; the packed
+    # trace must equal the plain list of (step, vertex, state) tuples.
     top = tuple(d - 1 for d in g.nonsink_degrees)
+    k = len(g.nonsink)
     run = markov_run(g, top, 60, seed=len(label))
-    prev = run.start
-    for _, vertex, state in run.trace:
+    drops = random.Random(len(label)).choices(
+        g.nonsink, cum_weights=list(accumulate([1.0 / k] * k)), k=60)
+    expected, prev = [], top
+    for step, vertex in enumerate(drops, 1):
         pos = g.nonsink_pos[vertex]
         bumped = prev[:pos] + (prev[pos] + 1,) + prev[pos + 1:]
-        assert state == reference_stabilize(g, bumped).final, (vertex, prev)
-        prev = state
+        prev = reference_stabilize(g, bumped).final
+        expected.append((step, vertex, prev))
+    assert run.trace == expected
+    assert list(run.trace) == expected
+    assert [run.trace[i] for i in range(-60, 0)] == expected
 
 
 @pytest.mark.parametrize("label,g", SPARSE_CORE_GRAPHS, ids=GRAPH_IDS)

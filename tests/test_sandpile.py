@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,7 @@ from sandpark import (
     trace_to_csv,
     write_trace_csv,
 )
+from sandpark import sandpile
 from conftest import (carried, graph_pool, grid_with_sink_border, redeclared,
                       reference_stabilize, sink_multiedge_pair, triangle)
 
@@ -351,6 +353,91 @@ class TestMarkov:
                 markov_run(k2, (0, 0), 0, seed=0, mu=[bad, 0.5])
         with pytest.raises(ValueError):
             markov_run(k2, (0, 0), -1, seed=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_steps_must_be_an_integer(self, k2, bad):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            markov_run(k2, (0, 0), bad, seed=0)
+
+    def test_cap_raises_before_any_drop(self, k2, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("the chain started")
+
+        monkeypatch.setattr(sandpile, "_relax", boom)
+        monkeypatch.setattr(sandpile.random, "Random", boom)
+        at_cap = sandpile.CHAIN_CAP // len(k2.nonsink)
+        with pytest.raises(SizeCapError, match="cap"):
+            markov_run(k2, (0, 0), at_cap + 1, seed=0)
+        # Bad arguments still raise first, and at the cap the chain starts.
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            markov_run(k2, (0, 0), float(at_cap + 1), seed=0)
+        with pytest.raises(RuntimeError, match="the chain started"):
+            markov_run(k2, (0, 0), at_cap, seed=0)
+
+    def test_trace_indexing(self, k2):
+        trace = markov_run(k2, (0, 0), 2000, seed=1).trace
+        steps = list(trace)
+        assert len(trace) == len(steps) == 2000
+        assert trace[0] == steps[0] and trace[0][0] == 1
+        assert trace[-1] == steps[-1] and trace[-1][0] == 2000
+        assert trace[-2000] == steps[0]
+        for bad in (2000, -2001):
+            with pytest.raises(IndexError):
+                trace[bad]
+        tail = trace[500:]
+        assert isinstance(tail, list) and tail == steps[500:]
+        assert trace[::-7] == steps[::-7]
+
+    def test_trace_equality(self, k2):
+        a = markov_run(k2, (0, 0), 50, seed=9).trace
+        b = markov_run(k2, (0, 0), 50, seed=9).trace
+        other = markov_run(k2, (0, 0), 50, seed=10).trace
+        steps = list(a)
+        assert a == b and not a != b
+        assert a == steps and steps == a
+        assert a != other and other != a
+        assert a != steps[:-1] and steps[:-1] != a
+        changed = steps[:-1] + [(50, steps[-1][1], (9, 9))]
+        assert a != changed and changed != a
+        assert a != tuple(steps)
+
+    @staticmethod
+    def expected_trace(g, run):
+        """The run's steps rebuilt from its drops with ``stabilize``."""
+        out, prev = [], run.start
+        for step, vertex, _ in run.trace:
+            pos = g.nonsink_pos[vertex]
+            prev = stabilize(g, prev[:pos] + (prev[pos] + 1,)
+                             + prev[pos + 1:]).final
+            out.append((step, vertex, prev))
+        return out
+
+    def test_exact_states_beyond_a_byte(self):
+        huge = 10 ** 30
+        g = build_graph(["0", "a", "b"], "0",
+                        [("0", "a", huge), ("a", "b", huge), ("0", "b", huge)])
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        run = markov_run(g, top, 100, seed=0)
+        assert run.trace == self.expected_trace(g, run)
+        assert max(run.trace[-1][2]) > 10 ** 29
+
+    def test_exact_states_below_zero(self, k2):
+        run = markov_run(k2, (-3, 1), 40, seed=2)
+        assert min(run.trace[0][2]) < 0
+        assert run.trace == self.expected_trace(k2, run)
+
+    def test_trace_memory(self):
+        g = grid_with_sink_border(16)
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        markov_run(g, top, 1, seed=3)  # build the graph's lazy rows first
+        tracemalloc.start()
+        try:
+            run = markov_run(g, top, 2000, seed=3)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(run.trace) == 2000
+        assert held < 1_000_000, held
 
     def test_mu_mapping_matches_sequence(self, k2):
         by_map = markov_run(k2, (0, 0), 100, seed=4, mu={"v1": 0.25, "v2": 0.75})
