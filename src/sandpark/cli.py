@@ -44,7 +44,7 @@ from .reference import (decomposing_partition, is_g_parking_naive,
                         parking_violation)
 from .sandpile import (
     _document_values,
-    _failing_start,
+    _first_drain,
     burning_sequence,
     is_minimal_recurrent,
     is_recurrent,
@@ -154,7 +154,7 @@ def cmd_check(args) -> int:
         if forbidden:
             print(f"forbidden set: {_fmt_set(forbidden)}")
         if prop == "strongly-recurrent" and is_recurrent(g, values):
-            v = _failing_start(g, values)
+            v = _first_drain(g, values, False)
             if v is not None:
                 print(f"draining start {v} leaves a non-recurrent state")
     return OK if verdict else PROPERTY_FALSE

@@ -224,6 +224,11 @@ def _cyclic_between(n: int, i: int, j: int) -> range | list[int]:
     return [k % n + 1 for k in range(i, n + j - 1)]
 
 
+def _check_integers(values: tuple, what: str) -> None:
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
+        raise ValueError(f"{what} must be integers")
+
+
 def wheel_recurrent(c: Sequence[int]) -> bool:
     """Recurrence on a wheel, read off the rim values directly.
 
@@ -235,6 +240,7 @@ def wheel_recurrent(c: Sequence[int]) -> bool:
     n = len(c)
     if n < 3:
         raise ValueError("wheel needs n >= 3 rim vertices")
+    _check_integers(c, "wheel values")
     if any(x not in (0, 1, 2) for x in c):
         raise ValueError("stable wheel values lie in {0, 1, 2}")
     if 2 not in c:
@@ -254,6 +260,7 @@ def wheel_strongly_recurrent(c: Sequence[int]) -> bool:
     c = tuple(c)
     if len(c) < 3:
         raise ValueError("wheel needs n >= 3 rim vertices")
+    _check_integers(c, "wheel values")
     return all(x in (1, 2) for x in c) and sum(1 for x in c if x == 1) <= 1
 
 
@@ -266,6 +273,7 @@ def _check_lattice_vector(a: Sequence[int], bound: int, what: str) -> tuple[int,
     a = tuple(a)
     if not a:
         raise ValueError(f"{what} must be non-empty")
+    _check_integers(a, f"{what} entries")
     if any(x < 0 or x > bound for x in a):
         raise ValueError(f"{what} entries must lie in 0..{bound}")
     if any(x > y for x, y in zip(a, a[1:])):
@@ -312,8 +320,7 @@ def is_pq_parking(pp: Sequence[int], pq: Sequence[int]) -> bool:
     if not pp or not pq:
         raise ValueError("both parts must be non-empty")
     p, q = len(pp), len(pq)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in pp + pq):
-        raise ValueError("values must be integers")
+    _check_integers(pp + pq, "values")
     if any(x < 1 for x in pp + pq):
         raise ValueError("values must be positive")
     if any(x > q + 1 for x in pp) or any(x > p + 1 for x in pq):

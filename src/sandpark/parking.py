@@ -5,8 +5,11 @@ A parking candidate assigns a positive integer to every non-sink vertex
 primality take the degree-complement duality with sandpile configurations:
 ``p`` parks exactly when ``deg - p`` is recurrent, and is prime exactly when
 ``deg - p`` is strongly recurrent, which the drain test of ``sandpile``
-decides.  The subset and partition definitions they are tested against
-live in ``reference``.
+decides.  Both are tested against the definitions in ``reference``: the
+subset condition (``parking_violation``) and the search over ordered
+two-block partitions (``decomposing_partition``).  What a partition does to
+``p`` lives here: ``restrict_partition`` splits it, ``_restriction`` builds
+the part that must park, and ``is_decomposable`` decides one partition.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
-from .sandpile import (_check_config, _failing_start, config_from_dict,
-                       is_recurrent, is_strongly_recurrent)
+from .sandpile import (_check_config, _first_drain, _recurrent,
+                       config_from_dict, is_recurrent)
 
 PARTITION_MAX_NONSINK = 10
 
@@ -51,8 +54,7 @@ def _complement(g: RootedMultigraph, x: Sequence[int]) -> tuple[int, ...]:
 
 def is_g_parking(g: RootedMultigraph, p: Sequence[int]) -> bool:
     """Fast membership: the degree complement must be recurrent."""
-    p = _check_candidate(g, p)
-    return is_recurrent(g, _complement(g, p))
+    return _recurrent(g, _complement(g, _check_candidate(g, p)))
 
 
 def pf_from_config(g: RootedMultigraph, c: Sequence[int]) -> Parking:
@@ -66,7 +68,7 @@ def pf_from_config(g: RootedMultigraph, c: Sequence[int]) -> Parking:
 def config_from_pf(g: RootedMultigraph, p: Sequence[int]) -> tuple[int, ...]:
     """Degree complement of a parking function (always recurrent)."""
     c = _complement(g, _check_candidate(g, p))
-    if not is_recurrent(g, c):
+    if not _recurrent(g, c):
         raise ValueError("candidate is not a parking function")
     return c
 
@@ -120,17 +122,16 @@ def _connected_with_sink(g: RootedMultigraph, block: tuple[str, ...]) -> bool:
     return len(g._reachable(g.sink_index, members)) == len(members)
 
 
-def _decomposable(g: RootedMultigraph, p: Parking,
-                  a: tuple[str, ...], b: tuple[str, ...]) -> bool:
+def _restriction(g: RootedMultigraph, p: Parking, a: tuple[str, ...],
+                 b: tuple[str, ...]) -> Optional[tuple[RootedMultigraph, Parking]]:
+    """The restriction of ``p`` to ``a`` with its induced subgraph, which
+    must park for (a, b) to decompose ``p``; None when (a, b) cannot."""
     pos = g.nonsink_pos
-    for v in b:
-        if p[pos[v]] - g.deg_within(v, a) <= 0:
-            return False
+    if any(p[pos[v]] - g.deg_within(v, a) <= 0 for v in b):
+        return None
     if not (_connected_with_sink(g, a) and _connected_with_sink(g, b)):
-        return False
-    sub = g.induced_with_sink(a)
-    p_a = tuple(p[pos[v]] for v in a)
-    return is_g_parking(sub, p_a)
+        return None
+    return g.induced_with_sink(a), tuple(p[pos[v]] for v in a)
 
 
 def is_decomposable(g: RootedMultigraph, p: Sequence[int],
@@ -142,16 +143,16 @@ def is_decomposable(g: RootedMultigraph, p: Sequence[int],
     subgraphs are disconnected never decompose.
     """
     p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
+    if not _recurrent(g, _complement(g, p)):
         raise ValueError("candidate is not a parking function")
-    a, b = _check_partition(g, a, b)
-    return _decomposable(g, p, a, b)
+    part = _restriction(g, p, *_check_partition(g, a, b))
+    return part is not None and _recurrent(part[0], _complement(*part))
 
 
 def failing_boost_vertex(g: RootedMultigraph, p: Sequence[int]) -> Optional[str]:
     """First ``v`` for which ``reference.boost_except(g, p, v)`` does not
     park, or None when prime: the failing drain of the degree complement."""
-    return _failing_start(g, config_from_pf(g, p))
+    return _first_drain(g, config_from_pf(g, p), False)
 
 
 def is_prime(g: RootedMultigraph, p: Sequence[int]) -> bool:
@@ -177,7 +178,7 @@ def prime_decompositions(g: RootedMultigraph, p: Sequence[int]
     blocks are explored lexicographically by declaration-order bitmask.
     """
     p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
+    if not _recurrent(g, _complement(g, p)):
         raise ValueError("candidate is not a parking function")
     k = len(g.nonsink)
     _check_cap("partition search", k, PARTITION_MAX_NONSINK)
@@ -200,7 +201,8 @@ def prime_decompositions(g: RootedMultigraph, p: Sequence[int]
             if not _connected_with_sink(g, block):
                 continue
             sub = g.induced_with_sink(block)
-            if not is_strongly_recurrent(sub, _complement(sub, reduced)):
+            c = _complement(sub, reduced)
+            if not _recurrent(sub, c) or _first_drain(sub, c, False) is not None:
                 continue
             rest = tuple(i for i in rem if names[i] not in block)
             explore(rest, prefix_names + block, chosen + (block,))

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 from .errors import SizeCapError, UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
 from .parking import (PARTITION_MAX_NONSINK, Parking, _check_candidate,
-                      _complement, _decomposable, is_g_parking, is_prime)
+                      _complement, _restriction, is_g_parking, is_prime)
 from .sandpile import (Config, _check_config, burning_starts, is_recurrent,
-                       is_recurrent_burning, is_stable, is_strongly_recurrent)
+                       is_recurrent_burning, is_strongly_recurrent)
 
 NAIVE_MAX_NONSINK = 20
 ORIENTATION_MAX_NONSINK = 8
@@ -40,8 +40,12 @@ def parking_violation(g: RootedMultigraph, p: Sequence[int]
     leaving the set (towards the complement, sink included) provide.
     """
     p = _check_candidate(g, p)
+    _check_cap("subset test", len(p), NAIVE_MAX_NONSINK)
+    return _violation(g, p)
+
+
+def _violation(g: RootedMultigraph, p: Parking) -> Optional[tuple[str, ...]]:
     k = len(p)
-    _check_cap("subset test", k, NAIVE_MAX_NONSINK)
     adj = g.nonsink_adj
     degs = g.nonsink_degrees
     for mask in range(1, 1 << k):
@@ -60,15 +64,16 @@ def decomposing_partition(g: RootedMultigraph, p: Sequence[int]
                           ) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """First ordered partition that decomposes ``p``, or None (prime)."""
     p = _check_candidate(g, p)
-    if not is_g_parking(g, p):
-        raise ValueError("candidate is not a parking function")
     k = len(g.nonsink)
     _check_cap("partition search", k, PARTITION_MAX_NONSINK)
+    if _violation(g, p) is not None:
+        raise ValueError("candidate is not a parking function")
     names = g.nonsink
     for mask in range(1, (1 << k) - 1):
         a = tuple(names[i] for i in range(k) if mask >> i & 1)
         b = tuple(names[i] for i in range(k) if not mask >> i & 1)
-        if _decomposable(g, p, a, b):
+        part = _restriction(g, p, a, b)
+        if part is not None and _violation(*part) is None:
             return a, b
     return None
 
@@ -136,7 +141,7 @@ def is_recurrent_orientation(g: RootedMultigraph, c: Sequence[int]) -> bool:
     vector of some acyclic orientation whose unique target is the sink.
     """
     c = _check_config(g, c)
-    if not is_stable(g, c):
+    if any(x >= d for x, d in zip(c, g.nonsink_degrees)):
         raise ValueError("orientation test needs a stable configuration")
     if any(x < 0 for x in c):
         raise ValueError("orientation test needs a non-negative configuration")

@@ -8,6 +8,12 @@ edge and watch for a full round of topplings) and the maximal
 forbidden-subconfiguration fixpoint, which the fast paths use.  The test
 suite holds them equal to each other and to the rooted acyclic orientation
 oracle of ``reference``.
+
+A public function checks its configuration once (``_check_config``) and
+hands the checked tuple, and what it derives from it, to the private
+cores, which check nothing: ``_recurrent``, the fixpoint ``_discard``, the
+burning-start positions ``_starts`` and the one drain loop
+``_first_drain`` behind both quantifiers of strong recurrence.
 """
 
 from __future__ import annotations
@@ -207,7 +213,7 @@ def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[st
     The returned sequence starts at the sink and lists the firing order.
     """
     c = _check_config(g, c)
-    if not is_stable(g, c):
+    if any(x >= d for x, d in zip(c, g.nonsink_degrees)):
         raise ValueError("burning test needs a stable configuration")
     if any(x < 0 for x in c):
         raise ValueError("burning test needs a non-negative configuration")
@@ -273,16 +279,26 @@ def max_forbidden_set(g: RootedMultigraph, c: Sequence[int]) -> tuple[str, ...]:
     return tuple(v for v, d in zip(g.nonsink, deg_in) if d is not None)
 
 
+def _recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
+    """Stable, and the forbidden-set fixpoint leaves nothing."""
+    degs = g.nonsink_degrees
+    return (all(x < d for x, d in zip(c, degs)) and not _discard(
+        c, [d - m for d, m in zip(degs, g.sink_mults)], g.nonsink_nbrs))
+
+
 def is_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
     """Recurrence via the forbidden-set fixpoint (fast path, total)."""
-    c = _check_config(g, c)
-    if not is_stable(g, c):
-        return False
-    return not max_forbidden_set(g, c)
+    return _recurrent(g, _check_config(g, c))
 
 
 # ----------------------------------------------------------------------
 # strong recurrence
+
+
+def _starts(g: RootedMultigraph, c: Sequence[int]) -> list[int]:
+    """Positions of the burning starts of ``c``."""
+    return [i for i, (x, d, m) in enumerate(zip(c, g.nonsink_degrees, g.sink_mults))
+            if m >= 1 and x >= d - m]
 
 
 def burning_starts(g: RootedMultigraph, c: Sequence[int]) -> tuple[str, ...]:
@@ -290,10 +306,7 @@ def burning_starts(g: RootedMultigraph, c: Sequence[int]) -> tuple[str, ...]:
 
     Exactly the vertices that can lead a burning sequence of ``c``.
     """
-    c = _check_config(g, c)
-    return tuple(v for v, x, d, m in zip(g.nonsink, c, g.nonsink_degrees,
-                                         g.sink_mults)
-                 if m >= 1 and x >= d - m)
+    return tuple(g.nonsink[i] for i in _starts(g, _check_config(g, c)))
 
 
 def drain_except(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
@@ -304,22 +317,22 @@ def drain_except(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
     burning start of ``c``.
     """
     c = _check_config(g, c)
-    starts = burning_starts(g, c)
-    if v not in starts:
+    pos = g.nonsink_pos.get(v)
+    if pos not in _starts(g, c):
         raise ValueError(f"vertex {v!r} is not a burning start of this configuration")
-    pos = g.nonsink_pos[v]
     return tuple(x if i == pos else x - m
                  for i, (x, m) in enumerate(zip(c, g.sink_mults)))
 
 
-def _failing_start(g: RootedMultigraph, c: Config) -> Optional[str]:
-    """First burning start whose drained configuration is not recurrent.
-
-    None when every drain stays recurrent; ``c`` must be recurrent.
-    """
-    for v in burning_starts(g, c):
-        if not is_recurrent(g, drain_except(g, c, v)):
-            return v
+def _first_drain(g: RootedMultigraph, c: Config, recurrent: bool) -> Optional[str]:
+    """First burning start of ``c`` whose drain (``drain_except``) is
+    recurrent when ``recurrent`` is True, and is not when False; or None."""
+    drained = [x - m for x, m in zip(c, g.sink_mults)]
+    for i in _starts(g, c):
+        drained[i] = c[i]
+        if _recurrent(g, drained) == recurrent:
+            return g.nonsink[i]
+        drained[i] -= g.sink_mults[i]
     return None
 
 
@@ -334,12 +347,11 @@ def is_strongly_recurrent(g: RootedMultigraph, c: Sequence[int],
     if quantifier not in ("forall", "exists"):
         raise ValueError("quantifier must be 'forall' or 'exists'")
     c = _check_config(g, c)
-    if not is_recurrent(g, c):
+    if not _recurrent(g, c):
         return False
     if quantifier == "forall":
-        return _failing_start(g, c) is None
-    return any(is_recurrent(g, drain_except(g, c, v))
-               for v in burning_starts(g, c))
+        return _first_drain(g, c, False) is None
+    return _first_drain(g, c, True) is not None
 
 
 def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
@@ -350,7 +362,7 @@ def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
     a grain count and one recurrence test decide.
     """
     c = _check_config(g, c)
-    return sum(c) == g.edge_total - sum(g.sink_mults) and is_recurrent(g, c)
+    return sum(c) == g.edge_total - sum(g.sink_mults) and _recurrent(g, c)
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +443,7 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     its arguments; its ``trace`` is a ``ChainTrace``.
     """
     start = _check_config(g, start)
-    if not is_stable(g, start):
+    if any(x >= d for x, d in zip(start, g.nonsink_degrees)):
         raise ValueError("start configuration must be stable")
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -483,18 +495,23 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
                      trace=ChainTrace(g.nonsink, drops, states))
 
 
-def trace_to_csv(g: RootedMultigraph, run: MarkovRun) -> str:
-    """Serialise a run trace; configuration values are comma-joined in
-    declaration order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_trace(fh, run: MarkovRun) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["step", "dropped_vertex", "config"])
     writer.writerow([0, "", ",".join(str(x) for x in run.start)])
     for step, vertex, cfg in run.trace:
         writer.writerow([step, vertex, ",".join(str(x) for x in cfg)])
+
+
+def trace_to_csv(g: RootedMultigraph, run: MarkovRun) -> str:
+    """Serialise a run trace; configuration values are comma-joined in
+    declaration order."""
+    buf = io.StringIO()
+    _write_trace(buf, run)
     return buf.getvalue()
 
 
 def write_trace_csv(g: RootedMultigraph, run: MarkovRun, path) -> None:
+    """Stream the rows of ``trace_to_csv`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trace_to_csv(g, run))
+        _write_trace(fh, run)

@@ -14,7 +14,7 @@ from hypothesis import settings
 from sandpark import (build_graph, boost_except, burning_starts_pf,
                       family_parts, graph_to_dict, is_g_parking,
                       is_minimal_recurrent, is_prime, is_recurrent,
-                      is_strongly_recurrent, make_family, FamilySpec,
+                      is_recurrent_burning, is_strongly_recurrent, make_family, FamilySpec,
                       StabilisationTrace, ToppleLimitError)
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
@@ -72,6 +72,25 @@ def boost_witness(g, p):
         if not is_g_parking(g, boost_except(g, p, v)):
             return v
     return None
+
+
+def reference_strongly_recurrent(g, c, quantifier):
+    """Strong recurrence by its definition, on a stable non-negative ``c``.
+
+    Each burning start (a sink neighbour that goes unstable when the sink
+    fires) is drained by hand: every other vertex gives back its sink-edge
+    grains.  A drain with a negative entry is not recurrent; any other is
+    put to the burning test.  ``forall`` asks every drain to be recurrent
+    and ``exists`` one; non-recurrent ``c`` is neither."""
+    if not is_recurrent_burning(g, c):
+        return False
+    sink = g.sink_mults
+    drains = [tuple(y if j == i else y - m for j, (y, m) in enumerate(zip(c, sink)))
+              for i, (x, d) in enumerate(zip(c, g.nonsink_degrees))
+              if sink[i] and x + sink[i] >= d]
+    verdicts = [min(drained) >= 0 and is_recurrent_burning(g, drained)
+                for drained in drains]
+    return all(verdicts) if quantifier == "forall" else any(verdicts)
 
 
 def grid_with_sink_border(side):

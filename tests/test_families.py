@@ -162,6 +162,13 @@ class TestWheelCharacterisations:
         with pytest.raises(ValueError):
             wheel_recurrent((2, 2))
 
+    @pytest.mark.parametrize("test", [wheel_recurrent, wheel_strongly_recurrent])
+    @pytest.mark.parametrize("c", [(2.0, 1, 0), (True, 2, 2), (1.0, 2, 2),
+                                   (1.5, 2, 2), (2, 2, False)])
+    def test_rejects_non_integer_values(self, test, c):
+        with pytest.raises(ValueError, match="must be integers"):
+            test(c)
+
     def test_matches_general_oracle(self):
         for n in range(3, 7):
             g = wheel_graph(n)
@@ -207,6 +214,12 @@ class TestLatticePaths:
             path_with_e_heights((0, 3), 2)
         with pytest.raises(ValueError):
             path_with_n_positions((0, 3), 2)
+
+    @pytest.mark.parametrize("make", [path_with_e_heights, path_with_n_positions])
+    @pytest.mark.parametrize("vector", [(True, 1), (0.5,), (0, 1.0)])
+    def test_path_constructors_reject_non_integers(self, make, vector):
+        with pytest.raises(ValueError, match="must be integers"):
+            make(vector, 2)
 
     def test_points_run_corner_to_corner(self):
         lower, upper = pq_paths(*EXAMPLE_PAIR)

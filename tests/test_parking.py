@@ -1,4 +1,6 @@
 import itertools
+import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +20,15 @@ from sandpark import (
     is_g_parking_naive,
     is_prime,
     is_prime_bruteforce,
+    burning_starts,
+    drain_except,
+    is_minimal_recurrent,
     is_recurrent,
+    is_recurrent_orientation,
     is_sink_twin,
+    is_strongly_recurrent,
     make_family,
+    max_forbidden_set,
     FamilySpec,
     parking_from_dict,
     parking_violation,
@@ -28,6 +36,7 @@ from sandpark import (
     prime_decompositions,
     restrict_partition,
 )
+from sandpark import sandpile
 from conftest import boost_witness, graph_pool, triangle, twin_triangles
 
 POOL = graph_pool()
@@ -293,3 +302,52 @@ def test_random_candidates_agree_across_routes(data):
     label, g = data.draw(st.sampled_from(SMALL))
     p = tuple(data.draw(st.integers(1, d)) for d in g.nonsink_degrees)
     assert is_g_parking(g, p) == is_g_parking_naive(g, p)
+
+
+class TestOneCheckPerCall:
+    """A public call checks its input once; what it derives from checked
+    input goes to the private cores unchecked."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        real = sandpile._check_config
+        count = [0]
+
+        def counted(g, c):
+            count[0] += 1
+            return real(g, c)
+
+        bound = [m for name, m in sys.modules.items()
+                 if name.startswith("sandpark.")
+                 and getattr(m, "_check_config", None) is real]
+        assert {m.__name__ for m in bound} >= {
+            "sandpark.sandpile", "sandpark.parking", "sandpark.reference"}
+        for module in bound:
+            monkeypatch.setattr(module, "_check_config", counted)
+        return count
+
+    @staticmethod
+    def assert_one_check(checks, call, arg):
+        before = checks[0]
+        call(arg)
+        assert checks[0] == before + 1, (call, arg)
+
+    @pytest.mark.parametrize("label,g", SMALL, ids=[l for l, _ in SMALL])
+    def test_configuration_routes(self, checks, label, g):
+        routes = [is_recurrent, is_minimal_recurrent, max_forbidden_set,
+                  burning_starts, is_recurrent_orientation,
+                  partial(is_strongly_recurrent, quantifier="forall"),
+                  partial(is_strongly_recurrent, quantifier="exists")]
+        for c in itertools.product(*(range(d) for d in g.nonsink_degrees)):
+            for route in routes:
+                self.assert_one_check(checks, partial(route, g), c)
+            for v in burning_starts(g, c):
+                self.assert_one_check(checks, partial(drain_except, g, v=v), c)
+
+    @pytest.mark.parametrize("label,g", SMALL, ids=[l for l, _ in SMALL])
+    def test_parking_routes(self, checks, label, g):
+        for p in candidates(g):
+            self.assert_one_check(checks, partial(is_g_parking, g), p)
+        for p in parking_functions(g):
+            for route in (config_from_pf, failing_boost_vertex, is_prime):
+                self.assert_one_check(checks, partial(route, g), p)

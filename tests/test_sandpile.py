@@ -27,6 +27,7 @@ from sandpark import (
     is_strongly_recurrent,
     make_family,
     FamilySpec,
+    graph_to_dict,
     iter_class,
     markov_run,
     max_forbidden_set,
@@ -40,7 +41,8 @@ from sandpark import (
 )
 from sandpark import sandpile
 from conftest import (carried, graph_pool, grid_with_sink_border, redeclared,
-                      reference_stabilize, sink_multiedge_pair, triangle)
+                      reference_stabilize, reference_strongly_recurrent,
+                      sink_multiedge_pair, triangle)
 
 POOL = graph_pool()
 
@@ -276,6 +278,26 @@ class TestStrongRecurrence:
                 ex = is_strongly_recurrent(g, c, quantifier="exists")
                 assert fa == ex, (label, c)
 
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_quantifiers_match_definition(self, quantifier):
+        graphs = [g for _, g in POOL]
+        rng = random.Random(16)
+        while len(graphs) < len(POOL) + 30:
+            g = random_connected_multigraph(rng, rng.randint(3, 5),
+                                            max_mult=3, extra_edges=3)
+            if max(g.sink_mults) >= 2 and math.prod(g.nonsink_degrees) <= 2000:
+                graphs.append(g)
+        gaps = 0
+        for g in graphs:
+            for c in stable_configs(g):
+                expected = reference_strongly_recurrent(g, c, quantifier)
+                assert is_strongly_recurrent(g, c, quantifier) == expected, (
+                    graph_to_dict(g), c)
+                gaps += expected != reference_strongly_recurrent(
+                    g, c, "exists" if quantifier == "forall" else "forall")
+        # the seeded graphs reach configurations the two quantifiers split
+        assert gaps > 0
+
     def test_gap_on_multiedge_graph(self):
         g = sink_multiedge_pair()
         gap = [c for c in stable_configs(g)
@@ -454,6 +476,23 @@ class TestMarkov:
         path = tmp_path / "trace.csv"
         write_trace_csv(k2, run, path)
         assert path.read_text() == text
+
+    def test_write_trace_csv_streams(self, tmp_path):
+        g = grid_with_sink_border(16)
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        run = markov_run(g, top, 2000, seed=3)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(g, run, path)  # warm the csv and io machinery
+        tracemalloc.start()
+        try:
+            write_trace_csv(g, run, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows go out as they are made: the file's text is never held
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size // 2, (peak, size)
 
     def test_trace_csv_reproducible(self, k2):
         a = trace_to_csv(k2, markov_run(k2, (0, 0), 40, seed=12))
