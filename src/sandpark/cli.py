@@ -133,10 +133,11 @@ def cmd_check(args) -> int:
         return OK
 
     stable = is_stable(g, values)
+    # recurrent configurations are stable and non-negative, whatever the
+    # route; the burning and orientation routes refuse any other input
+    in_domain = stable and all(x >= 0 for x in values)
     if prop == "recurrent":
-        # recurrent configurations are stable and non-negative, whatever the
-        # route; the burning and orientation routes refuse any other input
-        verdict = stable and all(x >= 0 for x in values) and route(g, values)
+        verdict = in_domain and route(g, values)
     elif prop == "strongly-recurrent":
         verdict = is_strongly_recurrent(g, values, args.quantifier)
     else:
@@ -145,7 +146,7 @@ def cmd_check(args) -> int:
     print(f"{prop}={str(verdict).lower()}")
     if not stable:
         print("configuration is not stable")
-    if verdict and stable and all(x >= 0 for x in values):
+    if verdict and in_domain:
         seq = burning_sequence(g, values)
         if seq is not None:
             print("burning sequence: " + " -> ".join(seq))
@@ -232,7 +233,7 @@ def cmd_decompose(args) -> int:
     shown = decompositions if args.all else decompositions[:1]
     for blocks in shown:
         print(_fmt_blocks(blocks))
-    print(f"decompositions={len(decompositions) if args.all else 1}"
+    print(f"decompositions={len(decompositions)}"
           f" prime={str(len(decompositions[0]) == 1).lower()}")
     return OK
 

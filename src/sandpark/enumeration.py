@@ -13,7 +13,13 @@ declaration order, and as each position joins the prefix, one pinned
 forbidden-set fixpoint per check turns the prefix into the interval of
 values the position may take.  The last position is not listed: the walk
 yields ``(prefix, lo, hi)`` runs, which counting adds up and listing
-expands.  The cap bounds the full candidate space before the walk starts.
+expands.  Every class is such a run stream, with no test left for single
+members.  ``min-recurrent`` keeps the one value of each recurrent run at
+level 0, since minimal recurrent configurations hold exactly one grain per
+non-sink edge and no other recurrent one holds so few.  ``sr-exists`` keeps
+the top of each recurrent run from its first strongly recurrent value on,
+since one more grain on the last position keeps every recurrent drain
+recurrent.  The cap bounds the full candidate space before the walk starts.
 Counting can split the space by the first coordinate across worker
 processes; the count does not depend on the worker count.
 """
@@ -28,7 +34,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
@@ -40,9 +45,9 @@ from .parking import prime_decompositions
 from .sandpile import (
     Config,
     _discard,
+    _first_drain,
     config_from_dict,
     config_to_dict,
-    is_minimal_recurrent,
     is_strongly_recurrent,
 )
 
@@ -57,29 +62,30 @@ def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
     return target, None
 
 
-# What the walk checks on each assigned prefix.
-_NONE, _RECURRENT, _DRAINS = 0, 1, 2
+# What the walk checks on each assigned prefix; the last two then cut the
+# recurrent runs.
+_NONE, _RECURRENT, _DRAINS, _LEVEL_ZERO, _DRAIN_EXISTS = range(5)
 
-# class -> (lowest value of a coordinate, prefix checks, test left for the
-# complete candidate).  Configurations take values 0..deg(v)-1 and parking
-# candidates 1..deg(v); parking classes are checked on the degree complement.
+# class -> (lowest value of a coordinate, checks).  Configurations take
+# values 0..deg(v)-1 and parking candidates 1..deg(v); parking classes are
+# checked on the degree complement.
 _CLASS_WALKS = {
-    "stable": (0, _NONE, None),
-    "recurrent": (0, _RECURRENT, None),
-    "sr-forall": (0, _DRAINS, None),
-    "sr-exists": (0, _RECURRENT,
-                  partial(is_strongly_recurrent, quantifier="exists")),
-    "min-recurrent": (0, _RECURRENT, is_minimal_recurrent),
-    "pf": (1, _RECURRENT, None),
-    "ppf": (1, _DRAINS, None),
-    "pf-inc": (1, _RECURRENT, None),
-    "ppf-inc": (1, _DRAINS, None),
+    "stable": (0, _NONE),
+    "recurrent": (0, _RECURRENT),
+    "sr-forall": (0, _DRAINS),
+    "sr-exists": (0, _DRAIN_EXISTS),
+    "min-recurrent": (0, _LEVEL_ZERO),
+    "pf": (1, _RECURRENT),
+    "ppf": (1, _DRAINS),
+    "pf-inc": (1, _RECURRENT),
+    "ppf-inc": (1, _DRAINS),
 }
 CLASSES = tuple(_CLASS_WALKS)
 
 
 def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
-    """The graph, the leaf test and the run stream of ``cls``.
+    """The graph and the run stream of ``cls``: every value of every run
+    completes its prefix to a member.
 
     The class, the target and the size of the full candidate space are
     checked when this is called, before any candidate is tested.  With
@@ -91,7 +97,7 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
-    low, checks, leaf = _CLASS_WALKS[cls]
+    low, checks = _CLASS_WALKS[cls]
     g, spec = _resolve(target)
     degs = g.nonsink_degrees
     # the position whose value bounds each position from below, or None
@@ -113,23 +119,47 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return g, leaf, _search(g, low, checks, prev, first_values)
+    runs = _search(g, low, checks, prev, first_values)
+    if checks == _LEVEL_ZERO:
+        runs = _level_zero(g, runs)
+    elif checks == _DRAIN_EXISTS:
+        runs = _drain_exists(g, runs)
+    return g, runs
 
 
-def _members(g: RootedMultigraph, leaf, runs) -> Iterator[tuple[int, ...]]:
+def _level_zero(g: RootedMultigraph, runs):
+    """Cut each recurrent run to its one value at level 0, if any."""
+    grains = g.edge_total - sum(g.sink_mults)
+    for vals, lo, hi in runs:
+        x = grains - sum(vals[:-1])
+        if lo <= x <= hi:
+            yield vals, x, x
+
+
+def _drain_exists(g: RootedMultigraph, runs):
+    """Cut each recurrent run to its strongly recurrent (``exists``)
+    values, an up-set of the run, tested from its top down."""
+    for vals, lo, hi in runs:
+        prefix = tuple(vals[:-1])
+        x = hi
+        while x >= lo and _first_drain(g, prefix + (x,), True) is not None:
+            x -= 1
+        if x < hi:
+            yield vals, x + 1, hi
+
+
+def _members(runs) -> Iterator[tuple[int, ...]]:
     """Expand ``(prefix, lo, hi)`` runs into members, lexicographically."""
     for vals, lo, hi in runs:
         prefix = tuple(vals[:-1])
         for x in range(lo, hi + 1):
-            cand = prefix + (x,)
-            if leaf is None or leaf(g, cand):
-                yield cand
+            yield prefix + (x,)
 
 
 def _walk(target: Target, cls: str, cap: int,
           first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Members of ``cls`` in lexicographic order, checked as by ``_runs``."""
-    return _members(*_runs(target, cls, cap, first))
+    return _members(_runs(target, cls, cap, first)[1])
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
@@ -244,11 +274,8 @@ def iter_class(target: Target, cls: str, *,
 
 
 def _count_slice(args) -> int:
-    """Members of one slice; a run without a leaf test counts at once."""
-    g, leaf, runs = _runs(*args)
-    if leaf is None:
-        return sum(hi - lo + 1 for _, lo, hi in runs)
-    return sum(1 for _ in _members(g, leaf, runs))
+    """Members of one slice, counted run by run."""
+    return sum(hi - lo + 1 for _, lo, hi in _runs(*args)[1])
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
@@ -258,7 +285,7 @@ def count_class(target: Target, cls: str, *, jobs: int = 1,
     if jobs == 1:
         return _count_slice((target, cls, cap, None))
     # raises on bad input before any worker starts
-    g, _, _ = _runs(target, cls, cap)
+    g, _ = _runs(target, cls, cap)
     tasks = [(target, cls, cap, first) for first in range(g.nonsink_degrees[0])]
     processes = min(jobs, len(tasks), os.cpu_count() or 1)
     with get_context("fork").Pool(processes=processes) as pool:

@@ -20,8 +20,9 @@ from .errors import SizeCapError, UnknownVertexError, _check_cap
 from .graph import RootedMultigraph
 from .parking import (PARTITION_MAX_NONSINK, Parking, _check_candidate,
                       _complement, _restriction, is_g_parking, is_prime)
-from .sandpile import (Config, _check_config, burning_starts, is_recurrent,
-                       is_recurrent_burning, is_strongly_recurrent)
+from .sandpile import (Config, _check_config, _require_stable_nonnegative,
+                       burning_starts, is_recurrent, is_recurrent_burning,
+                       is_strongly_recurrent)
 
 NAIVE_MAX_NONSINK = 20
 ORIENTATION_MAX_NONSINK = 8
@@ -141,10 +142,7 @@ def is_recurrent_orientation(g: RootedMultigraph, c: Sequence[int]) -> bool:
     vector of some acyclic orientation whose unique target is the sink.
     """
     c = _check_config(g, c)
-    if any(x >= d for x, d in zip(c, g.nonsink_degrees)):
-        raise ValueError("orientation test needs a stable configuration")
-    if any(x < 0 for x in c):
-        raise ValueError("orientation test needs a non-negative configuration")
+    _require_stable_nonnegative(g, c, "orientation test")
     return any(all(x >= d for x, d in zip(c, vec))
                for vec in orientation_indegrees(g))
 

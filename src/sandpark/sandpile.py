@@ -205,6 +205,15 @@ def add_sink_grains(g: RootedMultigraph, c: Sequence[int]) -> Config:
 # recurrence
 
 
+def _require_stable_nonnegative(g: RootedMultigraph, c: Config,
+                                what: str) -> None:
+    """The domain of the burning and orientation oracles."""
+    if any(x >= d for x, d in zip(c, g.nonsink_degrees)):
+        raise ValueError(f"{what} needs a stable configuration")
+    if any(x < 0 for x in c):
+        raise ValueError(f"{what} needs a non-negative configuration")
+
+
 def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[str, ...]]:
     """Burning test witness, or None when ``c`` is not recurrent.
 
@@ -213,10 +222,7 @@ def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[st
     The returned sequence starts at the sink and lists the firing order.
     """
     c = _check_config(g, c)
-    if any(x >= d for x, d in zip(c, g.nonsink_degrees)):
-        raise ValueError("burning test needs a stable configuration")
-    if any(x < 0 for x in c):
-        raise ValueError("burning test needs a non-negative configuration")
+    _require_stable_nonnegative(g, c, "burning test")
     trace = stabilize(g, add_sink_grains(g, c))
     if trace.final == c and all(t == 1 for t in trace.odometer):
         return (g.sink,) + trace.log
@@ -325,14 +331,19 @@ def drain_except(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
 
 
 def _first_drain(g: RootedMultigraph, c: Config, recurrent: bool) -> Optional[str]:
-    """First burning start of ``c`` whose drain (``drain_except``) is
-    recurrent when ``recurrent`` is True, and is not when False; or None."""
-    drained = [x - m for x, m in zip(c, g.sink_mults)]
+    """First burning start of the stable ``c`` whose drain (``drain_except``)
+    is recurrent when ``recurrent`` is True, and is not when False; or None.
+
+    A drain lies below ``c``, so it is stable and one fixpoint decides it.
+    """
+    sink = g.sink_mults
+    deg_in = [d - m for d, m in zip(g.nonsink_degrees, sink)]
+    drained = [x - m for x, m in zip(c, sink)]
     for i in _starts(g, c):
         drained[i] = c[i]
-        if _recurrent(g, drained) == recurrent:
+        if (not _discard(drained, deg_in[:], g.nonsink_nbrs)) == recurrent:
             return g.nonsink[i]
-        drained[i] -= g.sink_mults[i]
+        drained[i] -= sink[i]
     return None
 
 

@@ -552,18 +552,27 @@ class TestDecompose:
         assert "decompositions=1" in out.stdout
         assert "prime=true" in out.stdout
 
-    def test_witness_graph_has_two(self, tmp_path):
+    @pytest.fixture()
+    def witness_args(self, tmp_path):
         data = json.loads((FIXTURES / "decomposition_witness.json").read_text())
         graph_path = tmp_path / "g.json"
         graph_path.write_text(json.dumps(data["graph"]))
         pf_path = tmp_path / "p.json"
         pf_path.write_text(json.dumps(data["parking"]))
-        out = run_cli("decompose", "--graph", str(graph_path), "--pf",
-                      str(pf_path), "--all")
+        return ["decompose", "--graph", str(graph_path), "--pf", str(pf_path)]
+
+    def test_witness_graph_has_two(self, witness_args):
+        out = run_cli(*witness_args, "--all")
         assert out.returncode == 0
         assert "decompositions=2" in out.stdout
         assert "({v1}, {v2, v3, v4})" in out.stdout
         assert "({v2, v3}, {v1, v4})" in out.stdout
+
+    def test_count_without_all_is_the_real_count(self, witness_args):
+        # only the first decomposition is printed, but all are counted
+        out = run_cli(*witness_args)
+        assert out.returncode == 0
+        assert out.stdout == "({v1}, {v2, v3, v4})\ndecompositions=2 prime=false\n"
 
     def test_non_parking_is_usage_error(self, tmp_path, triangle_file):
         pf = values_file(tmp_path, "p.json", {"v1": 2, "v2": 2})

@@ -6,6 +6,7 @@ import math
 import random
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,10 +37,10 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
-from sandpark import enumeration
+from sandpark import enumeration, sandpile
 from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
 from sandpark.families import family_parts
-from conftest import triangle
+from conftest import reference_iter_class, triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -257,6 +258,82 @@ class TestCounting:
         assert report.family == "custom"
         assert report.params == "|V|=3,sink=0"
         assert report.match
+
+
+GAP_GRAPH = gap_witness_from_dict(json.loads(
+    (FIXTURES / "quantifier_gap_witness.json").read_text())).graph
+
+
+def _sink_multigraphs(seeds):
+    """Seeded multigraphs with a sink multiplicity of at least 2, whose
+    wide sink edges make burning starts that come and go with the value."""
+    graphs = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_connected_multigraph(rng, rng.randint(4, 6), max_mult=3,
+                                        extra_edges=4)
+        if max(g.sink_mults) >= 2 and math.prod(g.nonsink_degrees) <= 4000:
+            graphs.append((f"sink-multi-{seed}", g))
+    return graphs
+
+
+CUT_CASES = [(label, g, cls)
+             for label, g in [("gap-witness", GAP_GRAPH)]
+             + _sink_multigraphs(range(40))
+             for cls in ("sr-exists", "min-recurrent")]
+
+
+class TestRunStreams:
+    """``sr-exists`` and ``min-recurrent`` are cut from the recurrent runs;
+    counting and listing test no member again."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        count = Counter()
+        for name in ("_check_config", "is_strongly_recurrent",
+                     "is_minimal_recurrent"):
+            real = getattr(sandpile, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                count[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.startswith("sandpark")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, counted)
+        return count
+
+    @pytest.mark.parametrize("cls", ["sr-exists", "min-recurrent"])
+    def test_no_member_is_tested_again(self, calls, pool, cls):
+        targets = [g for _, g in pool] + [GAP_GRAPH, FamilySpec("wheel", n=8)]
+        members = 0
+        for target in targets:
+            count = count_class(target, cls)
+            assert len(list(iter_class(target, cls))) == count
+            members += count
+        assert members > 0
+        assert calls == Counter()
+        # the counters see a call that does go through the public test
+        sandpile.is_strongly_recurrent(GAP_GRAPH, (0, 0), "exists")
+        sandpile.is_minimal_recurrent(GAP_GRAPH, (0, 0))
+        assert calls == Counter({"_check_config": 2, "is_strongly_recurrent": 1,
+                                 "is_minimal_recurrent": 1})
+
+    def test_gap_witness_counts(self):
+        assert (count_class(GAP_GRAPH, "sr-exists"),
+                count_class(GAP_GRAPH, "sr-forall")) == (4, 1)
+
+    @pytest.mark.parametrize("label,g,cls", CUT_CASES,
+                             ids=[f"{label}-{cls}" for label, _, cls in CUT_CASES])
+    def test_cut_runs_match_generate_and_test(self, label, g, cls):
+        want = []
+        for first in range(g.nonsink_degrees[0]):
+            part = reference_iter_class(g, cls, first)
+            assert list(_walk(g, cls, DEFAULT_SPACE_CAP, first)) == part, first
+            want += part
+        assert list(iter_class(g, cls)) == want
+        assert count_class(g, cls) == len(want)
 
 
 class TestReports:
