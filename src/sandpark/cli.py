@@ -16,6 +16,7 @@ from .errors import SandparkError, SizeCapError
 from .enumeration import (
     CLASSES,
     DEFAULT_SPACE_CAP,
+    _check_space,
     _make_report,
     count_class,
     expected_count,
@@ -45,6 +46,7 @@ from .reference import (decomposing_partition, is_g_parking_naive,
 from .sandpile import (
     _document_values,
     _first_drain,
+    _recurrent,
     burning_sequence,
     is_minimal_recurrent,
     is_recurrent,
@@ -186,6 +188,8 @@ def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
+    # before expected_count builds a family's graph
+    _check_space(target, args.cls, args.cap)
     expected = expected_count(target, args.cls) if args.expected else None
     if args.expected and expected is None:
         name = f"{spec.family} {spec.params()}" if spec else args.graph
@@ -254,21 +258,18 @@ def cmd_simulate(args) -> int:
     mu = _load_mu(args.mu) if args.mu else None
     run = markov_run(g, start, args.steps, args.seed, mu=mu)
 
-    recurrent = {c: is_recurrent(g, c) for c in run.visit_counts}
-    first_entry = None
-    tail_recurrent = True
-    for step, _, cfg in run.trace:
-        if recurrent[cfg]:
-            if first_entry is None:
-                first_entry = step
-        elif first_entry is not None:
-            tail_recurrent = False
+    # The chain's states are stable and checked, and stay packed: one
+    # verdict per distinct state, then one per step from step 0 (the start).
+    stored = run.trace._stored()
+    decided = {s: _recurrent(g, s) for s in dict.fromkeys(stored)}
+    verdicts = [decided[s] for s in stored]
     print(f"steps={args.steps} seed={args.seed}")
-    print(f"distinct stable states visited: {len(recurrent)}")
-    print(f"recurrent among visited: {sum(recurrent.values())}")
-    if first_entry is not None:
-        print(f"first recurrent state at step {first_entry}; "
-              f"all later states recurrent: {str(tail_recurrent).lower()}")
+    print(f"distinct stable states visited: {len(decided)}")
+    print(f"recurrent among visited: {sum(decided.values())}")
+    if True in verdicts:
+        first = verdicts.index(True)
+        print(f"first recurrent state at step {first}; all later states "
+              f"recurrent: {str(all(verdicts[first:])).lower()}")
     if args.trace:
         write_trace_csv(g, run, args.trace)
         print(f"trace written to {args.trace}")

@@ -19,7 +19,8 @@ level 0, since minimal recurrent configurations hold exactly one grain per
 non-sink edge and no other recurrent one holds so few.  ``sr-exists`` keeps
 the top of each recurrent run from its first strongly recurrent value on,
 since one more grain on the last position keeps every recurrent drain
-recurrent.  The cap bounds the full candidate space before the walk starts.
+recurrent.  The cap bounds the full candidate space before the walk starts,
+and before a family's graph is built.
 Counting can split the space by the first coordinate across worker
 processes; the count does not depend on the worker count.
 """
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import SizeCapError
-from .families import (FamilySpec, _grow_first_part, closed_form_count,
-                       family_parts, make_family)
+from .errors import SizeCapError, _size
+from .families import (FamilySpec, _degree_groups, _grow_first_part,
+                       _interchangeable, closed_form_count, family_parts,
+                       make_family)
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import prime_decompositions
 from .sandpile import (
@@ -52,6 +54,8 @@ from .sandpile import (
 )
 
 DEFAULT_SPACE_CAP = 100_000_000
+# A candidate space past this many bits is refused from its logarithm.
+_EXACT_SPACE_BITS = 1 << 16
 
 Target = Union[RootedMultigraph, FamilySpec]
 
@@ -83,39 +87,69 @@ _CLASS_WALKS = {
 CLASSES = tuple(_CLASS_WALKS)
 
 
+def _check_space(target: Target, cls: str, cap: int) -> None:
+    """Refuse ``cls`` on ``target`` when its candidate space exceeds ``cap``.
+
+    A family's space comes from its degree groups, before its graph is
+    built.  Increasing classes walk the tuples that are non-decreasing
+    inside each part of the family, whose vertices share a degree, so their
+    space is a product of multiset counts.  A space whose logarithm puts
+    it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without
+    being computed.
+    """
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ValueError(f"cap must be an integer, got {cap!r}")
+    inc = cls.endswith("-inc")
+    if isinstance(target, FamilySpec):
+        groups = _degree_groups(target)
+        if inc:
+            _interchangeable(target)    # refuses a family without parts
+    elif inc:
+        raise ValueError(
+            "increasing classes need a graph family with declared parts")
+    else:
+        groups = [(d, 1) for d in target.nonsink_degrees]
+    try:
+        if inc:
+            bits = sum(math.lgamma(d + c) - math.lgamma(c + 1) - math.lgamma(d)
+                       for d, c in groups) / math.log(2)
+        else:
+            bits = sum(c * math.log2(d) for d, c in groups)
+    except OverflowError:       # parameters past the float range
+        bits = math.inf
+    limit = max(cap.bit_length(), _EXACT_SPACE_BITS) + 1
+    if bits > limit:
+        raise SizeCapError(
+            f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
+    space = math.prod(math.comb(d + c - 1, c) if inc else d ** c
+                      for d, c in groups)
+    if space > cap:
+        raise SizeCapError(
+            f"search space of {_size(space)} exceeds cap {_size(cap)}")
+
+
 def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
     """The graph and the run stream of ``cls``: every value of every run
     completes its prefix to a member.
 
     The class, the target and the size of the full candidate space are
-    checked when this is called, before any candidate is tested.  With
-    ``first`` set, only the slice holding the ``first``-th value of the
-    first coordinate is walked; the slices partition the space in order.
-    Increasing classes walk the tuples that are non-decreasing inside each
-    part of the family, whose vertices share a degree, so their space is a
-    product of multiset counts.
+    checked when this is called (``_check_space``), before any candidate is
+    tested.  With ``first`` set, only the slice holding the ``first``-th
+    value of the first coordinate is walked; the slices partition the space
+    in order.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
     low, checks = _CLASS_WALKS[cls]
+    _check_space(target, cls, cap)
     g, spec = _resolve(target)
     degs = g.nonsink_degrees
     # the position whose value bounds each position from below, or None
     prev: list[Optional[int]] = [None] * len(degs)
     if cls.endswith("-inc"):
-        if spec is None:
-            raise ValueError(
-                "increasing classes need a graph family with declared parts")
-        parts = [[g.nonsink_pos[v] for v in part] for part in family_parts(spec)]
-        space = math.prod(math.comb(degs[part[0]] + len(part) - 1, len(part))
-                          for part in parts)
-        for part in parts:
+        for part in family_parts(spec):
             for before, at in zip(part, part[1:]):
-                prev[at] = before
-    else:
-        space = math.prod(degs)
-    if space > cap:
-        raise SizeCapError(f"search space of {space} exceeds cap {cap}")
+                prev[g.nonsink_pos[at]] = g.nonsink_pos[before]
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
@@ -263,8 +297,9 @@ def iter_class(target: Target, cls: str, *,
                cap: int = DEFAULT_SPACE_CAP) -> Iterator[tuple[int, ...]]:
     """Stream all members of an enumeration class, lexicographically.
 
-    An unknown class, a bare graph for an increasing class and a space
-    above ``cap`` raise at the call, before any candidate is tested.
+    An unknown class, a bare graph for an increasing class, a ``cap`` that
+    is not an integer and a space above it raise at the call, before any
+    candidate is tested.
     """
     return _walk(target, cls, cap)
 
@@ -280,6 +315,8 @@ def _count_slice(args) -> int:
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:

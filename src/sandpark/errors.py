@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SandparkError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -38,6 +40,17 @@ def _check_cap(search: str, k: int, cap: int) -> None:
     if k > cap:
         raise SizeCapError(
             f"{search} capped at {cap} non-sink vertices, graph has {k}")
+
+
+def _size(n: int) -> str:
+    """A positive size for a message: exact, or its digit count past the
+    digits Python will print (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = int(math.log10(n)) + 1   # may be one off near a power of ten
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        return f"a {digits}-digit number"
 
 
 class ToppleLimitError(SandparkError, RuntimeError):

@@ -100,6 +100,9 @@ class _Family:
     build: Callable[..., RootedMultigraph]  # the constructor
     label: str                              # str.format template
     closed_forms: dict[str, Callable[..., int]]  # class -> f(*params)
+    # f(*params) -> non-sink (degree, count) groups in declaration order,
+    # one per part when the family has parts
+    groups: Callable[..., tuple[tuple[int, int], ...]]
     parts: tuple[tuple[str, str], ...] = ()  # (name prefix, size parameter)
     first_part: Optional[str] = None        # the deletion bijections' name
     min_n: int = 1
@@ -109,20 +112,25 @@ _FAMILY_TABLE = {
     "complete": _Family(("n",), complete_graph, "K{n}^0", {
         "ppf": lambda n: (n - 1) ** (n - 1),
         "ppf-inc": lambda n: catalan(n - 1),
-        "catalan": lambda n: catalan(n - 1)}, parts=(("", "n"),)),
+        "catalan": lambda n: catalan(n - 1)},
+        groups=lambda n: ((n, n),), parts=(("", "n"),)),
     "wheel": _Family(("n",), wheel_graph, "W{n}^0", {
-        "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1}, min_n=3),
+        "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1},
+        groups=lambda n: ((3, n),), min_n=3),
     "tripartite": _Family(("p", "q"), tripartite_graph, "K({p},{q})^0", {
         "ppf": lambda p, q: (p ** q * (q - 1) ** (p - 1) + q ** p * (p - 1) ** (q - 1)
                              - (p + q - 1) * (p - 1) ** (q - 1) * (q - 1) ** (p - 1))},
+        groups=lambda p, q: ((q + 1, p), (p + 1, q)),
         parts=(("p", "p"), ("q", "q"))),
     "bipartite": _Family(("p", "q"), bipartite_graph, "K({p}*,{q})", {
         "ppf-inc": lambda p, q: _exact_div(
             math.comb(p + q - 1, p) * math.comb(p + q - 1, p - 1), p + q - 1)},
+        groups=lambda p, q: ((q, p), (p + 1, q)),
         parts=(("p", "p"), ("q", "q")), first_part="P-vertices"),
     "split": _Family(("m", "n"), split_graph, "S({m}*,{n})", {
         "ppf-inc": lambda m, n: _exact_div(
             math.comb(2 * m - 2, m - 1) * math.comb(2 * m + n - 2, n), m)},
+        groups=lambda m, n: ((m + n, m), (m + 1, n)),
         parts=(("c", "m"), ("i", "n")), first_part="clique vertices"),
 }
 
@@ -169,6 +177,12 @@ class FamilySpec:
 
 def make_family(spec: FamilySpec) -> RootedMultigraph:
     return _FAMILY_TABLE[spec.family].build(*spec._args())
+
+
+def _degree_groups(spec: FamilySpec) -> tuple[tuple[int, int], ...]:
+    """Non-sink ``(degree, count)`` groups of ``make_family(spec)``, from
+    the parameters alone."""
+    return _FAMILY_TABLE[spec.family].groups(*spec._args())
 
 
 def _interchangeable(spec: FamilySpec) -> tuple[tuple[str, str], ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from .errors import SizeCapError, UnknownVertexError, _check_cap
+from .errors import SizeCapError, UnknownVertexError, _check_cap, _size
 from .graph import RootedMultigraph
 from .parking import (PARTITION_MAX_NONSINK, Parking, _check_candidate,
                       _complement, _restriction, is_g_parking, is_prime)
@@ -192,7 +192,7 @@ def cross_validate_oracles(g: RootedMultigraph) -> OracleReport:
     space = math.prod(g.nonsink_degrees)
     if space > CROSS_CHECK_MAX_SPACE:
         raise SizeCapError(
-            f"search space of {space} exceeds cap {CROSS_CHECK_MAX_SPACE}")
+            f"search space of {_size(space)} exceeds cap {CROSS_CHECK_MAX_SPACE}")
     report = OracleReport()
     rec_set: set[Config] = set()
     sr_set: set[Config] = set()

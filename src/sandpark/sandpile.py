@@ -29,11 +29,11 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, islice
 from numbers import Real
 from typing import Optional
 
-from .errors import SizeCapError, ToppleLimitError, UnknownVertexError
+from .errors import SizeCapError, ToppleLimitError, UnknownVertexError, _size
 from .graph import RootedMultigraph
 
 Config = tuple[int, ...]
@@ -384,9 +384,9 @@ class ChainTrace(Sequence):
     """Read-only steps of a grain-drop chain: ``trace[i]`` is
     ``(i + 1, dropped vertex, state)``, decoded on access.
 
-    Dropped positions sit in one ``array('I')``.  Each state is stored as
-    ``bytes`` (one byte per non-sink vertex) when every value the chain can
-    reach fits in 0..255, and as an exact tuple otherwise.  Slices return
+    Dropped positions sit in one ``array('I')``; the start and each state
+    are ``bytes`` (one byte per non-sink vertex) when every value the chain
+    can reach fits in 0..255, and exact tuples otherwise.  Slices return
     lists; ``==`` compares element-wise with lists and other traces.
     """
 
@@ -408,12 +408,17 @@ class ChainTrace(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError("trace index out of range")
-        return (i + 1, self._names[self._drops[i]], tuple(self._states[i]))
+        return (i + 1, self._names[self._drops[i]], tuple(self._states[i + 1]))
 
     def __iter__(self):
         names = self._names
-        for step, (i, state) in enumerate(zip(self._drops, self._states), 1):
+        states = islice(self._states, 1, None)
+        for step, (i, state) in enumerate(zip(self._drops, states), 1):
             yield step, names[i], tuple(state)
+
+    def _stored(self) -> list:
+        """The stored states, the start first: one per step from 0."""
+        return self._states
 
     def __eq__(self, other):
         if not isinstance(other, (ChainTrace, list)):
@@ -463,8 +468,8 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     k = len(g.nonsink)
     if steps * k > CHAIN_CAP:
         raise SizeCapError(
-            f"chain of {steps} steps over {k} non-sink vertices stores "
-            f"{steps * k} values, cap {CHAIN_CAP}")
+            f"chain of {_size(steps)} steps over {k} non-sink vertices "
+            f"stores {_size(steps * k)} values, cap {CHAIN_CAP}")
     if mu is None:
         weights = [1.0 / k] * k
     else:
@@ -493,7 +498,7 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     # when the start has no negative entry and no degree exceeds 256.
     pack = bytes if min(start) >= 0 and max(degs) <= 256 else tuple
     drops = array("I")
-    states = []
+    states = [pack(start)]
     cur = list(start)
     for _ in range(steps):
         i = bisect(cum, draw() * total, 0, k - 1)

@@ -27,6 +27,14 @@ def triangle():
                        [("0", "v1", 1), ("0", "v2", 1), ("v1", "v2", 1)])
 
 
+def giant_triangle():
+    """A candidate space of about 2 * 10^5000: past the 4,300 digits that
+    Python converts to text."""
+    big = 10 ** 2500
+    return build_graph(["0", "a", "b"], "0",
+                       [("0", "a", big), ("a", "b", big), ("b", "0", 1)])
+
+
 def twin_triangles():
     """Two triangles glued at the sink; the sink is a cut vertex."""
     return build_graph(["0", "a", "b", "c", "d"], "0",

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sandpark import cli, complete_graph, enumeration, save_graph
-from conftest import grid_with_sink_border
+from sandpark import (cli, complete_graph, enumeration, families, sandpile,
+                      save_graph)
+from conftest import giant_triangle, grid_with_sink_border
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -444,6 +446,35 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert f"search space of {(2 * HUGE) ** 2} exceeds cap" in err
 
+    def test_space_past_printable_digits_capped(self, capsys, tmp_path):
+        path = tmp_path / "giant.json"
+        save_graph(giant_triangle(), path)
+        rc, out, err = run_main(capsys, "enumerate", "--graph", str(path),
+                                "--class", "recurrent")
+        assert (rc, out) == (2, "")
+        assert err == ("error: search space of a 5001-digit number "
+                       "exceeds cap 100000000\n")
+
+    @pytest.mark.parametrize("cls", ["ppf", "ppf-inc"])
+    @pytest.mark.parametrize("expected", [False, True],
+                             ids=["plain", "expected"])
+    def test_family_capped_before_its_graph_is_built(self, monkeypatch,
+                                                     capsys, cls, expected):
+        def unbuildable(*args):
+            raise AssertionError("the family graph was built")
+
+        monkeypatch.setattr(families, "build_graph", unbuildable)
+        args = ["enumerate", "--family", "complete", "--n", "1500",
+                "--class", cls] + (["--expected"] if expected else [])
+        rc, out, err = run_main(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: search space of ")
+        assert "exceeds cap 100000000" in err
+        # positive control: a family under the cap is built
+        with pytest.raises(AssertionError, match="graph was built"):
+            cli.main(["enumerate", "--family", "complete", "--n", "3",
+                      "--class", cls])
+
 
 class TestEnumerateMatch:
     """``match`` is true or false only when a prediction was compared."""
@@ -658,6 +689,70 @@ class TestSimulate:
                       "--seed", "0")
         assert out.returncode == 0
         assert "distinct stable states visited: 101" in out.stdout
+
+    def test_recurrent_start_enters_at_step_zero(self, tmp_path,
+                                                 triangle_file):
+        top = values_file(tmp_path, "top.json", {"v1": 1, "v2": 1})
+        for steps, visited in (("5", 3), ("0", 1)):
+            out = run_cli("simulate", "--graph", triangle_file, "--steps",
+                          steps, "--seed", "4", "--start", top)
+            assert out.returncode == 0
+            assert out.stdout.splitlines()[1:] == [
+                f"distinct stable states visited: {visited}",
+                f"recurrent among visited: {visited}",
+                "first recurrent state at step 0; "
+                "all later states recurrent: true"]
+
+    def test_summary_decides_each_stored_state_once(self, monkeypatch,
+                                                    capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        save_graph(grid_with_sink_border(4), path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the summary decoded or re-checked a state")
+
+        decided = []
+
+        def counted(g, c):
+            decided.append(c)
+            return sandpile._recurrent(g, c)
+
+        monkeypatch.setattr(cli, "is_recurrent", forbidden)
+        monkeypatch.setattr(sandpile, "is_recurrent", forbidden)
+        monkeypatch.setattr(sandpile.MarkovRun, "visit_counts",
+                            property(forbidden))
+        monkeypatch.setattr(sandpile.ChainTrace, "__iter__", forbidden)
+        monkeypatch.setattr(sandpile.ChainTrace, "__getitem__", forbidden)
+        monkeypatch.setattr(cli, "_recurrent", counted)
+        rc, out, _ = run_main(capsys, "simulate", "--graph", str(path),
+                              "--steps", "300", "--seed", "21")
+        assert rc == 0
+        assert out.splitlines()[1:3] == ["distinct stable states visited: 301",
+                                         "recurrent among visited: 271"]
+        assert len(decided) == len(set(decided)) == 301
+        # positive controls: each patch is live
+        run = sandpile.markov_run(grid_with_sink_border(2), (0,) * 4, 3, 0)
+        for touch in (lambda: run.visit_counts, lambda: list(run.trace),
+                      lambda: run.trace[0],
+                      lambda: cli.is_recurrent(None, None)):
+            with pytest.raises(AssertionError, match="decoded or re-checked"):
+                touch()
+
+    def test_summary_memory(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        save_graph(grid_with_sink_border(16), path)
+        argv = ["simulate", "--graph", str(path), "--seed", "3", "--steps"]
+        assert cli.main(argv + ["1"]) == 0    # warm the imports
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["2000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "distinct stable states visited: 2001" in capsys.readouterr().out
+        # 2,001 packed states of 256 bytes; a decoded copy of each as a
+        # tuple of 256 ints adds about 4.2 MB
+        assert peak < 2_000_000, peak
 
     @pytest.mark.parametrize("text", [
         '{"values": {"v1": null, "v2": 1.0}}',

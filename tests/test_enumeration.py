@@ -37,10 +37,10 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
-from sandpark import enumeration, sandpile
+from sandpark import enumeration, families, sandpile
 from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
 from sandpark.families import family_parts
-from conftest import reference_iter_class, triangle
+from conftest import giant_triangle, reference_iter_class, triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,6 +214,53 @@ class TestCounting:
             count_class(FamilySpec("complete", n=12), "recurrent", jobs=2,
                         cap=1000)
         assert sizes == []
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", None])
+    def test_jobs_and_cap_must_be_integers(self, monkeypatch, bad):
+        def untouchable(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        monkeypatch.setattr(enumeration, "get_context", untouchable)
+        spec = FamilySpec("complete", n=4)
+        for call in (lambda: count_class(spec, "recurrent", jobs=bad),
+                     lambda: class_count(spec, "recurrent", jobs=bad),
+                     lambda: verify_counts([(spec, "recurrent")], jobs=bad)):
+            with pytest.raises(ValueError, match="jobs must be an integer"):
+                call()
+        for call in (lambda: count_class(spec, "recurrent", cap=bad),
+                     lambda: count_class(spec, "recurrent", jobs=2, cap=bad),
+                     lambda: iter_class(spec, "recurrent", cap=bad),
+                     lambda: class_count(spec, "recurrent", cap=bad)):
+            with pytest.raises(ValueError, match="cap must be an integer"):
+                call()
+
+    def test_space_past_printable_digits_capped(self):
+        g = giant_triangle()
+        space = math.prod(g.nonsink_degrees)
+        for call in (lambda: count_class(g, "recurrent"),
+                     lambda: iter_class(g, "stable")):
+            with pytest.raises(SizeCapError) as exc:
+                call()
+            assert str(exc.value) == (
+                "search space of a 5001-digit number exceeds cap 100000000")
+        # the same space is written out in full when the cap is above it
+        assert next(iter_class(g, "stable", cap=space)) == (0, 0)
+
+    @pytest.mark.parametrize("cls", ["ppf", "ppf-inc", "recurrent"])
+    def test_family_capped_before_its_graph_is_built(self, monkeypatch, cls):
+        def unbuildable(*args):
+            raise AssertionError("the family graph was built")
+
+        monkeypatch.setattr(families, "build_graph", unbuildable)
+        for n in (1500, 3000, 10 ** 5, 10 ** 400):
+            with pytest.raises(SizeCapError, match="exceeds cap 100000000"):
+                count_class(FamilySpec("complete", n=n), cls)
+        # K20 ppf-inc: about 6.9e10 representatives, above the cap
+        with pytest.raises(SizeCapError, match="search space of 68923264410"):
+            count_class(FamilySpec("complete", n=20), "ppf-inc")
+        with pytest.raises(AssertionError, match="graph was built"):
+            count_class(FamilySpec("complete", n=3), cls)
 
     def test_jobs_below_one_rejected_before_the_walk(self, monkeypatch):
         def untouchable(*args):
@@ -402,6 +449,12 @@ class TestCrossValidation:
                         [("0", "a", huge), ("a", "b", huge), ("0", "b", huge)])
         with pytest.raises(SizeCapError, match="exceeds cap"):
             cross_validate_oracles(g)
+
+    def test_space_past_printable_digits_capped(self):
+        with pytest.raises(SizeCapError) as exc:
+            cross_validate_oracles(giant_triangle())
+        assert str(exc.value) == (
+            "search space of a 5001-digit number exceeds cap 100000000")
 
     def test_triangle_clean(self, k2):
         report = cross_validate_oracles(k2)

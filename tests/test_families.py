@@ -31,8 +31,11 @@ from sandpark import (
     wheel_recurrent,
     wheel_strongly_recurrent,
 )
+from sandpark.families import _degree_groups
 
 EXAMPLE_PAIR = ((3, 4, 1, 1, 3), (1, 3, 2, 1))
+FAMILY_PARAMS = {"complete": ("n",), "wheel": ("n",), "tripartite": ("p", "q"),
+                 "bipartite": ("p", "q"), "split": ("m", "n")}
 
 
 def stable_configs(g):
@@ -143,6 +146,21 @@ class TestConstruction:
         assert all(g.deg(f"c{i}") == 5 for i in range(4))
         assert all(g.deg(f"i{j}") == 4 for j in (1, 2))
         assert g.multiplicity("i1", "i2") == 0
+
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_degree_groups_match_built_graphs(self, family):
+        names = FAMILY_PARAMS[family]
+        for values in itertools.product(range(1, 7), repeat=len(names)):
+            if family == "wheel" and values[0] < 3:
+                continue
+            spec = FamilySpec(family, **dict(zip(names, values)))
+            groups = _degree_groups(spec)
+            degrees = [d for d, count in groups for _ in range(count)]
+            assert degrees == list(make_family(spec).nonsink_degrees), spec
+            if family != "wheel":
+                assert [count for _, count in groups] == [
+                    len(part) for part in family_parts(spec)], spec
 
 
 class TestWheelCharacterisations:

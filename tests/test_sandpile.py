@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -40,6 +41,7 @@ from sandpark import (
     write_trace_csv,
 )
 from sandpark import sandpile
+from sandpark.errors import _size
 from conftest import (carried, graph_pool, grid_with_sink_border, redeclared,
                       reference_stabilize, reference_strongly_recurrent,
                       sink_multiedge_pair, triangle)
@@ -395,6 +397,28 @@ class TestMarkov:
             markov_run(k2, (0, 0), float(at_cap + 1), seed=0)
         with pytest.raises(RuntimeError, match="the chain started"):
             markov_run(k2, (0, 0), at_cap, seed=0)
+
+    def test_cap_message_past_printable_digits(self, k2):
+        with pytest.raises(SizeCapError) as exc:
+            markov_run(k2, (0, 0), 10 ** 5000, seed=0)
+        assert str(exc.value) == (
+            "chain of a 5001-digit number steps over 2 non-sink vertices "
+            "stores a 5001-digit number values, cap 100000000")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no limit on printed digits")
+    def test_size_digit_count_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        near = [10 ** k + d for k in (limit - 1, limit, limit + 1, 6020)
+                for d in (-1, 0, 1)]
+        try:
+            sys.set_int_max_str_digits(0)
+            lengths = [len(str(n)) for n in near]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for n, length in zip(near, lengths):
+            assert _size(n) == (str(n) if length <= limit
+                                else f"a {length}-digit number")
 
     def test_trace_indexing(self, k2):
         trace = markov_run(k2, (0, 0), 2000, seed=1).trace
