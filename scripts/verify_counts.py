@@ -34,7 +34,7 @@ def main(argv=None) -> int:
         for r in reports:
             verdict = "ok" if r.match else "MISMATCH"
             lines.append(f"{r.family:10s} {r.params:12s} {r.cls:10s} "
-                         f"count={r.count:<8d} expected={r.expected!s:<8} "
+                         f"count={r.count:<10d} expected={r.expected!s:<10} "
                          f"[{r.expected_source}] {r.millis:8.1f}ms  {verdict}")
         rendered = "\n".join(lines) + "\n"
 

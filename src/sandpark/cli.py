@@ -18,6 +18,7 @@ from .enumeration import (
     DEFAULT_SPACE_CAP,
     _check_space,
     _make_report,
+    _orbit_route,
     count_class,
     expected_count,
     iter_class,
@@ -188,8 +189,11 @@ def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
-    # before expected_count builds a family's graph
-    _check_space(target, args.cls, args.cap)
+    # the space its output walks, before expected_count builds a family's
+    # graph: listing walks every member, counting a family representatives
+    listing = args.output in ("list", "json")
+    _check_space(target, args.cls, args.cap,
+                 not listing and _orbit_route(target))
     expected = expected_count(target, args.cls) if args.expected else None
     if args.expected and expected is None:
         name = f"{spec.family} {spec.params()}" if spec else args.graph

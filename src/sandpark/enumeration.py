@@ -19,10 +19,15 @@ level 0, since minimal recurrent configurations hold exactly one grain per
 non-sink edge and no other recurrent one holds so few.  ``sr-exists`` keeps
 the top of each recurrent run from its first strongly recurrent value on,
 since one more grain on the last position keeps every recurrent drain
-recurrent.  The cap bounds the full candidate space before the walk starts,
-and before a family's graph is built.
-Counting can split the space by the first coordinate across worker
-processes; the count does not depend on the worker count.
+recurrent.
+
+Vertices of one part of a family are twins, so counting a family with parts
+walks one representative per orbit (the members non-decreasing inside each
+part, as the increasing classes do) and weighs it by its orbit size.
+Listing and bare graphs walk every member.  The cap bounds the space the
+chosen walk visits, before the walk starts and before a family's graph is
+built.  Counting splits a large space by the first coordinate across
+worker processes; the count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError, _size
-from .families import (FamilySpec, _degree_groups, _grow_first_part,
-                       _interchangeable, closed_form_count, family_parts,
-                       make_family)
+from .families import (_FAMILY_TABLE, FamilySpec, _degree_groups,
+                       _grow_first_part, _interchangeable, closed_form_count,
+                       family_parts, make_family)
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import prime_decompositions
 from .sandpile import (
@@ -56,6 +61,9 @@ from .sandpile import (
 DEFAULT_SPACE_CAP = 100_000_000
 # A candidate space past this many bits is refused from its logarithm.
 _EXACT_SPACE_BITS = 1 << 16
+# count_class forks worker processes only for a walked space of at least
+# this many candidates; below it one process finishes first.
+POOL_MIN_SPACE = 600_000
 
 Target = Union[RootedMultigraph, FamilySpec]
 
@@ -87,30 +95,42 @@ _CLASS_WALKS = {
 CLASSES = tuple(_CLASS_WALKS)
 
 
-def _check_space(target: Target, cls: str, cap: int) -> None:
-    """Refuse ``cls`` on ``target`` when its candidate space exceeds ``cap``.
+def _orbit_route(target: Target) -> bool:
+    """Whether counting ``target`` walks one representative per orbit: it
+    is a family with interchangeable parts."""
+    return (isinstance(target, FamilySpec)
+            and bool(_FAMILY_TABLE[target.family].parts))
+
+
+def _check_space(target: Target, cls: str, cap: int,
+                 orbits: bool = False) -> int:
+    """The size of the space the walk of ``cls`` on ``target`` visits;
+    refused when it exceeds ``cap``.
 
     A family's space comes from its degree groups, before its graph is
-    built.  Increasing classes walk the tuples that are non-decreasing
-    inside each part of the family, whose vertices share a degree, so their
-    space is a product of multiset counts.  A space whose logarithm puts
-    it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without
-    being computed.
+    built.  A representative walk (``orbits``, and always for the
+    increasing classes) visits the tuples that are non-decreasing inside
+    each part of the family, whose vertices share a degree, so its space
+    is a product of multiset counts.  A space whose logarithm puts it past
+    both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
+    computed.
     """
+    if cls not in _CLASS_WALKS:
+        raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ValueError(f"cap must be an integer, got {cap!r}")
-    inc = cls.endswith("-inc")
+    orbits = orbits or cls.endswith("-inc")
     if isinstance(target, FamilySpec):
         groups = _degree_groups(target)
-        if inc:
+        if orbits:
             _interchangeable(target)    # refuses a family without parts
-    elif inc:
+    elif orbits:
         raise ValueError(
             "increasing classes need a graph family with declared parts")
     else:
         groups = [(d, 1) for d in target.nonsink_degrees]
     try:
-        if inc:
+        if orbits:
             bits = sum(math.lgamma(d + c) - math.lgamma(c + 1) - math.lgamma(d)
                        for d, c in groups) / math.log(2)
         else:
@@ -121,32 +141,35 @@ def _check_space(target: Target, cls: str, cap: int) -> None:
     if bits > limit:
         raise SizeCapError(
             f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
-    space = math.prod(math.comb(d + c - 1, c) if inc else d ** c
+    space = math.prod(math.comb(d + c - 1, c) if orbits else d ** c
                       for d, c in groups)
     if space > cap:
         raise SizeCapError(
             f"search space of {_size(space)} exceeds cap {_size(cap)}")
+    return space
 
 
-def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
-    """The graph and the run stream of ``cls``: every value of every run
-    completes its prefix to a member.
+def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
+          orbits: bool = False):
+    """The graph, each position's ``prev`` and the run stream of ``cls``:
+    every value of every run completes its prefix to a member.
 
-    The class, the target and the size of the full candidate space are
-    checked when this is called (``_check_space``), before any candidate is
+    With ``orbits`` (always for the increasing classes) only the members
+    non-decreasing inside each part of the family are walked, one per
+    orbit; ``prev[t]`` is the position before ``t`` in its part, or None.
+    The class, the target and the size of the walked space are checked
+    when this is called (``_check_space``), before any candidate is
     tested.  With ``first`` set, only the slice holding the ``first``-th
     value of the first coordinate is walked; the slices partition the space
     in order.
     """
-    if cls not in _CLASS_WALKS:
-        raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
+    orbits = orbits or cls.endswith("-inc")
+    _check_space(target, cls, cap, orbits)
     low, checks = _CLASS_WALKS[cls]
-    _check_space(target, cls, cap)
     g, spec = _resolve(target)
     degs = g.nonsink_degrees
-    # the position whose value bounds each position from below, or None
     prev: list[Optional[int]] = [None] * len(degs)
-    if cls.endswith("-inc"):
+    if orbits:
         for part in family_parts(spec):
             for before, at in zip(part, part[1:]):
                 prev[g.nonsink_pos[at]] = g.nonsink_pos[before]
@@ -158,7 +181,7 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None):
         runs = _level_zero(g, runs)
     elif checks == _DRAIN_EXISTS:
         runs = _drain_exists(g, runs)
-    return g, runs
+    return g, prev, runs
 
 
 def _level_zero(g: RootedMultigraph, runs):
@@ -193,7 +216,7 @@ def _members(runs) -> Iterator[tuple[int, ...]]:
 def _walk(target: Target, cls: str, cap: int,
           first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Members of ``cls`` in lexicographic order, checked as by ``_runs``."""
-    return _members(_runs(target, cls, cap, first)[1])
+    return _members(_runs(target, cls, cap, first)[2])
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
@@ -214,8 +237,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     that pass form one interval, found once per prefix.  On the last
     position these checks are exactly recurrence and strong recurrence
     (``forall``).  Parking values are the degree complement of the
-    configuration, and increasing classes cut the interval with ``prev``
-    before the fixpoints, which stop once it is empty.
+    configuration, and a representative walk cuts the interval with
+    ``prev`` before the fixpoints, which stop once it is empty.
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults
@@ -266,7 +289,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             deg_in[j] += m
             back += m
         deg_in[t] = back
-        # an increasing class takes at least the value of prev[t]
+        # a representative takes at least the value of prev[t]
         p = low if prev[t] is None else vals[prev[t]]
         cmin, cmax = (0, d - p) if parking else (p, d - 1)
         if checks and back:
@@ -308,22 +331,65 @@ def iter_class(target: Target, cls: str, *,
 # counting, optionally across worker processes
 
 
+def _orbit_total(prev: list, runs) -> int:
+    """Members of the orbits of representative runs.
+
+    A representative stands for prod |part|! / prod mult! members: ``full``
+    over the running multiplicity of each position's value.  The last
+    position's value weighs ``base``, or ``base // (m + 1)`` when ``m``
+    earlier vertices of its part hold it.
+    """
+    k = len(prev)
+    full = index = 1
+    for t in range(1, k):
+        index = 1 if prev[t] is None else index + 1
+        full *= index
+    total = 0
+    for vals, lo, hi in runs:
+        den = m = 1
+        for t in range(1, k - 1):
+            p = prev[t]
+            if p is not None and vals[t] == vals[p]:
+                m += 1
+                den *= m
+            else:
+                m = 1
+        base = full // den
+        if prev[-1] is not None and vals[prev[-1]] == lo:
+            total += base // (m + 1) + base * (hi - lo)
+        else:
+            total += base * (hi - lo + 1)
+    return total
+
+
 def _count_slice(args) -> int:
-    """Members of one slice, counted run by run."""
-    return sum(hi - lo + 1 for _, lo, hi in _runs(*args)[1])
+    """Members of one slice, counted run by run (weighed by orbit size on
+    a representative walk of a class without ``-inc``)."""
+    target, cls, cap, first, orbits = args
+    _, prev, runs = _runs(target, cls, cap, first, orbits)
+    if orbits and not cls.endswith("-inc"):
+        return _orbit_total(prev, runs)
+    return sum(hi - lo + 1 for _, lo, hi in runs)
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
+    """Members of ``cls`` on ``target``.  A family with parts is counted
+    from orbit representatives, which ``cap`` then bounds.  Only a walked
+    space of at least ``POOL_MIN_SPACE`` is split across ``jobs`` workers.
+    """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        return _count_slice((target, cls, cap, None))
-    # raises on bad input before any worker starts
-    g, _ = _runs(target, cls, cap)
-    tasks = [(target, cls, cap, first) for first in range(g.nonsink_degrees[0])]
+    orbits = _orbit_route(target)
+    # raises on bad input before any candidate is tested
+    space = _check_space(target, cls, cap, orbits)
+    if jobs == 1 or space < POOL_MIN_SPACE:
+        return _count_slice((target, cls, cap, None, orbits))
+    g = _resolve(target)[0]
+    tasks = [(target, cls, cap, first, orbits)
+             for first in range(g.nonsink_degrees[0])]
     processes = min(jobs, len(tasks), os.cpu_count() or 1)
     with get_context("fork").Pool(processes=processes) as pool:
         return sum(pool.map(_count_slice, tasks))
@@ -347,12 +413,15 @@ class EnumerationReport:
 
 
 def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
-    """Known exact prediction for a class count, when one exists."""
-    g, spec = _resolve(target)
+    """Known exact prediction for a class count, when one exists; only
+    the tree count builds a family's graph."""
+    spec = target if isinstance(target, FamilySpec) else None
     if cls == "stable":
-        return math.prod(g.nonsink_degrees), "degree-product"
+        groups = (_degree_groups(spec) if spec is not None
+                  else [(d, 1) for d in target.nonsink_degrees])
+        return math.prod(d ** c for d, c in groups), "degree-product"
     if cls in ("recurrent", "pf"):
-        return g.spanning_tree_count(), "matrix-tree"
+        return _resolve(target)[0].spanning_tree_count(), "matrix-tree"
     if spec is None:
         return None
     try:
@@ -370,11 +439,11 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
 def _make_report(target: Target, cls: str, count: int, millis: float,
                  expected: Optional[tuple[int, str]]) -> EnumerationReport:
     """Label a finished count and attach the ``expected_count`` pair."""
-    g, spec = _resolve(target)
-    if spec is not None:
-        family, params = spec.family, spec.params()
+    if isinstance(target, FamilySpec):
+        family, params = target.family, target.params()
     else:
-        family, params = "custom", f"|V|={len(g.vertices)},sink={g.sink}"
+        family = "custom"
+        params = f"|V|={len(target.vertices)},sink={target.sink}"
     return EnumerationReport(family=family, params=params, cls=cls, count=count,
                              expected=expected[0] if expected else None,
                              expected_source=expected[1] if expected else None,
@@ -397,13 +466,13 @@ def verify_counts(suite: Iterable[tuple[Target, str]], *,
 def default_suite() -> list[tuple[FamilySpec, str]]:
     """The standard closed-form verification battery."""
     suite: list[tuple[FamilySpec, str]] = []
-    for n in range(2, 8):
+    for n in range(2, 11):
         suite.append((FamilySpec("complete", n=n), "ppf"))
     for n in range(2, 9):
         suite.append((FamilySpec("complete", n=n), "ppf-inc"))
     for n in range(3, 13):
         suite.append((FamilySpec("wheel", n=n), "sr-forall"))
-    for p, q in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    for p, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5)):
         suite.append((FamilySpec("tripartite", p=p, q=q), "ppf"))
     for p, q in ((2, 2), (3, 2), (2, 3), (3, 3)):
         suite.append((FamilySpec("bipartite", p=p, q=q), "ppf-inc"))
@@ -413,6 +482,8 @@ def default_suite() -> list[tuple[FamilySpec, str]]:
         suite.append((FamilySpec("complete", n=n), "recurrent"))
     for n in range(3, 8):
         suite.append((FamilySpec("wheel", n=n), "recurrent"))
+    suite.append((FamilySpec("bipartite", p=4, q=4), "pf"))
+    suite.append((FamilySpec("split", m=3, n=4), "pf"))
     return suite
 
 

@@ -414,6 +414,24 @@ class TestEnumerate:
                       "--class", "ppf-inc", "--cap", "1000")
         assert out.returncode == 2
 
+    def test_cap_bounds_the_space_each_output_walks(self, capsys):
+        # a count walks C(17, 9) representatives of K9; a list all 9^9
+        # candidates
+        args = ("enumerate", "--family", "complete", "--n", "9",
+                "--class", "ppf")
+        rc, out, err = run_main(capsys, *args, "--expected")
+        assert (rc, err) == (0, "")
+        assert out == ("complete n=9 ppf: count=16777216 expected=16777216 "
+                       "match=true\n")
+        for output in ("list", "json"):
+            rc, out, err = run_main(capsys, *args, "--output", output)
+            assert (rc, out) == (2, "")
+            assert err == ("error: search space of 387420489 exceeds cap "
+                           "100000000\n")
+        rc, out, err = run_main(capsys, *args, "--cap", "24309")
+        assert (rc, out) == (2, "")
+        assert "search space of 24310 exceeds cap 24309" in err
+
     def test_jobs_below_one_rejected(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
                       "--class", "ppf", "--jobs", "0")

@@ -17,6 +17,7 @@ from sandpark import (
     UnknownVertexError,
     build_graph,
     class_count,
+    closed_form_count,
     count_class,
     cross_validate_oracles,
     default_suite,
@@ -38,8 +39,9 @@ from sandpark import (
     verify_counts,
 )
 from sandpark import enumeration, families, sandpile
-from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
-from sandpark.families import family_parts
+from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
+                                  _check_space, _walk)
+from sandpark.families import _degree_groups, family_parts
 from conftest import giant_triangle, reference_iter_class, triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -204,6 +206,8 @@ class TestCounting:
             Pool = FakePool
 
         monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
+        # every space forks the pool
+        monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
         spec = FamilySpec("complete", n=4)      # first coordinate: 4 slices
         for cpus, jobs, clamped in ((3, 10**9, 3), (64, 10**9, 4),
                                     (64, 2, 2), (None, 8, 1)):
@@ -307,6 +311,145 @@ class TestCounting:
         assert report.match
 
 
+def _full_space(spec):
+    return math.prod(d ** c for d, c in _degree_groups(spec))
+
+
+# the battery's families with parts whose full space the direct walk covers
+ORBIT_SPECS = sorted({spec for spec, _ in default_suite()
+                      if spec.family != "wheel" and _full_space(spec) <= 10 ** 5},
+                     key=FamilySpec.label)
+ORBIT_CASES = [(spec, cls) for spec in ORBIT_SPECS for cls in CLASSES]
+
+
+class TestOrbitRoute:
+    """Counting a family with parts walks one representative per orbit and
+    weighs it by the orbit's size."""
+
+    @pytest.mark.parametrize("spec,cls", ORBIT_CASES,
+                             ids=[f"{spec.label()}-{cls}"
+                                  for spec, cls in ORBIT_CASES])
+    def test_count_equals_the_direct_walk(self, spec, cls):
+        if cls.endswith("-inc"):
+            want = len(list(iter_class(spec, cls)))
+        else:
+            want = count_class(make_family(spec), cls)
+        assert count_class(spec, cls) == want
+
+    @pytest.fixture()
+    def prevs(self, monkeypatch):
+        seen = []
+        real = enumeration._search
+
+        def spy(g, low, checks, prev, first_values):
+            seen.append(list(prev))
+            return real(g, low, checks, prev, first_values)
+
+        monkeypatch.setattr(enumeration, "_search", spy)
+        return seen
+
+    @pytest.mark.parametrize("spec,cls,count", [
+        (FamilySpec("complete", n=6), "recurrent", 16807),
+        (FamilySpec("complete", n=6), "ppf", 3125),
+        (FamilySpec("tripartite", p=4, q=3), "ppf", 809)])
+    def test_family_counts_walk_representatives(self, prevs, spec, cls, count):
+        assert count_class(spec, cls) == count
+        assert count_class(spec, cls, jobs=2) == count
+        assert count_class(make_family(spec), cls) == count
+        orbit, orbit_jobs, direct = prevs
+        assert orbit == orbit_jobs
+        assert orbit.count(None) == len(family_parts(spec))
+        assert direct == [None] * len(direct)
+        # listing walks every member
+        prevs.clear()
+        assert len(list(iter_class(spec, cls))) == count
+        assert prevs == [direct]
+
+    def test_wheels_walk_every_member(self, prevs):
+        assert count_class(FamilySpec("wheel", n=6), "recurrent") == 320
+        assert prevs == [[None] * 6]
+
+    def test_cap_bounds_the_walked_space(self, monkeypatch):
+        k9 = FamilySpec("complete", n=9)
+        # 8^8 members from C(17, 9) representatives
+        assert count_class(k9, "ppf") == 8 ** 8
+        assert count_class(k9, "ppf", cap=24310) == 8 ** 8
+        with pytest.raises(SizeCapError, match="search space of 24310 "):
+            count_class(k9, "ppf", cap=24309)
+        with pytest.raises(SizeCapError, match="search space of 387420489 "):
+            iter_class(k9, "ppf")
+        with pytest.raises(SizeCapError, match="search space of 387420489 "):
+            count_class(make_family(k9), "ppf")
+        # C(16, 8)^2 representatives
+        k88 = FamilySpec("tripartite", p=8, q=8)
+        for cls in ("ppf-inc", "ppf"):
+            with pytest.raises(SizeCapError, match="search space of 165636900 "):
+                count_class(k88, cls)
+
+    def test_small_spaces_count_without_a_pool(self, monkeypatch):
+        def untouchable(method):
+            raise AssertionError("a pool was forked")
+
+        monkeypatch.setattr(enumeration, "get_context", untouchable)
+        # the orbit route's space is the representatives': C(13, 7) for K7
+        k7 = FamilySpec("complete", n=7)
+        assert _full_space(k7) >= POOL_MIN_SPACE
+        assert _check_space(k7, "recurrent", DEFAULT_SPACE_CAP, True) \
+            < POOL_MIN_SPACE
+        w10 = FamilySpec("wheel", n=10)
+        for target, cls in ((k7, "recurrent"), (k7, "ppf"), (w10, "recurrent"),
+                            (make_family(w10), "sr-forall")):
+            assert count_class(target, cls, jobs=2) == \
+                count_class(target, cls), (target, cls)
+
+    def test_large_spaces_fork_a_pool(self, monkeypatch):
+        forks = []
+        real = enumeration.get_context
+
+        def counted(method):
+            forks.append(method)
+            return real(method)
+
+        monkeypatch.setattr(enumeration, "get_context", counted)
+        w13 = FamilySpec("wheel", n=13)
+        assert _check_space(w13, "sr-forall", DEFAULT_SPACE_CAP) \
+            >= POOL_MIN_SPACE
+        for target in (w13, make_family(w13)):
+            assert count_class(target, "sr-forall", jobs=2) == \
+                count_class(target, "sr-forall") == 14
+        assert forks == ["fork", "fork"]
+
+    def test_expected_stable_builds_no_graph(self, monkeypatch):
+        def unbuildable(spec):
+            raise AssertionError("the family graph was built")
+
+        monkeypatch.setattr(enumeration, "make_family", unbuildable)
+        assert expected_count(FamilySpec("complete", n=1500), "stable") == \
+            (1500 ** 1500, "degree-product")
+        assert expected_count(FamilySpec("split", m=2, n=3), "stable") == \
+            (5 ** 2 * 3 ** 3, "degree-product")
+        with pytest.raises(AssertionError, match="graph was built"):
+            expected_count(FamilySpec("complete", n=3), "recurrent")
+
+
+# Observed, not proved: the prime parking functions of bipartite K(p*, q)
+# are exactly as many as those of tripartite K(p, q)^0, which have a closed
+# form.  No prediction of ``expected_count`` rests on it.
+BIPARTITE_PPF = ([(p, q, "direct") for p, q in ((2, 2), (2, 3), (3, 2), (3, 3),
+                                                (2, 4), (4, 2), (3, 4))]
+                 + [(p, q, "orbits") for p, q in ((5, 5), (6, 4), (4, 6))])
+
+
+@pytest.mark.parametrize("p,q,route", BIPARTITE_PPF,
+                         ids=[f"{p}-{q}-{route}" for p, q, route in BIPARTITE_PPF])
+def test_bipartite_ppf_observed_equal_to_tripartite_closed_form(p, q, route):
+    spec = FamilySpec("bipartite", p=p, q=q)
+    target = make_family(spec) if route == "direct" else spec
+    want = closed_form_count(FamilySpec("tripartite", p=p, q=q), "ppf")
+    assert count_class(target, "ppf") == want
+    assert expected_count(spec, "ppf") is None
+
+
 GAP_GRAPH = gap_witness_from_dict(json.loads(
     (FIXTURES / "quantifier_gap_witness.json").read_text())).graph
 
@@ -386,7 +529,7 @@ class TestRunStreams:
 class TestReports:
     def test_suite_all_match(self):
         reports = verify_counts(default_suite())
-        assert len(reports) == 43
+        assert len(reports) == 50
         for r in reports:
             assert r.expected is not None, (r.family, r.params, r.cls)
             assert r.match, (r.family, r.params, r.cls, r.count, r.expected)
