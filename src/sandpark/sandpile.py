@@ -12,8 +12,9 @@ oracle of ``reference``.
 A public function checks its configuration once (``_check_config``) and
 hands the checked tuple, and what it derives from it, to the private
 cores, which check nothing: ``_recurrent``, the fixpoint ``_discard``, the
-burning-start positions ``_starts`` and the one drain loop
-``_first_drain`` behind both quantifiers of strong recurrence.
+burning-start positions ``_starts``, the one drain loop ``_first_drain``
+behind both quantifiers of strong recurrence, the order-free toppling
+kernel ``_relax`` and the declaration-order replay ``_ordered_log``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from array import array
 from bisect import bisect
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate, islice
 from numbers import Real
@@ -124,42 +126,104 @@ def topple(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class StabilisationTrace:
     """Result of driving a configuration to stability.
 
     ``log`` records toppled vertices in firing order; ``odometer`` counts
     topplings per non-sink vertex.  Replaying ``log`` with ``topple``
-    reproduces ``final``.
+    reproduces ``final``.  The trace is immutable, and compares, hashes and
+    prints by its three fields.  ``stabilize`` hands over ``log`` as a
+    zero-argument callable, which the trace calls on the first read of
+    ``log`` and then replaces by the tuple it returns.
     """
 
-    final: Config
-    odometer: tuple[int, ...]
-    log: tuple[str, ...]
+    __slots__ = ("final", "odometer", "_log")
+
+    def __init__(self, final: Config, odometer: tuple[int, ...], log):
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "odometer", odometer)
+        object.__setattr__(self, "_log", log)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def log(self) -> tuple[str, ...]:
+        if callable(self._log):
+            object.__setattr__(self, "_log", self._log())
+        return self._log
+
+    def _fields(self) -> tuple:
+        return self.final, self.odometer, self.log
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return StabilisationTrace, self._fields()
+
+    def __repr__(self) -> str:
+        return (f"StabilisationTrace(final={self.final!r}, "
+                f"odometer={self.odometer!r}, log={self.log!r})")
 
 
-def _relax(g: RootedMultigraph, cur: list[int], pending: list[int], *,
-           max_topplings: int, log: Optional[list[int]] = None) -> None:
-    """Fire unstable positions of ``cur`` in place until none is left.
+def _relax(g: RootedMultigraph, cur: list[int], pending: list[int],
+           odometer: list[int], *, max_topplings: int) -> None:
+    """Fire unstable positions of ``cur`` in place until none is left,
+    adding each position's firings to ``odometer``.
 
-    ``pending`` is a min-heap of exactly the unstable positions, so the
-    first unstable position in declaration order fires.  Each firing walks
-    only the sparse neighbour row, and a neighbour joins ``pending`` when it
-    crosses its degree.  Fired positions are appended to ``log`` when one
-    is given.
+    ``pending`` is a stack holding each unstable position once.  A popped
+    position fires q = cur // deg times at once and sends q * m grains along
+    each sparse neighbour row entry; a neighbour joins ``pending`` when it
+    crosses its degree.  The firing order is arbitrary, which the abelian
+    property allows, and the budget is checked on the running total.
     """
     degs = g.nonsink_degrees
     nbrs = g.nonsink_nbrs
     fired = 0
     while pending:
-        i = pending[0]
-        fired += 1
+        i = pending.pop()
+        d = degs[i]
+        q = cur[i] // d
+        fired += q
         if fired > max_topplings:
             raise ToppleLimitError(
                 f"stabilisation exceeded {max_topplings} topplings")
+        cur[i] -= q * d
+        odometer[i] += q
+        for j, m in nbrs[i]:
+            x = cur[j]
+            cur[j] = y = x + q * m
+            if x < degs[j] <= y:
+                pending.append(j)
+
+
+def _ordered_log(g: RootedMultigraph, c: Config) -> tuple[str, ...]:
+    """The firing log of stabilising ``c`` when the first unstable position
+    in declaration order always fires.
+
+    ``pending`` is a min-heap of exactly the unstable positions, and a
+    neighbour joins it when it crosses its degree.  The caller has already
+    stabilised ``c`` within its budget, and every order fires the same
+    total, so no budget is checked here.
+    """
+    degs = g.nonsink_degrees
+    nbrs = g.nonsink_nbrs
+    cur = list(c)
+    # ascending, so already a heap
+    pending = [i for i, (x, d) in enumerate(zip(cur, degs)) if x >= d]
+    log = []
+    while pending:
+        i = pending[0]
         cur[i] -= degs[i]
-        if log is not None:
-            log.append(i)
+        log.append(i)
         # drop i before any neighbour joins, while it is still at the top
         if cur[i] < degs[i]:
             heappop(pending)
@@ -168,31 +232,28 @@ def _relax(g: RootedMultigraph, cur: list[int], pending: list[int], *,
             cur[j] = x + m
             if x < degs[j] <= x + m:
                 heappush(pending, j)
+    names = g.nonsink
+    return tuple(names[i] for i in log)
 
 
 def stabilize(g: RootedMultigraph, c: Sequence[int], *,
               max_topplings: int = DEFAULT_MAX_TOPPLINGS) -> StabilisationTrace:
-    """Topple until stable, firing the first unstable vertex in declaration
-    order.
+    """Topple until stable.
 
     The final configuration and odometer do not depend on the order (Dhar's
-    abelian property); the tests check this against the scan reference in
-    random orders.  A budget of ``max_topplings`` firings guards against
-    runaway input.
+    abelian property), so they come from the bulk kernel ``_relax``.  The
+    log lists the firings when the first unstable vertex in declaration
+    order fires; it is replayed from ``c`` the first time it is read.  A
+    budget of ``max_topplings`` firings guards against runaway input.
     """
     c = _check_config(g, c)
-    degs = g.nonsink_degrees
     cur = list(c)
-    # ascending, so already a heap
-    pending = [i for i, (x, d) in enumerate(zip(cur, degs)) if x >= d]
-    log: list[int] = []
-    _relax(g, cur, pending, max_topplings=max_topplings, log=log)
+    pending = [i for i, (x, d) in enumerate(zip(cur, g.nonsink_degrees))
+               if x >= d]
     odometer = [0] * len(cur)
-    for i in log:
-        odometer[i] += 1
-    names = g.nonsink
+    _relax(g, cur, pending, odometer, max_topplings=max_topplings)
     return StabilisationTrace(tuple(cur), tuple(odometer),
-                              tuple(names[i] for i in log))
+                              partial(_ordered_log, g, c))
 
 
 def add_sink_grains(g: RootedMultigraph, c: Sequence[int]) -> Config:
@@ -214,23 +275,32 @@ def _require_stable_nonnegative(g: RootedMultigraph, c: Config,
         raise ValueError(f"{what} needs a non-negative configuration")
 
 
-def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[str, ...]]:
-    """Burning test witness, or None when ``c`` is not recurrent.
-
-    Fires the sink once and stabilises; ``c`` is recurrent exactly when the
-    result is ``c`` again with every vertex having toppled exactly once.
-    The returned sequence starts at the sink and lists the firing order.
+def _burning_trace(g: RootedMultigraph, c: Sequence[int]
+                   ) -> Optional[StabilisationTrace]:
+    """The burning test: fire the sink once and stabilise.  ``c`` is
+    recurrent exactly when the result is ``c`` again with every vertex
+    having toppled exactly once; then the trace, else None.  Its log is
+    left unread, so a verdict alone runs no ordered replay.
     """
     c = _check_config(g, c)
     _require_stable_nonnegative(g, c, "burning test")
     trace = stabilize(g, add_sink_grains(g, c))
     if trace.final == c and all(t == 1 for t in trace.odometer):
-        return (g.sink,) + trace.log
+        return trace
     return None
 
 
+def burning_sequence(g: RootedMultigraph, c: Sequence[int]) -> Optional[tuple[str, ...]]:
+    """Burning test witness, or None when ``c`` is not recurrent.
+
+    The returned sequence starts at the sink and lists the firing order.
+    """
+    trace = _burning_trace(g, c)
+    return None if trace is None else (g.sink,) + trace.log
+
+
 def is_recurrent_burning(g: RootedMultigraph, c: Sequence[int]) -> bool:
-    return burning_sequence(g, c) is not None
+    return _burning_trace(g, c) is not None
 
 
 def _discard(c: Sequence[int], deg_in: list, nbrs) -> int:
@@ -320,10 +390,13 @@ def drain_except(g: RootedMultigraph, c: Sequence[int], v: str) -> Config:
 
     Models the state just before ``v`` leads a burning round: every other
     vertex gives back the grains the sink would send it.  ``v`` must be a
-    burning start of ``c``.
+    burning start of ``c``; a name that is not a non-sink vertex raises
+    ``UnknownVertexError``.
     """
     c = _check_config(g, c)
     pos = g.nonsink_pos.get(v)
+    if pos is None:
+        raise UnknownVertexError(f"unknown or sink vertex {v!r}")
     if pos not in _starts(g, c):
         raise ValueError(f"vertex {v!r} is not a burning start of this configuration")
     return tuple(x if i == pos else x - m
@@ -500,11 +573,13 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     drops = array("I")
     states = [pack(start)]
     cur = list(start)
+    # firings per vertex over the whole run, so no drop allocates its own
+    odometer = [0] * k
     for _ in range(steps):
         i = bisect(cum, draw() * total, 0, k - 1)
         cur[i] += 1
         if cur[i] >= degs[i]:
-            _relax(g, cur, [i], max_topplings=DEFAULT_MAX_TOPPLINGS)
+            _relax(g, cur, [i], odometer, max_topplings=DEFAULT_MAX_TOPPLINGS)
         drops.append(i)
         states.append(pack(cur))
     return MarkovRun(start=start, steps=steps, seed=seed,

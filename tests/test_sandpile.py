@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -130,6 +131,14 @@ class TestStabilize:
         with pytest.raises(ToppleLimitError):
             stabilize(k2, (50, 50), max_topplings=3)
 
+    def test_topple_budget_counts_bulk_firings(self, k2):
+        # v1 fires 5 * 10^29 times at its first pop, far past the default
+        # budget of 10^7, so the run stops there instead of firing singly
+        start = time.perf_counter()
+        with pytest.raises(ToppleLimitError):
+            stabilize(k2, (10 ** 30, 0))
+        assert time.perf_counter() - start < 1.0
+
     def test_topple_budget_is_exact(self):
         # the 4,000-grain centre pile on the 16x16 grid fires 78,381 times
         g = grid_with_sink_border(16)
@@ -140,6 +149,26 @@ class TestStabilize:
         tr = stabilize(g, c, max_topplings=78_381)
         assert sum(tr.odometer) == 78_381
 
+    def test_log_replayed_once_on_first_read(self, monkeypatch):
+        calls = []
+        replay = sandpile._ordered_log
+
+        def counted(g, c):
+            calls.append(c)
+            return replay(g, c)
+
+        monkeypatch.setattr(sandpile, "_ordered_log", counted)
+        g = grid_with_sink_border(16)
+        c = [0] * 256
+        c[8 * 16 + 8] = 4000
+        tr = stabilize(g, c)
+        assert calls == []
+        ref = reference_stabilize(g, c)
+        assert (tr.final, tr.odometer) == (ref.final, ref.odometer)
+        assert tr.log == ref.log
+        assert tr.log is tr.log
+        assert calls == [tuple(c)]
+
     def test_negative_values_permitted(self, k2):
         # vertices may owe grains; stabilisation still terminates
         tr = stabilize(k2, (-1, 5))
@@ -148,6 +177,18 @@ class TestStabilize:
 
 
 class TestBurning:
+    def test_verdict_runs_no_ordered_replay(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("the log was replayed")
+
+        monkeypatch.setattr(sandpile, "_ordered_log", boom)
+        g = grid_with_sink_border(16)
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        assert is_recurrent_burning(g, top) is True
+        assert is_recurrent_burning(g, (0,) * 256) is False
+        with pytest.raises(RuntimeError, match="replayed"):
+            burning_sequence(g, top)
+
     def test_triangle_sequence(self, k2):
         assert burning_sequence(k2, (1, 0)) == ("0", "v1", "v2")
         assert burning_sequence(k2, (1, 1)) in (("0", "v1", "v2"), ("0", "v2", "v1"))
@@ -250,6 +291,11 @@ class TestStrongRecurrence:
         assert drain_except(k2, (1, 0), "v1") == (1, -1)
         with pytest.raises(ValueError):
             drain_except(k2, (1, 0), "v2")
+
+    @pytest.mark.parametrize("v", ["zz", "0"])
+    def test_drain_except_needs_a_nonsink_vertex(self, k2, v):
+        with pytest.raises(UnknownVertexError, match="unknown or sink"):
+            drain_except(k2, (1, 1), v)
 
     def test_triangle_strong_set(self, k2):
         assert is_strongly_recurrent(k2, (1, 1)) is True
