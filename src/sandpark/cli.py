@@ -139,8 +139,11 @@ def cmd_check(args) -> int:
     # recurrent configurations are stable and non-negative, whatever the
     # route; the burning and orientation routes refuse any other input
     in_domain = stable and all(x >= 0 for x in values)
+    # on the burning route one burn gives the verdict and its sequence
+    burn = in_domain and route is is_recurrent_burning
+    seq = burning_sequence(g, values) if burn else None
     if prop == "recurrent":
-        verdict = in_domain and route(g, values)
+        verdict = seq is not None if burn else in_domain and route(g, values)
     elif prop == "strongly-recurrent":
         verdict = is_strongly_recurrent(g, values, args.quantifier)
     else:
@@ -150,7 +153,7 @@ def cmd_check(args) -> int:
     if not stable:
         print("configuration is not stable")
     if verdict and in_domain:
-        seq = burning_sequence(g, values)
+        seq = seq or burning_sequence(g, values)
         if seq is not None:
             print("burning sequence: " + " -> ".join(seq))
     if not verdict:

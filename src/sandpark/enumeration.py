@@ -8,18 +8,13 @@ Enumeration classes (lexicographic in declaration order):
 * pf-inc / ppf-inc restrict to candidates non-decreasing inside each
   interchangeable part, so they need a family, not a bare graph.
 
-One depth-first walk serves every class.  It assigns positions in
-declaration order, and as each position joins the prefix, one pinned
+One depth-first walk decides every class at the prefix.  It assigns
+positions in declaration order, and as each position joins, one pinned
 forbidden-set fixpoint per check turns the prefix into the interval of
-values the position may take.  The last position is not listed: the walk
-yields ``(prefix, lo, hi)`` runs, which counting adds up and listing
-expands.  Every class is such a run stream, with no test left for single
-members.  ``min-recurrent`` keeps the one value of each recurrent run at
-level 0, since minimal recurrent configurations hold exactly one grain per
-non-sink edge and no other recurrent one holds so few.  ``sr-exists`` keeps
-the top of each recurrent run from its first strongly recurrent value on,
-since one more grain on the last position keeps every recurrent drain
-recurrent.
+values the position may take; ``min-recurrent`` first clips it to the
+grains level 0 leaves.  The last position is not listed: the walk yields
+``(prefix, lo, hi)`` runs, which counting adds up and listing expands, so
+no member is tested on its own.
 
 Vertices of one part of a family are twins, so counting a family with parts
 walks one representative per orbit (the members non-decreasing inside each
@@ -52,7 +47,6 @@ from .parking import prime_decompositions
 from .sandpile import (
     Config,
     _discard,
-    _first_drain,
     config_from_dict,
     config_to_dict,
     is_strongly_recurrent,
@@ -74,8 +68,8 @@ def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
     return target, None
 
 
-# What the walk checks on each assigned prefix; the last two then cut the
-# recurrent runs.
+# What the walk checks on each assigned prefix: recurrence, and then the
+# drains of every or of some burning start, or the grains of level 0.
 _NONE, _RECURRENT, _DRAINS, _LEVEL_ZERO, _DRAIN_EXISTS = range(5)
 
 # class -> (lowest value of a coordinate, checks).  Configurations take
@@ -176,33 +170,7 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    runs = _search(g, low, checks, prev, first_values)
-    if checks == _LEVEL_ZERO:
-        runs = _level_zero(g, runs)
-    elif checks == _DRAIN_EXISTS:
-        runs = _drain_exists(g, runs)
-    return g, prev, runs
-
-
-def _level_zero(g: RootedMultigraph, runs):
-    """Cut each recurrent run to its one value at level 0, if any."""
-    grains = g.edge_total - sum(g.sink_mults)
-    for vals, lo, hi in runs:
-        x = grains - sum(vals[:-1])
-        if lo <= x <= hi:
-            yield vals, x, x
-
-
-def _drain_exists(g: RootedMultigraph, runs):
-    """Cut each recurrent run to its strongly recurrent (``exists``)
-    values, an up-set of the run, tested from its top down."""
-    for vals, lo, hi in runs:
-        prefix = tuple(vals[:-1])
-        x = hi
-        while x >= lo and _first_drain(g, prefix + (x,), True) is not None:
-            x -= 1
-        if x < hi:
-            yield vals, x + 1, hi
+    return g, prev, _search(g, low, checks, prev, first_values)
 
 
 def _members(runs) -> Iterator[tuple[int, ...]]:
@@ -231,29 +199,44 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     subconfiguration (Dhar 1990) of ``0..t`` holds ``t``.  One fixpoint with
     ``t`` pinned at -1 (negative values are never discarded) leaves a set R,
     and a value passes exactly when ``t`` holds at least its edges into R.
-    Each assigned burning start's drain, pinned the same way, bounds the
-    value less the sink edges of ``t``.  One fixpoint that discards ``t``
-    first says whether ``t`` may be a burning start itself.  So the values
-    that pass form one interval, found once per prefix.  On the last
-    position these checks are exactly recurrence and strong recurrence
-    (``forall``).  Parking values are the degree complement of the
-    configuration, and a representative walk cuts the interval with
+    Each burning start's drain, pinned the same way, bounds the value less
+    the sink edges of ``t``.  ``forall`` takes the largest bound over the
+    assigned starts, and a fixpoint that discards ``t`` first says whether
+    ``t`` may be one; ``exists`` the least over the starts still open, ``t``
+    and, before the last sink edge, a later one.  ``min-recurrent`` clips
+    the value to the grains level 0 leaves.  So the values that pass form
+    one interval, found once per prefix, and on the last position the
+    checks are exactly the class.  Parking values are the degree complement
+    of the configuration, and a representative walk cuts the interval with
     ``prev`` before the fixpoints, which stop once it is empty.
     """
     degs = g.nonsink_degrees
-    sink = g.sink_mults
+    sink = g.sink_mults + (0,)
     nbrs = g.nonsink_nbrs
     k = len(degs)
     parking = low == 1
     drains = checks == _DRAINS
+    exists = checks == _DRAIN_EXISTS
+    budget = checks == _LEVEL_ZERO
     vals = [0] * k
-    conf = [0] * k       # the configuration; the degree complement for parking
-    drained = [0] * k    # conf minus the sink edges
+    conf = [0] * (k + 1)     # the configuration, or the degree complement
+    drained = [0] * (k + 1)  # conf minus the sink edges; k: a start to come
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
     top = [0] * k        # the last admissible value of each position
-    t = 0
     lo, hi = first_values.start, first_values.stop - 1
+    if budget:
+        # level 0's grains less the most (under) and least (over) after t
+        grains = g.edge_total - sum(sink)
+        under = [grains - sum(degs[t + 1:]) + k - 1 - t for t in range(k)]
+        over = [grains - sum(m for u in range(t + 1, k) for j, m in nbrs[u]
+                             if j > u) for t in range(k)]
+        lo, hi = max(lo, under[0]), min(hi, over[0])
+    if exists:
+        # opts[t]: (start, least value of t) per start open when t joins
+        last = max(i for i, s in enumerate(sink) if s)
+        opts = [[(k, sink[0]), (0, degs[0] - sink[0])]] * k
+    t = 0
     while True:
         if t == k - 1:
             if lo <= hi:
@@ -292,6 +275,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         # a representative takes at least the value of prev[t]
         p = low if prev[t] is None else vals[prev[t]]
         cmin, cmax = (0, d - p) if parking else (p, d - 1)
+        if budget:
+            held = sum(conf[:t])
+            cmin, cmax = max(cmin, under[t] - held), min(cmax, over[t] - held)
         if checks and back:
             conf[t] = -1
             pinned = deg_in[:n]
@@ -313,6 +299,28 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 drained[t] = d
                 if _discard(drained, deg_in[:n], nbrs):
                     cmax = d - s - 1
+        elif exists and cmin <= cmax:
+            s = sink[t]
+            drained[t - 1] = conf[t - 1] - sink[t - 1]
+            drained[t] = -1
+            opts[t] = open_ = []
+            for v, b in opts[t - 1]:
+                if conf[t - 1] < b:
+                    continue     # closed by the value t - 1 took
+                if v == k:
+                    # t as a start (c >= d - s) drains like k: no forbidden set
+                    open_.append((t, d - s))
+                    if t >= last:
+                        continue
+                b = cmin
+                if cmin < s + back:
+                    drained[v] = conf[v]
+                    pinned = deg_in[:n]
+                    _discard(drained, pinned, nbrs)
+                    drained[v] -= sink[v]
+                    b = s + pinned[t]
+                open_.append((v, b))
+            cmin = max(cmin, min((b for _, b in open_), default=cmax + 1))
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
@@ -334,31 +342,27 @@ def iter_class(target: Target, cls: str, *,
 def _orbit_total(prev: list, runs) -> int:
     """Members of the orbits of representative runs.
 
-    A representative stands for prod |part|! / prod mult! members: ``full``
-    over the running multiplicity of each position's value.  The last
-    position's value weighs ``base``, or ``base // (m + 1)`` when ``m``
-    earlier vertices of its part hold it.
+    A representative stands for prod |part|! / prod mult! members, a
+    running multinomial: the ``index``-th vertex of a part, ``m``-th to hold
+    its value, weighs ``index / m``.  The last position's value weighs
+    ``w``, or ``w // (m + 1)`` when ``m`` earlier vertices of its part do.
     """
     k = len(prev)
-    full = index = 1
-    for t in range(1, k):
-        index = 1 if prev[t] is None else index + 1
-        full *= index
     total = 0
     for vals, lo, hi in runs:
-        den = m = 1
+        w = index = m = 1
         for t in range(1, k - 1):
-            p = prev[t]
-            if p is not None and vals[t] == vals[p]:
-                m += 1
-                den *= m
+            if prev[t] is None:
+                index = m = 1
             else:
-                m = 1
-        base = full // den
-        if prev[-1] is not None and vals[prev[-1]] == lo:
-            total += base // (m + 1) + base * (hi - lo)
-        else:
-            total += base * (hi - lo + 1)
+                index += 1
+                m = m + 1 if vals[t] == vals[prev[t]] else 1
+                w = w * index // m
+        if prev[-1] is not None:
+            w *= index + 1
+            if vals[prev[-1]] == lo:
+                total += w // (m + 1) - w
+        total += w * (hi - lo + 1)
     return total
 
 

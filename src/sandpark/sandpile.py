@@ -26,7 +26,6 @@ import math
 import random
 from array import array
 from bisect import bisect
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import partial
@@ -511,12 +510,6 @@ class MarkovRun:
     steps: int
     seed: int
     trace: Sequence[tuple[int, str, Config]] = field(default_factory=list)
-
-    @property
-    def visit_counts(self) -> Counter[Config]:
-        """Visits per configuration, ``start`` included, in first-visit
-        order."""
-        return Counter((self.start, *(cfg for _, _, cfg in self.trace)))
 
 
 def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,

@@ -55,6 +55,24 @@ class TestCheck:
         assert "recurrent=true" in out.stdout
         assert "burning sequence: 0 -> v1 -> v2" in out.stdout
 
+    def test_burning_route_stabilises_once(self, monkeypatch, capsys, tmp_path,
+                                           triangle_file):
+        calls = []
+        real = sandpile.stabilize
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sandpile, "stabilize", counted)
+        cfg = values_file(tmp_path, "c.json", {"v1": 1, "v2": 1})
+        rc, out, _ = run_main(capsys, "check", "--graph", triangle_file,
+                              "--input", cfg, "--property", "recurrent")
+        assert rc == 0
+        assert out.splitlines() == ["recurrent=true",
+                                    "burning sequence: 0 -> v1 -> v2"]
+        assert calls == [(2, 2)]
+
     def test_recurrent_false_prints_forbidden_set(self, tmp_path, triangle_file):
         cfg = values_file(tmp_path, "c.json", {"v1": 0, "v2": 0})
         out = run_cli("check", "--graph", triangle_file, "--input", cfg,
@@ -737,8 +755,6 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "is_recurrent", forbidden)
         monkeypatch.setattr(sandpile, "is_recurrent", forbidden)
-        monkeypatch.setattr(sandpile.MarkovRun, "visit_counts",
-                            property(forbidden))
         monkeypatch.setattr(sandpile.ChainTrace, "__iter__", forbidden)
         monkeypatch.setattr(sandpile.ChainTrace, "__getitem__", forbidden)
         monkeypatch.setattr(cli, "_recurrent", counted)
@@ -750,8 +766,7 @@ class TestSimulate:
         assert len(decided) == len(set(decided)) == 301
         # positive controls: each patch is live
         run = sandpile.markov_run(grid_with_sink_border(2), (0,) * 4, 3, 0)
-        for touch in (lambda: run.visit_counts, lambda: list(run.trace),
-                      lambda: run.trace[0],
+        for touch in (lambda: list(run.trace), lambda: run.trace[0],
                       lambda: cli.is_recurrent(None, None)):
             with pytest.raises(AssertionError, match="decoded or re-checked"):
                 touch()

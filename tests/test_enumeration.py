@@ -474,8 +474,9 @@ CUT_CASES = [(label, g, cls)
 
 
 class TestRunStreams:
-    """``sr-exists`` and ``min-recurrent`` are cut from the recurrent runs;
-    counting and listing test no member again."""
+    """``sr-exists`` and ``min-recurrent`` are decided at the prefix like
+    every other class: counting and listing test no member again, and no
+    run is visited that its prefix rules out."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -509,6 +510,38 @@ class TestRunStreams:
         sandpile.is_minimal_recurrent(GAP_GRAPH, (0, 0))
         assert calls == Counter({"_check_config": 2, "is_strongly_recurrent": 1,
                                  "is_minimal_recurrent": 1})
+
+    @pytest.mark.parametrize("cls,count,most", [("sr-exists", 11, 4390),
+                                                ("min-recurrent", 1022, 5472)])
+    def test_prefix_cuts_bound_the_fixpoints(self, monkeypatch, cls, count,
+                                             most):
+        calls = []
+        for module in (enumeration, sandpile):
+            real = module._discard
+
+            def counted(*args, _real=real):
+                calls.append(None)
+                return _real(*args)
+
+            monkeypatch.setattr(module, "_discard", counted)
+        w10 = FamilySpec("wheel", n=10)
+        assert count_class(w10, cls) == count
+        cut = len(calls)
+        calls.clear()
+        assert count_class(w10, "recurrent") == 15125
+        # no run is visited that the prefix rules out: at most half the
+        # fixpoints of the recurrent walk
+        assert 0 < cut <= most and 2 * cut <= len(calls)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_min_recurrent_on_complete_graphs(self, n):
+        # the acyclic orientations of K_{n+1} with the sink as unique
+        # source (Greene and Zaslavsky 1983)
+        spec = FamilySpec("complete", n=n)
+        assert count_class(spec, "min-recurrent") == math.factorial(n)
+        if n <= 6:
+            assert count_class(make_family(spec), "min-recurrent") == \
+                math.factorial(n)
 
     def test_gap_witness_counts(self):
         assert (count_class(GAP_GRAPH, "sr-exists"),

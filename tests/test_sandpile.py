@@ -390,13 +390,12 @@ class TestMarkov:
         a = markov_run(k2, (0, 0), 50, seed=9)
         b = markov_run(k2, (0, 0), 50, seed=9)
         assert a.trace == b.trace
-        assert a.visit_counts == b.visit_counts
         c = markov_run(k2, (0, 0), 50, seed=10)
         assert a.trace != c.trace
 
     def test_visits_stay_stable(self, k2):
         run = markov_run(k2, (1, 1), 200, seed=3)
-        for cfg in run.visit_counts:
+        for _, _, cfg in run.trace:
             assert is_stable(k2, cfg)
 
     def test_converges_to_recurrent_set(self, k2):
