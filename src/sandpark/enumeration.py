@@ -19,6 +19,9 @@ no member is tested on its own.
 Vertices of one part of a family are twins, so counting a family with parts
 walks one representative per orbit (the members non-decreasing inside each
 part, as the increasing classes do) and weighs it by its orbit size.
+On such a walk a parking position's fixpoints also hold its part's later
+positions, at the most grains the part's order leaves them, and of two
+burning starts of one part with one value only the first is drained.
 Listing and bare graphs walk every member.  The cap bounds the space the
 chosen walk visits, before the walk starts and before a family's graph is
 built.  Counting splits a large space by the first coordinate across
@@ -209,6 +212,21 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     checks are exactly the class.  Parking values are the degree complement
     of the configuration, and a representative walk cuts the interval with
     ``prev`` before the fixpoints, which stop once it is empty.
+
+    On a parking representative walk the fixpoints look ahead to the end
+    of ``t``'s part, the run of ``prev`` links after ``t``.  Those later
+    part-mates are twins of ``t`` and hold at most ``cmax`` grains, since
+    their parking values are at least that of ``prev[t]`` (or 1).  Extra
+    grains never make a forbidden set, so a set forbidden with the mates at
+    ``cmax`` rules out every completion.  One without ``t`` holds a mate,
+    as the prefix has passed, and adding ``t``, its twin, keeps it
+    forbidden at every value of ``t``: the pinned bound empties the
+    interval.  Mates that would burn at once (``cmax``, drained for
+    ``ppf``, reaches their edges into the domain) stay out, as do mates with
+    no edges there, and the last position has none, so its interval and
+    every run are unchanged.  A start whose ``prev`` holds the same value
+    is not drained again: swapping the two twins fixes every other
+    position, so both drains give one bound.
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
@@ -224,6 +242,15 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
     top = [0] * k        # the last admissible value of each position
+    # a parking representative's part-mates still to come, t+1..e on the
+    # run of prev links after t: (e, t's edges into 0..e) when it has any
+    ahead: list = [None] * k
+    e = k - 1
+    for t in reversed(range(k - 1) if parking else ()):
+        e = e if prev[t + 1] == t else t
+        reach = sum(m for j, m in nbrs[t] if j <= e)
+        if e > t and reach:
+            ahead[t] = (e, reach)
     lo, hi = first_values.start, first_values.stop - 1
     if budget:
         # level 0's grains less the most (under) and least (over) after t
@@ -259,7 +286,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             while starts and starts[-1] >= t:
                 starts.pop()
             drained[t] = c - sink[t]
-            if sink[t] and c >= degs[t] - sink[t]:
+            if (sink[t] and c >= degs[t] - sink[t]
+                    and (prev[t] is None or vals[prev[t]] != x)):
                 starts.append(t)
         # t + 1 joins the prefix; find the values c it may take
         t += 1
@@ -275,12 +303,29 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         # a representative takes at least the value of prev[t]
         p = low if prev[t] is None else vals[prev[t]]
         cmin, cmax = (0, d - p) if parking else (p, d - 1)
+        dom = deg_in
+        if ahead[t]:
+            e, reach = ahead[t]
+            s = sink[t]
+            # the part-mates t+1..e are twins of t holding at most cmax
+            # grains; unless they would burn at once, they join the domain
+            if reach > (cmax - s if drains else cmax):
+                n, r = e + 1, e - t
+                conf[t + 1:n] = [cmax] * r
+                drained[t + 1:n] = [cmax - s] * r
+                dom = deg_in[:t]
+                for j, m in nbrs[t]:
+                    if j >= t:
+                        break
+                    dom[j] += m * r
+                back = reach    # t's edges into the domain, and each mate's
+                dom += [back] * (r + 1)
         if budget:
             held = sum(conf[:t])
             cmin, cmax = max(cmin, under[t] - held), min(cmax, over[t] - held)
         if checks and back:
             conf[t] = -1
-            pinned = deg_in[:n]
+            pinned = dom[:n]
             _discard(conf, pinned, nbrs)
             cmin = max(cmin, pinned[t])
         if drains:
@@ -290,14 +335,14 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 if cmin >= s + back or cmin > cmax:
                     break
                 drained[v] = conf[v]
-                pinned = deg_in[:n]
+                pinned = dom[:n]
                 _discard(drained, pinned, nbrs)
                 drained[v] -= sink[v]
                 cmin = max(cmin, s + pinned[t])
             if s and cmax >= max(cmin, d - s):
                 # t would be a burning start: its drain keeps t, discarded first
                 drained[t] = d
-                if _discard(drained, deg_in[:n], nbrs):
+                if _discard(drained, dom[:n], nbrs):
                     cmax = d - s - 1
         elif exists and cmin <= cmax:
             s = sink[t]

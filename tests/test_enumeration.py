@@ -46,6 +46,15 @@ from conftest import giant_triangle, reference_iter_class, triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# parts of five or more vertices, where the look-ahead over a part's later
+# positions reaches furthest
+LONG_PARTS = [FamilySpec("complete", n=5), FamilySpec("complete", n=6),
+              FamilySpec("tripartite", p=4, q=3),
+              FamilySpec("tripartite", p=1, q=6),
+              FamilySpec("bipartite", p=3, q=3),
+              FamilySpec("bipartite", p=1, q=5),
+              FamilySpec("split", m=3, n=3), FamilySpec("split", m=2, n=4)]
+
 
 class TestIterClass:
     def test_recurrent_triangle(self, k2):
@@ -102,7 +111,7 @@ class TestIterClass:
                   for p, q in ((2, 2), (2, 3), (3, 2))]
         specs += [FamilySpec("split", m=m, n=n)
                   for m, n in ((2, 1), (2, 2), (3, 2))]
-        for spec in specs:
+        for spec in specs + LONG_PARTS:
             cuts, end = [], 0
             for part in family_parts(spec):
                 cuts.append((end, end + len(part)))
@@ -112,8 +121,11 @@ class TestIterClass:
                 return all(list(t[a:b]) == sorted(t[a:b]) for a, b in cuts)
 
             for inc, full in (("pf-inc", "pf"), ("ppf-inc", "ppf")):
-                want = [t for t in iter_class(spec, full) if sorted_in_parts(t)]
+                direct = list(iter_class(spec, full))
+                want = [t for t in direct if sorted_in_parts(t)]
                 assert list(iter_class(spec, inc)) == want, (spec.label(), inc)
+                assert count_class(spec, full) == len(direct), \
+                    (spec.label(), full)
 
     def test_walk_deeper_than_recursion_limit(self, monkeypatch):
         leaves = [f"v{i}" for i in range(1500)]
@@ -450,6 +462,45 @@ def test_bipartite_ppf_observed_equal_to_tripartite_closed_form(p, q, route):
     assert expected_count(spec, "ppf") is None
 
 
+@pytest.fixture()
+def fixpoints(monkeypatch):
+    """The length of the domain of every fixpoint, in either module."""
+    lengths = []
+    for module in (enumeration, sandpile):
+        real = module._discard
+
+        def counted(c, deg_in, nbrs, _real=real):
+            lengths.append(len(deg_in))
+            return _real(c, deg_in, nbrs)
+
+        monkeypatch.setattr(module, "_discard", counted)
+    return lengths
+
+
+class TestLookAhead:
+    """A parking representative's fixpoints also hold the later positions
+    of its part, at the most grains the part's order leaves them; the
+    walk visits fewer prefixes and yields the same runs."""
+
+    @pytest.mark.parametrize("spec,cls,count,most", [
+        (FamilySpec("complete", n=9), "ppf-inc", 1430, 2500),
+        (FamilySpec("complete", n=10), "ppf", 9 ** 9, 8000),
+        (FamilySpec("tripartite", p=1, q=100), "ppf", 1, 1000)],
+        ids=["K9-ppf-inc", "K10-ppf", "K(1,100)-ppf"])
+    def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
+                                             count, most):
+        # 13,735, 47,744 and 182,000 fixpoints on the prefix alone
+        assert count_class(spec, cls) == count
+        assert 0 < len(fixpoints) <= most
+
+    @pytest.mark.parametrize("cls,most", [("pf", 2001), ("ppf", 4002)])
+    def test_mates_without_edges_stay_out(self, fixpoints, cls, most):
+        # the P-vertices share no edge and the Q-vertex comes last, so no
+        # fixpoint reaches past the prefix
+        assert count_class(FamilySpec("bipartite", p=2000, q=1), cls) == 1
+        assert sum(fixpoints) <= most
+
+
 GAP_GRAPH = gap_witness_from_dict(json.loads(
     (FIXTURES / "quantifier_gap_witness.json").read_text())).graph
 
@@ -513,25 +564,16 @@ class TestRunStreams:
 
     @pytest.mark.parametrize("cls,count,most", [("sr-exists", 11, 4390),
                                                 ("min-recurrent", 1022, 5472)])
-    def test_prefix_cuts_bound_the_fixpoints(self, monkeypatch, cls, count,
+    def test_prefix_cuts_bound_the_fixpoints(self, fixpoints, cls, count,
                                              most):
-        calls = []
-        for module in (enumeration, sandpile):
-            real = module._discard
-
-            def counted(*args, _real=real):
-                calls.append(None)
-                return _real(*args)
-
-            monkeypatch.setattr(module, "_discard", counted)
         w10 = FamilySpec("wheel", n=10)
         assert count_class(w10, cls) == count
-        cut = len(calls)
-        calls.clear()
+        cut = len(fixpoints)
+        fixpoints.clear()
         assert count_class(w10, "recurrent") == 15125
         # no run is visited that the prefix rules out: at most half the
         # fixpoints of the recurrent walk
-        assert 0 < cut <= most and 2 * cut <= len(calls)
+        assert 0 < cut <= most and 2 * cut <= len(fixpoints)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_min_recurrent_on_complete_graphs(self, n):
