@@ -185,6 +185,20 @@ def _count_line(report) -> str:
     return line
 
 
+def _listing_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` for a payload whose last key,
+    ``elements``, lists integer tuples.  With ``indent`` CPython encodes in
+    pure Python, so only the header goes through ``json`` and each element
+    is joined directly."""
+    elements = payload["elements"]
+    head = json.dumps({**payload, "elements": []}, indent=2)
+    if not elements:
+        return head
+    body = ",\n".join("    [\n      " + ",\n      ".join(map(str, e))
+                      + "\n    ]" for e in elements)
+    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+
+
 def cmd_enumerate(args) -> int:
     spec = _family_from_args(args)
     if spec is None and args.graph is None:
@@ -193,7 +207,8 @@ def cmd_enumerate(args) -> int:
         raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
     # the space its output walks, before expected_count builds a family's
-    # graph: listing walks every member, counting a family representatives
+    # graph: listing walks every member (deciding each prefix of a family
+    # with parts once per orbit), counting a family representatives
     listing = args.output in ("list", "json")
     _check_space(target, args.cls, args.cap,
                  not listing and _orbit_route(target))
@@ -210,8 +225,7 @@ def cmd_enumerate(args) -> int:
         report = _make_report(target, args.cls, count, 0.0, expected)
         print(_count_line(report))
     elif args.output == "json":
-        elements = [list(item) for item in iter_class(target, args.cls,
-                                                      cap=args.cap)]
+        elements = list(iter_class(target, args.cls, cap=args.cap))
         # one serial walk gives both the elements and the count; the
         # payload carries no timing
         report = _make_report(target, args.cls, len(elements), 0.0, expected)
@@ -219,7 +233,7 @@ def cmd_enumerate(args) -> int:
                    "class": report.cls, "count": report.count,
                    "expected": report.expected, "match": report.match,
                    "elements": elements}
-        print(json.dumps(payload, indent=2))
+        print(_listing_json(payload))
     else:
         start = time.perf_counter()
         count = count_class(target, args.cls, jobs=args.jobs, cap=args.cap)

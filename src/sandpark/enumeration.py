@@ -22,10 +22,13 @@ part, as the increasing classes do) and weighs it by its orbit size.
 On such a walk a parking position's fixpoints also hold its part's later
 positions, at the most grains the part's order leaves them, and of two
 burning starts of one part with one value only the first is drained.
-Listing and bare graphs walk every member.  The cap bounds the space the
-chosen walk visits, before the walk starts and before a family's graph is
-built.  Counting splits a large space by the first coordinate across
-worker processes; the count does not depend on the worker count.
+Listing and bare graphs walk every member.  Listing a family with parts
+still decides each prefix once per orbit: its interval is kept under the
+multiset of values each part holds, and the prefix's permutations inside
+the parts reuse it.  The cap bounds the space the chosen walk visits,
+before the walk starts and before a family's graph is built.  Counting
+splits a large space by the first coordinate across worker processes; the
+count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -173,7 +176,39 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return g, prev, _search(g, low, checks, prev, first_values)
+    units = None
+    if (not orbits and checks not in (_NONE, _DRAIN_EXISTS)
+            and _orbit_route(target)):
+        units = _prefix_units(g, family_parts(spec), low)
+    return g, prev, _search(g, low, checks, prev, first_values, units)
+
+
+def _prefix_units(g: RootedMultigraph, parts, low: int) -> list:
+    """Per position, the increment of the prefix key for each value.
+
+    The key of a prefix sums its positions' increments: a field per part
+    and value counting the part's positions that hold it, of
+    ``len(part).bit_length()`` bits, or for a one-vertex part a field
+    holding ``value - low + 1``, never 0.  Equal keys are equal multisets
+    of values inside every part.  The positions of a part share one list,
+    indexed by value.
+    """
+    units: list = [None] * len(g.nonsink_degrees)
+    shift = 0
+    for part in parts:
+        at = [g.nonsink_pos[v] for v in part]
+        d = g.nonsink_degrees[at[0]]
+        if len(at) == 1:
+            row = [(i + 1) << shift for i in range(d)]
+            shift += d.bit_length()
+        else:
+            w = len(at).bit_length()
+            row = [1 << (shift + w * i) for i in range(d)]
+            shift += w * d
+        row[:0] = [0] * low
+        for t in at:
+            units[t] = row
+    return units
 
 
 def _members(runs) -> Iterator[tuple[int, ...]]:
@@ -191,7 +226,8 @@ def _walk(target: Target, cls: str, cap: int,
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range) -> Iterator[tuple[list, int, int]]:
+            first_values: range,
+            units: Optional[list]) -> Iterator[tuple[list, int, int]]:
     """Depth-first walk over positions in declaration order.
 
     Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
@@ -227,6 +263,20 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     every run are unchanged.  A start whose ``prev`` holds the same value
     is not drained again: swapping the two twins fixes every other
     position, so both drains give one bound.
+
+    A walk that lists a family with parts (``units`` set) remembers the
+    interval of each joining position under the key of its prefix
+    (``_prefix_units``): how many of each part's assigned positions hold
+    each value, which also fixes ``t``.  Permuting the assigned positions
+    of a part is an automorphism, as they are twins, that fixes the sink
+    and every later position.  It maps the forbidden sets, the burning
+    starts and their drains of one prefix onto those of the other and
+    keeps its grains, so two prefixes with one key admit the same values,
+    and the second reuses the interval without a fixpoint.  ``deg_in``,
+    ``conf``, ``drained`` and ``starts`` are still kept up at every node.
+    ``sr-exists`` holds start positions per node (``opts``), which the
+    permutation moves, and ``stable`` runs no fixpoint, so neither keeps
+    the memo; nor does a representative walk, whose keys never repeat.
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
@@ -255,10 +305,18 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     if budget:
         # level 0's grains less the most (under) and least (over) after t
         grains = g.edge_total - sum(sink)
-        under = [grains - sum(degs[t + 1:]) + k - 1 - t for t in range(k)]
-        over = [grains - sum(m for u in range(t + 1, k) for j, m in nbrs[u]
-                             if j > u) for t in range(k)]
+        under, over = [0] * k, [0] * k
+        most = least = 0     # summed over the positions after t
+        for t in reversed(range(k)):
+            under[t], over[t] = grains - most, grains - least
+            most += degs[t] - 1
+            least += sum(m for j, m in nbrs[t] if j > t)
+        held = [0] * k       # held[t]: the grains on 0..t-1
         lo, hi = max(lo, under[0]), min(hi, over[0])
+    if units:
+        # keys[t]: the key of the prefix 0..t-1; seen: key -> interval
+        keys = [0] * k
+        seen: dict = {}
     if exists:
         # opts[t]: (start, least value of t) per start open when t joins
         last = max(i for i, s in enumerate(sink) if s)
@@ -321,8 +379,15 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 back = reach    # t's edges into the domain, and each mate's
                 dom += [back] * (r + 1)
         if budget:
-            held = sum(conf[:t])
-            cmin, cmax = max(cmin, under[t] - held), min(cmax, over[t] - held)
+            held[t] = held[t - 1] + conf[t - 1]
+            cmin = max(cmin, under[t] - held[t])
+            cmax = min(cmax, over[t] - held[t])
+        if units:
+            key = keys[t] = keys[t - 1] + units[t - 1][vals[t - 1]]
+            run = seen.get(key)
+            if run:
+                lo, hi = run
+                continue
         if checks and back:
             conf[t] = -1
             pinned = dom[:n]
@@ -367,6 +432,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 open_.append((v, b))
             cmin = max(cmin, min((b for _, b in open_), default=cmax + 1))
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
+        if units:
+            seen[key] = lo, hi
 
 
 def iter_class(target: Target, cls: str, *,

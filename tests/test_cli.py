@@ -398,6 +398,20 @@ class TestEnumerate:
         assert payload["elements"] == [[1, 1, 1], [1, 1, 2], [1, 2, 1],
                                        [2, 1, 1]]
 
+    @pytest.mark.parametrize("elements", [[(1, 2, 3), (2, 1, 1), (10, 1, 2)],
+                                          []], ids=["elements", "empty"])
+    def test_json_listing_is_json_dumps(self, monkeypatch, capsys, elements):
+        payload = {"family": "complete", "params": "n=3", "class": "ppf",
+                   "count": len(elements), "expected": None, "match": None,
+                   "elements": elements}
+        assert cli._listing_json(payload) == json.dumps(payload, indent=2)
+        monkeypatch.setattr(cli, "iter_class",
+                            lambda target, cls, cap: iter(elements))
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "3", "--class", "ppf", "--output", "json")
+        assert rc == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_csv_output(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
                       "--class", "recurrent", "--output", "csv", "--expected")

@@ -353,9 +353,9 @@ class TestOrbitRoute:
         seen = []
         real = enumeration._search
 
-        def spy(g, low, checks, prev, first_values):
+        def spy(g, low, checks, prev, first_values, units):
             seen.append(list(prev))
-            return real(g, low, checks, prev, first_values)
+            return real(g, low, checks, prev, first_values, units)
 
         monkeypatch.setattr(enumeration, "_search", spy)
         return seen
@@ -499,6 +499,55 @@ class TestLookAhead:
         # fixpoint reaches past the prefix
         assert count_class(FamilySpec("bipartite", p=2000, q=1), cls) == 1
         assert sum(fixpoints) <= most
+
+
+LISTED = [cls for cls in CLASSES if not cls.endswith("-inc")]
+LISTING_CASES = [(spec, cls) for spec in LONG_PARTS for cls in LISTED]
+
+
+class TestListingMemo:
+    """Listing a family with parts decides each prefix once per orbit: a
+    prefix with the values of one already decided, permuted inside the
+    parts, reuses its interval."""
+
+    @pytest.mark.parametrize("spec,cls", LISTING_CASES,
+                             ids=[f"{spec.label()}-{cls}"
+                                  for spec, cls in LISTING_CASES])
+    def test_family_lists_the_bare_graph_walk(self, spec, cls):
+        # the bare graph walks without the memo
+        assert list(iter_class(spec, cls)) == \
+            list(iter_class(make_family(spec), cls))
+
+    @pytest.mark.parametrize("n,count,most", [(6, 5 ** 5, 1000),
+                                              (7, 6 ** 6, 3000)])
+    def test_memo_bounds_the_fixpoints(self, fixpoints, n, count, most):
+        # 9,747 and 122,629 fixpoints with one per prefix
+        assert sum(1 for _ in iter_class(FamilySpec("complete", n=n),
+                                         "ppf")) == count
+        assert 0 < len(fixpoints) <= most
+
+    @pytest.mark.parametrize("cls", ["recurrent", "sr-forall",
+                                     "min-recurrent", "pf", "ppf"])
+    def test_one_vertex_part_inside_another_keeps_its_keys(self, cls):
+        # b, a part of its own, sits between the twins a and c: its field
+        # is never 0, so the prefix a, b keeps a key apart from the prefix
+        # a even when b takes the lowest value
+        g = build_graph(["0", "a", "b", "c"], "0",
+                        [("0", "a", 1), ("0", "c", 1), ("a", "b", 1),
+                         ("c", "b", 1), ("0", "b", 2)])
+        low, checks = enumeration._CLASS_WALKS[cls]
+        units = enumeration._prefix_units(g, (("a", "c"), ("b",)), low)
+        first = range(low, low + g.nonsink_degrees[0])
+        memo, plain = (list(enumeration._members(enumeration._search(
+            g, low, checks, [None] * 3, first, u))) for u in (units, None))
+        assert memo == plain != []
+
+    def test_long_single_path_runs_no_more_fixpoints(self, fixpoints):
+        # the one member is all ones, so no prefix key repeats, and the two
+        # fixpoints are those of one per prefix
+        spec = FamilySpec("bipartite", p=20000, q=1)
+        assert list(iter_class(spec, "ppf")) == [(1,) * 20001]
+        assert len(fixpoints) <= 2
 
 
 GAP_GRAPH = gap_witness_from_dict(json.loads(
