@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import SandparkError, SizeCapError
@@ -219,9 +220,12 @@ def cmd_enumerate(args) -> int:
 
     if args.output == "list":
         count = 0
-        for item in iter_class(target, args.cls, cap=args.cap):
-            print(",".join(str(x) for x in item))
-            count += 1
+        members = iter_class(target, args.cls, cap=args.cap)
+        # one write per chunk of members, never the whole listing at once
+        while chunk := list(islice(members, 4096)):
+            sys.stdout.write("".join([",".join(map(str, item)) + "\n"
+                                      for item in chunk]))
+            count += len(chunk)
         report = _make_report(target, args.cls, count, 0.0, expected)
         print(_count_line(report))
     elif args.output == "json":

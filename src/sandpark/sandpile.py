@@ -178,30 +178,33 @@ def _relax(g: RootedMultigraph, cur: list[int], pending: list[int],
     """Fire unstable positions of ``cur`` in place until none is left,
     adding each position's firings to ``odometer``.
 
-    ``pending`` is a stack holding each unstable position once.  A popped
-    position fires q = cur // deg times at once and sends q * m grains along
-    each sparse neighbour row entry; a neighbour joins ``pending`` when it
-    crosses its degree.  The firing order is arbitrary, which the abelian
-    property allows, and the budget is checked on the running total.
+    ``pending`` lists each unstable position once and is fired in waves:
+    a position fires q = cur // deg times at once and sends q * m grains
+    along each sparse neighbour row entry, and a neighbour that crosses its
+    degree joins the next wave.  The order is breadth-first, so a position
+    gathers its neighbours' grains before it fires, which the abelian
+    property allows; the budget is checked on the running total.
     """
     degs = g.nonsink_degrees
     nbrs = g.nonsink_nbrs
     fired = 0
     while pending:
-        i = pending.pop()
-        d = degs[i]
-        q = cur[i] // d
-        fired += q
-        if fired > max_topplings:
-            raise ToppleLimitError(
-                f"stabilisation exceeded {max_topplings} topplings")
-        cur[i] -= q * d
-        odometer[i] += q
-        for j, m in nbrs[i]:
-            x = cur[j]
-            cur[j] = y = x + q * m
-            if x < degs[j] <= y:
-                pending.append(j)
+        wave = []
+        for i in pending:
+            d = degs[i]
+            q = cur[i] // d
+            fired += q
+            if fired > max_topplings:
+                raise ToppleLimitError(
+                    f"stabilisation exceeded {max_topplings} topplings")
+            cur[i] -= q * d
+            odometer[i] += q
+            for j, m in nbrs[i]:
+                x = cur[j]
+                cur[j] = y = x + q * m
+                if x < degs[j] <= y:
+                    wave.append(j)
+        pending = wave
 
 
 def _ordered_log(g: RootedMultigraph, c: Config) -> tuple[str, ...]:
@@ -564,7 +567,8 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     # when the start has no negative entry and no degree exceeds 256.
     pack = bytes if min(start) >= 0 and max(degs) <= 256 else tuple
     drops = array("I")
-    states = [pack(start)]
+    state = pack(start)
+    states = [state]
     cur = list(start)
     # firings per vertex over the whole run, so no drop allocates its own
     odometer = [0] * k
@@ -573,8 +577,12 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
         cur[i] += 1
         if cur[i] >= degs[i]:
             _relax(g, cur, [i], odometer, max_topplings=DEFAULT_MAX_TOPPLINGS)
+            state = pack(cur)
+        else:
+            # a quiet drop changes one entry: splice it into the last state
+            state = state[:i] + pack((cur[i],)) + state[i + 1:]
         drops.append(i)
-        states.append(pack(cur))
+        states.append(state)
     return MarkovRun(start=start, steps=steps, seed=seed,
                      trace=ChainTrace(g.nonsink, drops, states))
 

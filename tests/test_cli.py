@@ -389,6 +389,38 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "count=4 expected=5 match=false"
 
+    @pytest.mark.parametrize("cls", ["ppf", "recurrent"])
+    @pytest.mark.parametrize("bare", [False, True], ids=["family", "graph"])
+    def test_list_bytes_match_one_line_per_member(self, capsys, monkeypatch,
+                                                  tmp_path, cls, bare):
+        # K6 recurrent has 16,807 members, so its listing spans five chunks
+        target = complete_graph(6)
+        if bare:
+            path = tmp_path / "k6.json"
+            save_graph(target, path)
+            args = ("--graph", str(path))
+        else:
+            args = ("--family", "complete", "--n", "6")
+        lines = [",".join(str(x) for x in item) + "\n"
+                 for item in enumeration.iter_class(target, cls)]
+        count = len(lines)
+        writes = []
+        write = sys.stdout.write
+
+        def counted(text):
+            writes.append(len(text))
+            return write(text)
+
+        monkeypatch.setattr(sys.stdout, "write", counted)
+        rc, out, _ = run_main(capsys, "enumerate", *args, "--class", cls,
+                              "--output", "list")
+        assert rc == 0
+        assert out == "".join(lines) + f"count={count}\n"
+        # one write per 4,096 members, then the count line
+        chunks = -(-count // 4096)
+        assert chunks < len(writes) <= chunks + 2
+        assert max(writes) <= 4096 * max(map(len, lines))
+
     def test_json_round_trips_elements(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
                       "--class", "ppf", "--output", "json")

@@ -118,7 +118,7 @@ def unstable_samples(g, rng, count):
 
 def heavy_piles(g, rng, count):
     """On a graph with a non-sink edge of multiplicity at least 2, piles of
-    3 to 10 times each degree: a popped vertex fires at least twice at once,
+    3 to 10 times each degree: a vertex fires at least twice at once,
     and its neighbours cross their degrees by more than one grain."""
     if max(m for row in g.nonsink_nbrs for _, m in row) < 2:
         return []

@@ -132,7 +132,7 @@ class TestStabilize:
             stabilize(k2, (50, 50), max_topplings=3)
 
     def test_topple_budget_counts_bulk_firings(self, k2):
-        # v1 fires 5 * 10^29 times at its first pop, far past the default
+        # v1 fires 5 * 10^29 times in the first wave, far past the default
         # budget of 10^7, so the run stops there instead of firing singly
         start = time.perf_counter()
         with pytest.raises(ToppleLimitError):
@@ -148,6 +148,43 @@ class TestStabilize:
             stabilize(g, c, max_topplings=78_380)
         tr = stabilize(g, c, max_topplings=78_381)
         assert sum(tr.odometer) == 78_381
+
+    @staticmethod
+    def multigraph_piles(seed, count):
+        """Seeded multigraphs with parallel edges, each with a pile of
+        hundreds of grains and a few negative entries."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            g = random_connected_multigraph(rng, rng.randint(4, 9),
+                                            max_mult=4, extra_edges=6)
+            if max(m for row in g.nonsink_nbrs for _, m in row) < 2:
+                continue
+            c = [rng.randint(-3, 2 * d) for d in g.nonsink_degrees]
+            c[rng.randrange(len(c))] += rng.randint(200, 600)
+            out.append((g, tuple(c)))
+        return out
+
+    def test_waves_match_shuffled_orders_on_multigraphs(self):
+        # grains arrive q * m at a time along parallel edges, so a position
+        # can cross its degree by far more than one firing's worth
+        negatives = 0
+        for n, (g, c) in enumerate(self.multigraph_piles(31, 24)):
+            negatives += min(c) < 0
+            tr = stabilize(g, c)
+            assert is_stable(g, tr.final), n
+            for seed in (n, n + 100):
+                ref = reference_stabilize(g, c, rng=random.Random(seed))
+                assert (tr.final, tr.odometer) == (ref.final, ref.odometer), n
+        assert negatives >= 6
+
+    def test_topple_budget_is_exact_on_a_multigraph(self):
+        g, c = self.multigraph_piles(7, 1)[0]
+        total = sum(reference_stabilize(g, c).odometer)
+        assert total > 100
+        with pytest.raises(ToppleLimitError):
+            stabilize(g, c, max_topplings=total - 1)
+        assert sum(stabilize(g, c, max_topplings=total).odometer) == total
 
     def test_log_replayed_once_on_first_read(self, monkeypatch):
         calls = []
@@ -516,6 +553,33 @@ class TestMarkov:
         run = markov_run(k2, (-3, 1), 40, seed=2)
         assert min(run.trace[0][2]) < 0
         assert run.trace == self.expected_trace(k2, run)
+
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide"])
+    def test_stored_states_equal_packed_from_scratch(self, case, k2):
+        # quiet drops splice one entry into the last stored state; each
+        # stored state must still be what packing the whole state gives
+        if case == "grid-bytes":
+            g = grid_with_sink_border(16)
+            start = tuple(d - 1 for d in g.nonsink_degrees)
+            pack, steps = bytes, 1500
+        elif case == "negative":
+            g, start, pack, steps = k2, (-3, 1), tuple, 200
+        else:
+            # a vertex of degree 301 holds values no byte can
+            g = build_graph(["0", "a", "b", "c"], "0",
+                            [("0", "a", 300), ("a", "b", 1), ("b", "c", 2),
+                             ("0", "c", 1)])
+            start, pack, steps = (250, 0, 1), tuple, 600
+        run = markov_run(g, start, steps, seed=13)
+        expected = [pack(start)] + [pack(cfg) for _, _, cfg
+                                    in self.expected_trace(g, run)]
+        stored = run.trace._stored()
+        assert [type(s) for s in stored] == [pack] * (steps + 1)
+        assert stored == expected
+        # a quiet drop changes one entry, a firing at least two
+        quiet = sum(sum(x != y for x, y in zip(a, b)) == 1
+                    for a, b in zip(stored, stored[1:]))
+        assert 0 < quiet < steps
 
     def test_trace_memory(self):
         g = grid_with_sink_border(16)
