@@ -22,13 +22,19 @@ part, as the increasing classes do) and weighs it by its orbit size.
 On such a walk a parking position's fixpoints also hold its part's later
 positions, at the most grains the part's order leaves them, and of two
 burning starts of one part with one value only the first is drained.
-Listing and bare graphs walk every member.  Listing a family with parts
-still decides each prefix once per orbit: its interval is kept under the
-multiset of values each part holds, and the prefix's permutations inside
-the parts reuse it.  The cap bounds the space the chosen walk visits,
-before the walk starts and before a family's graph is built.  Counting
-splits a large space by the first coordinate across worker processes; the
-count does not depend on the worker count.
+Rotating a wheel's rim fixes its hub sink, so every class is a union of
+rotation orbits, and counting a wheel walks the necklaces (the least
+rotation of each orbit), weighed by their periods.  Each position is
+floored at the value one period back; every prefix of a necklace is a
+prenecklace, and the prefix cuts hold for any prefix, so the cuts stay
+exact.  Listing and bare graphs walk every member.  Listing a family with
+parts still decides each prefix once per orbit: its interval is kept
+under the multiset of values each part holds, and the prefix's
+permutations inside the parts reuse it.  The cap bounds the space the
+chosen walk visits (for a wheel, the full space), before the walk starts
+and before a family's graph is built.  Counting splits a large space by
+the first coordinate across worker processes; the count does not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -97,9 +103,11 @@ CLASSES = tuple(_CLASS_WALKS)
 
 def _orbit_route(target: Target) -> bool:
     """Whether counting ``target`` walks one representative per orbit: it
-    is a family with interchangeable parts."""
-    return (isinstance(target, FamilySpec)
-            and bool(_FAMILY_TABLE[target.family].parts))
+    is a family with interchangeable parts, or one whose rim rotates."""
+    if not isinstance(target, FamilySpec):
+        return False
+    record = _FAMILY_TABLE[target.family]
+    return bool(record.parts) or record.rotates
 
 
 def _check_space(target: Target, cls: str, cap: int,
@@ -111,20 +119,22 @@ def _check_space(target: Target, cls: str, cap: int,
     built.  A representative walk (``orbits``, and always for the
     increasing classes) visits the tuples that are non-decreasing inside
     each part of the family, whose vertices share a degree, so its space
-    is a product of multiset counts.  A space whose logarithm puts it past
-    both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
+    is a product of multiset counts.  The necklace walk of a rotating
+    family is bounded by the full space.  A space whose logarithm puts it
+    past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
     computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ValueError(f"cap must be an integer, got {cap!r}")
-    orbits = orbits or cls.endswith("-inc")
+    inc = cls.endswith("-inc")
     if isinstance(target, FamilySpec):
         groups = _degree_groups(target)
+        orbits = inc or (orbits and not _FAMILY_TABLE[target.family].rotates)
         if orbits:
             _interchangeable(target)    # refuses a family without parts
-    elif orbits:
+    elif orbits or inc:
         raise ValueError(
             "increasing classes need a graph family with declared parts")
     else:
@@ -157,11 +167,12 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
     With ``orbits`` (always for the increasing classes) only the members
     non-decreasing inside each part of the family are walked, one per
     orbit; ``prev[t]`` is the position before ``t`` in its part, or None.
-    The class, the target and the size of the walked space are checked
-    when this is called (``_check_space``), before any candidate is
-    tested.  With ``first`` set, only the slice holding the ``first``-th
-    value of the first coordinate is walked; the slices partition the space
-    in order.
+    On a rotating family ``orbits`` walks the necklaces instead, and
+    ``prev`` stays None.  The class, the target and the size of the walked
+    space are checked when this is called (``_check_space``), before any
+    candidate is tested.  With ``first`` set, only the slice holding the
+    ``first``-th value of the first coordinate is walked; the slices
+    partition the space in order.
     """
     orbits = orbits or cls.endswith("-inc")
     _check_space(target, cls, cap, orbits)
@@ -169,7 +180,9 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
     g, spec = _resolve(target)
     degs = g.nonsink_degrees
     prev: list[Optional[int]] = [None] * len(degs)
-    if orbits:
+    parts = spec is not None and bool(_FAMILY_TABLE[spec.family].parts)
+    rim = orbits and _FAMILY_TABLE[spec.family].rotates
+    if orbits and parts:
         for part in family_parts(spec):
             for before, at in zip(part, part[1:]):
                 prev[g.nonsink_pos[at]] = g.nonsink_pos[before]
@@ -177,10 +190,9 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
     if first is not None:
         first_values = first_values[first:first + 1]
     units = None
-    if (not orbits and checks not in (_NONE, _DRAIN_EXISTS)
-            and _orbit_route(target)):
+    if not orbits and checks not in (_NONE, _DRAIN_EXISTS) and parts:
         units = _prefix_units(g, family_parts(spec), low)
-    return g, prev, _search(g, low, checks, prev, first_values, units)
+    return g, prev, _search(g, low, checks, prev, first_values, units, rim)
 
 
 def _prefix_units(g: RootedMultigraph, parts, low: int) -> list:
@@ -226,8 +238,8 @@ def _walk(target: Target, cls: str, cap: int,
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range,
-            units: Optional[list]) -> Iterator[tuple[list, int, int]]:
+            first_values: range, units: Optional[list],
+            rim: bool = False) -> Iterator[tuple[list, int, int]]:
     """Depth-first walk over positions in declaration order.
 
     Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
@@ -248,6 +260,18 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     checks are exactly the class.  Parking values are the degree complement
     of the configuration, and a representative walk cuts the interval with
     ``prev`` before the fixpoints, which stop once it is empty.
+
+    A necklace walk (``rim``: the positions, in order, are one orbit of a
+    rotation fixing the sink) floors ``t`` at the value of ``t - per``
+    instead, where ``per`` is the length of the longest Lyndon prefix of
+    ``0..t-1``: as a position ``j`` takes its value, ``per`` stays if the
+    value is its floor and becomes ``j + 1`` if above.  The walked tuples
+    are the prenecklaces (Fredricksen, Kessler and Maiorana; Ruskey, Savage
+    and Wang 1992), which hold every necklace, the least rotation of its
+    orbit.  Each prefix of a necklace is a prenecklace and the prefix cuts
+    hold for any prefix, so every necklace of the class is reached.  The
+    period floor stays out of ``prev``: the look-ahead, the drain skip and
+    the memo below hold only for twins.
 
     On a parking representative walk the fixpoints look ahead to the end
     of ``t``'s part, the run of ``prev`` links after ``t``.  Those later
@@ -317,6 +341,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         # keys[t]: the key of the prefix 0..t-1; seen: key -> interval
         keys = [0] * k
         seen: dict = {}
+    if rim:
+        per = [1] * k    # per[t]: the longest Lyndon prefix of 0..t-1
     if exists:
         # opts[t]: (start, least value of t) per start open when t joins
         last = max(i for i, s in enumerate(sink) if s)
@@ -358,8 +384,19 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             deg_in[j] += m
             back += m
         deg_in[t] = back
-        # a representative takes at least the value of prev[t]
-        p = low if prev[t] is None else vals[prev[t]]
+        # a representative takes at least the value of prev[t], and a
+        # necklace that of t - per[t] (at t = 1, reading vals[-1], both
+        # branches give 1)
+        if prev[t] is not None:
+            p = vals[prev[t]]
+        elif rim:
+            q = per[t - 1]
+            if vals[t - 1] != vals[t - 1 - q]:
+                q = t
+            per[t] = q
+            p = vals[t - q]
+        else:
+            p = low
         cmin, cmax = (0, d - p) if parking else (p, d - 1)
         dom = deg_in
         if ahead[t]:
@@ -478,11 +515,34 @@ def _orbit_total(prev: list, runs) -> int:
     return total
 
 
+def _necklace_total(runs) -> int:
+    """Members of the rotation orbits of necklace runs.
+
+    ``per`` and the floor of the last position are found again from the
+    prefix.  A last value above the floor ends a Lyndon word, whose orbit
+    has ``k`` members; the floor ends a necklace of period ``per`` when
+    ``per`` divides ``k``, and a prenecklace that is no necklace otherwise.
+    """
+    total = 0
+    for vals, lo, hi in runs:
+        k = len(vals)
+        per = 1
+        for t in range(1, k - 1):
+            if vals[t] != vals[t - per]:
+                per = t + 1
+        total += k * (hi - lo + 1)
+        if lo == vals[k - 1 - per]:
+            total += (0 if k % per else per) - k
+    return total
+
+
 def _count_slice(args) -> int:
     """Members of one slice, counted run by run (weighed by orbit size on
     a representative walk of a class without ``-inc``)."""
     target, cls, cap, first, orbits = args
     _, prev, runs = _runs(target, cls, cap, first, orbits)
+    if orbits and _FAMILY_TABLE[target.family].rotates:
+        return _necklace_total(runs)
     if orbits and not cls.endswith("-inc"):
         return _orbit_total(prev, runs)
     return sum(hi - lo + 1 for _, lo, hi in runs)
@@ -491,8 +551,12 @@ def _count_slice(args) -> int:
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
     """Members of ``cls`` on ``target``.  A family with parts is counted
-    from orbit representatives, which ``cap`` then bounds.  Only a walked
-    space of at least ``POOL_MIN_SPACE`` is split across ``jobs`` workers.
+    from orbit representatives, which ``cap`` then bounds.  A wheel is
+    counted from the necklaces of its rim, each floored one period back
+    (sound since every prefix of a necklace is a prenecklace and the
+    prefix cuts hold for any prefix); ``cap`` still bounds the full space.
+    Only a walked space of at least ``POOL_MIN_SPACE`` is split across
+    ``jobs`` workers.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
@@ -596,7 +660,7 @@ def default_suite() -> list[tuple[FamilySpec, str]]:
         suite.append((FamilySpec("split", m=m, n=n), "ppf-inc"))
     for n in range(2, 6):
         suite.append((FamilySpec("complete", n=n), "recurrent"))
-    for n in range(3, 8):
+    for n in range(3, 14):
         suite.append((FamilySpec("wheel", n=n), "recurrent"))
     suite.append((FamilySpec("bipartite", p=4, q=4), "pf"))
     suite.append((FamilySpec("split", m=3, n=4), "pf"))

@@ -327,16 +327,27 @@ def _full_space(spec):
     return math.prod(d ** c for d, c in _degree_groups(spec))
 
 
-# the battery's families with parts whose full space the direct walk covers
+# the battery's families whose full space the direct walk covers; wheels
+# have no increasing classes
 ORBIT_SPECS = sorted({spec for spec, _ in default_suite()
-                      if spec.family != "wheel" and _full_space(spec) <= 10 ** 5},
+                      if _full_space(spec) <= 10 ** 5},
                      key=FamilySpec.label)
-ORBIT_CASES = [(spec, cls) for spec in ORBIT_SPECS for cls in CLASSES]
+ORBIT_CASES = [(spec, cls) for spec in ORBIT_SPECS for cls in CLASSES
+               if not (spec.family == "wheel" and cls.endswith("-inc"))]
+WHEEL_CLASSES = [cls for cls in CLASSES if not cls.endswith("-inc")]
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 class TestOrbitRoute:
     """Counting a family with parts walks one representative per orbit and
-    weighs it by the orbit's size."""
+    weighs it by the orbit's size; counting a wheel walks one rotation of
+    the rim per orbit, its necklace."""
 
     @pytest.mark.parametrize("spec,cls", ORBIT_CASES,
                              ids=[f"{spec.label()}-{cls}"
@@ -353,9 +364,25 @@ class TestOrbitRoute:
         seen = []
         real = enumeration._search
 
-        def spy(g, low, checks, prev, first_values, units):
+        def spy(g, low, checks, prev, *rest):
             seen.append(list(prev))
-            return real(g, low, checks, prev, first_values, units)
+            return real(g, low, checks, prev, *rest)
+
+        monkeypatch.setattr(enumeration, "_search", spy)
+        return seen
+
+    @pytest.fixture()
+    def walked(self, monkeypatch):
+        """The members of each walk's runs, in call order."""
+        seen = []
+        real = enumeration._search
+
+        def spy(*args):
+            members = []
+            seen.append(members)
+            for run in real(*args):
+                members += enumeration._members([run])
+                yield run
 
         monkeypatch.setattr(enumeration, "_search", spy)
         return seen
@@ -377,9 +404,54 @@ class TestOrbitRoute:
         assert len(list(iter_class(spec, cls))) == count
         assert prevs == [direct]
 
-    def test_wheels_walk_every_member(self, prevs):
-        assert count_class(FamilySpec("wheel", n=6), "recurrent") == 320
-        assert prevs == [[None] * 6]
+    def test_wheel_counts_walk_necklaces(self, walked, fixpoints):
+        w6 = FamilySpec("wheel", n=6)
+        members = list(iter_class(w6, "recurrent"))
+        # listing walks every member
+        assert walked == [members] and len(members) == 320
+        walked.clear()
+        assert count_class(w6, "recurrent") == 320
+        # counting walks the members that are prenecklaces, every suffix at
+        # least the prefix of its length; they hold each orbit's least
+        # rotation
+        (walk,) = walked
+        assert walk == [c for c in members
+                        if all(c[i:] >= c[:6 - i] for i in range(1, 6))]
+        assert {min(c[i:] + c[:i] for i in range(6)) for c in members} \
+            <= set(walk)
+        assert len(walk) == 71     # of 320
+        # the period floor stays out of prev
+        assert enumeration._runs(w6, "recurrent", DEFAULT_SPACE_CAP,
+                                 orbits=True)[1] == [None] * 6
+        # 10,944 fixpoints when every member is walked
+        fixpoints.clear()
+        assert count_class(FamilySpec("wheel", n=10), "recurrent") == 15125
+        assert 0 < len(fixpoints) <= 2500
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_wheel_slices_sum_to_the_count(self, n):
+        spec = FamilySpec("wheel", n=n)
+        for cls in WHEEL_CLASSES:
+            slices = [enumeration._count_slice(
+                (spec, cls, DEFAULT_SPACE_CAP, first, True))
+                for first in range(3)]
+            want = expected_count(spec, cls)
+            want = want[0] if want else count_class(spec, cls)
+            assert sum(slices) == want, (n, cls)
+
+    def test_wheel_pool_counts_the_serial_count(self, monkeypatch):
+        w7 = FamilySpec("wheel", n=7)
+        serial = [count_class(w7, cls) for cls in WHEEL_CLASSES]
+        monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
+        assert [count_class(w7, cls, jobs=2) for cls in WHEEL_CLASSES] \
+            == serial
+
+    def test_wheel_recurrent_counts_are_lucas_numbers(self):
+        # the spanning trees of the wheel with n rim vertices number
+        # L(2n) - 2 (Sedlacek 1970)
+        for n in range(3, 16):
+            assert count_class(FamilySpec("wheel", n=n), "recurrent") == \
+                _lucas(2 * n) - 2, n
 
     def test_cap_bounds_the_walked_space(self, monkeypatch):
         k9 = FamilySpec("complete", n=9)
@@ -653,7 +725,7 @@ class TestRunStreams:
 class TestReports:
     def test_suite_all_match(self):
         reports = verify_counts(default_suite())
-        assert len(reports) == 50
+        assert len(reports) == 56
         for r in reports:
             assert r.expected is not None, (r.family, r.params, r.cls)
             assert r.match, (r.family, r.params, r.cls, r.count, r.expected)
