@@ -19,7 +19,6 @@ from .enumeration import (
     DEFAULT_SPACE_CAP,
     _check_space,
     _make_report,
-    _orbit_route,
     count_class,
     expected_count,
     iter_class,
@@ -211,8 +210,7 @@ def cmd_enumerate(args) -> int:
     # graph: listing walks every member (deciding each prefix of a family
     # with parts once per orbit), counting a family representatives
     listing = args.output in ("list", "json")
-    _check_space(target, args.cls, args.cap,
-                 not listing and _orbit_route(target))
+    _check_space(target, args.cls, args.cap, not listing)
     expected = expected_count(target, args.cls) if args.expected else None
     if args.expected and expected is None:
         name = f"{spec.family} {spec.params()}" if spec else args.graph

@@ -13,28 +13,29 @@ positions in declaration order, and as each position joins, one pinned
 forbidden-set fixpoint per check turns the prefix into the interval of
 values the position may take; ``min-recurrent`` first clips it to the
 grains level 0 leaves.  The last position is not listed: the walk yields
-``(prefix, lo, hi)`` runs, which counting adds up and listing expands, so
+``(prefix, lo, hi, w)`` runs, where ``w`` is the number of members the run
+stands for, so counting adds up the weights, listing expands the runs, and
 no member is tested on its own.
 
-Vertices of one part of a family are twins, so counting a family with parts
-walks one representative per orbit (the members non-decreasing inside each
-part, as the increasing classes do) and weighs it by its orbit size.
-On such a walk a parking position's fixpoints also hold its part's later
-positions, at the most grains the part's order leaves them, and of two
-burning starts of one part with one value only the first is drained.
-Rotating a wheel's rim fixes its hub sink, so every class is a union of
-rotation orbits, and counting a wheel walks the necklaces (the least
-rotation of each orbit), weighed by their periods.  Each position is
-floored at the value one period back; every prefix of a necklace is a
-prenecklace, and the prefix cuts hold for any prefix, so the cuts stay
-exact.  Listing and bare graphs walk every member.  Listing a family with
-parts still decides each prefix once per orbit: its interval is kept
-under the multiset of values each part holds, and the prefix's
-permutations inside the parts reuse it.  The cap bounds the space the
-chosen walk visits (for a wheel, the full space), before the walk starts
-and before a family's graph is built.  Counting splits a large space by
-the first coordinate across worker processes; the count does not depend
-on the worker count.
+Listing and bare graphs walk every member, so a run weighs the number of
+its values.  Vertices of one part of a family are twins, so counting a family
+with parts walks one representative per orbit (the members non-decreasing
+inside each part, as the increasing classes do), and each run weighs the
+orbits of its values.  On such a walk a parking position's fixpoints also
+hold its part's later positions, at the most grains the part's order
+leaves them, and of two burning starts of one part with one value only the
+first is drained.  Rotating a wheel's rim fixes its hub sink, so every
+class is a union of rotation orbits, and counting a wheel walks the
+necklaces (the least rotation of each orbit), each weighing its period.
+Each position is floored at the value one period back; every prefix of a
+necklace is a prenecklace, and the prefix cuts hold for any prefix, so the
+cuts stay exact.  Listing a family with parts still decides each prefix
+once per orbit: its interval is kept under the multiset of values each
+part holds, and the prefix's permutations inside the parts reuse it.  The
+cap bounds the space the chosen walk visits (for a wheel, the full space),
+before the walk starts and before a family's graph is built.  Counting
+splits a large space by the first coordinate across worker processes; the
+count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -101,46 +102,37 @@ _CLASS_WALKS = {
 CLASSES = tuple(_CLASS_WALKS)
 
 
-def _orbit_route(target: Target) -> bool:
-    """Whether counting ``target`` walks one representative per orbit: it
-    is a family with interchangeable parts, or one whose rim rotates."""
-    if not isinstance(target, FamilySpec):
-        return False
-    record = _FAMILY_TABLE[target.family]
-    return bool(record.parts) or record.rotates
-
-
 def _check_space(target: Target, cls: str, cap: int,
-                 orbits: bool = False) -> int:
+                 counting: bool = False) -> int:
     """The size of the space the walk of ``cls`` on ``target`` visits;
     refused when it exceeds ``cap``.
 
     A family's space comes from its degree groups, before its graph is
-    built.  A representative walk (``orbits``, and always for the
-    increasing classes) visits the tuples that are non-decreasing inside
-    each part of the family, whose vertices share a degree, so its space
-    is a product of multiset counts.  The necklace walk of a rotating
-    family is bounded by the full space.  A space whose logarithm puts it
-    past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
-    computed.
+    built.  A representative walk (``counting`` a family with parts, and
+    always for the increasing classes) visits the tuples that are
+    non-decreasing inside each part of the family, whose vertices share a
+    degree, so its space is a product of multiset counts.  Every other
+    walk, the necklace walk of a rotating family included, is bounded by the
+    full space.  A space whose logarithm puts it past both ``cap`` and
+    2^``_EXACT_SPACE_BITS`` is refused without being computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ValueError(f"cap must be an integer, got {cap!r}")
-    inc = cls.endswith("-inc")
+    reps = cls.endswith("-inc")
     if isinstance(target, FamilySpec):
         groups = _degree_groups(target)
-        orbits = inc or (orbits and not _FAMILY_TABLE[target.family].rotates)
-        if orbits:
+        if reps:
             _interchangeable(target)    # refuses a family without parts
-    elif orbits or inc:
+        reps = reps or (counting and bool(_FAMILY_TABLE[target.family].parts))
+    elif reps:
         raise ValueError(
             "increasing classes need a graph family with declared parts")
     else:
         groups = [(d, 1) for d in target.nonsink_degrees]
     try:
-        if orbits:
+        if reps:
             bits = sum(math.lgamma(d + c) - math.lgamma(c + 1) - math.lgamma(d)
                        for d, c in groups) / math.log(2)
         else:
@@ -151,7 +143,7 @@ def _check_space(target: Target, cls: str, cap: int,
     if bits > limit:
         raise SizeCapError(
             f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
-    space = math.prod(math.comb(d + c - 1, c) if orbits else d ** c
+    space = math.prod(math.comb(d + c - 1, c) if reps else d ** c
                       for d, c in groups)
     if space > cap:
         raise SizeCapError(
@@ -160,39 +152,46 @@ def _check_space(target: Target, cls: str, cap: int,
 
 
 def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
-          orbits: bool = False):
-    """The graph, each position's ``prev`` and the run stream of ``cls``:
-    every value of every run completes its prefix to a member.
+          counting: bool = False):
+    """The run stream of ``cls`` (``_search``): every value of every run
+    completes its prefix to a member, and ``counting`` adds up the runs'
+    weights.
 
-    With ``orbits`` (always for the increasing classes) only the members
-    non-decreasing inside each part of the family are walked, one per
-    orbit; ``prev[t]`` is the position before ``t`` in its part, or None.
-    On a rotating family ``orbits`` walks the necklaces instead, and
-    ``prev`` stays None.  The class, the target and the size of the walked
-    space are checked when this is called (``_check_space``), before any
-    candidate is tested.  With ``first`` set, only the slice holding the
-    ``first``-th value of the first coordinate is walked; the slices
-    partition the space in order.
+    Listing and bare graphs walk every member.  Counting a family with
+    parts, and listing or counting an increasing class, walks only the
+    members non-decreasing inside each part, one per orbit: ``prev[t]`` is the
+    position before ``t`` in its part, or None, and ``rank[t]`` its index
+    there, from 1; the increasing classes weigh no orbit.  Counting a
+    rotating family walks the necklaces of its rim.  The class, the target
+    and the size of the walked space are checked when this is called
+    (``_check_space``), before any candidate is tested.  With ``first``
+    set, only the slice holding the ``first``-th value of the first
+    coordinate is walked; the slices partition the space in order.
     """
-    orbits = orbits or cls.endswith("-inc")
-    _check_space(target, cls, cap, orbits)
+    _check_space(target, cls, cap, counting)
     low, checks = _CLASS_WALKS[cls]
     g, spec = _resolve(target)
     degs = g.nonsink_degrees
     prev: list[Optional[int]] = [None] * len(degs)
-    parts = spec is not None and bool(_FAMILY_TABLE[spec.family].parts)
-    rim = orbits and _FAMILY_TABLE[spec.family].rotates
-    if orbits and parts:
-        for part in family_parts(spec):
-            for before, at in zip(part, part[1:]):
-                prev[g.nonsink_pos[at]] = g.nonsink_pos[before]
+    rank = units = None
+    record = _FAMILY_TABLE[spec.family] if spec is not None else None
+    inc = cls.endswith("-inc")
+    if record and record.parts:
+        if counting or inc:
+            rank = [1] * len(degs)
+            for part in family_parts(spec):
+                at = [g.nonsink_pos[v] for v in part]
+                for i in range(1, len(at)):
+                    prev[at[i]], rank[at[i]] = at[i - 1], i + 1
+            if inc:
+                rank = None
+        elif checks not in (_NONE, _DRAIN_EXISTS):
+            units = _prefix_units(g, family_parts(spec), low)
     first_values = range(low, low + degs[0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    units = None
-    if not orbits and checks not in (_NONE, _DRAIN_EXISTS) and parts:
-        units = _prefix_units(g, family_parts(spec), low)
-    return g, prev, _search(g, low, checks, prev, first_values, units, rim)
+    rim = counting and record is not None and record.rotates
+    return _search(g, low, checks, prev, first_values, units, rim, rank)
 
 
 def _prefix_units(g: RootedMultigraph, parts, low: int) -> list:
@@ -224,8 +223,8 @@ def _prefix_units(g: RootedMultigraph, parts, low: int) -> list:
 
 
 def _members(runs) -> Iterator[tuple[int, ...]]:
-    """Expand ``(prefix, lo, hi)`` runs into members, lexicographically."""
-    for vals, lo, hi in runs:
+    """Expand ``(prefix, lo, hi, w)`` runs into members, lexicographically."""
+    for vals, lo, hi, _ in runs:
         prefix = tuple(vals[:-1])
         for x in range(lo, hi + 1):
             yield prefix + (x,)
@@ -234,17 +233,19 @@ def _members(runs) -> Iterator[tuple[int, ...]]:
 def _walk(target: Target, cls: str, cap: int,
           first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Members of ``cls`` in lexicographic order, checked as by ``_runs``."""
-    return _members(_runs(target, cls, cap, first)[2])
+    return _members(_runs(target, cls, cap, first))
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
             first_values: range, units: Optional[list],
-            rim: bool = False) -> Iterator[tuple[list, int, int]]:
+            rim: bool = False, rank: Optional[list] = None
+            ) -> Iterator[tuple[list, int, int, int]]:
     """Depth-first walk over positions in declaration order.
 
-    Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
+    Yields ``(vals, lo, hi, w)`` runs: each value ``lo..hi`` of the last
     position completes the prefix ``vals[:-1]`` (one list, reused) to a
-    candidate that passes every prefix check.
+    candidate that passes every prefix check, and the run stands for ``w``
+    members.  ``w`` is ``hi - lo + 1`` unless the walk weighs orbits.
 
     The prefix ``0..t-1`` has passed when ``t`` joins, so each forbidden
     subconfiguration (Dhar 1990) of ``0..t`` holds ``t``.  One fixpoint with
@@ -271,7 +272,21 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     orbit.  Each prefix of a necklace is a prenecklace and the prefix cuts
     hold for any prefix, so every necklace of the class is reached.  The
     period floor stays out of ``prev``: the look-ahead, the drain skip and
-    the memo below hold only for twins.
+    the memo below hold only for twins.  A last value above its floor ends
+    a Lyndon word, whose orbit has ``k`` members; the floor itself ends a
+    necklace of period ``per`` when ``per`` divides ``k``, and a
+    prenecklace that is no necklace otherwise.  So a run weighs
+    ``k * (hi - lo + 1)``, less ``k`` and plus ``per`` or 0 when ``lo`` is
+    the floor.
+
+    With ``rank`` (the index of each position in its part, from 1) a
+    representative weighs its orbit, prod |part|! / prod mult!, kept per
+    depth as a running multinomial ``wt[t]`` of the prefix ``0..t-1``.  As
+    ``j`` takes its value it is the ``mult[j]``-th of its part, read through
+    ``prev[j]``, to hold it, and weighs ``rank[j] / mult[j]``; every partial
+    product is a multinomial, so each exact divide leaves an integer.  The
+    last position's values weigh ``wt * rank`` each, and a ``lo`` equal to
+    ``vals[prev]`` that divided by ``mult[prev] + 1``.
 
     On a parking representative walk the fixpoints look ahead to the end
     of ``t``'s part, the run of ``prev`` links after ``t``.  Those later
@@ -343,6 +358,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         seen: dict = {}
     if rim:
         per = [1] * k    # per[t]: the longest Lyndon prefix of 0..t-1
+    if rank:
+        wt = [1] * k     # wt[t]: the orbit of the prefix 0..t-1
+        mult = [1] * k   # mult[j]: j's part-mates up to j holding its value
     if exists:
         # opts[t]: (start, least value of t) per start open when t joins
         last = max(i for i, s in enumerate(sink) if s)
@@ -351,7 +369,18 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     while True:
         if t == k - 1:
             if lo <= hi:
-                yield vals, lo, hi
+                w = hi - lo + 1
+                if rim:
+                    w *= k
+                    if lo == p:
+                        q = per[t]
+                        w += (q if k % q == 0 else 0) - k
+                elif rank:
+                    r = wt[t] * rank[t]
+                    w *= r
+                    if prev[t] is not None and lo == p:
+                        w += r // (mult[prev[t]] + 1) - r
+                yield vals, lo, hi, w
             hi = lo - 1
         vals[t], top[t] = lo - 1, hi
         while vals[t] >= top[t]:
@@ -375,6 +404,11 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 starts.append(t)
         # t + 1 joins the prefix; find the values c it may take
         t += 1
+        if rank:
+            j = prev[t - 1]
+            m = mult[t - 1] = (mult[j] + 1 if j is not None and vals[j] == x
+                               else 1)
+            wt[t] = wt[t - 1] * rank[t - 1] // m
         n = t + 1
         d = degs[t]
         back = 0
@@ -488,91 +522,35 @@ def iter_class(target: Target, cls: str, *,
 # counting, optionally across worker processes
 
 
-def _orbit_total(prev: list, runs) -> int:
-    """Members of the orbits of representative runs.
-
-    A representative stands for prod |part|! / prod mult! members, a
-    running multinomial: the ``index``-th vertex of a part, ``m``-th to hold
-    its value, weighs ``index / m``.  The last position's value weighs
-    ``w``, or ``w // (m + 1)`` when ``m`` earlier vertices of its part do.
-    """
-    k = len(prev)
-    total = 0
-    for vals, lo, hi in runs:
-        w = index = m = 1
-        for t in range(1, k - 1):
-            if prev[t] is None:
-                index = m = 1
-            else:
-                index += 1
-                m = m + 1 if vals[t] == vals[prev[t]] else 1
-                w = w * index // m
-        if prev[-1] is not None:
-            w *= index + 1
-            if vals[prev[-1]] == lo:
-                total += w // (m + 1) - w
-        total += w * (hi - lo + 1)
-    return total
-
-
-def _necklace_total(runs) -> int:
-    """Members of the rotation orbits of necklace runs.
-
-    ``per`` and the floor of the last position are found again from the
-    prefix.  A last value above the floor ends a Lyndon word, whose orbit
-    has ``k`` members; the floor ends a necklace of period ``per`` when
-    ``per`` divides ``k``, and a prenecklace that is no necklace otherwise.
-    """
-    total = 0
-    for vals, lo, hi in runs:
-        k = len(vals)
-        per = 1
-        for t in range(1, k - 1):
-            if vals[t] != vals[t - per]:
-                per = t + 1
-        total += k * (hi - lo + 1)
-        if lo == vals[k - 1 - per]:
-            total += (0 if k % per else per) - k
-    return total
-
-
 def _count_slice(args) -> int:
-    """Members of one slice, counted run by run (weighed by orbit size on
-    a representative walk of a class without ``-inc``)."""
-    target, cls, cap, first, orbits = args
-    _, prev, runs = _runs(target, cls, cap, first, orbits)
-    if orbits and _FAMILY_TABLE[target.family].rotates:
-        return _necklace_total(runs)
-    if orbits and not cls.endswith("-inc"):
-        return _orbit_total(prev, runs)
-    return sum(hi - lo + 1 for _, lo, hi in runs)
+    """Members of one slice: the weights of its counting walk's runs."""
+    target, cls, cap, first = args
+    return sum(w for _, _, _, w in _runs(target, cls, cap, first, True))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    """Members of ``cls`` on ``target``.  A family with parts is counted
-    from orbit representatives, which ``cap`` then bounds.  A wheel is
-    counted from the necklaces of its rim, each floored one period back
-    (sound since every prefix of a necklace is a prenecklace and the
-    prefix cuts hold for any prefix); ``cap`` still bounds the full space.
+    """Members of ``cls`` on ``target``, the weights of the counting walk's
+    runs (``_runs``): a family with parts is counted from orbit
+    representatives, which ``cap`` then bounds, and a wheel from the
+    necklaces of its rim, with ``cap`` still bounding the full space.
     Only a walked space of at least ``POOL_MIN_SPACE`` is split across
-    ``jobs`` workers.
+    ``jobs`` workers, and only when more than one worker would run.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    orbits = _orbit_route(target)
     # raises on bad input before any candidate is tested
-    space = _check_space(target, cls, cap, orbits)
-    if jobs == 1 or space < POOL_MIN_SPACE:
-        return _count_slice((target, cls, cap, None, orbits))
-    g = _resolve(target)[0]
-    tasks = [(target, cls, cap, first, orbits)
-             for first in range(g.nonsink_degrees[0])]
-    processes = min(jobs, len(tasks), os.cpu_count() or 1)
-    with get_context("fork").Pool(processes=processes) as pool:
-        return sum(pool.map(_count_slice, tasks))
+    space = _check_space(target, cls, cap, True)
+    if jobs > 1 and space >= POOL_MIN_SPACE:
+        firsts = _resolve(target)[0].nonsink_degrees[0]
+        processes = min(jobs, firsts, os.cpu_count() or 1)
+        if processes > 1:
+            tasks = [(target, cls, cap, first) for first in range(firsts)]
+            with get_context("fork").Pool(processes=processes) as pool:
+                return sum(pool.map(_count_slice, tasks))
+    return _count_slice((target, cls, cap, None))
 
 
 @dataclass

@@ -222,10 +222,14 @@ class TestCounting:
         monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
         spec = FamilySpec("complete", n=4)      # first coordinate: 4 slices
         for cpus, jobs, clamped in ((3, 10**9, 3), (64, 10**9, 4),
-                                    (64, 2, 2), (None, 8, 1)):
+                                    (64, 2, 2)):
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
             assert count_class(spec, "recurrent", jobs=jobs) == 125
             assert sizes.pop() == clamped
+        # a pool of one process is not forked: the count runs serially
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+        assert count_class(spec, "recurrent", jobs=8) == 125
+        assert sizes == []
         with pytest.raises(SizeCapError):
             count_class(FamilySpec("complete", n=12), "recurrent", jobs=2,
                         cap=1000)
@@ -337,6 +341,24 @@ ORBIT_CASES = [(spec, cls) for spec in ORBIT_SPECS for cls in CLASSES
 WHEEL_CLASSES = [cls for cls in CLASSES if not cls.endswith("-inc")]
 
 
+# families with the sizes of the parts of their graph, the sink included
+TREE_CASES = ([(FamilySpec("complete", n=n), (1,) * (n + 1))
+               for n in range(1, 10)]
+              + [(FamilySpec("tripartite", p=p, q=q), (1, p, q))
+                 for p, q in ((5, 5), (2, 9))]
+              + [(FamilySpec("bipartite", p=5, q=4), (6, 4)),
+                 (FamilySpec("split", m=3, n=3), (1, 1, 1, 1, 3)),
+                 # a 127-bit count
+                 (FamilySpec("bipartite", p=120, q=2), (121, 2))])
+
+
+def _tree_count(parts):
+    """Spanning trees of the complete multipartite graph with parts of
+    these sizes: n^(k-2) * prod (n - n_i)^(n_i - 1) (Lewis 1999)."""
+    n = sum(parts)
+    return n ** (len(parts) - 2) * math.prod((n - m) ** (m - 1) for m in parts)
+
+
 def _lucas(n):
     a, b = 2, 1
     for _ in range(n):
@@ -404,7 +426,7 @@ class TestOrbitRoute:
         assert len(list(iter_class(spec, cls))) == count
         assert prevs == [direct]
 
-    def test_wheel_counts_walk_necklaces(self, walked, fixpoints):
+    def test_wheel_counts_walk_necklaces(self, walked, prevs, fixpoints):
         w6 = FamilySpec("wheel", n=6)
         members = list(iter_class(w6, "recurrent"))
         # listing walks every member
@@ -420,24 +442,31 @@ class TestOrbitRoute:
         assert {min(c[i:] + c[:i] for i in range(6)) for c in members} \
             <= set(walk)
         assert len(walk) == 71     # of 320
-        # the period floor stays out of prev
-        assert enumeration._runs(w6, "recurrent", DEFAULT_SPACE_CAP,
-                                 orbits=True)[1] == [None] * 6
+        # the period floor stays out of prev, when listing and counting
+        assert prevs == [[None] * 6] * 2
         # 10,944 fixpoints when every member is walked
         fixpoints.clear()
         assert count_class(FamilySpec("wheel", n=10), "recurrent") == 15125
         assert 0 < len(fixpoints) <= 2500
 
-    @pytest.mark.parametrize("n", [11, 12, 13])
-    def test_wheel_slices_sum_to_the_count(self, n):
-        spec = FamilySpec("wheel", n=n)
+    @pytest.mark.parametrize("spec", [
+        pytest.param(FamilySpec("wheel", n=n), id=str(n))
+        for n in (11, 12, 13)]
+        + [pytest.param(spec, id=spec.label()) for spec in LONG_PARTS])
+    def test_wheel_slices_sum_to_the_count(self, spec):
+        # each slice weighs its runs inside its own walk; a family with
+        # parts is held to its bare graph's count
+        firsts = make_family(spec).nonsink_degrees[0]
         for cls in WHEEL_CLASSES:
             slices = [enumeration._count_slice(
-                (spec, cls, DEFAULT_SPACE_CAP, first, True))
-                for first in range(3)]
-            want = expected_count(spec, cls)
-            want = want[0] if want else count_class(spec, cls)
-            assert sum(slices) == want, (n, cls)
+                (spec, cls, DEFAULT_SPACE_CAP, first))
+                for first in range(firsts)]
+            if spec.family == "wheel":
+                want = expected_count(spec, cls)
+                want = want[0] if want else count_class(spec, cls)
+            else:
+                want = count_class(make_family(spec), cls)
+            assert sum(slices) == want, (spec, cls)
 
     def test_wheel_pool_counts_the_serial_count(self, monkeypatch):
         w7 = FamilySpec("wheel", n=7)
@@ -445,6 +474,14 @@ class TestOrbitRoute:
         monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
         assert [count_class(w7, cls, jobs=2) for cls in WHEEL_CLASSES] \
             == serial
+
+    @pytest.mark.parametrize("spec,parts", TREE_CASES,
+                             ids=[spec.label() for spec, _ in TREE_CASES])
+    def test_weights_count_the_spanning_trees(self, spec, parts):
+        assert sum(parts) == len(make_family(spec).vertices)
+        trees = _tree_count(parts)
+        for cls in ("recurrent", "pf"):
+            assert count_class(spec, cls) == trees, cls
 
     def test_wheel_recurrent_counts_are_lucas_numbers(self):
         # the spanning trees of the wheel with n rim vertices number
@@ -478,7 +515,8 @@ class TestOrbitRoute:
         # the orbit route's space is the representatives': C(13, 7) for K7
         k7 = FamilySpec("complete", n=7)
         assert _full_space(k7) >= POOL_MIN_SPACE
-        assert _check_space(k7, "recurrent", DEFAULT_SPACE_CAP, True) \
+        assert _check_space(k7, "recurrent", DEFAULT_SPACE_CAP,
+                            counting=True) \
             < POOL_MIN_SPACE
         w10 = FamilySpec("wheel", n=10)
         for target, cls in ((k7, "recurrent"), (k7, "ppf"), (w10, "recurrent"),
