@@ -17,24 +17,30 @@ grains level 0 leaves.  The last position is not listed: the walk yields
 stands for, so counting adds up the weights, listing expands the runs, and
 no member is tested on its own.
 
-Listing and bare graphs walk every member, so a run weighs the number of
-its values.  Vertices of one part of a family are twins, so counting a family
-with parts walks one representative per orbit (the members non-decreasing
-inside each part, as the increasing classes do), and each run weighs the
-orbits of its values.  On such a walk a parking position's fixpoints also
-hold its part's later positions, at the most grains the part's order
-leaves them, and of two burning starts of one part with one value only the
-first is drained.  Rotating a wheel's rim fixes its hub sink, so every
-class is a union of rotation orbits, and counting a wheel walks the
-necklaces (the least rotation of each orbit), each weighing its period.
-Each position is floored at the value one period back; every prefix of a
-necklace is a prenecklace, and the prefix cuts hold for any prefix, so the
-cuts stay exact.  Listing a family with parts still decides each prefix
-once per orbit: its interval is kept under the multiset of values each
-part holds, and the prefix's permutations inside the parts reuse it.  The
-cap bounds the space the chosen walk visits (for a wheel, the full space),
-before the walk starts and before a family's graph is built.  Counting
-splits a large space by the first coordinate across worker processes; the
+Both orbit rules are stated in grains, the quantity every prefix check
+reads: a configuration's values, or the degree complement of a parking
+candidate's.  So a class and its degree-complement twin (``recurrent`` and
+``pf``, ``sr-forall`` and ``ppf``) walk one set of orbits.  Listing and
+bare graphs walk every member, so a run weighs the number of its values.
+Vertices of one part of a family are twins, so counting a family with
+parts walks one representative per orbit (the members whose grains never
+rise inside a part, which are the parking candidates non-decreasing there,
+as the increasing classes list them), and each run weighs the orbits of
+its values.  On such a walk a position's fixpoints also hold its part's
+later positions, at the most grains the part's order leaves them, and of
+two burning starts of one part with one value only the first is drained.
+Rotating a wheel's rim fixes its hub sink, so every class is a union of
+rotation orbits, and counting a wheel walks the necklaces (the rotation of
+each orbit least in grains), each weighing its period.  Each position is
+floored at the grains one period back; every prefix of a necklace is a
+prenecklace, and the prefix cuts hold for any prefix, so the cuts stay
+exact.  Listing a family with parts still decides each prefix once per
+orbit: its interval is kept under the multiset of values each part holds,
+and the prefix's permutations inside the parts reuse it.  The cap bounds
+the space the chosen walk visits (for a wheel, the full space), before the
+walk starts and before a family's graph is built.  Counting a bare graph
+splits a large space by the first coordinate across worker processes; a
+family's walk of representatives or necklaces runs in one process.  The
 count does not depend on the worker count.
 """
 
@@ -68,8 +74,8 @@ from .sandpile import (
 DEFAULT_SPACE_CAP = 100_000_000
 # A candidate space past this many bits is refused from its logarithm.
 _EXACT_SPACE_BITS = 1 << 16
-# count_class forks worker processes only for a walked space of at least
-# this many candidates; below it one process finishes first.
+# count_class forks worker processes only for a bare graph's space of at
+# least this many candidates; below it one process finishes first.
 POOL_MIN_SPACE = 600_000
 
 Target = Union[RootedMultigraph, FamilySpec]
@@ -109,9 +115,9 @@ def _check_space(target: Target, cls: str, cap: int,
 
     A family's space comes from its degree groups, before its graph is
     built.  A representative walk (``counting`` a family with parts, and
-    always for the increasing classes) visits the tuples that are
-    non-decreasing inside each part of the family, whose vertices share a
-    degree, so its space is a product of multiset counts.  Every other
+    always for the increasing classes) visits the tuples whose grains never
+    rise inside each part of the family, whose vertices share a degree, so
+    its space is a product of multiset counts.  Every other
     walk, the necklace walk of a rotating family included, is bounded by the
     full space.  A space whose logarithm puts it past both ``cap`` and
     2^``_EXACT_SPACE_BITS`` is refused without being computed.
@@ -159,10 +165,11 @@ def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
 
     Listing and bare graphs walk every member.  Counting a family with
     parts, and listing or counting an increasing class, walks only the
-    members non-decreasing inside each part, one per orbit: ``prev[t]`` is the
-    position before ``t`` in its part, or None, and ``rank[t]`` its index
-    there, from 1; the increasing classes weigh no orbit.  Counting a
-    rotating family walks the necklaces of its rim.  The class, the target
+    members whose grains never rise inside each part, one per orbit:
+    ``prev[t]`` is the position before ``t`` in its part, or None, and
+    ``rank[t]`` its index there, from 1; the increasing classes weigh no
+    orbit.  Counting a rotating family walks the necklaces of its rim, in
+    grains, for every class.  The class, the target
     and the size of the walked space are checked when this is called
     (``_check_space``), before any candidate is tested.  With ``first``
     set, only the slice holding the ``first``-th value of the first
@@ -258,26 +265,30 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     and, before the last sink edge, a later one.  ``min-recurrent`` clips
     the value to the grains level 0 leaves.  So the values that pass form
     one interval, found once per prefix, and on the last position the
-    checks are exactly the class.  Parking values are the degree complement
-    of the configuration, and a representative walk cuts the interval with
-    ``prev`` before the fixpoints, which stop once it is empty.
+    checks are exactly the class.  The checks read grains, ``conf``: a
+    parking value is their degree complement, and ``parking`` only converts
+    values to grains and back.  Both orbit rules below cut the interval of
+    grains before the fixpoints, which stop once it is empty: a
+    representative holds at most the grains of ``prev[t]``.
 
     A necklace walk (``rim``: the positions, in order, are one orbit of a
-    rotation fixing the sink) floors ``t`` at the value of ``t - per``
+    rotation fixing the sink) floors ``t`` at the grains of ``t - per``
     instead, where ``per`` is the length of the longest Lyndon prefix of
     ``0..t-1``: as a position ``j`` takes its value, ``per`` stays if the
-    value is its floor and becomes ``j + 1`` if above.  The walked tuples
-    are the prenecklaces (Fredricksen, Kessler and Maiorana; Ruskey, Savage
-    and Wang 1992), which hold every necklace, the least rotation of its
-    orbit.  Each prefix of a necklace is a prenecklace and the prefix cuts
-    hold for any prefix, so every necklace of the class is reached.  The
-    period floor stays out of ``prev``: the look-ahead, the drain skip and
-    the memo below hold only for twins.  A last value above its floor ends
-    a Lyndon word, whose orbit has ``k`` members; the floor itself ends a
-    necklace of period ``per`` when ``per`` divides ``k``, and a
+    value is its floor and becomes ``j + 1`` if above, in grains; the test
+    compares values only for equality.  The walked tuples of grains are the
+    prenecklaces (Fredricksen, Kessler and Maiorana; Ruskey, Savage and
+    Wang 1992), which hold every necklace, the rotation of its orbit least
+    in grains.  Each prefix of a necklace is a prenecklace and the prefix
+    cuts hold for any prefix, so every necklace of the class is reached.
+    The period floor stays out of ``prev``: the look-ahead, the drain skip
+    and the memo below hold only for twins.  A last value above its floor
+    ends a Lyndon word, whose orbit has ``k`` members; the floor itself
+    ends a necklace of period ``per`` when ``per`` divides ``k``, and a
     prenecklace that is no necklace otherwise.  So a run weighs
-    ``k * (hi - lo + 1)``, less ``k`` and plus ``per`` or 0 when ``lo`` is
-    the floor.
+    ``k * (hi - lo + 1)``, less ``k`` and plus ``per`` or 0 when it holds
+    the floor's value (its ``lo`` for a configuration class, its ``hi``
+    for a parking class).
 
     With ``rank`` (the index of each position in its part, from 1) a
     representative weighs its orbit, prod |part|! / prod mult!, kept per
@@ -285,23 +296,31 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     ``j`` takes its value it is the ``mult[j]``-th of its part, read through
     ``prev[j]``, to hold it, and weighs ``rank[j] / mult[j]``; every partial
     product is a multinomial, so each exact divide leaves an integer.  The
-    last position's values weigh ``wt * rank`` each, and a ``lo`` equal to
-    ``vals[prev]`` that divided by ``mult[prev] + 1``.
+    last position's values weigh ``wt * rank`` each, and ``vals[prev]``,
+    when the run holds it, that divided by ``mult[prev] + 1``.
 
-    On a parking representative walk the fixpoints look ahead to the end
-    of ``t``'s part, the run of ``prev`` links after ``t``.  Those later
-    part-mates are twins of ``t`` and hold at most ``cmax`` grains, since
-    their parking values are at least that of ``prev[t]`` (or 1).  Extra
-    grains never make a forbidden set, so a set forbidden with the mates at
-    ``cmax`` rules out every completion.  One without ``t`` holds a mate,
-    as the prefix has passed, and adding ``t``, its twin, keeps it
-    forbidden at every value of ``t``: the pinned bound empties the
-    interval.  Mates that would burn at once (``cmax``, drained for
-    ``ppf``, reaches their edges into the domain) stay out, as do mates with
-    no edges there, and the last position has none, so its interval and
-    every run are unchanged.  A start whose ``prev`` holds the same value
-    is not drained again: swapping the two twins fixes every other
-    position, so both drains give one bound.
+    On a representative walk of any class with checks (``stable`` runs no
+    fixpoint) the fixpoints look ahead to the end of ``t``'s part, the run
+    of ``prev`` links after ``t``.  Those later part-mates are twins of
+    ``t`` and hold at most ``cmax`` grains, since none holds more than the
+    position before it.  Extra grains never make a forbidden set, so a set
+    forbidden with the mates at their most rules out every completion.  One
+    without ``t`` holds a mate, as the prefix has passed, and adding ``t``,
+    its twin, keeps it forbidden at every value of ``t``: the pinned bound
+    empties the interval.  The mates enter ``conf`` at ``cmax``.  In
+    ``drained`` they enter at ``cmax - s`` for ``forall``, whose drains
+    start only at assigned positions, so every mate gives back its ``s``
+    sink edges.  For ``exists`` they enter at ``cmax``: the start still to
+    come may be a mate, which keeps its sink edges and holds up to
+    ``cmax``, and one bound must serve that start and every other, so only
+    ``cmax`` is sure to be a most for each mate.  ``cmax - s`` would
+    undercount that start, and a set it finds forbidden need not be.
+    Mates that would burn at once (their most reaches their edges into the
+    domain) stay out, as do mates with no edges there, and the last
+    position has none, so its interval and every run are unchanged.  A
+    start whose ``prev`` holds the same value is not drained again:
+    swapping the two twins fixes every other position, so both drains give
+    one bound.
 
     A walk that lists a family with parts (``units`` set) remembers the
     interval of each joining position under the key of its prefix
@@ -331,11 +350,11 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
     top = [0] * k        # the last admissible value of each position
-    # a parking representative's part-mates still to come, t+1..e on the
+    # a representative's part-mates still to come, t+1..e on the
     # run of prev links after t: (e, t's edges into 0..e) when it has any
     ahead: list = [None] * k
     e = k - 1
-    for t in reversed(range(k - 1) if parking else ()):
+    for t in reversed(range(k - 1) if checks else ()):
         e = e if prev[t + 1] == t else t
         reach = sum(m for j, m in nbrs[t] if j <= e)
         if e > t and reach:
@@ -372,13 +391,13 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 w = hi - lo + 1
                 if rim:
                     w *= k
-                    if lo == p:
-                        q = per[t]
+                    q = per[t]
+                    if lo <= vals[t - q] <= hi:
                         w += (q if k % q == 0 else 0) - k
                 elif rank:
                     r = wt[t] * rank[t]
                     w *= r
-                    if prev[t] is not None and lo == p:
+                    if prev[t] is not None and lo <= vals[prev[t]] <= hi:
                         w += r // (mult[prev[t]] + 1) - r
                 yield vals, lo, hi, w
             hi = lo - 1
@@ -418,30 +437,30 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             deg_in[j] += m
             back += m
         deg_in[t] = back
-        # a representative takes at least the value of prev[t], and a
-        # necklace that of t - per[t] (at t = 1, reading vals[-1], both
-        # branches give 1)
+        # a representative holds at most the grains of prev[t], and a
+        # necklace at least those of t - per[t] (at t = 1, reading vals[-1],
+        # both branches give 1)
+        cmin, cmax = 0, d - 1
         if prev[t] is not None:
-            p = vals[prev[t]]
+            cmax = conf[prev[t]]
         elif rim:
             q = per[t - 1]
             if vals[t - 1] != vals[t - 1 - q]:
                 q = t
             per[t] = q
-            p = vals[t - q]
-        else:
-            p = low
-        cmin, cmax = (0, d - p) if parking else (p, d - 1)
+            cmin = conf[t - q]
         dom = deg_in
         if ahead[t]:
             e, reach = ahead[t]
             s = sink[t]
             # the part-mates t+1..e are twins of t holding at most cmax
-            # grains; unless they would burn at once, they join the domain
-            if reach > (cmax - s if drains else cmax):
+            # grains (most once drained); unless they would burn at once,
+            # they join the domain
+            most = cmax - s if drains else cmax
+            if reach > most:
                 n, r = e + 1, e - t
                 conf[t + 1:n] = [cmax] * r
-                drained[t + 1:n] = [cmax - s] * r
+                drained[t + 1:n] = [most] * r
                 dom = deg_in[:t]
                 for j, m in nbrs[t]:
                     if j >= t:
@@ -496,7 +515,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 b = cmin
                 if cmin < s + back:
                     drained[v] = conf[v]
-                    pinned = deg_in[:n]
+                    pinned = dom[:n]
                     _discard(drained, pinned, nbrs)
                     drained[v] -= sink[v]
                     b = s + pinned[t]
@@ -534,8 +553,10 @@ def count_class(target: Target, cls: str, *, jobs: int = 1,
     runs (``_runs``): a family with parts is counted from orbit
     representatives, which ``cap`` then bounds, and a wheel from the
     necklaces of its rim, with ``cap`` still bounding the full space.
-    Only a walked space of at least ``POOL_MIN_SPACE`` is split across
-    ``jobs`` workers, and only when more than one worker would run.
+    Such a walk's first-value slices differ widely in work, so a family is
+    counted in one process whatever ``jobs`` is.  Only a bare graph's space
+    of at least ``POOL_MIN_SPACE`` is split across ``jobs`` workers, and
+    only when more than one worker would run.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
@@ -543,8 +564,9 @@ def count_class(target: Target, cls: str, *, jobs: int = 1,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # raises on bad input before any candidate is tested
     space = _check_space(target, cls, cap, True)
-    if jobs > 1 and space >= POOL_MIN_SPACE:
-        firsts = _resolve(target)[0].nonsink_degrees[0]
+    if (jobs > 1 and space >= POOL_MIN_SPACE
+            and not isinstance(target, FamilySpec)):
+        firsts = target.nonsink_degrees[0]
         processes = min(jobs, firsts, os.cpu_count() or 1)
         if processes > 1:
             tasks = [(target, cls, cap, first) for first in range(firsts)]

@@ -236,13 +236,6 @@ def _grow_first_part(spec: FamilySpec) -> FamilySpec:
 # wheels: direct recurrence tests on rim values
 
 
-def _cyclic_between(n: int, i: int, j: int) -> range | list[int]:
-    """Rim positions strictly between i and j, walking forward from i."""
-    if i < j:
-        return range(i + 1, j)
-    return [k % n + 1 for k in range(i, n + j - 1)]
-
-
 def _check_integers(values: tuple, what: str) -> None:
     if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
         raise ValueError(f"{what} must be integers")
@@ -252,26 +245,23 @@ def wheel_recurrent(c: Sequence[int]) -> bool:
     """Recurrence on a wheel, read off the rim values directly.
 
     A stable wheel configuration (values 0, 1, 2) is recurrent exactly when
-    some value is 2 and, for every ordered pair of zero positions, walking
-    forward between them passes a 2.
+    some value is 2 and a 2 lies in every gap between cyclically consecutive
+    zeros; a single zero's gap is the rest of the rim.  One pass reads the
+    gaps off the rim turned to end at a zero; with no zero the whole rim is
+    the one gap.
     """
     c = tuple(c)
-    n = len(c)
-    if n < 3:
+    if len(c) < 3:
         raise ValueError("wheel needs n >= 3 rim vertices")
     _check_integers(c, "wheel values")
     if any(x not in (0, 1, 2) for x in c):
         raise ValueError("stable wheel values lie in {0, 1, 2}")
-    if 2 not in c:
-        return False
-    zeros = [i + 1 for i, x in enumerate(c) if x == 0]
-    for i in zeros:
-        for j in zeros:
-            if i == j:
-                continue
-            if not any(c[k - 1] == 2 for k in _cyclic_between(n, i, j)):
-                return False
-    return True
+    rim = "".join(map(str, c))
+    z = rim.find("0") + 1
+    gaps = (rim[z:] + rim[:z]).split("0")
+    if z:
+        gaps.pop()      # the empty piece after the closing zero
+    return all("2" in gap for gap in gaps)
 
 
 def wheel_strongly_recurrent(c: Sequence[int]) -> bool:

@@ -183,6 +183,10 @@ class TestPrimeBijection:
         with pytest.raises(ValueError):
             prime_bijection_classical_inverse((2, 1))
 
+    def test_inverse_rejects_a_sorted_non_parking_vector(self):
+        with pytest.raises(ValueError, match="must be a parking function"):
+            prime_bijection_classical_inverse((2, 2))
+
 
 class TestPaths:
     def test_value_counts(self):
@@ -232,6 +236,8 @@ class TestPaths:
             from_path(StepPath("spiral", ()))
         with pytest.raises(ValueError):
             from_path(StepPath("staircase", ("E", "N")))
+        with pytest.raises(ValueError, match="must end with a down-step"):
+            from_path(StepPath("dyck", ("U", "D", "U")))
         # a bool or a float is not a Lukasiewicz rise
         with pytest.raises(ValueError):
             from_path(StepPath("lukasiewicz", (True, -1)))

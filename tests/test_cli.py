@@ -868,6 +868,11 @@ class TestPaths:
         assert "dyck word: UD" in out.stdout
         assert "prime=true" in out.stdout
 
+    def test_non_integer_vector_exits_2(self):
+        out = run_cli("paths", "--pf", "1,x")
+        assert out.returncode == 2
+        assert "expected comma-separated integers" in out.stderr
+
     def test_pq_example(self):
         out = run_cli("paths", "--pq", "0,0,2,2,3;0,0,1,2")
         assert out.returncode == 0

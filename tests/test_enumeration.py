@@ -38,7 +38,7 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
-from sandpark import enumeration, families, sandpile
+from sandpark import enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
                                   _check_space, _walk)
 from sandpark.families import _degree_groups, family_parts
@@ -220,7 +220,9 @@ class TestCounting:
         monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
         # every space forks the pool
         monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
-        spec = FamilySpec("complete", n=4)      # first coordinate: 4 slices
+        # the bare K4 graph, as a family count runs serially; first
+        # coordinate: 4 slices
+        spec = make_family(FamilySpec("complete", n=4))
         for cpus, jobs, clamped in ((3, 10**9, 3), (64, 10**9, 4),
                                     (64, 2, 2)):
             monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
@@ -340,6 +342,21 @@ ORBIT_CASES = [(spec, cls) for spec in ORBIT_SPECS for cls in CLASSES
                if not (spec.family == "wheel" and cls.endswith("-inc"))]
 WHEEL_CLASSES = [cls for cls in CLASSES if not cls.endswith("-inc")]
 
+# the 61 family shapes with parts whose full space the bare graph's walk
+# covers quickly
+SWEEP_SPECS = [spec for spec in
+               [FamilySpec("complete", n=n) for n in range(1, 8)]
+               + [FamilySpec(family, p=p, q=q)
+                  for family in ("tripartite", "bipartite")
+                  for p in range(1, 6) for q in range(1, 6)]
+               + [FamilySpec("split", m=m, n=n)
+                  for m in range(1, 5) for n in range(1, 5)]
+               if _full_space(spec) <= 2 * 10 ** 5]
+# one family of each kind, for the degree-complement pairs below
+PAIR_SPECS = [FamilySpec("tripartite", p=5, q=5),
+              FamilySpec("bipartite", p=4, q=3), FamilySpec("split", m=3, n=3),
+              FamilySpec("wheel", n=8), FamilySpec("complete", n=8)]
+
 
 # families with the sizes of the parts of their graph, the sink included
 TREE_CASES = ([(FamilySpec("complete", n=n), (1,) * (n + 1))
@@ -449,6 +466,34 @@ class TestOrbitRoute:
         assert count_class(FamilySpec("wheel", n=10), "recurrent") == 15125
         assert 0 < len(fixpoints) <= 2500
 
+    @pytest.mark.parametrize("spec", SWEEP_SPECS,
+                             ids=[spec.label() for spec in SWEEP_SPECS])
+    def test_configuration_counts_equal_the_bare_graph_walk(self, spec):
+        g = make_family(spec)
+        for cls in ("sr-exists", "min-recurrent", "sr-forall", "recurrent"):
+            assert count_class(spec, cls) == count_class(g, cls), cls
+
+    @pytest.mark.parametrize("spec", PAIR_SPECS,
+                             ids=[spec.label() for spec in PAIR_SPECS])
+    def test_degree_complement_pairs_walk_alike(self, fixpoints, spec):
+        # a class and its parking twin state their orbit rules in grains,
+        # so both walk one set of orbit representatives
+        for pair in (("recurrent", "pf"), ("sr-forall", "ppf")):
+            counts, walks = [], []
+            for cls in pair:
+                fixpoints.clear()
+                counts.append(count_class(spec, cls))
+                walks.append(len(fixpoints))
+            assert counts[0] == counts[1], pair
+            assert walks[0] == walks[1] > 0, pair
+
+    def test_wheel_parking_count_walks_configuration_necklaces(self, walked):
+        w6 = FamilySpec("wheel", n=6)
+        assert count_class(w6, "recurrent") == count_class(w6, "pf") == 320
+        configs, parking = walked
+        assert len(configs) == len(parking) == 71
+        assert {tuple(3 - x for x in c) for c in configs} == set(parking)
+
     @pytest.mark.parametrize("spec", [
         pytest.param(FamilySpec("wheel", n=n), id=str(n))
         for n in (11, 12, 13)]
@@ -469,9 +514,13 @@ class TestOrbitRoute:
             assert sum(slices) == want, (spec, cls)
 
     def test_wheel_pool_counts_the_serial_count(self, monkeypatch):
+        def untouchable(method):
+            raise AssertionError("a pool was forked")
+
         w7 = FamilySpec("wheel", n=7)
         serial = [count_class(w7, cls) for cls in WHEEL_CLASSES]
         monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
+        monkeypatch.setattr(enumeration, "get_context", untouchable)
         assert [count_class(w7, cls, jobs=2) for cls in WHEEL_CLASSES] \
             == serial
 
@@ -539,7 +588,9 @@ class TestOrbitRoute:
         for target in (w13, make_family(w13)):
             assert count_class(target, "sr-forall", jobs=2) == \
                 count_class(target, "sr-forall") == 14
-        assert forks == ["fork", "fork"]
+        # only the bare graph's walk visits every member; the family's
+        # necklace walk runs in one process
+        assert forks == ["fork"]
 
     def test_expected_stable_builds_no_graph(self, monkeypatch):
         def unbuildable(spec):
@@ -588,18 +639,25 @@ def fixpoints(monkeypatch):
 
 
 class TestLookAhead:
-    """A parking representative's fixpoints also hold the later positions
-    of its part, at the most grains the part's order leaves them; the
-    walk visits fewer prefixes and yields the same runs."""
+    """A representative's fixpoints also hold the later positions of its
+    part, at the most grains the part's order leaves them; the walk visits
+    fewer prefixes and yields the same runs."""
 
+    # the parking classes run 13,735, 47,744 and 182,000 fixpoints on the
+    # prefix alone; the configuration classes 62,320, 41,989, 15,408 and
+    # 30,785 when only the parking classes looked ahead
     @pytest.mark.parametrize("spec,cls,count,most", [
         (FamilySpec("complete", n=9), "ppf-inc", 1430, 2500),
         (FamilySpec("complete", n=10), "ppf", 9 ** 9, 8000),
-        (FamilySpec("tripartite", p=1, q=100), "ppf", 1, 1000)],
-        ids=["K9-ppf-inc", "K10-ppf", "K(1,100)-ppf"])
+        (FamilySpec("tripartite", p=1, q=100), "ppf", 1, 1000),
+        (FamilySpec("complete", n=10), "sr-forall", 9 ** 9, 8000),
+        (FamilySpec("complete", n=10), "recurrent", 11 ** 9, 12000),
+        (FamilySpec("tripartite", p=5, q=5), "min-recurrent", 329462, 8000),
+        (FamilySpec("complete", n=10), "sr-exists", 9 ** 9, 20000)],
+        ids=["K9-ppf-inc", "K10-ppf", "K(1,100)-ppf", "K10-sr-forall",
+             "K10-recurrent", "K(5,5)-min-recurrent", "K10-sr-exists"])
     def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
                                              count, most):
-        # 13,735, 47,744 and 182,000 fixpoints on the prefix alone
         assert count_class(spec, cls) == count
         assert 0 < len(fixpoints) <= most
 
@@ -858,6 +916,20 @@ class TestCrossValidation:
         assert not report.orientation_checked
         assert report.stable_checked == math.prod(g.nonsink_degrees)
         assert report.ok
+
+    @pytest.mark.parametrize("route, wrong, mismatch", [
+        ("is_recurrent_burning", lambda g, c: False, "recurrence mismatch"),
+        ("is_g_parking_naive", lambda g, p: False, "parking mismatch"),
+        ("is_prime_bruteforce", lambda g, p: False, "primality mismatch"),
+        ("orientation_recurrent_set", lambda g: [], "orientation set mismatch"),
+    ])
+    def test_a_wrong_route_is_reported(self, monkeypatch, k2, route, wrong,
+                                       mismatch):
+        monkeypatch.setattr(reference, route, wrong)
+        report = cross_validate_oracles(k2)
+        assert not report.ok
+        assert any(d.startswith(mismatch) for d in report.discrepancies), \
+            report.discrepancies
 
 
 class TestRandomGraphs:

@@ -180,6 +180,12 @@ class TestWheelCharacterisations:
         with pytest.raises(ValueError):
             wheel_recurrent((2, 2))
 
+    def test_short_rims_rejected(self):
+        with pytest.raises(ValueError, match="wheel needs n >= 3"):
+            wheel_graph(2)
+        with pytest.raises(ValueError, match="wheel needs n >= 3 rim"):
+            wheel_strongly_recurrent((2, 2))
+
     @pytest.mark.parametrize("test", [wheel_recurrent, wheel_strongly_recurrent])
     @pytest.mark.parametrize("c", [(2.0, 1, 0), (True, 2, 2), (1.0, 2, 2),
                                    (1.5, 2, 2), (2, 2, False)])
@@ -188,7 +194,7 @@ class TestWheelCharacterisations:
             test(c)
 
     def test_matches_general_oracle(self):
-        for n in range(3, 7):
+        for n in range(3, 9):
             g = wheel_graph(n)
             for c in itertools.product((0, 1, 2), repeat=n):
                 assert wheel_recurrent(c) == is_recurrent(g, c), (n, c)
@@ -224,6 +230,14 @@ class TestLatticePaths:
                      if s == "E") == (0, 0, 2, 2, 3)
         assert tuple(x for (x, _), s in zip(upper.points(), upper.steps)
                      if s == "N") == (0, 0, 1, 2)
+
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(ValueError, match="east-height vector must be "
+                           "non-empty"):
+            path_with_e_heights((), 2)
+        with pytest.raises(ValueError, match="north-position vector must be "
+                           "non-empty"):
+            path_with_n_positions((), 2)
 
     def test_path_constructors_validate(self):
         with pytest.raises(ValueError):
@@ -440,6 +454,18 @@ class TestDeletionBijectionErrors:
         forward, _, _ = BIJECTIONS[family]
         with pytest.raises(ValueError, match="^not prime$"):
             forward(((2, 2), (1, 1)))
+
+    @pytest.mark.parametrize("pair, message", [
+        (((), (1, 1)), "first part must be non-empty"),
+        (((1, 1), ()), "second part must be non-empty"),
+        (((0, 1), (1, 1)), "values must be positive"),
+        (((1, 1), (1, -2)), "values must be positive"),
+    ])
+    def test_empty_or_non_positive_part(self, family, pair, message):
+        forward, inverse, _ = BIJECTIONS[family]
+        for route in (forward, inverse):
+            with pytest.raises(ValueError, match=message):
+                route(pair)
 
     def test_inverse_of_non_parking_pair(self, family):
         _, inverse, _ = BIJECTIONS[family]

@@ -65,6 +65,11 @@ class TestBuild:
         with pytest.raises(UnknownVertexError):
             build_graph(["0", "a"], "0", [("0", "b", 1)])
 
+    def test_unknown_first_endpoint_rejected(self):
+        with pytest.raises(UnknownVertexError,
+                           match="unknown vertex 'zz' in edge list"):
+            build_graph(["0", "a"], "0", [("0", "a", 1), ("zz", "a", 1)])
+
     def test_unknown_sink_rejected(self):
         with pytest.raises(UnknownVertexError):
             build_graph(["0", "a"], "z", [("0", "a", 1)])
@@ -103,6 +108,10 @@ class TestDegrees:
         assert g.deg_within(v, {v}) == 0
         assert g.deg_within(v, set(g.vertices)) == g.deg(v)
 
+    def test_unknown_name_rejected(self):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'zz'"):
+            triangle().deg("zz")
+
     @given(st.data())
     def test_deg_within_additive_over_complement(self, data):
         label, g = data.draw(st.sampled_from(POOL))
@@ -132,6 +141,14 @@ class TestInducedAndDelete:
         g = triangle()
         with pytest.raises(GraphError):
             g.induced_with_sink(["0", "v1"])
+
+    def test_induced_rejects_empty_block(self):
+        with pytest.raises(GraphError, match="at least one non-sink vertex"):
+            triangle().induced_with_sink([])
+
+    def test_induced_rejects_unknown_vertex(self):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'zz'"):
+            triangle().induced_with_sink(["v1", "zz"])
 
     def test_delete_vertex(self):
         g = make_family(FamilySpec("complete", n=4))
@@ -282,6 +299,21 @@ class TestJson:
     def test_missing_key_rejected(self):
         with pytest.raises(GraphError):
             graph_from_dict({"vertices": ["0", "a"], "edges": []})
+
+    @pytest.mark.parametrize("doc, message", [
+        (["0", "a"], "must be a JSON object"),
+        ({"vertices": ["0", 1], "sink": "0", "edges": []},
+         "'vertices' must be a list of strings"),
+        ({"vertices": "0a", "sink": "0", "edges": []},
+         "'vertices' must be a list of strings"),
+        ({"vertices": ["0", "a"], "sink": 0, "edges": []},
+         "'sink' must be a string"),
+        ({"vertices": ["0", "a"], "sink": "0", "edges": {"0": "a"}},
+         "'edges' must be a list"),
+    ])
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(GraphError, match=message):
+            graph_from_dict(doc)
 
     @pytest.mark.parametrize("endpoint", [["a"], {"a": 1}])
     def test_non_string_endpoint_rejected(self, endpoint):

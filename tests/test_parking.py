@@ -150,6 +150,16 @@ class TestRestriction:
             restrict_partition(k2, (1, 1), ("zz",), ("v2",))
 
 
+    def test_blocks_hold_no_sink_and_cover_the_graph(self, k2):
+        with pytest.raises(ValueError, match="non-sink vertices only"):
+            restrict_partition(k2, (1, 1), ("0", "v1"), ("v2",))
+        g = make_family(FamilySpec("complete", n=3))
+        with pytest.raises(ValueError, match="must cover all non-sink"):
+            restrict_partition(g, (1, 1, 1), ("1",), ("2",))
+        with pytest.raises(ValueError, match="must cover all non-sink"):
+            is_decomposable(g, (1, 1, 1), ("1",), ("3",))
+
+
 class TestDecomposable:
     def test_complete_positive_example(self):
         g = make_family(FamilySpec("complete", n=4))
@@ -200,6 +210,12 @@ class TestPrime:
         assert boost_except(g, (1, 1, 2), "1") == (1, 2, 3)
         assert failing_boost_vertex(g, (1, 1, 2)) is None
         assert failing_boost_vertex(g, (1, 1, 3)) is not None
+
+    def test_boost_rejects_unknown_or_sink_vertex(self):
+        g = make_family(FamilySpec("complete", n=3))
+        for v in ("zz", "0"):
+            with pytest.raises(UnknownVertexError, match="unknown or sink"):
+                boost_except(g, (1, 1, 2), v)
 
     def test_routes_agree_on_pool(self):
         for label, g in SMALL:

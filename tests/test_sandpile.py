@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +215,40 @@ class TestStabilize:
         assert tr.odometer == (0, 2)
 
 
+class TestTraceValues:
+    def trace(self):
+        return stabilize(complete_graph(2), (5, 0))
+
+    def test_fields_are_frozen(self):
+        t = self.trace()
+        with pytest.raises(FrozenInstanceError):
+            t.final = (0, 0)
+        with pytest.raises(FrozenInstanceError):
+            del t.odometer
+
+    def test_compares_and_hashes_by_fields(self):
+        a, b = self.trace(), self.trace()
+        assert (a == (a.final, a.odometer, a.log)) is False
+        assert a != "trace"
+        assert a == b and hash(a) == hash(b)
+
+    def test_pickle_round_trip_of_an_unread_log(self):
+        t = self.trace()
+        assert callable(t._log)      # the log has not been read yet
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t
+        assert back.log == ("1", "1", "2", "1")
+
+    def test_repr_names_the_three_fields(self):
+        assert repr(self.trace()) == ("StabilisationTrace(final=(0, 1), "
+                                      "odometer=(3, 1), "
+                                      "log=('1', '1', '2', '1'))")
+
+    def test_chain_trace_repr(self):
+        run = markov_run(complete_graph(2), (0, 0), 5, seed=1)
+        assert repr(run.trace) == "ChainTrace(5 steps)"
+
+
 class TestBurning:
     def test_verdict_runs_no_ordered_replay(self, monkeypatch):
         def boom(*args):
@@ -236,6 +272,11 @@ class TestBurning:
     def test_unstable_rejected(self, k2):
         with pytest.raises(ValueError):
             burning_sequence(k2, (2, 0))
+
+    def test_negative_rejected(self, k2):
+        with pytest.raises(ValueError, match="burning test needs a "
+                           "non-negative configuration"):
+            is_recurrent_burning(k2, (-1, 1))
 
     def test_triangle_recurrent_set(self, k2):
         rec = {c for c in stable_configs(k2) if is_recurrent_burning(k2, c)}
@@ -459,6 +500,11 @@ class TestMarkov:
                 markov_run(k2, (0, 0), 0, seed=0, mu=[bad, 0.5])
         with pytest.raises(ValueError):
             markov_run(k2, (0, 0), -1, seed=0)
+
+    def test_mu_length_must_match(self, k2):
+        for mu in ([1.0], [0.25, 0.25, 0.5]):
+            with pytest.raises(ValueError, match="mu length does not match"):
+                markov_run(k2, (0, 0), 5, seed=0, mu=mu)
 
     @pytest.mark.parametrize("bad", [True, 2.0])
     def test_steps_must_be_an_integer(self, k2, bad):
