@@ -16,7 +16,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="verify enumeration counts against exact predictions")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per enumeration")
+                        help="worker processes for a bare-graph row's count; "
+                             "the default battery has only family rows, "
+                             "which count in one process")
     parser.add_argument("--format", choices=("text", "csv", "json"),
                         default="text")
     parser.add_argument("--output", help="write the report here instead of stdout")

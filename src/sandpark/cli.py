@@ -206,9 +206,8 @@ def cmd_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
-    # the space its output walks, before expected_count builds a family's
-    # graph: listing walks every member (deciding each prefix of a family
-    # with parts once per orbit), counting a family representatives
+    # the walk its output runs (the table in enumeration) is checked before
+    # expected_count builds a family's graph
     listing = args.output in ("list", "json")
     _check_space(target, args.cls, args.cap, not listing)
     expected = expected_count(target, args.cls) if args.expected else None

@@ -17,31 +17,53 @@ grains level 0 leaves.  The last position is not listed: the walk yields
 stands for, so counting adds up the weights, listing expands the runs, and
 no member is tested on its own.
 
+Which walk runs is decided once (``_plan``), from the target's non-sink
+degree groups: a family's, one ``(degree, count)`` group per part (or for
+the rim) in declaration order, read from its parameters, and a bare
+graph's, one ``(degree, 1)`` group per vertex.  A group's positions are
+contiguous, and the vertices of a part are twins.  The first row that fits
+decides:
+
+====================  ======  ========================  ===============
+target                output  walk                      cap bounds
+====================  ======  ========================  ===============
+family, ``-inc``      any     representatives           representatives
+family with parts     count   representatives, weighed  representatives
+family with parts     list    members, with the memo    full space
+wheel                 count   necklaces, weighed        full space
+wheel                 list    members                   full space
+bare graph            any     members                   full space
+====================  ======  ========================  ===============
+
+The class, the cap and the space are checked when the walk is chosen,
+before any graph is built, and then the vertex count: degree-1 vertices
+add nothing to the space, so a target of more than ``_VERTEX_BOUND``
+non-sink vertices is refused apart.  The full space is the product of
+``d ** c`` over the ``(d, c)`` groups, the representatives' that of
+``C(d + c - 1, c)``.
+
 Both orbit rules are stated in grains, the quantity every prefix check
 reads: a configuration's values, or the degree complement of a parking
-candidate's.  So a class and its degree-complement twin (``recurrent`` and
-``pf``, ``sr-forall`` and ``ppf``) walk one set of orbits.  Listing and
-bare graphs walk every member, so a run weighs the number of its values.
-Vertices of one part of a family are twins, so counting a family with
-parts walks one representative per orbit (the members whose grains never
-rise inside a part, which are the parking candidates non-decreasing there,
-as the increasing classes list them), and each run weighs the orbits of
-its values.  On such a walk a position's fixpoints also hold its part's
-later positions, at the most grains the part's order leaves them, and of
-two burning starts of one part with one value only the first is drained.
-Rotating a wheel's rim fixes its hub sink, so every class is a union of
-rotation orbits, and counting a wheel walks the necklaces (the rotation of
-each orbit least in grains), each weighing its period.  Each position is
-floored at the grains one period back; every prefix of a necklace is a
-prenecklace, and the prefix cuts hold for any prefix, so the cuts stay
-exact.  Listing a family with parts still decides each prefix once per
-orbit: its interval is kept under the multiset of values each part holds,
-and the prefix's permutations inside the parts reuse it.  The cap bounds
-the space the chosen walk visits (for a wheel, the full space), before the
-walk starts and before a family's graph is built.  Counting a bare graph
-splits a large space by the first coordinate across worker processes; a
-family's walk of representatives or necklaces runs in one process.  The
-count does not depend on the worker count.
+candidate's, so a class and its degree-complement twin (``recurrent`` and
+``pf``, ``sr-forall`` and ``ppf``) walk one set of orbits.  A member walk
+weighs a run by the number of its values.  A representative walk visits,
+per orbit of the permutations inside the parts, the member whose grains
+never rise inside a part (the parking candidates non-decreasing there,
+which the increasing classes list); counting weighs a run by the orbits of
+its values, and an increasing class by the number of its values.  Its
+fixpoints also hold a position's later part-mates, at the most grains the
+part's order leaves them, and of two burning starts of one part with one
+value only the first is drained.  Rotating a wheel's rim fixes its hub
+sink, so every class is a union of rotation orbits; the necklace walk
+visits the rotation of each orbit least in grains, floors each position at
+the grains one period back and weighs a run by its periods.  Every prefix
+of a necklace is a prenecklace and the prefix cuts hold for any prefix, so
+the cuts stay exact.  The memo walk decides each prefix once per orbit: its
+interval is kept under the multiset of values each part holds, and the
+prefix's permutations inside the parts reuse it (``stable`` and
+``sr-exists`` keep no memo).  Counting a member walk splits a large space
+by the first coordinate across worker processes; every other walk runs in
+one process.  The count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -59,8 +81,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError, _size
 from .families import (_FAMILY_TABLE, FamilySpec, _degree_groups,
-                       _grow_first_part, _interchangeable, closed_form_count,
-                       family_parts, make_family)
+                       _grow_first_part, closed_form_count, make_family)
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import prime_decompositions
 from .sandpile import (
@@ -74,17 +95,14 @@ from .sandpile import (
 DEFAULT_SPACE_CAP = 100_000_000
 # A candidate space past this many bits is refused from its logarithm.
 _EXACT_SPACE_BITS = 1 << 16
-# count_class forks worker processes only for a bare graph's space of at
-# least this many candidates; below it one process finishes first.
+# count_class forks worker processes only for a member walk (a bare
+# graph's count) of at least this many candidates; below it one process
+# finishes first.
 POOL_MIN_SPACE = 600_000
+# the most non-sink vertices a walk's target may have
+_VERTEX_BOUND = 100_000
 
 Target = Union[RootedMultigraph, FamilySpec]
-
-
-def _resolve(target: Target) -> tuple[RootedMultigraph, Optional[FamilySpec]]:
-    if isinstance(target, FamilySpec):
-        return make_family(target), target
-    return target, None
 
 
 # What the walk checks on each assigned prefix: recurrence, and then the
@@ -108,124 +126,120 @@ _CLASS_WALKS = {
 CLASSES = tuple(_CLASS_WALKS)
 
 
-def _check_space(target: Target, cls: str, cap: int,
-                 counting: bool = False) -> int:
-    """The size of the space the walk of ``cls`` on ``target`` visits;
-    refused when it exceeds ``cap``.
+def _plan(target: Target, cls: str, cap: Optional[int],
+          counting: bool = False, *, check: bool = True
+          ) -> tuple[int, tuple, str]:
+    """``(space, groups, walk)``: the walk of ``cls`` on ``target`` (the
+    table above), the target's degree groups and the size of the space the
+    walk visits, before any graph is built.
 
-    A family's space comes from its degree groups, before its graph is
-    built.  A representative walk (``counting`` a family with parts, and
-    always for the increasing classes) visits the tuples whose grains never
-    rise inside each part of the family, whose vertices share a degree, so
-    its space is a product of multiset counts.  Every other
-    walk, the necklace walk of a rotating family included, is bounded by the
-    full space.  A space whose logarithm puts it past both ``cap`` and
-    2^``_EXACT_SPACE_BITS`` is refused without being computed.
+    ``walk`` is ``"members"``, ``"memo"``, ``"reps"`` (representatives
+    weighing one member each), ``"orbits"`` (representatives weighing
+    their orbits) or ``"necklaces"``.  With ``check``, ``cap`` must be an
+    integer, a space above it is refused, and then a target of more than
+    ``_VERTEX_BOUND`` non-sink vertices.  A space whose logarithm puts it
+    past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
+    computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
-    if isinstance(cap, bool) or not isinstance(cap, int):
+    if check and (isinstance(cap, bool) or not isinstance(cap, int)):
         raise ValueError(f"cap must be an integer, got {cap!r}")
-    reps = cls.endswith("-inc")
+    inc = cls.endswith("-inc")
     if isinstance(target, FamilySpec):
+        record = _FAMILY_TABLE[target.family]
+        parts, rotates = record.parts, record.rotates
         groups = _degree_groups(target)
-        if reps:
-            _interchangeable(target)    # refuses a family without parts
-        reps = reps or (counting and bool(_FAMILY_TABLE[target.family].parts))
-    elif reps:
+        if inc and not parts:
+            raise ValueError(
+                f"family {target.family!r} has no interchangeable parts")
+    elif inc:
         raise ValueError(
             "increasing classes need a graph family with declared parts")
     else:
-        groups = [(d, 1) for d in target.nonsink_degrees]
-    try:
-        if reps:
-            bits = sum(math.lgamma(d + c) - math.lgamma(c + 1) - math.lgamma(d)
-                       for d, c in groups) / math.log(2)
-        else:
-            bits = sum(c * math.log2(d) for d, c in groups)
-    except OverflowError:       # parameters past the float range
-        bits = math.inf
-    limit = max(cap.bit_length(), _EXACT_SPACE_BITS) + 1
-    if bits > limit:
-        raise SizeCapError(
-            f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
+        parts, rotates = (), False
+        groups = tuple((d, 1) for d in target.nonsink_degrees)
+    if inc or (counting and parts):
+        walk = "orbits" if counting and not inc else "reps"
+    elif counting and rotates:
+        walk = "necklaces"
+    elif parts and _CLASS_WALKS[cls][1] not in (_NONE, _DRAIN_EXISTS):
+        walk = "memo"
+    else:
+        walk = "members"
+    reps = walk in ("reps", "orbits")
+    if check:
+        try:
+            if reps:
+                bits = sum(math.lgamma(d + c) - math.lgamma(c + 1)
+                           - math.lgamma(d) for d, c in groups) / math.log(2)
+            else:
+                bits = sum(c * math.log2(d) for d, c in groups)
+        except OverflowError:       # parameters past the float range
+            bits = math.inf
+        limit = max(cap.bit_length(), _EXACT_SPACE_BITS) + 1
+        if bits > limit:
+            raise SizeCapError(
+                f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
     space = math.prod(math.comb(d + c - 1, c) if reps else d ** c
                       for d, c in groups)
-    if space > cap:
-        raise SizeCapError(
-            f"search space of {_size(space)} exceeds cap {_size(cap)}")
-    return space
+    if check:
+        if space > cap:
+            raise SizeCapError(
+                f"search space of {_size(space)} exceeds cap {_size(cap)}")
+        if (vertices := sum(c for _, c in groups)) > _VERTEX_BOUND:
+            raise SizeCapError(f"target of {_size(vertices)} non-sink "
+                               f"vertices exceeds bound {_VERTEX_BOUND}")
+    return space, groups, walk
 
 
-def _runs(target: Target, cls: str, cap: int, first: Optional[int] = None,
-          counting: bool = False):
-    """The run stream of ``cls`` (``_search``): every value of every run
-    completes its prefix to a member, and ``counting`` adds up the runs'
-    weights.
+def _check_space(target: Target, cls: str, cap: int,
+                 counting: bool = False) -> int:
+    """The space of the walk ``_plan`` chooses, checked as there."""
+    return _plan(target, cls, cap, counting)[0]
 
-    Listing and bare graphs walk every member.  Counting a family with
-    parts, and listing or counting an increasing class, walks only the
-    members whose grains never rise inside each part, one per orbit:
-    ``prev[t]`` is the position before ``t`` in its part, or None, and
-    ``rank[t]`` its index there, from 1; the increasing classes weigh no
-    orbit.  Counting a rotating family walks the necklaces of its rim, in
-    grains, for every class.  The class, the target
-    and the size of the walked space are checked when this is called
-    (``_check_space``), before any candidate is tested.  With ``first``
-    set, only the slice holding the ``first``-th value of the first
-    coordinate is walked; the slices partition the space in order.
+
+def _runs(target: Target, cls: str, plan, first: Optional[int] = None):
+    """The run stream (``_search``) of the walk ``plan`` (from ``_plan``)
+    chose for ``cls`` on ``target``.  With ``first`` set, only the slice
+    holding the ``first``-th value of the first coordinate is walked; the
+    slices partition the space in order.
     """
-    _check_space(target, cls, cap, counting)
+    _, groups, walk = plan
     low, checks = _CLASS_WALKS[cls]
-    g, spec = _resolve(target)
-    degs = g.nonsink_degrees
-    prev: list[Optional[int]] = [None] * len(degs)
-    rank = units = None
-    record = _FAMILY_TABLE[spec.family] if spec is not None else None
-    inc = cls.endswith("-inc")
-    if record and record.parts:
-        if counting or inc:
-            rank = [1] * len(degs)
-            for part in family_parts(spec):
-                at = [g.nonsink_pos[v] for v in part]
-                for i in range(1, len(at)):
-                    prev[at[i]], rank[at[i]] = at[i - 1], i + 1
-            if inc:
-                rank = None
-        elif checks not in (_NONE, _DRAIN_EXISTS):
-            units = _prefix_units(g, family_parts(spec), low)
-    first_values = range(low, low + degs[0])
+    g = make_family(target) if isinstance(target, FamilySpec) else target
+    # each position's index in its group; a representative's prev is the
+    # position before it in its part, and its rank that index from 1
+    index = [i for _, c in groups for i in range(c)]
+    reps = walk in ("reps", "orbits")
+    prev = [t - 1 if reps and i else None for t, i in enumerate(index)]
+    rank = [i + 1 for i in index] if walk == "orbits" else None
+    units = _prefix_units(groups, low) if walk == "memo" else None
+    first_values = range(low, low + groups[0][0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    rim = counting and record is not None and record.rotates
-    return _search(g, low, checks, prev, first_values, units, rim, rank)
+    return _search(g, low, checks, prev, first_values, units,
+                   walk == "necklaces", rank)
 
 
-def _prefix_units(g: RootedMultigraph, parts, low: int) -> list:
-    """Per position, the increment of the prefix key for each value.
+def _prefix_units(groups, low: int) -> list:
+    """Per position but the last, whose value no prefix key holds, the
+    increment of the key for each value.
 
-    The key of a prefix sums its positions' increments: a field per part
-    and value counting the part's positions that hold it, of
-    ``len(part).bit_length()`` bits, or for a one-vertex part a field
-    holding ``value - low + 1``, never 0.  Equal keys are equal multisets
-    of values inside every part.  The positions of a part share one list,
+    The key of a prefix sums its positions' increments: a field per group
+    and value, of ``count.bit_length()`` bits, counting the group's
+    positions that hold the value.  Equal keys are equal multisets of
+    values inside every group.  The positions of a group share one list,
     indexed by value.
     """
-    units: list = [None] * len(g.nonsink_degrees)
+    units: list = []
     shift = 0
-    for part in parts:
-        at = [g.nonsink_pos[v] for v in part]
-        d = g.nonsink_degrees[at[0]]
-        if len(at) == 1:
-            row = [(i + 1) << shift for i in range(d)]
-            shift += d.bit_length()
-        else:
-            w = len(at).bit_length()
-            row = [1 << (shift + w * i) for i in range(d)]
-            shift += w * d
-        row[:0] = [0] * low
-        for t in at:
-            units[t] = row
+    # a last group of one vertex and d values would cost about d^2/2 bits
+    *rest, (d, c) = groups
+    for d, c in (*rest, (d, c - 1)):
+        w = c.bit_length()
+        units += [[0] * low + [1 << (shift + w * i) for i in range(d)]] * c
+        shift += w * d
     return units
 
 
@@ -235,12 +249,6 @@ def _members(runs) -> Iterator[tuple[int, ...]]:
         prefix = tuple(vals[:-1])
         for x in range(lo, hi + 1):
             yield prefix + (x,)
-
-
-def _walk(target: Target, cls: str, cap: int,
-          first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Members of ``cls`` in lexicographic order, checked as by ``_runs``."""
-    return _members(_runs(target, cls, cap, first))
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
@@ -531,10 +539,10 @@ def iter_class(target: Target, cls: str, *,
     """Stream all members of an enumeration class, lexicographically.
 
     An unknown class, a bare graph for an increasing class, a ``cap`` that
-    is not an integer and a space above it raise at the call, before any
-    candidate is tested.
+    is not an integer, a space above it and a target past the vertex bound
+    raise at the call, before any candidate is tested.
     """
-    return _walk(target, cls, cap)
+    return _members(_runs(target, cls, _plan(target, cls, cap)))
 
 
 # ----------------------------------------------------------------------
@@ -544,29 +552,27 @@ def iter_class(target: Target, cls: str, *,
 def _count_slice(args) -> int:
     """Members of one slice: the weights of its counting walk's runs."""
     target, cls, cap, first = args
-    return sum(w for _, _, _, w in _runs(target, cls, cap, first, True))
+    plan = _plan(target, cls, cap, True)
+    return sum(w for _, _, _, w in _runs(target, cls, plan, first))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    """Members of ``cls`` on ``target``, the weights of the counting walk's
-    runs (``_runs``): a family with parts is counted from orbit
-    representatives, which ``cap`` then bounds, and a wheel from the
-    necklaces of its rim, with ``cap`` still bounding the full space.
-    Such a walk's first-value slices differ widely in work, so a family is
-    counted in one process whatever ``jobs`` is.  Only a bare graph's space
-    of at least ``POOL_MIN_SPACE`` is split across ``jobs`` workers, and
-    only when more than one worker would run.
+    """Members of ``cls`` on ``target``, the weights of the runs of its
+    counting walk (the table above).  Representatives and necklaces differ
+    widely in work between first-value slices, so they are counted in one
+    process whatever ``jobs`` is.  Only a member walk of at least
+    ``POOL_MIN_SPACE`` candidates is split across ``jobs`` workers, and only
+    when more than one worker would run.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # raises on bad input before any candidate is tested
-    space = _check_space(target, cls, cap, True)
-    if (jobs > 1 and space >= POOL_MIN_SPACE
-            and not isinstance(target, FamilySpec)):
-        firsts = target.nonsink_degrees[0]
+    space, groups, walk = _plan(target, cls, cap, True)
+    if jobs > 1 and space >= POOL_MIN_SPACE and walk == "members":
+        firsts = groups[0][0]
         processes = min(jobs, firsts, os.cpu_count() or 1)
         if processes > 1:
             tasks = [(target, cls, cap, first) for first in range(firsts)]
@@ -595,13 +601,12 @@ class EnumerationReport:
 def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
     """Known exact prediction for a class count, when one exists; only
     the tree count builds a family's graph."""
-    spec = target if isinstance(target, FamilySpec) else None
     if cls == "stable":
-        groups = (_degree_groups(spec) if spec is not None
-                  else [(d, 1) for d in target.nonsink_degrees])
-        return math.prod(d ** c for d, c in groups), "degree-product"
+        return _plan(target, cls, None, check=False)[0], "degree-product"
+    spec = target if isinstance(target, FamilySpec) else None
     if cls in ("recurrent", "pf"):
-        return _resolve(target)[0].spanning_tree_count(), "matrix-tree"
+        g = target if spec is None else make_family(spec)
+        return g.spanning_tree_count(), "matrix-tree"
     if spec is None:
         return None
     try:

@@ -557,6 +557,22 @@ class TestEnumerate:
             cli.main(["enumerate", "--family", "complete", "--n", "3",
                       "--class", cls])
 
+    @pytest.mark.parametrize("output", [[], ["--output", "list"]],
+                             ids=["count", "list"])
+    def test_family_past_the_vertex_bound_exits_2(self, monkeypatch, capsys,
+                                                  output):
+        # a space of 200,001 under the cap, but 200,001 non-sink vertices
+        def unbuildable(*args):
+            raise AssertionError("the family graph was built")
+
+        monkeypatch.setattr(families, "build_graph", unbuildable)
+        rc, out, err = run_main(capsys, "enumerate", "--family", "bipartite",
+                                "--p", "200000", "--q", "1", "--class",
+                                "recurrent", *output)
+        assert (rc, out) == (2, "")
+        assert err == ("error: target of 200001 non-sink vertices exceeds "
+                       "bound 100000\n")
+
 
 class TestEnumerateMatch:
     """``match`` is true or false only when a prediction was compared."""

@@ -50,7 +50,8 @@ from sandpark import (
     stabilize,
     topple,
 )
-from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _walk
+from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, _members,
+                                  _plan, _runs)
 from conftest import (boost_witness, carried, graph_pool,
                       grid_with_sink_border, redeclared, reference_iter_class,
                       reference_stabilize, reference_tree_count)
@@ -276,9 +277,10 @@ WALK_CASES = (
                          ids=[f"{label}-{cls}" for label, _, cls in WALK_CASES])
 def test_pruned_walk_matches_generate_and_test(label, target, cls):
     g = make_family(target) if isinstance(target, FamilySpec) else target
+    plan = _plan(target, cls, DEFAULT_SPACE_CAP)
     want = []
     for first in range(g.nonsink_degrees[0]):
         part = reference_iter_class(target, cls, first)
-        assert list(_walk(target, cls, DEFAULT_SPACE_CAP, first)) == part, first
+        assert list(_members(_runs(target, cls, plan, first))) == part, first
         want += part
     assert list(iter_class(target, cls)) == want

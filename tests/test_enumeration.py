@@ -40,7 +40,7 @@ from sandpark import (
 )
 from sandpark import enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
-                                  _check_space, _walk)
+                                  _check_space, _members, _plan, _runs)
 from sandpark.families import _degree_groups, family_parts
 from conftest import giant_triangle, reference_iter_class, triangle
 
@@ -100,8 +100,9 @@ class TestIterClass:
             for cls in CLASSES:
                 if cls.endswith("-inc"):
                     continue
+                plan = _plan(g, cls, DEFAULT_SPACE_CAP)
                 slices = [item for first in range(g.nonsink_degrees[0])
-                          for item in _walk(g, cls, DEFAULT_SPACE_CAP, first)]
+                          for item in _members(_runs(g, cls, plan, first))]
                 assert slices == list(iter_class(g, cls)), (label, cls)
 
     def test_increasing_classes_are_sorted_members(self):
@@ -697,17 +698,22 @@ class TestListingMemo:
     @pytest.mark.parametrize("cls", ["recurrent", "sr-forall",
                                      "min-recurrent", "pf", "ppf"])
     def test_one_vertex_part_inside_another_keeps_its_keys(self, cls):
-        # b, a part of its own, sits between the twins a and c: its field
-        # is never 0, so the prefix a, b keeps a key apart from the prefix
-        # a even when b takes the lowest value
-        g = build_graph(["0", "a", "b", "c"], "0",
-                        [("0", "a", 1), ("0", "c", 1), ("a", "b", 1),
-                         ("c", "b", 1), ("0", "b", 2)])
+        # b, a group of its own, sits between the twin groups a and c: each
+        # value of b sets a field, so the prefix a1, a2, b keeps a key apart
+        # from the prefix a1, a2 even when b takes the lowest value
+        edges = [("0", v, 1) for v in ("a1", "a2", "c1", "c2")]
+        edges += [(v, "b", 1) for v in ("a1", "a2", "c1", "c2")]
+        edges += [(a, c, 1) for a in ("a1", "a2") for c in ("c1", "c2")]
+        g = build_graph(["0", "a1", "a2", "b", "c1", "c2"], "0",
+                        edges + [("0", "b", 2)])
+        groups = ((4, 2), (6, 1), (4, 2))
+        assert [d for d, c in groups for _ in range(c)] == \
+            list(g.nonsink_degrees)
         low, checks = enumeration._CLASS_WALKS[cls]
-        units = enumeration._prefix_units(g, (("a", "c"), ("b",)), low)
+        units = enumeration._prefix_units(groups, low)
         first = range(low, low + g.nonsink_degrees[0])
         memo, plain = (list(enumeration._members(enumeration._search(
-            g, low, checks, [None] * 3, first, u))) for u in (units, None))
+            g, low, checks, [None] * 5, first, u))) for u in (units, None))
         assert memo == plain != []
 
     def test_long_single_path_runs_no_more_fixpoints(self, fixpoints):
@@ -716,6 +722,63 @@ class TestListingMemo:
         spec = FamilySpec("bipartite", p=20000, q=1)
         assert list(iter_class(spec, "ppf")) == [(1,) * 20001]
         assert len(fixpoints) <= 2
+
+
+# the battery's families and the LONG_PARTS shapes, each walked listing
+# and counting when the planned space is at most 10^6 (K8-K10 and
+# K(5,5)^0 listing and W13 either way plan more)
+PLAN_SPECS = sorted({spec for spec, _ in default_suite()} | set(LONG_PARTS),
+                    key=FamilySpec.label)
+PLAN_CASES = [(spec, counting) for spec in PLAN_SPECS
+              for counting in (False, True)
+              if _plan(spec, "stable", None, counting,
+                       check=False)[0] <= 10 ** 6]
+
+
+class TestPlan:
+    """The walk is chosen once, from the degree groups, before any graph
+    is built; the walk then reads only those groups."""
+
+    @pytest.mark.parametrize("spec,counting", PLAN_CASES,
+                             ids=[f"{spec.label()}-{'count' if c else 'list'}"
+                                  for spec, c in PLAN_CASES])
+    def test_space_is_the_tuples_stable_walks(self, spec, counting):
+        plan = space, groups, walk = _plan(spec, "stable", DEFAULT_SPACE_CAP,
+                                           counting)
+        assert groups == _degree_groups(spec)
+        walked = sum(hi - lo + 1 for _, lo, hi, _ in _runs(spec, "stable",
+                                                           plan))
+        if not counting:
+            assert (walk, walked) == ("members", space)
+        elif spec.family == "wheel":
+            # the prenecklaces, fewer than the full space the cap bounds
+            assert walk == "necklaces" and 0 < walked <= space
+        else:
+            assert (walk, walked) == ("orbits", space)
+
+    def test_vertex_bound_refuses_before_the_graph(self, monkeypatch):
+        def unbuildable(spec):
+            raise AssertionError("the family graph was built")
+
+        monkeypatch.setattr(enumeration, "make_family", unbuildable)
+        # spaces of 200,001 and 1 under the cap
+        big = FamilySpec("bipartite", p=200000, q=1)
+        message = "target of 200001 non-sink vertices exceeds bound 100000"
+        for call in (lambda: count_class(big, "recurrent"),
+                     lambda: iter_class(big, "ppf"),
+                     lambda: iter_class(big, "pf-inc"),
+                     lambda: class_count(big, "min-recurrent", jobs=2)):
+            with pytest.raises(SizeCapError, match=message):
+                call()
+        # at the bound the plan passes
+        at = FamilySpec("bipartite", p=99999, q=1)
+        assert _check_space(at, "recurrent", DEFAULT_SPACE_CAP, True) == \
+            100000
+        # the space is refused first
+        with pytest.raises(SizeCapError, match="search space of "):
+            count_class(FamilySpec("bipartite", p=200000, q=2), "recurrent")
+        with pytest.raises(SizeCapError, match="search space of "):
+            iter_class(big, "ppf", cap=200000)
 
 
 GAP_GRAPH = gap_witness_from_dict(json.loads(
@@ -809,10 +872,11 @@ class TestRunStreams:
     @pytest.mark.parametrize("label,g,cls", CUT_CASES,
                              ids=[f"{label}-{cls}" for label, _, cls in CUT_CASES])
     def test_cut_runs_match_generate_and_test(self, label, g, cls):
+        plan = _plan(g, cls, DEFAULT_SPACE_CAP)
         want = []
         for first in range(g.nonsink_degrees[0]):
             part = reference_iter_class(g, cls, first)
-            assert list(_walk(g, cls, DEFAULT_SPACE_CAP, first)) == part, first
+            assert list(_members(_runs(g, cls, plan, first))) == part, first
             want += part
         assert list(iter_class(g, cls)) == want
         assert count_class(g, cls) == len(want)

@@ -159,8 +159,12 @@ class TestConstruction:
             degrees = [d for d, count in groups for _ in range(count)]
             assert degrees == list(make_family(spec).nonsink_degrees), spec
             if family != "wheel":
+                # the walk takes each group's positions to be one part
+                parts = family_parts(spec)
                 assert [count for _, count in groups] == [
-                    len(part) for part in family_parts(spec)], spec
+                    len(part) for part in parts], spec
+                assert tuple(v for part in parts for v in part) == \
+                    make_family(spec).nonsink, spec
 
 
 class TestWheelCharacterisations:
