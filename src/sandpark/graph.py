@@ -13,7 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -82,6 +82,16 @@ class RootedMultigraph:
         si = self.sink_index
         return tuple(tuple((j - (j > si), m) for j, m in self.rows[i] if j != si)
                      for i in self.nonsink_indices)
+
+    @cached_property
+    def simple_nbrs(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """``nonsink_nbrs`` without multiplicities, or None when an edge
+        between non-sink vertices has multiplicity above 1.  Sink edges do
+        not count, since these rows omit the sink."""
+        nbrs = self.nonsink_nbrs
+        if any(m > 1 for row in nbrs for _, m in row):
+            return None
+        return tuple(tuple(j for j, _ in row) for row in nbrs)
 
     @cached_property
     def nonsink_adj(self) -> tuple[tuple[int, ...], ...]:

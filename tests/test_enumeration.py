@@ -756,6 +756,20 @@ class TestPlan:
         else:
             assert (walk, walked) == ("orbits", space)
 
+    @pytest.mark.parametrize(
+        "spec", [s for s in PLAN_SPECS if families._FAMILY_TABLE[s.family].parts],
+        ids=FamilySpec.label)
+    def test_listing_walk_of_every_class(self, spec):
+        # stable runs no fixpoint, and sr-exists keeps no memo: a memo hit
+        # would skip the update of the start list (opts) that the next
+        # depth reads, and the part permutations move those starts
+        walks = {cls: _plan(spec, cls, None, check=False)[2]
+                 for cls in CLASSES}
+        assert walks == {"stable": "members", "recurrent": "memo",
+                         "sr-forall": "memo", "sr-exists": "members",
+                         "min-recurrent": "memo", "pf": "memo",
+                         "ppf": "memo", "pf-inc": "reps", "ppf-inc": "reps"}
+
     def test_vertex_bound_refuses_before_the_graph(self, monkeypatch):
         def unbuildable(spec):
             raise AssertionError("the family graph was built")

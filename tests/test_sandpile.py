@@ -31,6 +31,7 @@ from sandpark import (
     is_strongly_recurrent,
     make_family,
     FamilySpec,
+    graph_from_dict,
     graph_to_dict,
     iter_class,
     markov_run,
@@ -207,6 +208,46 @@ class TestStabilize:
         assert tr.log == ref.log
         assert tr.log is tr.log
         assert calls == [tuple(c)]
+
+    def test_kernel_list_keeps_one_slot_per_step(self):
+        # the 4,000-grain pile fires 78,381 times in 20,823 kernel steps;
+        # the list that grows as it is read holds each step's position
+        g = grid_with_sink_border(16)
+        c = [0] * 256
+        c[8 * 16 + 8] = 4000
+        pending, odometer = [8 * 16 + 8], [0] * 256
+        sandpile._relax(g, list(c), pending, odometer,
+                        max_topplings=78_381)
+        assert (len(pending), sum(odometer)) == (20_823, 78_381)
+        stabilize(g, c)  # build the graph's lazy rows first
+        tracemalloc.start()
+        try:
+            stabilize(g, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_simple_graph_gets_plain_rows(self):
+        # each corner's two sink edges add up to a multiplicity of 2,
+        # which the non-sink rows omit
+        g = grid_with_sink_border(16)
+        assert max(g.sink_mults) == 2
+        assert g.simple_nbrs == tuple(tuple(j for j, _ in row)
+                                      for row in g.nonsink_nbrs)
+
+    def test_one_doubled_edge_keeps_the_multiplicities(self):
+        data = graph_to_dict(grid_with_sink_border(16))
+        edge = next(e for e in data["edges"] if "s" not in e[:2])
+        edge[2] = 2
+        g = graph_from_dict(data)
+        assert g.simple_nbrs is None
+        c = [0] * 256
+        c[g.nonsink_pos[edge[0]]] = 300
+        tr = stabilize(g, c)
+        ref = reference_stabilize(g, c)
+        assert (tr.final, tr.odometer, tr.log) == \
+            (ref.final, ref.odometer, ref.log)
 
     def test_negative_values_permitted(self, k2):
         # vertices may owe grains; stabilisation still terminates
@@ -600,7 +641,8 @@ class TestMarkov:
         assert min(run.trace[0][2]) < 0
         assert run.trace == self.expected_trace(k2, run)
 
-    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide"])
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
+                                      "multi-bytes"])
     def test_stored_states_equal_packed_from_scratch(self, case, k2):
         # quiet drops splice one entry into the last stored state; each
         # stored state must still be what packing the whole state gives
@@ -610,12 +652,22 @@ class TestMarkov:
             pack, steps = bytes, 1500
         elif case == "negative":
             g, start, pack, steps = k2, (-3, 1), tuple, 200
-        else:
+        elif case == "wide":
             # a vertex of degree 301 holds values no byte can
             g = build_graph(["0", "a", "b", "c"], "0",
                             [("0", "a", 300), ("a", "b", 1), ("b", "c", 2),
                              ("0", "c", 1)])
             start, pack, steps = (250, 0, 1), tuple, 600
+        else:
+            # parallel non-sink edges, every degree within a byte
+            g = build_graph(["0", "a", "b", "c", "d"], "0",
+                            [("0", "a", 1), ("a", "b", 2), ("b", "c", 3),
+                             ("c", "d", 2), ("a", "d", 3), ("b", "d", 2),
+                             ("0", "c", 1)])
+            start = tuple(d - 1 for d in g.nonsink_degrees)
+            pack, steps = bytes, 600
+        # the wide and multi-bytes graphs fire along the (j, m) rows
+        assert (g.simple_nbrs is None) == (case in ("wide", "multi-bytes"))
         run = markov_run(g, start, steps, seed=13)
         expected = [pack(start)] + [pack(cfg) for _, _, cfg
                                     in self.expected_trace(g, run)]
