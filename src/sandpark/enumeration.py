@@ -51,9 +51,9 @@ per orbit of the permutations inside the parts, the member whose grains
 never rise inside a part (the parking candidates non-decreasing there,
 which the increasing classes list); counting weighs a run by the orbits of
 its values, and an increasing class by the number of its values.  Its
-fixpoints also hold a position's later part-mates, at the most grains the
-part's order leaves them, and of two burning starts of one part with one
-value only the first is drained.  Rotating a wheel's rim fixes its hub
+fixpoints run over blocks of twins holding one value, hold a position's
+later part-mates at the most grains the part's order leaves them, and
+drain one burning start per block.  Rotating a wheel's rim fixes its hub
 sink, so every class is a union of rotation orbits; the necklace walk
 visits the rotation of each orbit least in grains, floors each position at
 the grains one period back and weighs a run by its periods.  Every prefix
@@ -77,6 +77,7 @@ import random
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
+from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError, _size
@@ -86,6 +87,7 @@ from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
 from .parking import prime_decompositions
 from .sandpile import (
     Config,
+    _burn,
     _discard,
     config_from_dict,
     config_to_dict,
@@ -269,10 +271,12 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     Each burning start's drain, pinned the same way, bounds the value less
     the sink edges of ``t``.  ``forall`` takes the largest bound over the
     assigned starts, and a fixpoint that discards ``t`` first says whether
-    ``t`` may be one; ``exists`` the least over the starts still open, ``t``
-    and, before the last sink edge, a later one.  ``min-recurrent`` clips
-    the value to the grains level 0 leaves.  So the values that pass form
-    one interval, found once per prefix, and on the last position the
+    ``t`` may be one; with a start assigned it skips the pinned fixpoint, as
+    a drain holds no more grains but at its start, which burns at once in
+    both.  ``exists`` takes the least bound over the starts still open,
+    ``t`` and, before the last sink edge, a later one.  ``min-recurrent``
+    clips the value to the grains level 0 leaves.  So the values that pass
+    form one interval, found once per prefix, and on the last position the
     checks are exactly the class.  The checks read grains, ``conf``: a
     parking value is their degree complement, and ``parking`` only converts
     values to grains and back.  Both orbit rules below cut the interval of
@@ -289,8 +293,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     Wang 1992), which hold every necklace, the rotation of its orbit least
     in grains.  Each prefix of a necklace is a prenecklace and the prefix
     cuts hold for any prefix, so every necklace of the class is reached.
-    The period floor stays out of ``prev``: the look-ahead, the drain skip
-    and the memo below hold only for twins.  A last value above its floor
+    The period floor stays out of ``prev``: the blocks, the drain skip and
+    the memo below hold only for twins.  A last value above its floor
     ends a Lyndon word, whose orbit has ``k`` members; the floor itself
     ends a necklace of period ``per`` when ``per`` divides ``k``, and a
     prenecklace that is no necklace otherwise.  So a run weighs
@@ -301,34 +305,25 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     With ``rank`` (the index of each position in its part, from 1) a
     representative weighs its orbit, prod |part|! / prod mult!, kept per
     depth as a running multinomial ``wt[t]`` of the prefix ``0..t-1``.  As
-    ``j`` takes its value it is the ``mult[j]``-th of its part, read through
-    ``prev[j]``, to hold it, and weighs ``rank[j] / mult[j]``; every partial
-    product is a multinomial, so each exact divide leaves an integer.  The
-    last position's values weigh ``wt * rank`` each, and ``vals[prev]``,
-    when the run holds it, that divided by ``mult[prev] + 1``.
+    ``j`` takes its value it is the ``m``-th of its part to hold it, ``m``
+    the count of its block (below), and weighs ``rank[j] / m``; every
+    partial product is a multinomial, so each exact divide leaves an
+    integer.  The last position's values weigh ``wt * rank`` each, and
+    ``vals[prev]``, when the run holds it, that divided by ``m + 1``.
 
-    On a representative walk of any class with checks (``stable`` runs no
-    fixpoint) the fixpoints look ahead to the end of ``t``'s part, the run
-    of ``prev`` links after ``t``.  Those later part-mates are twins of
-    ``t`` and hold at most ``cmax`` grains, since none holds more than the
-    position before it.  Extra grains never make a forbidden set, so a set
-    forbidden with the mates at their most rules out every completion.  One
-    without ``t`` holds a mate, as the prefix has passed, and adding ``t``,
-    its twin, keeps it forbidden at every value of ``t``: the pinned bound
-    empties the interval.  The mates enter ``conf`` at ``cmax``.  In
-    ``drained`` they enter at ``cmax - s`` for ``forall``, whose drains
-    start only at assigned positions, so every mate gives back its ``s``
-    sink edges.  For ``exists`` they enter at ``cmax``: the start still to
-    come may be a mate, which keeps its sink edges and holds up to
-    ``cmax``, and one bound must serve that start and every other, so only
-    ``cmax`` is sure to be a most for each mate.  ``cmax - s`` would
-    undercount that start, and a set it finds forbidden need not be.
-    Mates that would burn at once (their most reaches their edges into the
-    domain) stay out, as do mates with no edges there, and the last
-    position has none, so its interval and every run are unchanged.  A
-    start whose ``prev`` holds the same value is not drained again:
-    swapping the two twins fixes every other position, so both drains give
-    one bound.
+    A representative walk runs its fixpoints over blocks (``_burn``): its
+    parts, the runs of ``prev`` links, are twins, and a maximal run of one
+    part holding one value burns whole.  ``t``, pinned, is a block of its
+    own, and so is a drained start, which burns at once.  The rest of
+    ``t``'s part joins too, one block of twins holding at most ``cmax``:
+    extra grains never make a forbidden set, so one forbidden with them at
+    their most rules out every completion (one without ``t`` holds a mate,
+    and adding ``t`` keeps it forbidden).  They hold ``cmax - s`` in the
+    drains of ``forall``, whose starts are assigned, but ``cmax`` for
+    ``exists``, whose start to come may be a mate; if they would burn at
+    once they stay out, and the last position has none.  Only a start that
+    opens its block is drained: swapping it with a twin holding its value
+    fixes every other position, so both drains give one bound.
 
     A walk that lists a family with parts (``units`` set) remembers the
     interval of each joining position under the key of its prefix
@@ -346,7 +341,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
-    nbrs = g.nonsink_nbrs
+    nbrs = rows = g.nonsink_nbrs
     k = len(degs)
     parking = low == 1
     drains = checks == _DRAINS
@@ -358,25 +353,59 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
     top = [0] * k        # the last admissible value of each position
-    # a representative's part-mates still to come, t+1..e on the
-    # run of prev links after t: (e, t's edges into 0..e) when it has any
-    ahead: list = [None] * k
-    e = k - 1
-    for t in reversed(range(k - 1) if checks else ()):
-        e = e if prev[t + 1] == t else t
-        reach = sum(m for j, m in nbrs[t] if j <= e)
-        if e > t and reach:
-            ahead[t] = (e, reach)
+    heads = [t for t, j in enumerate(prev) if j is None]
+    twins = len(heads) < k
+    if twins:    # the parts, runs of prev links, are twins
+        ends = heads[1:] + [k]
+        size = [e - h for h, e in zip(heads, ends)]
+        part = [p for p, c in enumerate(size) for _ in range(c)]
+        # adj[p][q]: the edges from a vertex of part p to one of part q;
+        # full[p]: its edges into the parts 0..p
+        adj = [[row.get(e - 1, 0) for e in ends]
+               for row in map(dict, map(nbrs.__getitem__, heads))]
+        full = [sum(map(mul, row, size[:p + 1])) - row[p]
+                for p, row in enumerate(adj)]
+        lift = list(map(sink.__getitem__, heads))
+        flat = [0] * len(heads)
+        state = [((),)] * k  # state[t]: 0..t-1's blocks, part by part to t's
+        rows = [()] * k      # deg_in goes unread
+
+        # k and exists come in as defaults, so the walk's reads stay local
+        def fix(t, drain, v, k=k, exists=exists):
+            """t's edges into what the fixpoint leaves, and how many
+            positions it leaves; ``v < k``, a start, is drained whole."""
+            blocks = list(parts)
+            blocks[p] += dmates if drain else mates
+            if exists and drain:
+                blocks[p] = sorted(blocks[p], reverse=True)
+            left = size[:p] + [here]
+            if v < k:        # v burns at once, so its block loses it
+                q = part[v]
+                left[q] -= 1
+                if v < t:    # v opens its block, its part's last in 0..v
+                    blocks[q] = own = list(blocks[q])
+                    i = len(state[v + 1][q]) - 1
+                    own[i] = own[i][0], own[i][1] - 1
+            _burn(blocks, left, adj, lift if drain else flat)
+            return sum(map(mul, adj[p], left)) - adj[p][p], sum(left)
+    else:
+        def fix(t, drain, v, drained=drained, deg_in=deg_in, nbrs=nbrs):
+            """As above, over positions, for a drain."""
+            drained[t], saved, drained[v] = -1, drained[v], math.inf
+            pinned = deg_in[:t + 1]
+            left = _discard(drained, pinned, nbrs)
+            drained[v] = saved
+            return pinned[t], left
     lo, hi = first_values.start, first_values.stop - 1
     if budget:
         # level 0's grains less the most (under) and least (over) after t
         grains = g.edge_total - sum(sink)
         under, over = [0] * k, [0] * k
         most = least = 0     # summed over the positions after t
-        for t in reversed(range(k)):
-            under[t], over[t] = grains - most, grains - least
-            most += degs[t] - 1
-            least += sum(m for j, m in nbrs[t] if j > t)
+        for u in reversed(range(k)):  # not t: a generator on t makes it a cell
+            under[u], over[u] = grains - most, grains - least
+            most += degs[u] - 1
+            least += sum(m for j, m in nbrs[u] if j > u)
         held = [0] * k       # held[t]: the grains on 0..t-1
         lo, hi = max(lo, under[0]), min(hi, over[0])
     if units:
@@ -387,7 +416,6 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         per = [1] * k    # per[t]: the longest Lyndon prefix of 0..t-1
     if rank:
         wt = [1] * k     # wt[t]: the orbit of the prefix 0..t-1
-        mult = [1] * k   # mult[j]: j's part-mates up to j holding its value
     if exists:
         # opts[t]: (start, least value of t) per start open when t joins
         last = max(i for i, s in enumerate(sink) if s)
@@ -406,13 +434,13 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                     r = wt[t] * rank[t]
                     w *= r
                     if prev[t] is not None and lo <= vals[prev[t]] <= hi:
-                        w += r // (mult[prev[t]] + 1) - r
+                        w += r // (state[t][-1][-1][1] + 1) - r
                 yield vals, lo, hi, w
             hi = lo - 1
         vals[t], top[t] = lo - 1, hi
         while vals[t] >= top[t]:
             # t leaves the prefix
-            for j, m in nbrs[t]:
+            for j, m in rows[t]:
                 if j >= t:
                     break
                 deg_in[j] -= m
@@ -422,6 +450,14 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         vals[t] = x = vals[t] + 1
         c = degs[t] - x if parking else x
         conf[t] = c
+        if twins:    # t < k - 1: the last position takes no value here
+            *rest, own = state[t]
+            if own and own[-1][0] == c:
+                own = own[:-1] + ((c, own[-1][1] + 1),)
+            else:
+                own += (c, 1),     # t opens a block
+            state[t + 1] = ((*rest, own) if prev[t + 1] is not None
+                            else (*rest, own, ()))
         if drains:
             while starts and starts[-1] >= t:
                 starts.pop()
@@ -431,15 +467,12 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 starts.append(t)
         # t + 1 joins the prefix; find the values c it may take
         t += 1
-        if rank:
-            j = prev[t - 1]
-            m = mult[t - 1] = (mult[j] + 1 if j is not None and vals[j] == x
-                               else 1)
+        if rank:     # m: t - 1's block so far (parts of one vertex: 1)
+            m = state[t][part[t - 1]][-1][1] if twins else 1
             wt[t] = wt[t - 1] * rank[t - 1] // m
-        n = t + 1
         d = degs[t]
         back = 0
-        for j, m in nbrs[t]:
+        for j, m in rows[t]:
             if j >= t:
                 break
             deg_in[j] += m
@@ -457,25 +490,18 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 q = t
             per[t] = q
             cmin = conf[t - q]
-        dom = deg_in
-        if ahead[t]:
-            e, reach = ahead[t]
-            s = sink[t]
-            # the part-mates t+1..e are twins of t holding at most cmax
-            # grains (most once drained); unless they would burn at once,
-            # they join the domain
-            most = cmax - s if drains else cmax
-            if reach > most:
-                n, r = e + 1, e - t
-                conf[t + 1:n] = [cmax] * r
-                drained[t + 1:n] = [most] * r
-                dom = deg_in[:t]
-                for j, m in nbrs[t]:
-                    if j >= t:
-                        break
-                    dom[j] += m * r
-                back = reach    # t's edges into the domain, and each mate's
-                dom += [back] * (r + 1)
+        if twins:
+            p, s, parts = part[t], sink[t], state[t]
+            # the r later part-mates of t, twins holding at most cmax grains
+            # (less s once drained), join unless they would burn at once
+            r = ends[p] - 1 - t
+            back, here = full[p] - adj[p][p] * r, t + 1 - heads[p]
+            mates = dmates = ()
+            if checks and r and full[p] > max(cmax - s if drains else cmax, 0):
+                back, here = full[p], here + r
+                mates = dmates = (cmax, r),
+                if exists:   # a mate may be the start, holding its sink edges
+                    dmates = (cmax + s, r),
         if budget:
             held[t] = held[t - 1] + conf[t - 1]
             cmin = max(cmin, under[t] - held[t])
@@ -486,47 +512,38 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             if run:
                 lo, hi = run
                 continue
-        if checks and back:
+        if drains and starts:
+            pass     # a drain bounds t at least as high
+        elif checks and back and twins:
+            cmin = max(cmin, fix(t, False, k)[0])
+        elif checks and back:
             conf[t] = -1
-            pinned = dom[:n]
+            pinned = deg_in[:t + 1]
             _discard(conf, pinned, nbrs)
             cmin = max(cmin, pinned[t])
         if drains:
             s = sink[t]
-            drained[t] = -1
             for v in starts:
                 if cmin >= s + back or cmin > cmax:
                     break
-                drained[v] = conf[v]
-                pinned = dom[:n]
-                _discard(drained, pinned, nbrs)
-                drained[v] -= sink[v]
-                cmin = max(cmin, s + pinned[t])
-            if s and cmax >= max(cmin, d - s):
-                # t would be a burning start: its drain keeps t, discarded first
-                drained[t] = d
-                if _discard(drained, dom[:n], nbrs):
-                    cmax = d - s - 1
+                cmin = max(cmin, s + fix(t, True, v)[0])
+            # t would be a burning start: its drain keeps t, discarded first
+            if s and cmax >= max(cmin, d - s) and fix(t, True, t)[1]:
+                cmax = d - s - 1
         elif exists and cmin <= cmax:
             s = sink[t]
             drained[t - 1] = conf[t - 1] - sink[t - 1]
-            drained[t] = -1
             opts[t] = open_ = []
             for v, b in opts[t - 1]:
-                if conf[t - 1] < b:
-                    continue     # closed by the value t - 1 took
+                if conf[t - 1] < b or (v == t - 1 and twins and
+                                       state[t][part[v]][-1][1] > 1):
+                    continue     # closed by t - 1, or one drain per block
                 if v == k:
                     # t as a start (c >= d - s) drains like k: no forbidden set
                     open_.append((t, d - s))
                     if t >= last:
                         continue
-                b = cmin
-                if cmin < s + back:
-                    drained[v] = conf[v]
-                    pinned = dom[:n]
-                    _discard(drained, pinned, nbrs)
-                    drained[v] -= sink[v]
-                    b = s + pinned[t]
+                b = cmin if cmin >= s + back else s + fix(t, True, v)[0]
                 open_.append((v, b))
             cmin = max(cmin, min((b for _, b in open_), default=cmax + 1))
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
