@@ -187,15 +187,16 @@ def _count_line(report) -> str:
 
 def _listing_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2)`` for a payload whose last key,
-    ``elements``, lists integer tuples.  With ``indent`` CPython encodes in
-    pure Python, so only the header goes through ``json`` and each element
-    is joined directly."""
+    ``elements``, lists integer tuples of one length.  With ``indent``
+    CPython encodes in pure Python, so only the header goes through
+    ``json``, and each element fills one ``%d`` row built once."""
     elements = payload["elements"]
     head = json.dumps({**payload, "elements": []}, indent=2)
     if not elements:
         return head
-    body = ",\n".join("    [\n      " + ",\n      ".join(map(str, e))
-                      + "\n    ]" for e in elements)
+    row = "    [\n      " + ",\n      ".join(["%d"] * len(elements[0])) \
+        + "\n    ]"
+    body = ",\n".join([row % e for e in elements])
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
 
 

@@ -29,7 +29,7 @@ target                output  walk                      cap bounds
 ====================  ======  ========================  ===============
 family, ``-inc``      any     representatives           representatives
 family with parts     count   representatives, weighed  representatives
-family with parts     list    members, with the memo    full space
+family with parts     list    members, by prefix keys   full space
 wheel                 count   necklaces, weighed        full space
 wheel                 list    members                   full space
 bare graph            any     members                   full space
@@ -58,12 +58,14 @@ sink, so every class is a union of rotation orbits; the necklace walk
 visits the rotation of each orbit least in grains, floors each position at
 the grains one period back and weighs a run by its periods.  Every prefix
 of a necklace is a prenecklace and the prefix cuts hold for any prefix, so
-the cuts stay exact.  The memo walk decides each prefix once per orbit: its
-interval is kept under the multiset of values each part holds, and the
-prefix's permutations inside the parts reuse it (``stable`` and
-``sr-exists`` keep no memo).  Counting a member walk splits a large space
-by the first coordinate across worker processes; every other walk runs in
-one process.  The count does not depend on the worker count.
+the cuts stay exact.  A family with parts is listed in two passes: its
+representative walk, without the look-ahead, records the key of every
+prefix it admits, the multiset of values each part holds, and a member
+walk then reads each position's interval off those keys and runs no
+fixpoint (``stable``, which runs none, walks the members).  Counting a
+member walk splits a large space by the first coordinate across worker
+processes; every other walk runs in one process.  The count does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _plan(target: Target, cls: str, cap: Optional[int],
     table above), the target's degree groups and the size of the space the
     walk visits, before any graph is built.
 
-    ``walk`` is ``"members"``, ``"memo"``, ``"reps"`` (representatives
+    ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` (representatives
     weighing one member each), ``"orbits"`` (representatives weighing
     their orbits) or ``"necklaces"``.  With ``check``, ``cap`` must be an
     integer, a space above it is refused, and then a target of more than
@@ -165,8 +167,8 @@ def _plan(target: Target, cls: str, cap: Optional[int],
         walk = "orbits" if counting and not inc else "reps"
     elif counting and rotates:
         walk = "necklaces"
-    elif parts and _CLASS_WALKS[cls][1] not in (_NONE, _DRAIN_EXISTS):
-        walk = "memo"
+    elif parts and _CLASS_WALKS[cls][1] != _NONE:
+        walk = "keys"
     else:
         walk = "members"
     reps = walk in ("reps", "orbits")
@@ -213,35 +215,41 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None):
     # each position's index in its group; a representative's prev is the
     # position before it in its part, and its rank that index from 1
     index = [i for _, c in groups for i in range(c)]
-    reps = walk in ("reps", "orbits")
+    reps = walk in ("reps", "orbits", "keys")
     prev = [t - 1 if reps and i else None for t, i in enumerate(index)]
     rank = [i + 1 for i in index] if walk == "orbits" else None
-    units = _prefix_units(groups, low) if walk == "memo" else None
     first_values = range(low, low + groups[0][0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return _search(g, low, checks, prev, first_values, units,
-                   walk == "necklaces", rank)
+    if walk == "keys":
+        return _by_keys(g, low, checks, prev, _prefix_units(groups, low),
+                        first_values)
+    return _search(g, low, checks, prev, first_values, walk == "necklaces",
+                   rank)
 
 
 def _prefix_units(groups, low: int) -> list:
-    """Per position but the last, whose value no prefix key holds, the
-    increment of the key for each value.
+    """Per position, the increment of a prefix key for each value.
 
-    The key of a prefix sums its positions' increments: a field per group
-    and value, of ``count.bit_length()`` bits, counting the group's
-    positions that hold the value.  Equal keys are equal multisets of
-    values inside every group.  The positions of a group share one list,
-    indexed by value.
+    The key of a prefix sums its positions' increments, one field per
+    group: a group of ``c > 1`` positions and ``d`` values has a subfield
+    per value, of ``c.bit_length()`` bits, counting the group's positions
+    that hold the value; a group of one position holds its value's index
+    plus one, so a field costs ``d.bit_length()`` bits, not ``d``.  Equal
+    keys are equal multisets of values inside every group, and keys of
+    prefixes of different lengths differ.  The positions of a group share
+    one list, indexed by value.
     """
     units: list = []
     shift = 0
-    # a last group of one vertex and d values would cost about d^2/2 bits
-    *rest, (d, c) = groups
-    for d, c in (*rest, (d, c - 1)):
-        w = c.bit_length()
-        units += [[0] * low + [1 << (shift + w * i) for i in range(d)]] * c
-        shift += w * d
+    for d, c in groups:
+        if c == 1:
+            units.append([0] * low + [(i + 1) << shift for i in range(d)])
+            shift += d.bit_length()
+        else:
+            w = c.bit_length()
+            units += [[0] * low + [1 << (shift + w * i) for i in range(d)]] * c
+            shift += w * d
     return units
 
 
@@ -254,8 +262,8 @@ def _members(runs) -> Iterator[tuple[int, ...]]:
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range, units: Optional[list],
-            rim: bool = False, rank: Optional[list] = None
+            first_values: range, rim: bool = False,
+            rank: Optional[list] = None, record: Optional[tuple] = None
             ) -> Iterator[tuple[list, int, int, int]]:
     """Depth-first walk over positions in declaration order.
 
@@ -294,7 +302,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     in grains.  Each prefix of a necklace is a prenecklace and the prefix
     cuts hold for any prefix, so every necklace of the class is reached.
     The period floor stays out of ``prev``: the blocks, the drain skip and
-    the memo below hold only for twins.  A last value above its floor
+    the keys below hold only for twins.  A last value above its floor
     ends a Lyndon word, whose orbit has ``k`` members; the floor itself
     ends a necklace of period ``per`` when ``per`` divides ``k``, and a
     prenecklace that is no necklace otherwise.  So a run weighs
@@ -318,26 +326,29 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     ``t``'s part joins too, one block of twins holding at most ``cmax``:
     extra grains never make a forbidden set, so one forbidden with them at
     their most rules out every completion (one without ``t`` holds a mate,
-    and adding ``t`` keeps it forbidden).  They hold ``cmax - s`` in the
-    drains of ``forall``, whose starts are assigned, but ``cmax`` for
-    ``exists``, whose start to come may be a mate; if they would burn at
-    once they stay out, and the last position has none.  Only a start that
-    opens its block is drained: swapping it with a twin holding its value
-    fixes every other position, so both drains give one bound.
+    and adding ``t`` keeps it forbidden).  If they would burn at once they
+    stay out, and the last position has none.  In a drain they hold
+    ``cmax - s``, as no mate is its start: ``forall`` drains assigned
+    starts only, and a mate joins an ``exists`` walk only holding fewer
+    grains than its edges into the prefix and the part, so fewer than the
+    ``d - s`` of a start.  Only a start that opens its block is drained:
+    swapping it with a twin holding its value fixes every other position,
+    so both drains give one bound.
 
-    A walk that lists a family with parts (``units`` set) remembers the
-    interval of each joining position under the key of its prefix
-    (``_prefix_units``): how many of each part's assigned positions hold
-    each value, which also fixes ``t``.  Permuting the assigned positions
-    of a part is an automorphism, as they are twins, that fixes the sink
-    and every later position.  It maps the forbidden sets, the burning
-    starts and their drains of one prefix onto those of the other and
-    keeps its grains, so two prefixes with one key admit the same values,
-    and the second reuses the interval without a fixpoint.  ``deg_in``,
-    ``conf``, ``drained`` and ``starts`` are still kept up at every node.
-    ``sr-exists`` holds start positions per node (``opts``), which the
-    permutation moves, and ``stable`` runs no fixpoint, so neither keeps
-    the memo; nor does a representative walk, whose keys never repeat.
+    A representative walk listing a family with parts, given ``record``
+    ``(units, seen)``, adds to ``seen`` the key (``_prefix_units``) of
+    each prefix it admits, down to each value of a last-position run: how
+    many of each part's assigned positions hold each value.  Permuting the
+    assigned positions of a part is an automorphism, as they are twins,
+    that fixes the sink and every later position.  It maps the forbidden
+    sets, the burning starts and their drains of one prefix onto those of
+    the other and keeps its grains, so a member prefix passes every check
+    exactly when the representative with its key does.  So the walk weighs
+    no orbits and runs without the look-ahead, which rules out a prefix
+    that no representative completes, mates holding at most the part's
+    least grains, while a member prefix with its key may still be
+    completed by mates holding more (with it, K6 ``ppf`` would list 702 of
+    its 3,125 members).
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
@@ -369,15 +380,14 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         flat = [0] * len(heads)
         state = [((),)] * k  # state[t]: 0..t-1's blocks, part by part to t's
         rows = [()] * k      # deg_in goes unread
+        ahead = checks and not record    # the look-ahead over part-mates
 
-        # k and exists come in as defaults, so the walk's reads stay local
-        def fix(t, drain, v, k=k, exists=exists):
+        # k comes in as a default, so the walk's reads stay local
+        def fix(t, drain, v, k=k):
             """t's edges into what the fixpoint leaves, and how many
             positions it leaves; ``v < k``, a start, is drained whole."""
             blocks = list(parts)
-            blocks[p] += dmates if drain else mates
-            if exists and drain:
-                blocks[p] = sorted(blocks[p], reverse=True)
+            blocks[p] += mates
             left = size[:p] + [here]
             if v < k:        # v burns at once, so its block loses it
                 q = part[v]
@@ -408,10 +418,10 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             least += sum(m for j, m in nbrs[u] if j > u)
         held = [0] * k       # held[t]: the grains on 0..t-1
         lo, hi = max(lo, under[0]), min(hi, over[0])
-    if units:
-        # keys[t]: the key of the prefix 0..t-1; seen: key -> interval
+    if record:
+        # keys[t]: the key of the prefix 0..t-1, a member of seen
+        units, seen = record
         keys = [0] * k
-        seen: dict = {}
     if rim:
         per = [1] * k    # per[t]: the longest Lyndon prefix of 0..t-1
     if rank:
@@ -435,6 +445,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                     w *= r
                     if prev[t] is not None and lo <= vals[prev[t]] <= hi:
                         w += r // (state[t][-1][-1][1] + 1) - r
+                elif record:
+                    seen.update(map(keys[t].__add__, units[t][lo:hi + 1]))
                 yield vals, lo, hi, w
             hi = lo - 1
         vals[t], top[t] = lo - 1, hi
@@ -467,6 +479,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 starts.append(t)
         # t + 1 joins the prefix; find the values c it may take
         t += 1
+        if record:
+            keys[t] = key = keys[t - 1] + units[t - 1][x]
+            seen.add(key)
         if rank:     # m: t - 1's block so far (parts of one vertex: 1)
             m = state[t][part[t - 1]][-1][1] if twins else 1
             wt[t] = wt[t - 1] * rank[t - 1] // m
@@ -496,22 +511,14 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             # (less s once drained), join unless they would burn at once
             r = ends[p] - 1 - t
             back, here = full[p] - adj[p][p] * r, t + 1 - heads[p]
-            mates = dmates = ()
-            if checks and r and full[p] > max(cmax - s if drains else cmax, 0):
+            mates = ()
+            if ahead and r and full[p] > max(cmax - s if drains else cmax, 0):
                 back, here = full[p], here + r
-                mates = dmates = (cmax, r),
-                if exists:   # a mate may be the start, holding its sink edges
-                    dmates = (cmax + s, r),
+                mates = (cmax, r),
         if budget:
             held[t] = held[t - 1] + conf[t - 1]
             cmin = max(cmin, under[t] - held[t])
             cmax = min(cmax, over[t] - held[t])
-        if units:
-            key = keys[t] = keys[t - 1] + units[t - 1][vals[t - 1]]
-            run = seen.get(key)
-            if run:
-                lo, hi = run
-                continue
         if drains and starts:
             pass     # a drain bounds t at least as high
         elif checks and back and twins:
@@ -547,8 +554,48 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
                 open_.append((v, b))
             cmin = max(cmin, min((b for _, b in open_), default=cmax + 1))
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
-        if units:
-            seen[key] = lo, hi
+
+
+def _by_keys(g: RootedMultigraph, low: int, checks: int, prev, units: list,
+             first_values: range) -> Iterator[tuple[list, int, int, int]]:
+    """The member runs of a family with parts, read off the keys
+    (``_prefix_units``) that its representative walk records (``_search``
+    with ``record``): a member prefix of key ``K`` admits ``x`` exactly
+    when ``K + unit[x]`` was recorded, so no fixpoint runs here.  The
+    representatives start from every first value even when
+    ``first_values`` is a slice, as a member's may begin with another.
+    """
+    seen: set = set()
+    for _ in _search(g, low, checks, prev, range(low, len(units[0])),
+                     record=(units, seen)):
+        pass
+    k = len(units)
+    vals = [0] * k
+    top = [0] * k        # the last admissible value of each position
+    keys = [0] * k       # keys[t]: the key of the prefix 0..t-1
+    runs: dict = {}      # key -> the interval it admits, once found
+    t, values = 0, first_values
+    while True:
+        key = keys[t]
+        run = runs.get(key)
+        if run is None:
+            unit = units[t]
+            hits = [x for x in values if key + unit[x] in seen]
+            runs[key] = run = (hits[0], hits[-1]) if hits else (1, 0)
+        lo, hi = run
+        if t == k - 1:
+            if lo <= hi:
+                yield vals, lo, hi, hi - lo + 1
+            hi = lo - 1
+        vals[t], top[t] = lo - 1, hi
+        while vals[t] >= top[t]:
+            if t == 0:
+                return
+            t -= 1
+        vals[t] = x = vals[t] + 1
+        t += 1
+        keys[t] = keys[t - 1] + units[t - 1][x]
+        values = range(low, len(units[t]))
 
 
 def iter_class(target: Target, cls: str, *,

@@ -430,8 +430,10 @@ class TestEnumerate:
         assert payload["elements"] == [[1, 1, 1], [1, 1, 2], [1, 2, 1],
                                        [2, 1, 1]]
 
-    @pytest.mark.parametrize("elements", [[(1, 2, 3), (2, 1, 1), (10, 1, 2)],
-                                          []], ids=["elements", "empty"])
+    @pytest.mark.parametrize("elements", [
+        [(1, 2, 3), (2, 1, 1), (10, 1, 2)], [], [(1,), (20,)],
+        [tuple(range(20)), tuple(range(20, 0, -1))]],
+        ids=["elements", "empty", "1-tuples", "20-tuples"])
     def test_json_listing_is_json_dumps(self, monkeypatch, capsys, elements):
         payload = {"family": "complete", "params": "n=3", "class": "ppf",
                    "count": len(elements), "expected": None, "match": None,

@@ -404,9 +404,9 @@ class TestOrbitRoute:
         seen = []
         real = enumeration._search
 
-        def spy(g, low, checks, prev, *rest):
+        def spy(g, low, checks, prev, *rest, **options):
             seen.append(list(prev))
-            return real(g, low, checks, prev, *rest)
+            return real(g, low, checks, prev, *rest, **options)
 
         monkeypatch.setattr(enumeration, "_search", spy)
         return seen
@@ -417,10 +417,10 @@ class TestOrbitRoute:
         seen = []
         real = enumeration._search
 
-        def spy(*args):
+        def spy(*args, **options):
             members = []
             seen.append(members)
-            for run in real(*args):
+            for run in real(*args, **options):
                 members += enumeration._members([run])
                 yield run
 
@@ -439,10 +439,11 @@ class TestOrbitRoute:
         assert orbit == orbit_jobs
         assert orbit.count(None) == len(family_parts(spec))
         assert direct == [None] * len(direct)
-        # listing walks every member
+        # listing walks the representatives, then reads the members off
+        # their prefix keys
         prevs.clear()
         assert len(list(iter_class(spec, cls))) == count
-        assert prevs == [direct]
+        assert prevs == [orbit]
 
     def test_wheel_counts_walk_necklaces(self, walked, prevs, fixpoints):
         w6 = FamilySpec("wheel", n=6)
@@ -656,10 +657,11 @@ class TestLookAhead:
     part, at the most grains the part's order leaves them; the walk visits
     fewer prefixes and yields the same runs."""
 
-    # over blocks these run 943, 3,001, 598, 3,001, 9,900, 6,521 and 7,424
-    # fixpoints; over positions 1,766, 5,683, 698, 5,683, 9,900, 6,521 and
-    # 15,223 (the drains also ran the pinned fixpoint, and sr-exists
-    # drained every open start); on the prefix alone the parking classes
+    # over blocks these run 943, 3,001, 598, 3,001, 9,900, 6,521 and 5,710
+    # fixpoints (7,424 while the sr-exists mates were undrained); over
+    # positions 1,766, 5,683, 698, 5,683, 9,900, 6,521 and 15,223 (the
+    # drains also ran the pinned fixpoint, and sr-exists drained every
+    # open start); on the prefix alone the parking classes
     # ran 13,735, 47,744 and 182,000, and the configuration classes 62,320,
     # 41,989, 15,408 and 30,785 when only the parking classes looked ahead
     @pytest.mark.parametrize("spec,cls,count,most", [
@@ -772,21 +774,24 @@ class TestBlockFixpoint:
 
     def test_exists_drains_one_start_per_block(self, fixpoints):
         # two starts of one part holding one value give one bound, so only
-        # the first is drained: 7,424 fixpoints, against 15,223 when every
-        # open start was drained (sr-forall runs 3,001)
+        # the first is drained, and the mates hold their drained grains, as
+        # none is a start: 5,710 fixpoints, against 7,424 with the mates
+        # undrained and 15,223 when every open start was drained (sr-forall
+        # runs 3,001)
         assert count_class(FamilySpec("complete", n=10), "sr-exists") == 9 ** 9
-        assert 0 < len(fixpoints) <= 8000
+        assert 0 < len(fixpoints) <= 6000
 
 
 # once a burning start is assigned, its drain bounds t at least as high as
 # the pinned fixpoint, which is skipped; with it these ran 5,683, 607 and
-# 170 fixpoints, against 3,001, 517 and 140
+# 170 fixpoints, against 3,001, 517 and 140 (the K6 listing, which walked
+# the members, now walks the representatives in 226)
 @pytest.mark.parametrize("spec,count,most", [
     (FamilySpec("complete", n=10), 9 ** 9, 3200),
     (FamilySpec("complete", n=6), 5 ** 5, 550),
     (FamilySpec("wheel", n=12), 13, 150)], ids=["K10", "K6-listing", "W12"])
 def test_drains_skip_the_pinned_fixpoint(fixpoints, spec, count, most):
-    # K10 walks representatives, W12 necklaces and the K6 listing members
+    # K10 and the K6 listing walk representatives, W12 necklaces
     if spec.n == 6:
         assert sum(1 for _ in iter_class(spec, "ppf")) == count
     else:
@@ -799,29 +804,34 @@ LISTING_CASES = [(spec, cls) for spec in LONG_PARTS for cls in LISTED]
 
 
 class TestListingMemo:
-    """Listing a family with parts decides each prefix once per orbit: a
-    prefix with the values of one already decided, permuted inside the
-    parts, reuses its interval."""
+    """Listing a family with parts decides each prefix once per orbit: the
+    representative walk records the key of every prefix it admits, the
+    values each part holds, and a member prefix with the key of a
+    recorded one permutes its values inside the parts, so it is admitted
+    with no fixpoint."""
 
     @pytest.mark.parametrize("spec,cls", LISTING_CASES,
                              ids=[f"{spec.label()}-{cls}"
                                   for spec, cls in LISTING_CASES])
     def test_family_lists_the_bare_graph_walk(self, spec, cls):
-        # the bare graph walks without the memo
+        # the bare graph walks the members
         assert list(iter_class(spec, cls)) == \
             list(iter_class(make_family(spec), cls))
 
-    @pytest.mark.parametrize("n,count,most", [(6, 5 ** 5, 1000),
-                                              (7, 6 ** 6, 3000)])
-    def test_memo_bounds_the_fixpoints(self, fixpoints, n, count, most):
-        # 517 and 1,725 fixpoints over positions, as listing walks members
-        # (607 and 2,022 while drains also ran the pinned fixpoint), against
-        # 9,747 and 122,629 with one per prefix
+    @pytest.mark.parametrize("n,cls,count,most", [
+        (6, "ppf", 5 ** 5, 1000), (7, "ppf", 6 ** 6, 3000),
+        (6, "sr-exists", 5 ** 5, 1000)])
+    def test_keys_bound_the_fixpoints(self, fixpoints, n, cls, count, most):
+        # 226, 731 and 311 fixpoints, the representative walk's, against
+        # 517, 1,725 and 5,110 while listing walked the members with an
+        # interval kept per key (sr-exists kept none), 607 and 2,022 while
+        # drains also ran the pinned fixpoint, and 9,747 and 122,629 with
+        # one per prefix
         assert sum(1 for _ in iter_class(FamilySpec("complete", n=n),
-                                         "ppf")) == count
+                                         cls)) == count
         assert 0 < len(fixpoints) <= most
 
-    @pytest.mark.parametrize("cls", ["recurrent", "sr-forall",
+    @pytest.mark.parametrize("cls", ["recurrent", "sr-forall", "sr-exists",
                                      "min-recurrent", "pf", "ppf"])
     def test_one_vertex_part_inside_another_keeps_its_keys(self, cls):
         # b, a group of its own, sits between the twin groups a and c: each
@@ -835,19 +845,40 @@ class TestListingMemo:
         groups = ((4, 2), (6, 1), (4, 2))
         assert [d for d, c in groups for _ in range(c)] == \
             list(g.nonsink_degrees)
-        low, checks = enumeration._CLASS_WALKS[cls]
-        units = enumeration._prefix_units(groups, low)
-        first = range(low, low + g.nonsink_degrees[0])
-        memo, plain = (list(enumeration._members(enumeration._search(
-            g, low, checks, [None] * 5, first, u))) for u in (units, None))
-        assert memo == plain != []
+        keyed, plain = (list(_members(_runs(g, cls, (None, groups, walk))))
+                        for walk in ("keys", "members"))
+        assert keyed == plain != []
+
+    @pytest.mark.parametrize("spec", [FamilySpec("tripartite", p=4, q=3),
+                                      FamilySpec("split", m=2, n=4)],
+                             ids=FamilySpec.label)
+    def test_first_value_slices_partition_the_walk(self, spec):
+        # each slice reads the keys of every representative, whatever
+        # value it starts from
+        for cls in ("sr-exists", "min-recurrent", "ppf"):
+            plan = _plan(spec, cls, DEFAULT_SPACE_CAP)
+            assert plan[2] == "keys"
+            slices = [item for first in range(plan[1][0][0])
+                      for item in _members(_runs(spec, cls, plan, first))]
+            assert slices == list(iter_class(make_family(spec), cls)), cls
 
     def test_long_single_path_runs_no_more_fixpoints(self, fixpoints):
-        # the one member is all ones, so no prefix key repeats, and the two
-        # fixpoints are those of one per prefix
+        # the one member is all ones, and the two fixpoints are those of
+        # the Q-vertex, the only one with edges into its prefix
         spec = FamilySpec("bipartite", p=20000, q=1)
         assert list(iter_class(spec, "ppf")) == [(1,) * 20001]
         assert len(fixpoints) <= 2
+
+    def test_one_vertex_group_keys_its_value(self):
+        # the Q-vertex's field holds its value, not a bit per value: 15
+        # bits count the P-vertices and 15 more hold the Q-vertex's value
+        groups = _degree_groups(FamilySpec("bipartite", p=20000, q=1))
+        assert groups == ((1, 20000), (20001, 1))
+        units = enumeration._prefix_units(groups, 1)
+        assert len(units) == 20001
+        assert max(u.bit_length() for u in units[-1]) == 30
+        assert len({u + v for u in units[0][1:]
+                    for v in units[-1][1:]}) == 20001
 
 
 # the battery's families and the LONG_PARTS shapes, each walked listing
@@ -886,15 +917,14 @@ class TestPlan:
         "spec", [s for s in PLAN_SPECS if families._FAMILY_TABLE[s.family].parts],
         ids=FamilySpec.label)
     def test_listing_walk_of_every_class(self, spec):
-        # stable runs no fixpoint, and sr-exists keeps no memo: a memo hit
-        # would skip the update of the start list (opts) that the next
-        # depth reads, and the part permutations move those starts
+        # stable runs no fixpoint, so it walks the members; every other
+        # class, sr-exists too, is read off the representatives' keys
         walks = {cls: _plan(spec, cls, None, check=False)[2]
                  for cls in CLASSES}
-        assert walks == {"stable": "members", "recurrent": "memo",
-                         "sr-forall": "memo", "sr-exists": "members",
-                         "min-recurrent": "memo", "pf": "memo",
-                         "ppf": "memo", "pf-inc": "reps", "ppf-inc": "reps"}
+        assert walks == {"stable": "members", "recurrent": "keys",
+                         "sr-forall": "keys", "sr-exists": "keys",
+                         "min-recurrent": "keys", "pf": "keys",
+                         "ppf": "keys", "pf-inc": "reps", "ppf-inc": "reps"}
 
     def test_vertex_bound_refuses_before_the_graph(self, monkeypatch):
         def unbuildable(spec):
