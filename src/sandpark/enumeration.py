@@ -27,6 +27,7 @@ decides:
 ====================  ======  ========================  ===============
 target                output  walk                      cap bounds
 ====================  ======  ========================  ===============
+family, burning       count   burning states, no walk   burning work
 family, ``-inc``      any     representatives           representatives
 family with parts     count   representatives, weighed  representatives
 family with parts     list    members, by prefix keys   full space
@@ -35,12 +36,17 @@ wheel                 list    members                   full space
 bare graph            any     members                   full space
 ====================  ======  ========================  ===============
 
-The class, the cap and the space are checked when the walk is chosen,
-before any graph is built, and then the vertex count: degree-1 vertices
-add nothing to the space, so a target of more than ``_VERTEX_BOUND``
-non-sink vertices is refused apart.  The full space is the product of
-``d ** c`` over the ``(d, c)`` groups, the representatives' that of
-``C(d + c - 1, c)``.
+The burning classes are ``recurrent``, ``pf`` and ``pf-inc``
+(``_burning_count``), and their row fits only while its work is within
+the cap and the target within the vertex bound; otherwise the next row
+that fits runs, with its checks and messages.  The class, the cap and the
+space are checked when the walk is chosen, before any graph is built, and
+then the vertex count: degree-1 vertices add nothing to the space, so a
+target of more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.
+The full space is the product of ``d ** c`` over the ``(d, c)`` groups,
+the representatives' that of ``C(d + c - 1, c)``, and the burning work
+that of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
+wheel's rim length.
 
 Both orbit rules are stated in grains, the quantity every prefix check
 reads: a configuration's values, or the degree complement of a parking
@@ -62,10 +68,14 @@ the cuts stay exact.  A family with parts is listed in two passes: its
 representative walk, without the look-ahead, records the key of every
 prefix it admits, the multiset of values each part holds, and a member
 walk then reads each position's interval off those keys and runs no
-fixpoint (``stable``, which runs none, walks the members).  Counting a
+fixpoint (``stable``, which runs none, walks the members).  The burning
+route walks no configuration: it counts the sequences of unburnt vectors
+of Dhar's burning, one entry per part, or runs a two-state automaton
+along a wheel's rim, so for its classes the walks, which listing, the
+other classes and bare graphs still take, are the reference.  Counting a
 member walk splits a large space by the first coordinate across worker
-processes; every other walk runs in one process.  The count does not
-depend on the worker count.
+processes; every other walk, and the burning route, runs in one process.
+The count does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -78,8 +88,9 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 from multiprocessing import get_context
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import SizeCapError, _size
@@ -128,6 +139,8 @@ _CLASS_WALKS = {
     "ppf-inc": (1, _DRAINS),
 }
 CLASSES = tuple(_CLASS_WALKS)
+# the classes a family counts from its burning states (_burning_count)
+_BURNING = ("recurrent", "pf", "pf-inc")
 
 
 def _plan(target: Target, cls: str, cap: Optional[int],
@@ -139,9 +152,10 @@ def _plan(target: Target, cls: str, cap: Optional[int],
 
     ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` (representatives
     weighing one member each), ``"orbits"`` (representatives weighing
-    their orbits) or ``"necklaces"``.  With ``check``, ``cap`` must be an
-    integer, a space above it is refused, and then a target of more than
-    ``_VERTEX_BOUND`` non-sink vertices.  A space whose logarithm puts it
+    their orbits), ``"necklaces"`` or ``"burning"`` (no walk, whose space
+    is its work).  With ``check``, ``cap`` must be an integer, a space
+    above it is refused, and then a target of more than ``_VERTEX_BOUND``
+    non-sink vertices.  A space whose logarithm puts it
     past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
     computed.
     """
@@ -171,6 +185,14 @@ def _plan(target: Target, cls: str, cap: Optional[int],
         walk = "keys"
     else:
         walk = "members"
+    if counting and cls in _BURNING and (parts or rotates):
+        # the rim's length, or the (u, k_prev, k) triples of each part;
+        # past the cap or the vertex bound the walk runs, with its checks
+        work = (groups[0][1] if rotates
+                else math.prod(math.comb(c + 3, 3) for _, c in groups))
+        if not check or (work <= cap and
+                         sum(c for _, c in groups) <= _VERTEX_BOUND):
+            return work, groups, "burning"
     reps = walk in ("reps", "orbits")
     if check:
         try:
@@ -613,19 +635,100 @@ def iter_class(target: Target, cls: str, *,
 # counting, optionally across worker processes
 
 
+def _burning_count(target: FamilySpec, groups, cls: str) -> int:
+    """Members of ``recurrent``, ``pf`` or ``pf-inc`` on a family, from the
+    states of Dhar's burning (Dhar 1990) and no graph: a configuration is
+    recurrent exactly when, from the sink, every vertex burns, a vertex
+    burning once it holds at least its edges to the unburnt ones.  A
+    parking candidate is its degree complement, so ``pf`` counts as
+    ``recurrent`` and ``pf-inc`` as the configurations whose grains never
+    rise inside a part.
+
+    A wheel's rim (values 0..2, the hub the sink) holds a forbidden set
+    exactly when it holds a forbidden arc, as the hub is in none and each
+    arc of a set sees only its own vertices: the whole rim with no 2 (two
+    neighbours inside each), or an arc of two or more vertices with zeros
+    at both ends (one inside) and no 2 between them.  Read the rim with two
+    states, whether a 2 has followed the last zero: 1 or 2 keeps the first
+    (two ways), 0 leaves it, 2 returns to it, 1 keeps the second, and a 0
+    in the second closes a forbidden arc, so T = [[2, 1], [1, 1]].  A
+    cyclic word with a zero fixes its states and closes around the rim
+    exactly when it has no forbidden arc; one without zero closes in the
+    first state when it holds a 2, and in both when it is all ones, the
+    whole rim with no 2.  So W_n counts tr(T^n) - 2, and as T^2 = 3T - I,
+    tr(T^j) = 3 tr(T^(j-1)) - tr(T^(j-2)), from 2 and 3.
+
+    In a family with parts a vertex sees every non-sink vertex outside its
+    part and the sink unless it shares the sink's part, so a clique group
+    (vertices in parts of their own) has degree N, the non-sink total, and
+    an independent part of c vertices N - c plus its sink edges (0 or 1).
+    Burn in rounds.  With u_X of group X unburnt (U in all), a vertex of X
+    sees e_X(u) = U - u_X unburnt neighbours, or U - 1 in a clique group,
+    so one that burns in round r holds a value in [e_X(u_r), e_X(u_(r-1))),
+    u_r being the vector round r starts from.  After a round that burnt
+    k_X of X, K in all, that range has width w_X = K - k_X in an
+    independent part and K in a clique group; round 1's width is X's sink
+    edges.  Summing over the sequences of unburnt vectors down to zero, a
+    round burning k_X of each X weighs prod C(u_X, k_X) * w_X^k_X, or,
+    choosing the multisets of an increasing class, prod C(w_X + k_X - 1,
+    k_X).  The states are ``(u, w)``, by unburnt total.  A rest counts zero
+    exactly when every group left has width 0: burning every group of
+    positive width leaves at most the one independent part that alone
+    burnt last, whose width then is positive.  Such rests are skipped
+    before the weight is formed.
+    """
+    if _FAMILY_TABLE[target.family].rotates:
+        a, b = 2, 3
+        for _ in range(groups[0][1] - 1):
+            a, b = b, 3 * b - a
+        return b - 2
+    inc = cls == "pf-inc"
+    total = sum(c for _, c in groups)
+    clique = [d == total for d, _ in groups]
+    sink = tuple(d - total + (1 if q else c)
+                 for (d, c), q in zip(groups, clique))
+    states: list = [{} for _ in range(total + 1)]   # by unburnt total
+    states[total][tuple(c for _, c in groups), sink] = 1
+    for left in range(total, 0, -1):
+        for (u, w), f in states[left].items():
+            for k in product(*[range(x + 1) if y else (0,)
+                               for x, y in zip(u, w)]):
+                burnt = sum(k)
+                if not burnt:
+                    continue
+                rest = tuple(map(sub, u, k))
+                nxt = tuple(burnt if q else burnt - j
+                            for q, j in zip(clique, k))
+                if any(rest) and not any(map(mul, rest, nxt)):
+                    continue     # nothing more burns
+                weight = f
+                for x, j, y in zip(u, k, w):
+                    if j:
+                        weight *= (math.comb(y + j - 1, j) if inc
+                                   else math.comb(x, j) * y ** j)
+                layer = states[left - burnt]
+                layer[rest, nxt] = layer.get((rest, nxt), 0) + weight
+    return sum(states[0].values())
+
+
 def _count_slice(args) -> int:
-    """Members of one slice: the weights of its counting walk's runs."""
+    """Members of one slice: the weights of its counting walk's runs, or
+    the whole count from the burning states."""
     target, cls, cap, first = args
     plan = _plan(target, cls, cap, True)
+    if plan[2] == "burning":
+        return _burning_count(target, plan[1], cls)
     return sum(w for _, _, _, w in _runs(target, cls, plan, first))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
     """Members of ``cls`` on ``target``, the weights of the runs of its
-    counting walk (the table above).  Representatives and necklaces differ
-    widely in work between first-value slices, so they are counted in one
-    process whatever ``jobs`` is.  Only a member walk of at least
+    counting walk, or for ``recurrent``, ``pf`` and ``pf-inc`` on a family
+    the count from its burning states (the table above).  Representatives
+    and necklaces differ widely in work between first-value slices, so
+    they are counted in one process whatever ``jobs`` is, as is the
+    burning route.  Only a member walk of at least
     ``POOL_MIN_SPACE`` candidates is split across ``jobs`` workers, and only
     when more than one worker would run.
     """

@@ -471,8 +471,9 @@ class TestEnumerate:
         assert "count=125" in parallel.stdout
 
     def test_cap_breach(self):
+        # min-recurrent walks C(23, 12) representatives of K12
         out = run_cli("enumerate", "--family", "complete", "--n", "12",
-                      "--class", "recurrent", "--cap", "1000")
+                      "--class", "min-recurrent", "--cap", "1000")
         assert out.returncode == 2
 
     def test_increasing_cap_breach(self):

@@ -41,7 +41,7 @@ from sandpark import (
 from sandpark import enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
                                   _check_space, _members, _plan, _runs)
-from sandpark.families import _degree_groups, family_parts
+from sandpark.families import _degree_groups, catalan, family_parts
 from conftest import giant_triangle, reference_iter_class, triangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,14 +113,7 @@ class TestIterClass:
         specs += [FamilySpec("split", m=m, n=n)
                   for m, n in ((2, 1), (2, 2), (3, 2))]
         for spec in specs + LONG_PARTS:
-            cuts, end = [], 0
-            for part in family_parts(spec):
-                cuts.append((end, end + len(part)))
-                end += len(part)
-
-            def sorted_in_parts(t):
-                return all(list(t[a:b]) == sorted(t[a:b]) for a, b in cuts)
-
+            sorted_in_parts = _sorted_in_parts(spec)
             for inc, full in (("pf-inc", "pf"), ("ppf-inc", "ppf")):
                 direct = list(iter_class(spec, full))
                 want = [t for t in direct if sorted_in_parts(t)]
@@ -233,8 +226,10 @@ class TestCounting:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
         assert count_class(spec, "recurrent", jobs=8) == 125
         assert sizes == []
+        # min-recurrent walks C(23, 12) representatives; recurrent would
+        # count K12 from 455 burning states
         with pytest.raises(SizeCapError):
-            count_class(FamilySpec("complete", n=12), "recurrent", jobs=2,
+            count_class(FamilySpec("complete", n=12), "min-recurrent", jobs=2,
                         cap=1000)
         assert sizes == []
 
@@ -282,8 +277,11 @@ class TestCounting:
         # K20 ppf-inc: about 6.9e10 representatives, above the cap
         with pytest.raises(SizeCapError, match="search space of 68923264410"):
             count_class(FamilySpec("complete", n=20), "ppf-inc")
+        # positive control on a class the walk counts: K3 recurrent counts
+        # from its burning states, with no graph
+        walked = "min-recurrent" if cls in BURNING else cls
         with pytest.raises(AssertionError, match="graph was built"):
-            count_class(FamilySpec("complete", n=3), cls)
+            count_class(FamilySpec("complete", n=3), walked)
 
     def test_jobs_below_one_rejected_before_the_walk(self, monkeypatch):
         def untouchable(*args):
@@ -332,6 +330,26 @@ class TestCounting:
 
 def _full_space(spec):
     return math.prod(d ** c for d, c in _degree_groups(spec))
+
+
+# the classes a family counts from its burning states, not by a walk
+BURNING = ("recurrent", "pf", "pf-inc")
+
+
+def _walk_count(target, cls, walk, first=None):
+    """The weights of the runs of ``walk`` ("orbits", "reps", "necklaces"
+    or "members") on ``target``: the walks stay the reference for the
+    classes that count from the burning states."""
+    groups = _plan(target, cls, None, check=False)[1]
+    return sum(w for _, _, _, w in _runs(target, cls, (None, groups, walk),
+                                         first))
+
+
+def _replaced_walk(spec, cls):
+    """The walk that counted ``cls`` on ``spec`` before the burning route."""
+    if cls.endswith("-inc"):
+        return "reps"
+    return "necklaces" if spec.family == "wheel" else "orbits"
 
 
 # the battery's families whose full space the direct walk covers; wheels
@@ -398,6 +416,8 @@ class TestOrbitRoute:
         else:
             want = count_class(make_family(spec), cls)
         assert count_class(spec, cls) == want
+        if cls in BURNING:       # and through the walk the route replaced
+            assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == want
 
     @pytest.fixture()
     def prevs(self, monkeypatch):
@@ -432,8 +452,13 @@ class TestOrbitRoute:
         (FamilySpec("complete", n=6), "ppf", 3125),
         (FamilySpec("tripartite", p=4, q=3), "ppf", 809)])
     def test_family_counts_walk_representatives(self, prevs, spec, cls, count):
-        assert count_class(spec, cls) == count
-        assert count_class(spec, cls, jobs=2) == count
+        def family(jobs):
+            if cls in BURNING:   # counted from the burning states
+                return _walk_count(spec, cls, "orbits")
+            return count_class(spec, cls, jobs=jobs)
+
+        assert family(1) == count
+        assert family(2) == count
         assert count_class(make_family(spec), cls) == count
         orbit, orbit_jobs, direct = prevs
         assert orbit == orbit_jobs
@@ -451,7 +476,7 @@ class TestOrbitRoute:
         # listing walks every member
         assert walked == [members] and len(members) == 320
         walked.clear()
-        assert count_class(w6, "recurrent") == 320
+        assert _walk_count(w6, "recurrent", "necklaces") == 320
         # counting walks the members that are prenecklaces, every suffix at
         # least the prefix of its length; they hold each orbit's least
         # rotation
@@ -465,7 +490,8 @@ class TestOrbitRoute:
         assert prevs == [[None] * 6] * 2
         # 10,944 fixpoints when every member is walked
         fixpoints.clear()
-        assert count_class(FamilySpec("wheel", n=10), "recurrent") == 15125
+        assert _walk_count(FamilySpec("wheel", n=10), "recurrent",
+                           "necklaces") == 15125
         assert 0 < len(fixpoints) <= 2500
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS,
@@ -474,6 +500,9 @@ class TestOrbitRoute:
         g = make_family(spec)
         for cls in ("sr-exists", "min-recurrent", "sr-forall", "recurrent"):
             assert count_class(spec, cls) == count_class(g, cls), cls
+        # and through the walk the burning route replaced
+        assert _walk_count(spec, "recurrent", "orbits") == \
+            count_class(g, "recurrent")
 
     @pytest.mark.parametrize("spec", PAIR_SPECS,
                              ids=[spec.label() for spec in PAIR_SPECS])
@@ -484,14 +513,19 @@ class TestOrbitRoute:
             counts, walks = [], []
             for cls in pair:
                 fixpoints.clear()
-                counts.append(count_class(spec, cls))
+                if cls in BURNING:   # counted from the burning states
+                    counts.append(_walk_count(spec, cls,
+                                              _replaced_walk(spec, cls)))
+                else:
+                    counts.append(count_class(spec, cls))
                 walks.append(len(fixpoints))
             assert counts[0] == counts[1], pair
             assert walks[0] == walks[1] > 0, pair
 
     def test_wheel_parking_count_walks_configuration_necklaces(self, walked):
         w6 = FamilySpec("wheel", n=6)
-        assert count_class(w6, "recurrent") == count_class(w6, "pf") == 320
+        assert _walk_count(w6, "recurrent", "necklaces") == \
+            _walk_count(w6, "pf", "necklaces") == 320
         configs, parking = walked
         assert len(configs) == len(parking) == 71
         assert {tuple(3 - x for x in c) for c in configs} == set(parking)
@@ -505,9 +539,13 @@ class TestOrbitRoute:
         # parts is held to its bare graph's count
         firsts = make_family(spec).nonsink_degrees[0]
         for cls in WHEEL_CLASSES:
-            slices = [enumeration._count_slice(
-                (spec, cls, DEFAULT_SPACE_CAP, first))
-                for first in range(firsts)]
+            if cls in BURNING:   # counted from the burning states
+                slices = [_walk_count(spec, cls, _replaced_walk(spec, cls),
+                                      first) for first in range(firsts)]
+            else:
+                slices = [enumeration._count_slice(
+                    (spec, cls, DEFAULT_SPACE_CAP, first))
+                    for first in range(firsts)]
             if spec.family == "wheel":
                 want = expected_count(spec, cls)
                 want = want[0] if want else count_class(spec, cls)
@@ -533,6 +571,8 @@ class TestOrbitRoute:
         trees = _tree_count(parts)
         for cls in ("recurrent", "pf"):
             assert count_class(spec, cls) == trees, cls
+            # and through the walk the burning route replaced
+            assert _walk_count(spec, cls, "orbits") == trees, cls
 
     def test_wheel_recurrent_counts_are_lucas_numbers(self):
         # the spanning trees of the wheel with n rim vertices number
@@ -607,6 +647,187 @@ class TestOrbitRoute:
             expected_count(FamilySpec("complete", n=3), "recurrent")
 
 
+# every shape with parts the walks above count: the sweep, LONG_PARTS and
+# the battery's families
+ROUTE_SPECS = sorted(set(SWEEP_SPECS) | set(LONG_PARTS)
+                     | {spec for spec, _ in default_suite()
+                        if spec.family != "wheel"}, key=FamilySpec.label)
+
+
+def _sorted_in_parts(spec):
+    """Whether a tuple is non-decreasing inside every part of ``spec``."""
+    cuts, end = [], 0
+    for part in family_parts(spec):
+        cuts.append((end, end + len(part)))
+        end += len(part)
+    return lambda t: all(list(t[a:b]) == sorted(t[a:b]) for a, b in cuts)
+
+
+def _wheel_grains(n):
+    """tr(T(x)^n) - 2x^n with T(x) = [[x + x^2, 1], [x^2, x]], as a list
+    of coefficients: the recurrent configurations of W_n by their grains."""
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def plus(a, b):
+        return [x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+
+    step = [[[0, 1, 1], [1]], [[0, 0, 1], [0, 1]]]
+    power = [[[1], [0]], [[0], [1]]]
+    for _ in range(n):
+        power = [[plus(times(power[i][0], step[0][j]),
+                       times(power[i][1], step[1][j])) for j in range(2)]
+                 for i in range(2)]
+    trace = plus(power[0][0], power[1][1])
+    trace[n] -= 2
+    return trace
+
+
+class TestBurningRoute:
+    """``recurrent``, ``pf`` and ``pf-inc`` count a family from the states
+    of Dhar's burning, with no graph and no walk: a family with parts from
+    its unburnt vectors, a wheel from a two-state automaton along the rim.
+    The walks stay the reference."""
+
+    @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=FamilySpec.label)
+    def test_route_equals_the_walks(self, spec):
+        g = make_family(spec) if _full_space(spec) <= 2 * 10 ** 5 else None
+        for cls in BURNING:
+            assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
+            count = count_class(spec, cls)
+            assert count == _walk_count(spec, cls, _replaced_walk(spec, cls))
+            if g is None:
+                continue
+            if cls == "pf-inc":
+                keep = _sorted_in_parts(spec)
+                want = sum(1 for t in iter_class(g, "pf") if keep(t))
+            else:
+                want = count_class(g, cls)
+            assert count == want, cls
+
+    @pytest.mark.parametrize("spec,parts,walked", [
+        (FamilySpec("complete", n=60), (1,) * 61, False),
+        (FamilySpec("tripartite", p=12, q=12), (1, 12, 12), False),
+        (FamilySpec("split", m=12, n=12), (1,) * 13 + (12,), False),
+        (FamilySpec("bipartite", p=20, q=20), (21, 20), False),
+        # 90,601 representatives, whose walk took 41 s for pf
+        (FamilySpec("tripartite", p=1, q=300), (1, 1, 300), True)],
+        ids=["K60", "K(12,12)", "S(12*,12)", "K(20*,20)", "K(1,300)"])
+    def test_route_counts_the_spanning_trees(self, spec, parts, walked):
+        trees = make_family(spec).spanning_tree_count()
+        assert trees == _tree_count(parts)
+        # the representative walk the route replaced fits the default cap
+        # only for K(1,300)
+        if not walked:
+            with pytest.raises(SizeCapError):
+                _plan(spec, "ppf", DEFAULT_SPACE_CAP, True)
+        assert count_class(spec, "recurrent") == count_class(spec, "pf") \
+            == trees
+
+    def test_increasing_counts_are_the_shifted_closed_forms(self):
+        # Catalan numbers on complete graphs, Narayana-type products on
+        # bipartite* and split graphs, far past the representative walk
+        specs = [FamilySpec("complete", n=n) for n in range(1, 31)]
+        specs += [FamilySpec(family, **{a: x, b: y})
+                  for family, a, b in (("bipartite", "p", "q"),
+                                       ("split", "m", "n"))
+                  for x in range(1, 9) for y in range(1, 9)]
+        for spec in specs:
+            want = closed_form_count(families._grow_first_part(spec),
+                                     "ppf-inc")
+            assert count_class(spec, "pf-inc") == want, spec.label()
+
+    def test_wheel_route_equals_the_walks(self):
+        for n in range(3, 14):
+            w = FamilySpec("wheel", n=n)
+            for cls in ("recurrent", "pf"):
+                assert _plan(w, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
+                assert count_class(w, cls) == \
+                    _walk_count(w, cls, "necklaces") == \
+                    _walk_count(w, cls, "members"), (n, cls)
+
+    def test_wheel_route_counts_lucas_numbers(self):
+        for n in range(3, 301):
+            assert count_class(FamilySpec("wheel", n=n), "recurrent") == \
+                _lucas(2 * n) - 2, n
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_wheel_automaton_grades_the_member_walk(self, n):
+        w = FamilySpec("wheel", n=n)
+        tally = Counter(sum(c) for c in iter_class(w, "recurrent"))
+        grains = _wheel_grains(n)
+        assert {i: c for i, c in enumerate(grains) if c} == tally
+        # level 0 holds one grain per rim edge: n grains
+        assert grains[n] == count_class(w, "min-recurrent") == 2 ** n - 2
+        assert sum(grains) == count_class(w, "recurrent")
+
+    def test_route_builds_no_graph_and_walks_nothing(self, monkeypatch):
+        def untouchable(*args, **options):
+            raise AssertionError("a graph was built or a walk started")
+
+        monkeypatch.setattr(families, "build_graph", untouchable)
+        monkeypatch.setattr(enumeration, "_search", untouchable)
+        k6, w10 = FamilySpec("complete", n=6), FamilySpec("wheel", n=10)
+        for cls in ("recurrent", "pf"):
+            assert count_class(k6, cls) == 7 ** 5
+            assert count_class(w10, cls, jobs=2) == 15125
+        assert count_class(k6, "pf-inc") == catalan(6)
+        with pytest.raises(AssertionError, match="walk started"):
+            count_class(k6, "min-recurrent")
+
+    def test_cap_bounds_the_burning_states(self, monkeypatch):
+        # K12: C(15, 3) = 455 triples; below them the walk's check runs,
+        # with its message
+        k12 = FamilySpec("complete", n=12)
+        assert _plan(k12, "recurrent", 455, True) == (455, ((12, 12),),
+                                                      "burning")
+        assert count_class(k12, "recurrent", cap=455) == 13 ** 11
+        with pytest.raises(SizeCapError) as exc:
+            count_class(k12, "recurrent", cap=454)
+        assert str(exc.value) == "search space of 1352078 exceeds cap 454"
+        # refused at the default cap before: W17 (3^17 candidates) and
+        # K(8,8) (C(16, 8)^2 representatives)
+        w17 = FamilySpec("wheel", n=17)
+        assert count_class(w17, "recurrent") == _lucas(34) - 2
+        with pytest.raises(SizeCapError, match="^search space of 129140163 "):
+            count_class(w17, "recurrent", cap=16)
+        k88 = FamilySpec("tripartite", p=8, q=8)
+        assert count_class(k88, "pf") == _tree_count((1, 8, 8))
+        # past the vertex bound the walk's refusal stands, byte for byte
+        monkeypatch.setattr(enumeration, "_burning_count", None)
+        with pytest.raises(SizeCapError) as exc:
+            count_class(FamilySpec("wheel", n=100001), "recurrent")
+        assert str(exc.value) == \
+            "search space of more than 2^65537 exceeds cap 100000000"
+
+    def test_rests_that_count_zero_form_no_weight(self, monkeypatch):
+        # bipartite(20000*, 1): the Q-vertex burns first, and then every
+        # P-vertex at once, as a P-vertex left after a round of P alone
+        # never burns; those 19,999 rests are skipped unweighed
+        combs = []
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def comb(self, n, k):
+                combs.append((n, k))
+                return math.comb(n, k)
+
+        spec = FamilySpec("bipartite", p=20000, q=1)
+        assert _plan(spec, "recurrent", DEFAULT_SPACE_CAP, True)[2] != \
+            "burning"
+        monkeypatch.setattr(enumeration, "math", Counted())
+        assert count_class(spec, "recurrent", cap=10 ** 14) == 1
+        # count_class and its slice plan once each, taking two for the work
+        # bound, and one weighs each of the two rounds
+        assert combs[4:] == [(1, 1), (20000, 20000)] and len(combs) == 6
+
+
 # Observed, not proved: the prime parking functions of bipartite K(p*, q)
 # are exactly as many as those of tripartite K(p, q)^0, which have a closed
 # form.  No prediction of ``expected_count`` rests on it.
@@ -676,7 +897,10 @@ class TestLookAhead:
              "K10-recurrent", "K(5,5)-min-recurrent", "K10-sr-exists"])
     def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
                                              count, most):
-        assert count_class(spec, cls) == count
+        if cls in BURNING:       # counted from the burning states
+            assert _walk_count(spec, cls, "orbits") == count
+        else:
+            assert count_class(spec, cls) == count
         assert 0 < len(fixpoints) <= most
 
     @pytest.mark.parametrize("cls,most", [("pf", 2001), ("ppf", 4002)])
@@ -1020,7 +1244,7 @@ class TestRunStreams:
         assert count_class(w10, cls) == count
         cut = len(fixpoints)
         fixpoints.clear()
-        assert count_class(w10, "recurrent") == 15125
+        assert _walk_count(w10, "recurrent", "necklaces") == 15125
         # no run is visited that the prefix rules out: at most half the
         # fixpoints of the recurrent walk
         assert 0 < cut <= most and 2 * cut <= len(fixpoints)
