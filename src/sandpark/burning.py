@@ -1,0 +1,198 @@
+"""Counting a family's classes from the states of Dhar's burning.
+
+A family's degree groups decide its counts: no graph is built and no
+configuration is walked.  ``enumeration._plan`` routes a count here when
+its work fits the cap, and the walks of ``enumeration`` stay the
+reference.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from operator import mul, sub
+
+from .families import _FAMILY_TABLE, FamilySpec
+
+# the classes counted from the drain of one burning start
+_SEEDED = ("sr-forall", "sr-exists", "ppf", "ppf-inc")
+
+
+def _burning_count(target: FamilySpec, groups, cls: str) -> int:
+    """Members of ``cls`` on a family, from the states of Dhar's burning
+    (Dhar 1990) and no graph: a configuration is recurrent exactly when,
+    from the sink, every vertex burns, a vertex burning once it holds at
+    least its edges to the unburnt ones.  A parking candidate is its degree
+    complement, so ``pf`` counts as ``recurrent``, ``ppf`` as ``sr-forall``
+    and an increasing class as the configurations whose grains never rise
+    inside a part.  A wheel counts ``recurrent`` and ``pf``, a family with
+    parts every class but ``stable``.
+
+    A wheel's rim (values 0..2, the hub the sink) holds a forbidden set
+    exactly when it holds a forbidden arc, as the hub is in none and each
+    arc of a set sees only its own vertices: the whole rim with no 2 (two
+    neighbours inside each), or an arc of two or more vertices with zeros
+    at both ends (one inside) and no 2 between them.  Read the rim with two
+    states, whether a 2 has followed the last zero: 1 or 2 keeps the first
+    (two ways), 0 leaves it, 2 returns to it, 1 keeps the second, and a 0
+    in the second closes a forbidden arc, so T = [[2, 1], [1, 1]].  A
+    cyclic word with a zero fixes its states and closes around the rim
+    exactly when it has no forbidden arc; one without zero closes in the
+    first state when it holds a 2, and in both when it is all ones, the
+    whole rim with no 2.  So W_n counts tr(T^n) - 2, and as T^2 = 3T - I,
+    tr(T^j) = 3 tr(T^(j-1)) - tr(T^(j-2)), from 2 and 3.
+
+    In a family with parts a vertex sees every non-sink vertex outside its
+    part and the sink unless it shares the sink's part, so a clique group
+    (vertices in parts of their own) has degree N, the non-sink total, and
+    an independent part of c vertices N - c plus its sink edges (0 or 1).
+    Burn in rounds (``_burn_out``).  With u_X of group X unburnt (U in
+    all), a vertex of X sees e_X(u) = U - u_X unburnt neighbours, or U - 1
+    in a clique group, so one that burns in round r holds a value in
+    [e_X(u_r), e_X(u_(r-1))), u_r being the vector round r starts from.
+    After a round that burnt k_X of X, K in all, that window has width
+    w_X = K - k_X in an independent part and K in a clique group; round 1's
+    width is X's sink edges.  Summing over the sequences of unburnt vectors
+    down to zero, a round burning k_X of each X weighs prod C(u_X, k_X) *
+    w_X^k_X, or, choosing the multisets of an increasing class, prod
+    C(w_X + k_X - 1, k_X).  The states are ``(u, w)``, by unburnt total.
+    A rest counts zero exactly when every group left has width 0: burning
+    every group of positive width leaves at most the one independent part
+    that alone burnt last, whose width then is positive.  Such rests are
+    skipped before the weight is formed.
+
+    ``min-recurrent`` holds one grain per non-sink edge (level 0).  Each
+    vertex holds at least the bottom of its window, and summed over the
+    vertices those bottoms count every non-sink edge once, and once more
+    for each edge inside a round.  So a level-0 configuration burns each
+    vertex at the bottom of its window, which then has width at least 1,
+    and no round holds an edge: each round burns some vertices of one
+    group, one of a clique group, and weighs C(u_X, k_X).
+
+    The drain of a burning start v (``sandpile.drain_except``) is Dhar's
+    burning of G - sink from v as its sink: the groups become
+    ``(d_X - s_X, c_X)``, v's group Z ``(d_Z - 1, c_Z - 1)``, and a round-1
+    window is X's edges to v, 1 but for an independent Z (0).  On a complete
+    multipartite graph the drains of any two starts are recurrent together.
+    Two starts of one part are twins holding its top value d - 1, so
+    swapping them maps one drain onto the other.  A set forbidden in y's
+    drain misses y, which keeps d_y - 1 grains and so burns at once.  It
+    also misses a start v of another part: v holds d_v - 2 grains there, at
+    least its edges into a set that misses its neighbour y.  On a set that
+    misses both starts the two drains agree, so a set forbidden in one is
+    forbidden in the other.  A drain lies below
+    the configuration but at its start, which burns once the sink fires, so
+    a recurrent drain makes the configuration recurrent.  So one start's
+    drain decides ``sr-forall`` and ``sr-exists`` alike, and the two count
+    the same.
+
+    Each configuration is counted at the first sink-adjacent group Z, in
+    declaration order, holding a start, from the drain of one start v in
+    Z.  A sink-adjacent group declared before Z holds no start, and its
+    round-1 window in the drain is exactly a start's value, its top, so it
+    burns nothing in round 1.  The starts of Z hold Z's top value, whose
+    window is round 1 for a clique Z and round 2 for an independent Z (its
+    round-1 width is 0).  There Z's k burners and v are k + 1 of Z's c_Z
+    vertices in a window of width w, at least one at the top: they weigh
+    C(c_Z, k + 1) * (w^(k + 1) - (w - 1)^(k + 1)), or as multisets
+    C(w + k - 1, k).  So the first round, or the first two, are peeled by
+    hand (``_peel``) and the loop runs on.  A Z of one vertex holds only v,
+    at its one value, and drops out.
+    """
+    if _FAMILY_TABLE[target.family].rotates:
+        a, b = 2, 3
+        for _ in range(groups[0][1] - 1):
+            a, b = b, 3 * b - a
+        return b - 2
+    inc = cls.endswith("-inc")
+    total = sum(c for _, c in groups)
+    clique = [d == total for d, _ in groups]
+    sink = tuple(d - total + (1 if q else c)
+                 for (d, c), q in zip(groups, clique))
+    sizes = tuple(c for _, c in groups)
+    if cls not in _SEEDED:
+        states: list = [{} for _ in range(total + 1)]   # by unburnt total
+        states[total][sizes, sink] = 1
+        return _burn_out(states, clique, inc, cls == "min-recurrent")
+    count = 0
+    for z, c in enumerate(sizes):
+        if not sink[z]:
+            continue
+        # v's drain: G - sink burnt from v, every group but an independent
+        # Z seeing v, and the sink-adjacent groups before Z holding no start
+        u = tuple(x - (i == z) for i, x in enumerate(sizes))
+        w = tuple(int(i != z or clique[z]) for i in range(len(sizes)))
+        held = [i < z and s > 0 for i, s in enumerate(sink)]
+        layer = {(u, w): 1}
+        if c > 1 and not clique[z]:
+            layer = _peel(layer, clique, inc, held, None)
+            held = [False] * len(sizes)
+        layer = _peel(layer, clique, inc, held, (z, c) if c > 1 else None)
+        states = [{} for _ in range(total)]
+        for (rest, nxt), f in layer.items():
+            states[sum(rest)][rest, nxt] = f
+        count += _burn_out(states, clique, inc)
+    return count
+
+
+def _peel(layer: dict, clique, inc: bool, held, top) -> dict:
+    """One round of ``_burn_out`` from each ``(u, w)`` state of ``layer``,
+    to the states it leaves: a ``held`` group burns nothing, and with
+    ``top`` ``(z, c)`` the round is the window of group z's top value, its
+    burners joining the start among z's c vertices (``_burning_count``).
+    """
+    out: dict = {}
+    for (u, w), f in layer.items():
+        for k in product(*[range(x + 1) if y and not h else (0,)
+                           for x, y, h in zip(u, w, held)]):
+            burnt = sum(k)
+            rest = tuple(map(sub, u, k))
+            nxt = tuple(burnt if q else burnt - j for q, j in zip(clique, k))
+            if any(rest) and not any(map(mul, rest, nxt)):
+                continue     # nothing more burns, or nothing burnt
+            weight = f
+            for i, (x, j, y) in enumerate(zip(u, k, w)):
+                if top and i == top[0] and not inc:
+                    weight *= (math.comb(top[1], j + 1)
+                               * (y ** (j + 1) - (y - 1) ** (j + 1)))
+                elif j:
+                    weight *= (math.comb(y + j - 1, j) if inc
+                               else math.comb(x, j) * y ** j)
+            out[rest, nxt] = out.get((rest, nxt), 0) + weight
+    return out
+
+
+def _burn_out(states: list, clique, inc: bool, level: bool = False) -> int:
+    """Burn every ``(u, w)`` state of ``states`` (indexed by unburnt total)
+    down to nothing, round by round (``_burning_count``), and sum the
+    weights of the sequences that burn everything.  With ``level`` a round
+    burns one group, each burner at the bottom of its window.
+    """
+    n = len(clique)
+    for left in range(len(states) - 1, 0, -1):
+        for (u, w), f in states[left].items():
+            if level:
+                moves = [(0,) * i + (j,) + (0,) * (n - i - 1)
+                         for i, (x, y) in enumerate(zip(u, w)) if x and y
+                         for j in range(1, 2 if clique[i] else x + 1)]
+                w = (1,) * n     # one value in each window
+            else:
+                moves = product(*[range(x + 1) if y else (0,)
+                                  for x, y in zip(u, w)])
+            for k in moves:
+                burnt = sum(k)
+                if not burnt:
+                    continue
+                rest = tuple(map(sub, u, k))
+                nxt = tuple(burnt if q else burnt - j
+                            for q, j in zip(clique, k))
+                if any(rest) and not any(map(mul, rest, nxt)):
+                    continue     # nothing more burns
+                weight = f
+                for x, j, y in zip(u, k, w):
+                    if j:
+                        weight *= (math.comb(y + j - 1, j) if inc
+                                   else math.comb(x, j) * y ** j)
+                layer = states[left - burnt]
+                layer[rest, nxt] = layer.get((rest, nxt), 0) + weight
+    return sum(states[0].values())

@@ -18,6 +18,7 @@ from .enumeration import (
     CLASSES,
     DEFAULT_SPACE_CAP,
     _check_space,
+    _decimal,
     _make_report,
     count_class,
     expected_count,
@@ -178,9 +179,9 @@ def _family_from_args(args) -> Optional[FamilySpec]:
 
 
 def _count_line(report) -> str:
-    line = f"count={report.count}"
+    line = f"count={_decimal(report.count)}"
     if report.match is not None:
-        line += (f" expected={report.expected} "
+        line += (f" expected={_decimal(report.expected)} "
                  f"match={str(report.match).lower()}")
     return line
 

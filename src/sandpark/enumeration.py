@@ -36,17 +36,21 @@ wheel                 list    members                   full space
 bare graph            any     members                   full space
 ====================  ======  ========================  ===============
 
-The burning classes are ``recurrent``, ``pf`` and ``pf-inc``
-(``_burning_count``), and their row fits only while its work is within
-the cap and the target within the vertex bound; otherwise the next row
-that fits runs, with its checks and messages.  The class, the cap and the
-space are checked when the walk is chosen, before any graph is built, and
-then the vertex count: degree-1 vertices add nothing to the space, so a
-target of more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.
-The full space is the product of ``d ** c`` over the ``(d, c)`` groups,
-the representatives' that of ``C(d + c - 1, c)``, and the burning work
-that of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
-wheel's rim length.
+The burning classes (``burning._burning_count``) are every class but
+``stable`` on a family with parts, and ``recurrent`` and ``pf`` on a
+wheel.  Their row fits only while its work is within the cap and the
+target within the vertex bound; otherwise the next row that fits runs,
+with its checks and messages.  The class, the cap and the space are
+checked when the walk is chosen, before any graph is built, and then the
+vertex count: degree-1 vertices add nothing to the space, so a target of
+more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.  The full
+space is the product of ``d ** c`` over the ``(d, c)`` groups, the
+representatives' that of ``C(d + c - 1, c)``.  The burning work is the
+product of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
+wheel's rim length, times the sink-adjacent groups whose drain a strongly
+recurrent or prime class runs, and times the 64-bit words of the count,
+which is at most the full space (an increasing class: the
+representatives').
 
 Both orbit rules are stated in grains, the quantity every prefix check
 reads: a configuration's values, or the degree complement of a parking
@@ -70,9 +74,11 @@ prefix it admits, the multiset of values each part holds, and a member
 walk then reads each position's interval off those keys and runs no
 fixpoint (``stable``, which runs none, walks the members).  The burning
 route walks no configuration: it counts the sequences of unburnt vectors
-of Dhar's burning, one entry per part, or runs a two-state automaton
-along a wheel's rim, so for its classes the walks, which listing, the
-other classes and bare graphs still take, are the reference.  Counting a
+of Dhar's burning, one entry per part, from the sink or from one drained
+burning start, or runs a two-state automaton along a wheel's rim.  So for
+its classes the walks, which listing, ``stable``, the wheel's other
+classes, bare graphs and work past the cap still take, are the
+reference.  Counting a
 member walk splits a large space by the first coordinate across worker
 processes; every other walk, and the burning route, runs in one process.
 The count does not depend on the worker count.
@@ -88,11 +94,11 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
 from multiprocessing import get_context
-from operator import mul, sub
+from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
+from .burning import _SEEDED, _burning_count
 from .errors import SizeCapError, _size
 from .families import (_FAMILY_TABLE, FamilySpec, _degree_groups,
                        _grow_first_part, closed_form_count, make_family)
@@ -139,8 +145,9 @@ _CLASS_WALKS = {
     "ppf-inc": (1, _DRAINS),
 }
 CLASSES = tuple(_CLASS_WALKS)
-# the classes a family counts from its burning states (_burning_count)
-_BURNING = ("recurrent", "pf", "pf-inc")
+# the classes a wheel counts from its burning states (_burning_count); a
+# family with parts counts every class but stable from them
+_BURNING = ("recurrent", "pf")
 
 
 def _plan(target: Target, cls: str, cap: Optional[int],
@@ -153,11 +160,11 @@ def _plan(target: Target, cls: str, cap: Optional[int],
     ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` (representatives
     weighing one member each), ``"orbits"`` (representatives weighing
     their orbits), ``"necklaces"`` or ``"burning"`` (no walk, whose space
-    is its work).  With ``check``, ``cap`` must be an integer, a space
-    above it is refused, and then a target of more than ``_VERTEX_BOUND``
-    non-sink vertices.  A space whose logarithm puts it
-    past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused without being
-    computed.
+    is its work, charged by the words of the count).  With ``check``,
+    ``cap`` must be an integer, a space above it is refused, and then a
+    target of more than ``_VERTEX_BOUND`` non-sink vertices.  A space whose
+    logarithm puts it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is
+    refused without being computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
@@ -185,26 +192,28 @@ def _plan(target: Target, cls: str, cap: Optional[int],
         walk = "keys"
     else:
         walk = "members"
-    if counting and cls in _BURNING and (parts or rotates):
-        # the rim's length, or the (u, k_prev, k) triples of each part;
-        # past the cap or the vertex bound the walk runs, with its checks
-        work = (groups[0][1] if rotates
-                else math.prod(math.comb(c + 3, 3) for _, c in groups))
-        if not check or (work <= cap and
-                         sum(c for _, c in groups) <= _VERTEX_BOUND):
+    vertices = sum(c for _, c in groups)
+    if (counting and (cls != "stable" if parts else rotates and cls in
+                      _BURNING) and vertices <= _VERTEX_BOUND):
+        # the rim's length, or the (u, k_prev, k) triples of each part, once
+        # per sink-adjacent group drained, each charged by the 64-bit words
+        # of a count of at most 2^bits; past the cap or the vertex bound the
+        # walk runs, with its checks
+        work, bits = 1, 0.0
+        for d, c in groups:
+            work *= c if rotates else math.comb(c + 3, 3)
+            bits += c * math.log2(d)
+        if cls in _SEEDED:
+            work *= sum(d > vertices - c for d, c in groups)
+        if inc:
+            bits = _space_bits(groups, True)
+        work *= int(bits) // 64 + 1
+        if not check or work <= cap:
             return work, groups, "burning"
     reps = walk in ("reps", "orbits")
     if check:
-        try:
-            if reps:
-                bits = sum(math.lgamma(d + c) - math.lgamma(c + 1)
-                           - math.lgamma(d) for d, c in groups) / math.log(2)
-            else:
-                bits = sum(c * math.log2(d) for d, c in groups)
-        except OverflowError:       # parameters past the float range
-            bits = math.inf
         limit = max(cap.bit_length(), _EXACT_SPACE_BITS) + 1
-        if bits > limit:
+        if _space_bits(groups, reps) > limit:
             raise SizeCapError(
                 f"search space of more than 2^{limit} exceeds cap {_size(cap)}")
     space = math.prod(math.comb(d + c - 1, c) if reps else d ** c
@@ -213,10 +222,22 @@ def _plan(target: Target, cls: str, cap: Optional[int],
         if space > cap:
             raise SizeCapError(
                 f"search space of {_size(space)} exceeds cap {_size(cap)}")
-        if (vertices := sum(c for _, c in groups)) > _VERTEX_BOUND:
+        if vertices > _VERTEX_BOUND:
             raise SizeCapError(f"target of {_size(vertices)} non-sink "
                                f"vertices exceeds bound {_VERTEX_BOUND}")
     return space, groups, walk
+
+
+def _space_bits(groups, reps: bool) -> float:
+    """log2 of the space of the ``(d, c)`` groups, the tuples' or with
+    ``reps`` the representatives', or infinity past the float range."""
+    try:
+        if reps:
+            return sum(math.lgamma(d + c) - math.lgamma(c + 1) - math.lgamma(d)
+                       for d, c in groups) / math.log(2)
+        return sum(c * math.log2(d) for d, c in groups)
+    except OverflowError:       # parameters past the float range
+        return math.inf
 
 
 def _check_space(target: Target, cls: str, cap: int,
@@ -635,87 +656,11 @@ def iter_class(target: Target, cls: str, *,
 # counting, optionally across worker processes
 
 
-def _burning_count(target: FamilySpec, groups, cls: str) -> int:
-    """Members of ``recurrent``, ``pf`` or ``pf-inc`` on a family, from the
-    states of Dhar's burning (Dhar 1990) and no graph: a configuration is
-    recurrent exactly when, from the sink, every vertex burns, a vertex
-    burning once it holds at least its edges to the unburnt ones.  A
-    parking candidate is its degree complement, so ``pf`` counts as
-    ``recurrent`` and ``pf-inc`` as the configurations whose grains never
-    rise inside a part.
-
-    A wheel's rim (values 0..2, the hub the sink) holds a forbidden set
-    exactly when it holds a forbidden arc, as the hub is in none and each
-    arc of a set sees only its own vertices: the whole rim with no 2 (two
-    neighbours inside each), or an arc of two or more vertices with zeros
-    at both ends (one inside) and no 2 between them.  Read the rim with two
-    states, whether a 2 has followed the last zero: 1 or 2 keeps the first
-    (two ways), 0 leaves it, 2 returns to it, 1 keeps the second, and a 0
-    in the second closes a forbidden arc, so T = [[2, 1], [1, 1]].  A
-    cyclic word with a zero fixes its states and closes around the rim
-    exactly when it has no forbidden arc; one without zero closes in the
-    first state when it holds a 2, and in both when it is all ones, the
-    whole rim with no 2.  So W_n counts tr(T^n) - 2, and as T^2 = 3T - I,
-    tr(T^j) = 3 tr(T^(j-1)) - tr(T^(j-2)), from 2 and 3.
-
-    In a family with parts a vertex sees every non-sink vertex outside its
-    part and the sink unless it shares the sink's part, so a clique group
-    (vertices in parts of their own) has degree N, the non-sink total, and
-    an independent part of c vertices N - c plus its sink edges (0 or 1).
-    Burn in rounds.  With u_X of group X unburnt (U in all), a vertex of X
-    sees e_X(u) = U - u_X unburnt neighbours, or U - 1 in a clique group,
-    so one that burns in round r holds a value in [e_X(u_r), e_X(u_(r-1))),
-    u_r being the vector round r starts from.  After a round that burnt
-    k_X of X, K in all, that range has width w_X = K - k_X in an
-    independent part and K in a clique group; round 1's width is X's sink
-    edges.  Summing over the sequences of unburnt vectors down to zero, a
-    round burning k_X of each X weighs prod C(u_X, k_X) * w_X^k_X, or,
-    choosing the multisets of an increasing class, prod C(w_X + k_X - 1,
-    k_X).  The states are ``(u, w)``, by unburnt total.  A rest counts zero
-    exactly when every group left has width 0: burning every group of
-    positive width leaves at most the one independent part that alone
-    burnt last, whose width then is positive.  Such rests are skipped
-    before the weight is formed.
-    """
-    if _FAMILY_TABLE[target.family].rotates:
-        a, b = 2, 3
-        for _ in range(groups[0][1] - 1):
-            a, b = b, 3 * b - a
-        return b - 2
-    inc = cls == "pf-inc"
-    total = sum(c for _, c in groups)
-    clique = [d == total for d, _ in groups]
-    sink = tuple(d - total + (1 if q else c)
-                 for (d, c), q in zip(groups, clique))
-    states: list = [{} for _ in range(total + 1)]   # by unburnt total
-    states[total][tuple(c for _, c in groups), sink] = 1
-    for left in range(total, 0, -1):
-        for (u, w), f in states[left].items():
-            for k in product(*[range(x + 1) if y else (0,)
-                               for x, y in zip(u, w)]):
-                burnt = sum(k)
-                if not burnt:
-                    continue
-                rest = tuple(map(sub, u, k))
-                nxt = tuple(burnt if q else burnt - j
-                            for q, j in zip(clique, k))
-                if any(rest) and not any(map(mul, rest, nxt)):
-                    continue     # nothing more burns
-                weight = f
-                for x, j, y in zip(u, k, w):
-                    if j:
-                        weight *= (math.comb(y + j - 1, j) if inc
-                                   else math.comb(x, j) * y ** j)
-                layer = states[left - burnt]
-                layer[rest, nxt] = layer.get((rest, nxt), 0) + weight
-    return sum(states[0].values())
-
-
 def _count_slice(args) -> int:
-    """Members of one slice: the weights of its counting walk's runs, or
-    the whole count from the burning states."""
-    target, cls, cap, first = args
-    plan = _plan(target, cls, cap, True)
+    """Members of one slice of the counting walk ``plan`` (from ``_plan``)
+    chose: the weights of its runs, or the whole count from the burning
+    states."""
+    target, cls, plan, first = args
     if plan[2] == "burning":
         return _burning_count(target, plan[1], cls)
     return sum(w for _, _, _, w in _runs(target, cls, plan, first))
@@ -724,8 +669,9 @@ def _count_slice(args) -> int:
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
     """Members of ``cls`` on ``target``, the weights of the runs of its
-    counting walk, or for ``recurrent``, ``pf`` and ``pf-inc`` on a family
-    the count from its burning states (the table above).  Representatives
+    counting walk, or for every class but ``stable`` on a family with
+    parts, and ``recurrent`` and ``pf`` on a wheel, the count from its
+    burning states (the table above).  Representatives
     and necklaces differ widely in work between first-value slices, so
     they are counted in one process whatever ``jobs`` is, as is the
     burning route.  Only a member walk of at least
@@ -737,15 +683,15 @@ def count_class(target: Target, cls: str, *, jobs: int = 1,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # raises on bad input before any candidate is tested
-    space, groups, walk = _plan(target, cls, cap, True)
+    plan = space, groups, walk = _plan(target, cls, cap, True)
     if jobs > 1 and space >= POOL_MIN_SPACE and walk == "members":
         firsts = groups[0][0]
         processes = min(jobs, firsts, os.cpu_count() or 1)
         if processes > 1:
-            tasks = [(target, cls, cap, first) for first in range(firsts)]
+            tasks = [(target, cls, plan, first) for first in range(firsts)]
             with get_context("fork").Pool(processes=processes) as pool:
                 return sum(pool.map(_count_slice, tasks))
-    return _count_slice((target, cls, cap, None))
+    return _count_slice((target, cls, plan, None))
 
 
 @dataclass
@@ -777,10 +723,13 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
     if spec is None:
         return None
     try:
-        if cls in ("ppf", "sr-forall"):
+        # on a family with parts one burning start decides both quantifiers
+        # (_burning_count)
+        if cls in ("ppf", "sr-forall") or (
+                cls == "sr-exists" and _FAMILY_TABLE[spec.family].parts):
             return closed_form_count(spec, "ppf"), "closed-form"
-        if cls == "ppf-inc":
-            return closed_form_count(spec, "ppf-inc"), "closed-form"
+        if cls in ("ppf-inc", "min-recurrent"):
+            return closed_form_count(spec, cls), "closed-form"
         if cls == "pf-inc":
             return closed_form_count(_grow_first_part(spec), "ppf-inc"), "closed-form"
     except ValueError:
@@ -839,25 +788,46 @@ def default_suite() -> list[tuple[FamilySpec, str]]:
     return suite
 
 
+def _decimal(n: int) -> str:
+    """The digits of ``n >= 0``, also past those ``str`` will print
+    (``sys.get_int_max_str_digits``), joined from halves split at a power
+    of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20     # about half the digits
+        high, low = divmod(n, 10 ** k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def reports_to_csv(reports: Iterable[EnumerationReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["family", "params", "class", "count", "expected",
                      "match", "millis"])
     for r in reports:
-        writer.writerow([r.family, r.params, r.cls, r.count,
-                         "" if r.expected is None else r.expected,
+        writer.writerow([r.family, r.params, r.cls, _decimal(r.count),
+                         "" if r.expected is None else _decimal(r.expected),
                          "" if r.match is None else str(r.match).lower(),
                          f"{r.millis:.3f}"])
     return buf.getvalue()
 
 
 def reports_to_json(reports: Iterable[EnumerationReport]) -> str:
+    """``json.dumps(rows, indent=2)`` of one flat row per report, written
+    field by field: ``json`` prints an integer with ``str``'s limit, so the
+    integers go in through ``_decimal``."""
     rows = [{"family": r.family, "params": r.params, "class": r.cls,
              "count": r.count, "expected": r.expected,
              "expected_source": r.expected_source, "match": r.match,
              "millis": round(r.millis, 3)} for r in reports]
-    return json.dumps(rows, indent=2)
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(
+        "  {\n" + ",\n".join(
+            f"    {json.dumps(key)}: "
+            + (_decimal(v) if type(v) is int else json.dumps(v))
+            for key, v in row.items()) + "\n  }" for row in rows) + "\n]"
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,21 @@ def catalan(k: int) -> int:
     return _exact_div(math.comb(2 * k, k), k + 1)
 
 
+def _wheel_min_recurrent(n: int) -> int:
+    """The minimal recurrent configurations of the wheel W_n: 2^n - 2.
+
+    They are level 0 of the recurrent configurations, T_G(1, 0) in number
+    (Merino Lopez 1997), and T_G(1, 0) counts the acyclic orientations
+    whose one source is a given vertex (Greene and Zaslavsky 1983): take
+    the hub sink.  Every hub edge points out of it, into each rim vertex,
+    which then is no source.  A cycle would have to pass the hub, which
+    has no edge in, so it lies on the rim: the orientation is acyclic
+    exactly when the rim cycle's is, all of its 2^n orientations but the
+    two around it.
+    """
+    return 2 ** n - 2
+
+
 @dataclass(frozen=True)
 class _Family:
     """Everything the package knows about one family."""
@@ -118,7 +133,8 @@ _FAMILY_TABLE = {
         "catalan": lambda n: catalan(n - 1)},
         groups=lambda n: ((n, n),), parts=(("", "n"),)),
     "wheel": _Family(("n",), wheel_graph, "W{n}^0", {
-        "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1},
+        "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1,
+        "min-recurrent": _wheel_min_recurrent},
         groups=lambda n: ((3, n),), rotates=True, min_n=3),
     "tripartite": _Family(("p", "q"), tripartite_graph, "K({p},{q})^0", {
         "ppf": lambda p, q: (p ** q * (q - 1) ** (p - 1) + q ** p * (p - 1) ** (q - 1)
@@ -209,8 +225,9 @@ def closed_form_count(spec: FamilySpec, which: str) -> int:
     """Known exact counts for special families.
 
     which = 'ppf' (prime parking functions), 'ppf-inc' (non-decreasing
-    prime), 'sr-wheel' (strongly recurrent wheel configurations) or
-    'catalan' (alias of 'ppf-inc' on complete graphs).  Everything is exact
+    prime), 'sr-wheel' (strongly recurrent wheel configurations),
+    'min-recurrent' (minimal recurrent wheel configurations) or 'catalan'
+    (alias of 'ppf-inc' on complete graphs).  Everything is exact
     integer arithmetic.
     """
     formula = _FAMILY_TABLE[spec.family].closed_forms.get(which)

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sandpark import (cli, complete_graph, enumeration, families, sandpile,
-                      save_graph)
+from sandpark import (FamilySpec, cli, complete_graph, enumeration, families,
+                      sandpile, save_graph)
 from conftest import giant_triangle, grid_with_sink_border
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -471,19 +471,22 @@ class TestEnumerate:
         assert "count=125" in parallel.stdout
 
     def test_cap_breach(self):
-        # min-recurrent walks C(23, 12) representatives of K12
+        # below K12's 455 burning states min-recurrent walks C(23, 12)
+        # representatives, above the cap
         out = run_cli("enumerate", "--family", "complete", "--n", "12",
-                      "--class", "min-recurrent", "--cap", "1000")
+                      "--class", "min-recurrent", "--cap", "454")
         assert out.returncode == 2
 
     def test_increasing_cap_breach(self):
+        # below K9's 220 burning states ppf-inc walks C(17, 9)
+        # representatives, above the cap
         out = run_cli("enumerate", "--family", "complete", "--n", "9",
-                      "--class", "ppf-inc", "--cap", "1000")
+                      "--class", "ppf-inc", "--cap", "219")
         assert out.returncode == 2
 
     def test_cap_bounds_the_space_each_output_walks(self, capsys):
-        # a count walks C(17, 9) representatives of K9; a list all 9^9
-        # candidates
+        # a count runs 220 burning states of K9, or below them walks
+        # C(17, 9) representatives; a list walks all 9^9 candidates
         args = ("enumerate", "--family", "complete", "--n", "9",
                 "--class", "ppf")
         rc, out, err = run_main(capsys, *args, "--expected")
@@ -495,9 +498,9 @@ class TestEnumerate:
             assert (rc, out) == (2, "")
             assert err == ("error: search space of 387420489 exceeds cap "
                            "100000000\n")
-        rc, out, err = run_main(capsys, *args, "--cap", "24309")
+        rc, out, err = run_main(capsys, *args, "--cap", "219")
         assert (rc, out) == (2, "")
-        assert "search space of 24310 exceeds cap 24309" in err
+        assert "search space of 24310 exceeds cap 219" in err
 
     def test_jobs_below_one_rejected(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
@@ -540,6 +543,50 @@ class TestEnumerate:
         assert err == ("error: search space of a 5001-digit number "
                        "exceeds cap 100000000\n")
 
+    def test_count_past_printable_digits(self, capsys):
+        # W20000 counts L(40000) - 2, 8,360 digits, past the 4,300 that
+        # str() prints by default; each output writes them all
+        a, b = 2, 1
+        for _ in range(40000):
+            a, b = b, a + b
+        want = a - 2
+
+        def value(digits):
+            # int() stops at the same limit: read 1,000 digits at a time
+            head = len(digits) % 1000 or 1000
+            n = int(digits[:head])
+            for i in range(head, len(digits), 1000):
+                n = n * 10 ** 1000 + int(digits[i:i + 1000])
+            return n
+
+        args = ("enumerate", "--family", "wheel", "--n", "20000",
+                "--class", "recurrent")
+        rc, out, err = run_main(capsys, *args)
+        assert (rc, err) == (0, "")
+        head, digits = out.rstrip("\n").split("count=")
+        assert head == "wheel n=20000 recurrent: "
+        assert len(digits) == 8360 and value(digits) == want
+        rc, out, err = run_main(capsys, *args, "--output", "csv")
+        assert (rc, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        assert row[:3] == ["wheel", "n=20000", "recurrent"]
+        assert value(row[3]) == want
+        report = enumeration._make_report(FamilySpec("wheel", n=20000),
+                                          "recurrent", want, 0.0,
+                                          (want, "closed-form"))
+        (row,) = json.loads(enumeration.reports_to_json([report]),
+                            parse_int=value)
+        assert row["count"] == row["expected"] == want and row["match"]
+
+    def test_burning_work_past_the_cap_exits_2(self, capsys):
+        # K300 ppf: C(303, 3) burning states, each charged by the 39 words
+        # of its count, are past the cap, and so are the representatives
+        rc, out, err = run_main(capsys, "enumerate", "--family", "complete",
+                                "--n", "300", "--class", "ppf")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: search space of ")
+        assert err.endswith(" exceeds cap 100000000\n")
+
     @pytest.mark.parametrize("cls", ["ppf", "ppf-inc"])
     @pytest.mark.parametrize("expected", [False, True],
                              ids=["plain", "expected"])
@@ -555,10 +602,11 @@ class TestEnumerate:
         assert (rc, out) == (2, "")
         assert err.startswith("error: search space of ")
         assert "exceeds cap 100000000" in err
-        # positive control: a family under the cap is built
+        # positive control: a family under the cap is built to be listed
+        # (its count runs the burning states, with no graph)
         with pytest.raises(AssertionError, match="graph was built"):
             cli.main(["enumerate", "--family", "complete", "--n", "3",
-                      "--class", cls])
+                      "--class", cls, "--output", "list"])
 
     @pytest.mark.parametrize("output", [[], ["--output", "list"]],
                              ids=["count", "list"])
@@ -609,8 +657,10 @@ class TestEnumerateMatch:
                                         ("--output", "list")])
     @pytest.mark.parametrize("target, name", [
         (("--graph", "TRIANGLE"), "ppf on TRIANGLE"),
-        (("--family", "complete", "--n", "3", "--class", "sr-exists"),
-         "sr-exists on complete n=3"),
+        # no closed form for ppf, which sr-exists counts on a family with
+        # parts
+        (("--family", "bipartite", "--p", "2", "--q", "2", "--class",
+          "sr-exists"), "sr-exists on bipartite p=2,q=2"),
     ], ids=["graph-ppf", "family-sr-exists"])
     def test_expected_without_prediction_exits_before_the_walk(
             self, monkeypatch, capsys, triangle_file, output, target, name):

@@ -7,6 +7,7 @@ import random
 import runpy
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,9 @@ from sandpark import (
     gap_witness_from_dict,
     graph_from_dict,
     is_g_parking,
+    is_pq_parking,
     is_prime,
+    is_prime_pq,
     is_strongly_recurrent,
     iter_class,
     make_family,
@@ -38,7 +41,7 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
-from sandpark import enumeration, families, reference, sandpile
+from sandpark import burning, enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
                                   _check_space, _members, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
@@ -226,11 +229,11 @@ class TestCounting:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
         assert count_class(spec, "recurrent", jobs=8) == 125
         assert sizes == []
-        # min-recurrent walks C(23, 12) representatives; recurrent would
-        # count K12 from 455 burning states
+        # below K12's 455 burning states min-recurrent walks C(23, 12)
+        # representatives, above the cap
         with pytest.raises(SizeCapError):
             count_class(FamilySpec("complete", n=12), "min-recurrent", jobs=2,
-                        cap=1000)
+                        cap=454)
         assert sizes == []
 
     @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", None])
@@ -274,14 +277,14 @@ class TestCounting:
         for n in (1500, 3000, 10 ** 5, 10 ** 400):
             with pytest.raises(SizeCapError, match="exceeds cap 100000000"):
                 count_class(FamilySpec("complete", n=n), cls)
-        # K20 ppf-inc: about 6.9e10 representatives, above the cap
+        # K20 ppf-inc: about 6.9e10 representatives, above the cap, once
+        # the cap is also below its 1,771 burning states
         with pytest.raises(SizeCapError, match="search space of 68923264410"):
-            count_class(FamilySpec("complete", n=20), "ppf-inc")
-        # positive control on a class the walk counts: K3 recurrent counts
-        # from its burning states, with no graph
-        walked = "min-recurrent" if cls in BURNING else cls
+            count_class(FamilySpec("complete", n=20), "ppf-inc", cap=1770)
+        # positive control on the class a family's count still walks: K3
+        # counts every other class from its burning states, with no graph
         with pytest.raises(AssertionError, match="graph was built"):
-            count_class(FamilySpec("complete", n=3), walked)
+            count_class(FamilySpec("complete", n=3), "stable")
 
     def test_jobs_below_one_rejected_before_the_walk(self, monkeypatch):
         def untouchable(*args):
@@ -302,6 +305,16 @@ class TestCounting:
         spec = FamilySpec("complete", n=4)
         assert expected_count(spec, "ppf") == (27, "closed-form")
         assert expected_count(spec, "min-recurrent") is None
+        # one burning start decides both quantifiers on a family with parts
+        assert expected_count(spec, "sr-exists") == (27, "closed-form")
+        assert expected_count(FamilySpec("tripartite", p=4, q=3),
+                              "sr-exists") == (809, "closed-form")
+        assert expected_count(FamilySpec("bipartite", p=2, q=2),
+                              "sr-exists") is None
+        # but not on a wheel, whose min-recurrent count is 2^n - 2
+        w6 = FamilySpec("wheel", n=6)
+        assert expected_count(w6, "sr-exists") is None
+        assert expected_count(w6, "min-recurrent") == (62, "closed-form")
 
     def test_shifted_increasing_formulas(self):
         # adding one vertex of value 1 turns increasing parking functions
@@ -332,8 +345,15 @@ def _full_space(spec):
     return math.prod(d ** c for d, c in _degree_groups(spec))
 
 
-# the classes a family counts from its burning states, not by a walk
-BURNING = ("recurrent", "pf", "pf-inc")
+# the classes a wheel counts from its burning states, not by a walk; a
+# family with parts counts every class but stable from them
+BURNING = ("recurrent", "pf")
+
+
+def _burns(spec, cls):
+    """Whether ``count_class`` counts ``cls`` on ``spec`` from its burning
+    states at the default cap."""
+    return cls in BURNING if spec.family == "wheel" else cls != "stable"
 
 
 def _walk_count(target, cls, walk, first=None):
@@ -416,7 +436,7 @@ class TestOrbitRoute:
         else:
             want = count_class(make_family(spec), cls)
         assert count_class(spec, cls) == want
-        if cls in BURNING:       # and through the walk the route replaced
+        if _burns(spec, cls):    # and through the walk the route replaced
             assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == want
 
     @pytest.fixture()
@@ -453,7 +473,7 @@ class TestOrbitRoute:
         (FamilySpec("tripartite", p=4, q=3), "ppf", 809)])
     def test_family_counts_walk_representatives(self, prevs, spec, cls, count):
         def family(jobs):
-            if cls in BURNING:   # counted from the burning states
+            if _burns(spec, cls):    # counted from the burning states
                 return _walk_count(spec, cls, "orbits")
             return count_class(spec, cls, jobs=jobs)
 
@@ -513,7 +533,7 @@ class TestOrbitRoute:
             counts, walks = [], []
             for cls in pair:
                 fixpoints.clear()
-                if cls in BURNING:   # counted from the burning states
+                if _burns(spec, cls):    # counted from the burning states
                     counts.append(_walk_count(spec, cls,
                                               _replaced_walk(spec, cls)))
                 else:
@@ -539,13 +559,13 @@ class TestOrbitRoute:
         # parts is held to its bare graph's count
         firsts = make_family(spec).nonsink_degrees[0]
         for cls in WHEEL_CLASSES:
-            if cls in BURNING:   # counted from the burning states
+            if _burns(spec, cls):    # counted from the burning states
                 slices = [_walk_count(spec, cls, _replaced_walk(spec, cls),
                                       first) for first in range(firsts)]
             else:
-                slices = [enumeration._count_slice(
-                    (spec, cls, DEFAULT_SPACE_CAP, first))
-                    for first in range(firsts)]
+                plan = _plan(spec, cls, DEFAULT_SPACE_CAP, True)
+                slices = [enumeration._count_slice((spec, cls, plan, first))
+                          for first in range(firsts)]
             if spec.family == "wheel":
                 want = expected_count(spec, cls)
                 want = want[0] if want else count_class(spec, cls)
@@ -583,20 +603,26 @@ class TestOrbitRoute:
 
     def test_cap_bounds_the_walked_space(self, monkeypatch):
         k9 = FamilySpec("complete", n=9)
-        # 8^8 members from C(17, 9) representatives
-        assert count_class(k9, "ppf") == 8 ** 8
-        assert count_class(k9, "ppf", cap=24310) == 8 ** 8
+        # stable, which a family's count still walks: 9^9 members from
+        # C(17, 9) representatives
+        assert count_class(k9, "stable", cap=24310) == 9 ** 9
         with pytest.raises(SizeCapError, match="search space of 24310 "):
-            count_class(k9, "ppf", cap=24309)
+            count_class(k9, "stable", cap=24309)
+        # ppf counts 8^8 from 220 burning states, and below them its walk's
+        # check runs
+        assert count_class(k9, "ppf", cap=220) == 8 ** 8
+        with pytest.raises(SizeCapError, match="search space of 24310 "):
+            count_class(k9, "ppf", cap=219)
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             iter_class(k9, "ppf")
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             count_class(make_family(k9), "ppf")
-        # C(16, 8)^2 representatives
+        # C(16, 8)^2 representatives, which ppf and ppf-inc no longer walk
         k88 = FamilySpec("tripartite", p=8, q=8)
+        with pytest.raises(SizeCapError, match="search space of 165636900 "):
+            count_class(k88, "stable")
         for cls in ("ppf-inc", "ppf"):
-            with pytest.raises(SizeCapError, match="search space of 165636900 "):
-                count_class(k88, cls)
+            assert _plan(k88, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
 
     def test_small_spaces_count_without_a_pool(self, monkeypatch):
         def untouchable(method):
@@ -647,6 +673,16 @@ class TestOrbitRoute:
             expected_count(FamilySpec("complete", n=3), "recurrent")
 
 
+# the complete multipartite shapes whose full space is at most 10^5
+MULTIPARTITE = ([FamilySpec("complete", n=n) for n in range(1, 7)]
+                + [spec for spec in
+                   [FamilySpec(family, **{a: x, b: y})
+                    for family, a, b in (("tripartite", "p", "q"),
+                                         ("bipartite", "p", "q"),
+                                         ("split", "m", "n"))
+                    for x in range(1, 17) for y in range(1, 17)]
+                   if _full_space(spec) <= 10 ** 5])
+
 # every shape with parts the walks above count: the sweep, LONG_PARTS and
 # the battery's families
 ROUTE_SPECS = sorted(set(SWEEP_SPECS) | set(LONG_PARTS)
@@ -688,23 +724,24 @@ def _wheel_grains(n):
 
 
 class TestBurningRoute:
-    """``recurrent``, ``pf`` and ``pf-inc`` count a family from the states
-    of Dhar's burning, with no graph and no walk: a family with parts from
-    its unburnt vectors, a wheel from a two-state automaton along the rim.
-    The walks stay the reference."""
+    """A family counts from the states of Dhar's burning, with no graph and
+    no walk: a family with parts every class but ``stable`` from its
+    unburnt vectors, the strongly recurrent and prime classes from the
+    drain of one burning start, and a wheel ``recurrent`` and ``pf`` from a
+    two-state automaton along the rim.  The walks stay the reference."""
 
     @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=FamilySpec.label)
     def test_route_equals_the_walks(self, spec):
         g = make_family(spec) if _full_space(spec) <= 2 * 10 ** 5 else None
-        for cls in BURNING:
+        for cls in CLASSES[1:]:
             assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
             count = count_class(spec, cls)
             assert count == _walk_count(spec, cls, _replaced_walk(spec, cls))
             if g is None:
                 continue
-            if cls == "pf-inc":
+            if cls.endswith("-inc"):
                 keep = _sorted_in_parts(spec)
-                want = sum(1 for t in iter_class(g, "pf") if keep(t))
+                want = sum(1 for t in iter_class(g, cls[:-4]) if keep(t))
             else:
                 want = count_class(g, cls)
             assert count == want, cls
@@ -720,11 +757,11 @@ class TestBurningRoute:
     def test_route_counts_the_spanning_trees(self, spec, parts, walked):
         trees = make_family(spec).spanning_tree_count()
         assert trees == _tree_count(parts)
-        # the representative walk the route replaced fits the default cap
-        # only for K(1,300)
+        # the representative walk the route replaced, which stable still
+        # counts, fits the default cap only for K(1,300)
         if not walked:
             with pytest.raises(SizeCapError):
-                _plan(spec, "ppf", DEFAULT_SPACE_CAP, True)
+                _plan(spec, "stable", DEFAULT_SPACE_CAP, True)
         assert count_class(spec, "recurrent") == count_class(spec, "pf") \
             == trees
 
@@ -740,6 +777,46 @@ class TestBurningRoute:
             want = closed_form_count(families._grow_first_part(spec),
                                      "ppf-inc")
             assert count_class(spec, "pf-inc") == want, spec.label()
+
+    @pytest.mark.parametrize("spec", MULTIPARTITE, ids=FamilySpec.label)
+    def test_sr_exists_equals_sr_forall_through_the_walks(self, spec):
+        # on a complete multipartite graph the drains of any two burning
+        # starts are recurrent together (_burning_count)
+        assert _walk_count(spec, "sr-exists", "orbits") == \
+            _walk_count(spec, "sr-forall", "orbits") == \
+            count_class(spec, "sr-exists")
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 4)
+                                     for q in range(1, 4)])
+    def test_tripartite_counts_the_prime_pairs(self, p, q):
+        # the (p, q)-parking functions whose two staircases meet only at
+        # the corners (Armon et al.), read by families.is_prime_pq
+        pairs = [(a, b) for a in product(range(1, q + 2), repeat=p)
+                 for b in product(range(1, p + 2), repeat=q)
+                 if is_pq_parking(a, b)]
+        prime = [(a, b) for a, b in pairs if is_prime_pq(a, b)]
+        spec = FamilySpec("tripartite", p=p, q=q)
+        assert count_class(spec, "pf") == len(pairs)
+        for cls in ("ppf", "sr-forall", "sr-exists"):
+            assert count_class(spec, cls) == len(prime), cls
+        assert count_class(spec, "ppf-inc") == sum(
+            1 for a, b in prime if list(a) == sorted(a)
+            and list(b) == sorted(b))
+
+    def test_prime_counts_are_the_closed_forms_at_scale(self):
+        # far past the representative walks
+        assert count_class(FamilySpec("complete", n=60), "ppf") == 59 ** 59
+        for n in range(1, 41):
+            assert count_class(FamilySpec("complete", n=n), "ppf-inc") == \
+                catalan(n - 1), n
+        for spec in (FamilySpec("bipartite", p=30, q=30),
+                     FamilySpec("split", m=30, n=5),
+                     FamilySpec("split", m=5, n=30)):
+            assert count_class(spec, "ppf-inc") == \
+                closed_form_count(spec, "ppf-inc"), spec.label()
+        k2020 = FamilySpec("tripartite", p=20, q=20)
+        assert count_class(k2020, "ppf") == count_class(k2020, "sr-exists") \
+            == closed_form_count(k2020, "ppf")
 
     def test_wheel_route_equals_the_walks(self):
         for n in range(3, 14):
@@ -776,8 +853,14 @@ class TestBurningRoute:
             assert count_class(k6, cls) == 7 ** 5
             assert count_class(w10, cls, jobs=2) == 15125
         assert count_class(k6, "pf-inc") == catalan(6)
-        with pytest.raises(AssertionError, match="walk started"):
-            count_class(k6, "min-recurrent")
+        for cls in ("ppf", "sr-forall", "sr-exists"):
+            assert count_class(k6, cls, jobs=2) == 5 ** 5
+        assert count_class(k6, "ppf-inc") == catalan(5)
+        assert count_class(k6, "min-recurrent") == math.factorial(6)
+        for target, cls in ((k6, "stable"), (w10, "sr-forall"),
+                            (w10, "min-recurrent")):
+            with pytest.raises(AssertionError, match="walk started"):
+                count_class(target, cls)
 
     def test_cap_bounds_the_burning_states(self, monkeypatch):
         # K12: C(15, 3) = 455 triples; below them the walk's check runs,
@@ -804,6 +887,30 @@ class TestBurningRoute:
         assert str(exc.value) == \
             "search space of more than 2^65537 exceeds cap 100000000"
 
+    def test_work_is_charged_by_the_words_of_the_count(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_burning_count", None)
+        # K300 ppf: C(303, 3) states of one drained group, each charged by
+        # the 39 words of a 2,469-bit space, are past the cap, and so are
+        # the representatives
+        k300 = FamilySpec("complete", n=300)
+        assert _plan(k300, "ppf", 10 ** 9, True) == \
+            (math.comb(303, 3) * 39, ((300, 300),), "burning")
+        with pytest.raises(SizeCapError, match="exceeds cap 100000000$"):
+            count_class(k300, "ppf")
+        # K531 recurrent, 25,236,484 states of one word each before
+        k531 = FamilySpec("complete", n=531)
+        assert _plan(k531, "recurrent", 10 ** 10, True)[0] == \
+            math.comb(534, 3) * 76
+        with pytest.raises(SizeCapError, match="exceeds cap 100000000$"):
+            count_class(k531, "recurrent")
+        # tripartite(20, 20) drains both groups, each state charged 3 words
+        # (176 bits); bipartite(20*, 20) only its group with sink edges,
+        # and an increasing class by the 73 bits of its representatives
+        assert _plan(FamilySpec("tripartite", p=20, q=20), "ppf",
+                     DEFAULT_SPACE_CAP, True)[0] == math.comb(23, 3) ** 2 * 2 * 3
+        assert _plan(FamilySpec("bipartite", p=20, q=20), "ppf-inc",
+                     DEFAULT_SPACE_CAP, True)[0] == math.comb(23, 3) ** 2 * 1 * 2
+
     def test_rests_that_count_zero_form_no_weight(self, monkeypatch):
         # bipartite(20000*, 1): the Q-vertex burns first, and then every
         # P-vertex at once, as a P-vertex left after a round of P alone
@@ -821,11 +928,12 @@ class TestBurningRoute:
         spec = FamilySpec("bipartite", p=20000, q=1)
         assert _plan(spec, "recurrent", DEFAULT_SPACE_CAP, True)[2] != \
             "burning"
-        monkeypatch.setattr(enumeration, "math", Counted())
+        for module in (enumeration, burning):
+            monkeypatch.setattr(module, "math", Counted())
         assert count_class(spec, "recurrent", cap=10 ** 14) == 1
-        # count_class and its slice plan once each, taking two for the work
-        # bound, and one weighs each of the two rounds
-        assert combs[4:] == [(1, 1), (20000, 20000)] and len(combs) == 6
+        # count_class plans once, taking two for the work bound, and one
+        # weighs each of the two rounds
+        assert combs[2:] == [(1, 1), (20000, 20000)] and len(combs) == 4
 
 
 # Observed, not proved: the prime parking functions of bipartite K(p*, q)
@@ -897,8 +1005,8 @@ class TestLookAhead:
              "K10-recurrent", "K(5,5)-min-recurrent", "K10-sr-exists"])
     def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
                                              count, most):
-        if cls in BURNING:       # counted from the burning states
-            assert _walk_count(spec, cls, "orbits") == count
+        if _burns(spec, cls):    # counted from the burning states
+            assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == count
         else:
             assert count_class(spec, cls) == count
         assert 0 < len(fixpoints) <= most
@@ -1002,7 +1110,8 @@ class TestBlockFixpoint:
         # none is a start: 5,710 fixpoints, against 7,424 with the mates
         # undrained and 15,223 when every open start was drained (sr-forall
         # runs 3,001)
-        assert count_class(FamilySpec("complete", n=10), "sr-exists") == 9 ** 9
+        assert _walk_count(FamilySpec("complete", n=10), "sr-exists",
+                           "orbits") == 9 ** 9
         assert 0 < len(fixpoints) <= 6000
 
 
@@ -1018,6 +1127,8 @@ def test_drains_skip_the_pinned_fixpoint(fixpoints, spec, count, most):
     # K10 and the K6 listing walk representatives, W12 necklaces
     if spec.n == 6:
         assert sum(1 for _ in iter_class(spec, "ppf")) == count
+    elif _burns(spec, "ppf"):    # counted from the burning states
+        assert _walk_count(spec, "ppf", "orbits") == count
     else:
         assert count_class(spec, "ppf") == count
     assert 0 < len(fixpoints) <= most
@@ -1249,10 +1360,10 @@ class TestRunStreams:
         # fixpoints of the recurrent walk
         assert 0 < cut <= most and 2 * cut <= len(fixpoints)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 30))
     def test_min_recurrent_on_complete_graphs(self, n):
         # the acyclic orientations of K_{n+1} with the sink as unique
-        # source (Greene and Zaslavsky 1983)
+        # source (Greene and Zaslavsky 1983), from K16 on past the walk's cap
         spec = FamilySpec("complete", n=n)
         assert count_class(spec, "min-recurrent") == math.factorial(n)
         if n <= 6:
