@@ -220,10 +220,11 @@ def cmd_enumerate(args) -> int:
     if args.output == "list":
         count = 0
         members = iter_class(target, args.cls, cap=args.cap)
-        # one write per chunk of members, never the whole listing at once
+        # one write per chunk of members, never the whole listing at once,
+        # each member filling one "%d" row built per chunk
         while chunk := list(islice(members, 4096)):
-            sys.stdout.write("".join([",".join(map(str, item)) + "\n"
-                                      for item in chunk]))
+            row = ",".join(["%d"] * len(chunk[0])) + "\n"
+            sys.stdout.write("".join([row % item for item in chunk]))
             count += len(chunk)
         report = _make_report(target, args.cls, count, 0.0, expected)
         print(_count_line(report))

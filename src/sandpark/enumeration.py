@@ -30,7 +30,7 @@ target                output  walk                      cap bounds
 family, burning       count   burning states, no walk   burning work
 family, ``-inc``      any     representatives           representatives
 family with parts     count   representatives, weighed  representatives
-family with parts     list    members, by prefix keys   full space
+family with parts     list    members, by key blocks    full space
 wheel                 count   necklaces, weighed        full space
 wheel                 list    members                   full space
 bare graph            any     members                   full space
@@ -70,9 +70,11 @@ the grains one period back and weighs a run by its periods.  Every prefix
 of a necklace is a prenecklace and the prefix cuts hold for any prefix, so
 the cuts stay exact.  A family with parts is listed in two passes: its
 representative walk, without the look-ahead, records the key of every
-prefix it admits, the multiset of values each part holds, and a member
-walk then reads each position's interval off those keys and runs no
-fixpoint (``stable``, which runs none, walks the members).  The burning
+prefix it admits, the multiset of values each part holds.  What a member
+prefix admits depends only on its key, so the member prefixes are walked
+up to the last three positions, and each takes its key's block of those,
+built once per key off the recorded keys with no fixpoint (``keys``;
+``stable``, which runs none, walks the members).  The burning
 route walks no configuration: it counts the sequences of unburnt vectors
 of Dhar's burning, one entry per part, from the sink or from one drained
 burning start, or runs a two-state automaton along a wheel's rim.  So for
@@ -94,6 +96,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from multiprocessing import get_context
 from operator import mul
 from typing import Iterable, Iterator, Optional, Union
@@ -103,6 +106,7 @@ from .errors import SizeCapError, _size
 from .families import (_FAMILY_TABLE, FamilySpec, _degree_groups,
                        _grow_first_part, closed_form_count, make_family)
 from .graph import RootedMultigraph, build_graph, graph_from_dict, graph_to_dict
+from .keys import _keyed_members, _prefix_units
 from .parking import prime_decompositions
 from .sandpile import (
     Config,
@@ -246,11 +250,12 @@ def _check_space(target: Target, cls: str, cap: int,
     return _plan(target, cls, cap, counting)[0]
 
 
-def _runs(target: Target, cls: str, plan, first: Optional[int] = None):
-    """The run stream (``_search``) of the walk ``plan`` (from ``_plan``)
-    chose for ``cls`` on ``target``.  With ``first`` set, only the slice
-    holding the ``first``-th value of the first coordinate is walked; the
-    slices partition the space in order.
+def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
+          record: Optional[tuple] = None):
+    """The run stream (``_search``, given ``record``) of the walk ``plan``
+    (from ``_plan``) chose for ``cls`` on ``target``.  With ``first`` set,
+    only the slice holding the ``first``-th value of the first coordinate
+    is walked; the slices partition the space in order.
     """
     _, groups, walk = plan
     low, checks = _CLASS_WALKS[cls]
@@ -258,42 +263,24 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None):
     # each position's index in its group; a representative's prev is the
     # position before it in its part, and its rank that index from 1
     index = [i for _, c in groups for i in range(c)]
-    reps = walk in ("reps", "orbits", "keys")
+    reps = walk in ("reps", "orbits")
     prev = [t - 1 if reps and i else None for t, i in enumerate(index)]
     rank = [i + 1 for i in index] if walk == "orbits" else None
     first_values = range(low, low + groups[0][0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    if walk == "keys":
-        return _by_keys(g, low, checks, prev, _prefix_units(groups, low),
-                        first_values)
     return _search(g, low, checks, prev, first_values, walk == "necklaces",
-                   rank)
+                   rank, record)
 
 
-def _prefix_units(groups, low: int) -> list:
-    """Per position, the increment of a prefix key for each value.
-
-    The key of a prefix sums its positions' increments, one field per
-    group: a group of ``c > 1`` positions and ``d`` values has a subfield
-    per value, of ``c.bit_length()`` bits, counting the group's positions
-    that hold the value; a group of one position holds its value's index
-    plus one, so a field costs ``d.bit_length()`` bits, not ``d``.  Equal
-    keys are equal multisets of values inside every group, and keys of
-    prefixes of different lengths differ.  The positions of a group share
-    one list, indexed by value.
-    """
-    units: list = []
-    shift = 0
-    for d, c in groups:
-        if c == 1:
-            units.append([0] * low + [(i + 1) << shift for i in range(d)])
-            shift += d.bit_length()
-        else:
-            w = c.bit_length()
-            units += [[0] * low + [1 << (shift + w * i) for i in range(d)]] * c
-            shift += w * d
-    return units
+def _listing(target: Target, cls: str, plan, first: Optional[int] = None
+             ) -> Iterator[tuple[int, ...]]:
+    """The members of ``cls`` on ``target``, lexicographically: the runs
+    of the walk ``plan`` chose, expanded, or the blocks ``_by_keys`` reads
+    off the keys.  ``first`` slices as in ``_runs``."""
+    if plan[2] == "keys":
+        return chain.from_iterable(_by_keys(target, cls, plan[1], first))
+    return _members(_runs(target, cls, plan, first))
 
 
 def _members(runs) -> Iterator[tuple[int, ...]]:
@@ -599,46 +586,23 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
-def _by_keys(g: RootedMultigraph, low: int, checks: int, prev, units: list,
-             first_values: range) -> Iterator[tuple[list, int, int, int]]:
-    """The member runs of a family with parts, read off the keys
-    (``_prefix_units``) that its representative walk records (``_search``
-    with ``record``): a member prefix of key ``K`` admits ``x`` exactly
-    when ``K + unit[x]`` was recorded, so no fixpoint runs here.  The
-    representatives start from every first value even when
-    ``first_values`` is a slice, as a member's may begin with another.
+def _by_keys(target: Target, cls: str, groups, first: Optional[int]
+             ) -> Iterator[list]:
+    """The members of a family with parts, lexicographically, in lists of
+    one prefix's, read (``keys._keyed_members``) off the keys
+    (``keys._prefix_units``) its representative walk records (``_search``
+    with ``record``).  The representatives start from every first value
+    even when ``first`` is set, as a member's may begin with another.
     """
+    low = _CLASS_WALKS[cls][0]
+    units = _prefix_units(groups, low)
     seen: set = set()
-    for _ in _search(g, low, checks, prev, range(low, len(units[0])),
-                     record=(units, seen)):
+    for _ in _runs(target, cls, (None, groups, "reps"), record=(units, seen)):
         pass
-    k = len(units)
-    vals = [0] * k
-    top = [0] * k        # the last admissible value of each position
-    keys = [0] * k       # keys[t]: the key of the prefix 0..t-1
-    runs: dict = {}      # key -> the interval it admits, once found
-    t, values = 0, first_values
-    while True:
-        key = keys[t]
-        run = runs.get(key)
-        if run is None:
-            unit = units[t]
-            hits = [x for x in values if key + unit[x] in seen]
-            runs[key] = run = (hits[0], hits[-1]) if hits else (1, 0)
-        lo, hi = run
-        if t == k - 1:
-            if lo <= hi:
-                yield vals, lo, hi, hi - lo + 1
-            hi = lo - 1
-        vals[t], top[t] = lo - 1, hi
-        while vals[t] >= top[t]:
-            if t == 0:
-                return
-            t -= 1
-        vals[t] = x = vals[t] + 1
-        t += 1
-        keys[t] = keys[t - 1] + units[t - 1][x]
-        values = range(low, len(units[t]))
+    firsts = range(low, len(units[0]))
+    if first is not None:
+        firsts = firsts[first:first + 1]
+    yield from _keyed_members(units, low, seen, firsts)
 
 
 def iter_class(target: Target, cls: str, *,
@@ -649,7 +613,7 @@ def iter_class(target: Target, cls: str, *,
     is not an integer, a space above it and a target past the vertex bound
     raise at the call, before any candidate is tested.
     """
-    return _members(_runs(target, cls, _plan(target, cls, cap)))
+    return _listing(target, cls, _plan(target, cls, cap))
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from sandpark import (
 )
 from sandpark import burning, enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
-                                  _check_space, _members, _plan, _runs)
+                                  _check_space, _listing, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
 from conftest import giant_triangle, reference_iter_class, triangle
 
@@ -105,7 +105,7 @@ class TestIterClass:
                     continue
                 plan = _plan(g, cls, DEFAULT_SPACE_CAP)
                 slices = [item for first in range(g.nonsink_degrees[0])
-                          for item in _members(_runs(g, cls, plan, first))]
+                          for item in _listing(g, cls, plan, first)]
                 assert slices == list(iter_class(g, cls)), (label, cls)
 
     def test_increasing_classes_are_sorted_members(self):
@@ -146,8 +146,10 @@ class TestIterClass:
 
 
 # SHA-256 of each member stream, one "v1,v2,...\n" line per member, pinned
-# from the per-value walk that preceded the interval walk.  They hold the
-# members and their order on instances past the generate-and-test size cut.
+# from the per-value walk that preceded the interval walk, and the last two
+# from the member walk that read each position's interval off the keys.
+# They hold the members and their order on instances past the
+# generate-and-test size cut.
 PINNED_STREAMS = [
     (FamilySpec("complete", n=6), "ppf", 3125,
      "4caf7c0688e3802073c81295e9823bbd62a4bdbf4506c06a3124317b6b16c1b7"),
@@ -165,6 +167,10 @@ PINNED_STREAMS = [
      "514f538d847228131957ad3db92d83fd3bd4b04963c371435b276322800dd6c1"),
     (FamilySpec("wheel", n=8), "min-recurrent", 254,
      "bfec67027100383465edb64a3f6c9923f7f48b505ec9c129655043fca8f695b9"),
+    (FamilySpec("complete", n=7), "recurrent", 262144,
+     "e51eeaf89fee9d492913ad948b9c3e0b9456aca137a474af9d59299ba6dc0de8"),
+    (FamilySpec("tripartite", p=4, q=4), "sr-exists", 8721,
+     "45ff1d3532386f1df907b5698ec3d442550bc2840ba721b8dd1f6b0358a8dd23"),
 ]
 
 
@@ -1135,7 +1141,18 @@ def test_drains_skip_the_pinned_fixpoint(fixpoints, spec, count, most):
 
 
 LISTED = [cls for cls in CLASSES if not cls.endswith("-inc")]
-LISTING_CASES = [(spec, cls) for spec in LONG_PARTS for cls in LISTED]
+# the last three positions are listed as one block per prefix key: shapes
+# of at most three non-sink positions, and shapes whose last three cross
+# from one group into the next
+TAIL_SHAPES = ([FamilySpec("complete", n=n) for n in (1, 2, 3)]
+               + [FamilySpec("bipartite", p=1, q=1),
+                  FamilySpec("tripartite", p=1, q=1),
+                  FamilySpec("split", m=1, n=1)]
+               + [FamilySpec("bipartite", p=4, q=2),
+                  FamilySpec("tripartite", p=3, q=1),
+                  FamilySpec("split", m=2, n=1)])
+LISTING_CASES = [(spec, cls) for spec in LONG_PARTS + TAIL_SHAPES
+                 for cls in LISTED]
 
 
 class TestListingMemo:
@@ -1149,9 +1166,14 @@ class TestListingMemo:
                              ids=[f"{spec.label()}-{cls}"
                                   for spec, cls in LISTING_CASES])
     def test_family_lists_the_bare_graph_walk(self, spec, cls):
-        # the bare graph walks the members
-        assert list(iter_class(spec, cls)) == \
-            list(iter_class(make_family(spec), cls))
+        # the bare graph walks the members; the first-value slices
+        # partition the listing
+        want = list(iter_class(make_family(spec), cls))
+        assert list(iter_class(spec, cls)) == want
+        plan = _plan(spec, cls, DEFAULT_SPACE_CAP)
+        slices = [item for first in range(plan[1][0][0])
+                  for item in _listing(spec, cls, plan, first)]
+        assert slices == want
 
     @pytest.mark.parametrize("n,cls,count,most", [
         (6, "ppf", 5 ** 5, 1000), (7, "ppf", 6 ** 6, 3000),
@@ -1180,9 +1202,12 @@ class TestListingMemo:
         groups = ((4, 2), (6, 1), (4, 2))
         assert [d for d, c in groups for _ in range(c)] == \
             list(g.nonsink_degrees)
-        keyed, plain = (list(_members(_runs(g, cls, (None, groups, walk))))
+        keyed, plain = (list(_listing(g, cls, (None, groups, walk)))
                         for walk in ("keys", "members"))
         assert keyed == plain != []
+        slices = [item for first in range(groups[0][0])
+                  for item in _listing(g, cls, (None, groups, "keys"), first)]
+        assert slices == plain
 
     @pytest.mark.parametrize("spec", [FamilySpec("tripartite", p=4, q=3),
                                       FamilySpec("split", m=2, n=4)],
@@ -1194,7 +1219,7 @@ class TestListingMemo:
             plan = _plan(spec, cls, DEFAULT_SPACE_CAP)
             assert plan[2] == "keys"
             slices = [item for first in range(plan[1][0][0])
-                      for item in _members(_runs(spec, cls, plan, first))]
+                      for item in _listing(spec, cls, plan, first)]
             assert slices == list(iter_class(make_family(spec), cls)), cls
 
     def test_long_single_path_runs_no_more_fixpoints(self, fixpoints):
@@ -1381,7 +1406,7 @@ class TestRunStreams:
         want = []
         for first in range(g.nonsink_degrees[0]):
             part = reference_iter_class(g, cls, first)
-            assert list(_members(_runs(g, cls, plan, first))) == part, first
+            assert list(_listing(g, cls, plan, first)) == part, first
             want += part
         assert list(iter_class(g, cls)) == want
         assert count_class(g, cls) == len(want)
