@@ -25,8 +25,8 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     least its edges to the unburnt ones.  A parking candidate is its degree
     complement, so ``pf`` counts as ``recurrent``, ``ppf`` as ``sr-forall``
     and an increasing class as the configurations whose grains never rise
-    inside a part.  A wheel counts ``recurrent`` and ``pf``, a family with
-    parts every class but ``stable``.
+    inside a part.  ``stable`` needs no burning: every vertex takes any of
+    its d values, so a family counts prod d^c over its ``(d, c)`` groups.
 
     A wheel's rim (values 0..2, the hub the sink) holds a forbidden set
     exactly when it holds a forbidden arc, as the hub is in none and each
@@ -39,8 +39,32 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     cyclic word with a zero fixes its states and closes around the rim
     exactly when it has no forbidden arc; one without zero closes in the
     first state when it holds a 2, and in both when it is all ones, the
-    whole rim with no 2.  So W_n counts tr(T^n) - 2, and as T^2 = 3T - I,
-    tr(T^j) = 3 tr(T^(j-1)) - tr(T^(j-2)), from 2 and 3.
+    whole rim with no 2.  So W_n counts tr(T^n) - 2.
+
+    Level 0 of W_n holds one grain per rim edge, n grains on n vertices,
+    so the rim holds as many 0s as 2s.  A recurrent rim has a 2 between
+    every two cyclically consecutive zeros (and a 2 when it has no zero),
+    so it has a zero and the values that are not 1 alternate 0, 2 around
+    it.  Read the rim with two states, whether the last value that is not
+    1 was a 0: a 1 keeps either, a 2 leaves the first and a 0 the second,
+    so M = [[1, 1], [1, 1]], and a cyclic word closes exactly when it
+    alternates or is all ones, which closes in both states.  So
+    ``min-recurrent`` counts tr(M^n) - 2.  A 2x2 matrix of trace t and
+    determinant e has A^2 = tA - eI, so tr(A^j) = t tr(A^(j-1)) -
+    e tr(A^(j-2)), from 2 and t: (3, 1) for T, (2, 0) for M, whose count
+    is 2^n - 2.
+
+    A recurrent rim holds a burning start, the first vertex to burn, which
+    holds its 2 edges into the rim.  The drain of a start v is the rim cut
+    open at v: a path, v its sink at both ends, whose vertices hold c - 1
+    grains against 2 edges each.  A vertex holding 0 (-1 in the drain) is
+    a forbidden set alone; otherwise a forbidden set holds a forbidden arc,
+    two or more vertices with 1s at both ends (0 grains, one edge inside).
+    So the drain is recurrent exactly when no vertex holds 0 and at most
+    one holds 1: two 1s, with the 2s between them, form a forbidden arc.
+    That reads the whole rim, v being a 2, so every other start drains the
+    same way: ``sr-forall``, ``sr-exists`` and ``ppf`` count n + 1, all 2s
+    or exactly one 1.
 
     In a family with parts a vertex sees every non-sink vertex outside its
     part and the sink unless it shares the sink's part, so a clique group
@@ -99,10 +123,16 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     hand (``_peel``) and the loop runs on.  A Z of one vertex holds only v,
     at its one value, and drops out.
     """
-    if _FAMILY_TABLE[target.family].rotates:
-        a, b = 2, 3
-        for _ in range(groups[0][1] - 1):
-            a, b = b, 3 * b - a
+    if cls == "stable":
+        return math.prod(d ** c for d, c in groups)
+    if not _FAMILY_TABLE[target.family].parts:
+        n = groups[0][1]
+        if cls in _SEEDED:
+            return n + 1
+        t, e = (2, 0) if cls == "min-recurrent" else (3, 1)
+        a, b = 2, t
+        for _ in range(n - 1):
+            a, b = b, t * b - e * a
         return b - 2
     inc = cls.endswith("-inc")
     total = sum(c for _, c in groups)

@@ -27,33 +27,30 @@ decides:
 ====================  ======  ========================  ===============
 target                output  walk                      cap bounds
 ====================  ======  ========================  ===============
-family, burning       count   burning states, no walk   burning work
+family, any class     count   burning states, no walk   burning work
 family, ``-inc``      any     representatives           representatives
 family with parts     count   representatives, weighed  representatives
 family with parts     list    members, by key blocks    full space
-wheel                 count   necklaces, weighed        full space
-wheel                 list    members                   full space
-bare graph            any     members                   full space
+wheel, bare graph     any     members                   full space
 ====================  ======  ========================  ===============
 
-The burning classes (``burning._burning_count``) are every class but
-``stable`` on a family with parts, and ``recurrent`` and ``pf`` on a
-wheel.  Their row fits only while its work is within the cap and the
-target within the vertex bound; otherwise the next row that fits runs,
-with its checks and messages.  The class, the cap and the space are
-checked when the walk is chosen, before any graph is built, and then the
-vertex count: degree-1 vertices add nothing to the space, so a target of
-more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.  The full
-space is the product of ``d ** c`` over the ``(d, c)`` groups, the
-representatives' that of ``C(d + c - 1, c)``.  The burning work is the
+A family counts every class from its degree groups
+(``burning._burning_count``).  That row fits only while its work is within
+the cap and the target within the vertex bound; otherwise the next row
+that fits runs, with its checks and messages.  The class, the cap and the
+space are checked when the walk is chosen, before any graph is built, and
+then the vertex count: degree-1 vertices add nothing to the space, so a
+target of more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.
+The full space is the product of ``d ** c`` over the ``(d, c)`` groups,
+the representatives' that of ``C(d + c - 1, c)``.  The burning work is the
 product of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
 wheel's rim length, times the sink-adjacent groups whose drain a strongly
 recurrent or prime class runs, and times the 64-bit words of the count,
 which is at most the full space (an increasing class: the
 representatives').
 
-Both orbit rules are stated in grains, the quantity every prefix check
-reads: a configuration's values, or the degree complement of a parking
+The orbit rule is stated in grains, the quantity every prefix check reads:
+a configuration's values, or the degree complement of a parking
 candidate's, so a class and its degree-complement twin (``recurrent`` and
 ``pf``, ``sr-forall`` and ``ppf``) walk one set of orbits.  A member walk
 weighs a run by the number of its values.  A representative walk visits,
@@ -63,24 +60,18 @@ which the increasing classes list); counting weighs a run by the orbits of
 its values, and an increasing class by the number of its values.  Its
 fixpoints run over blocks of twins holding one value, hold a position's
 later part-mates at the most grains the part's order leaves them, and
-drain one burning start per block.  Rotating a wheel's rim fixes its hub
-sink, so every class is a union of rotation orbits; the necklace walk
-visits the rotation of each orbit least in grains, floors each position at
-the grains one period back and weighs a run by its periods.  Every prefix
-of a necklace is a prenecklace and the prefix cuts hold for any prefix, so
-the cuts stay exact.  A family with parts is listed in two passes: its
-representative walk, without the look-ahead, records the key of every
-prefix it admits, the multiset of values each part holds.  What a member
-prefix admits depends only on its key, so the member prefixes are walked
-up to the last three positions, and each takes its key's block of those,
-built once per key off the recorded keys with no fixpoint (``keys``;
-``stable``, which runs none, walks the members).  The burning
+drain one burning start per block.  A family with parts is listed in two
+passes: its representative walk, without the look-ahead, records the key
+of every prefix it admits, the multiset of values each part holds.  What a
+member prefix admits depends only on its key, so the member prefixes are
+walked up to the last three positions, and each takes its key's block of
+those, built once per key off the recorded keys with no fixpoint
+(``keys``; ``stable``, which runs none, walks the members).  The burning
 route walks no configuration: it counts the sequences of unburnt vectors
 of Dhar's burning, one entry per part, from the sink or from one drained
-burning start, or runs a two-state automaton along a wheel's rim.  So for
-its classes the walks, which listing, ``stable``, the wheel's other
-classes, bare graphs and work past the cap still take, are the
-reference.  Counting a
+burning start, reads a wheel's rim with two-state automata, or for
+``stable`` multiplies the degrees.  So the walks, which listing, bare
+graphs and work past the cap still take, are its reference.  Counting a
 member walk splits a large space by the first coordinate across worker
 processes; every other walk, and the burning route, runs in one process.
 The count does not depend on the worker count.
@@ -149,9 +140,6 @@ _CLASS_WALKS = {
     "ppf-inc": (1, _DRAINS),
 }
 CLASSES = tuple(_CLASS_WALKS)
-# the classes a wheel counts from its burning states (_burning_count); a
-# family with parts counts every class but stable from them
-_BURNING = ("recurrent", "pf")
 
 
 def _plan(target: Target, cls: str, cap: Optional[int],
@@ -163,21 +151,21 @@ def _plan(target: Target, cls: str, cap: Optional[int],
 
     ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` (representatives
     weighing one member each), ``"orbits"`` (representatives weighing
-    their orbits), ``"necklaces"`` or ``"burning"`` (no walk, whose space
-    is its work, charged by the words of the count).  With ``check``,
-    ``cap`` must be an integer, a space above it is refused, and then a
-    target of more than ``_VERTEX_BOUND`` non-sink vertices.  A space whose
-    logarithm puts it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is
-    refused without being computed.
+    their orbits) or ``"burning"`` (no walk, whose space is its work,
+    charged by the words of the count).  With ``check``, ``cap`` must be
+    an integer, a space above it is refused, and then a target of more
+    than ``_VERTEX_BOUND`` non-sink vertices.  A space whose logarithm
+    puts it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused
+    without being computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
     if check and (isinstance(cap, bool) or not isinstance(cap, int)):
         raise ValueError(f"cap must be an integer, got {cap!r}")
     inc = cls.endswith("-inc")
-    if isinstance(target, FamilySpec):
-        record = _FAMILY_TABLE[target.family]
-        parts, rotates = record.parts, record.rotates
+    family = isinstance(target, FamilySpec)
+    if family:
+        parts = _FAMILY_TABLE[target.family].parts
         groups = _degree_groups(target)
         if inc and not parts:
             raise ValueError(
@@ -186,26 +174,23 @@ def _plan(target: Target, cls: str, cap: Optional[int],
         raise ValueError(
             "increasing classes need a graph family with declared parts")
     else:
-        parts, rotates = (), False
+        parts = ()
         groups = tuple((d, 1) for d in target.nonsink_degrees)
     if inc or (counting and parts):
         walk = "orbits" if counting and not inc else "reps"
-    elif counting and rotates:
-        walk = "necklaces"
     elif parts and _CLASS_WALKS[cls][1] != _NONE:
         walk = "keys"
     else:
         walk = "members"
     vertices = sum(c for _, c in groups)
-    if (counting and (cls != "stable" if parts else rotates and cls in
-                      _BURNING) and vertices <= _VERTEX_BOUND):
+    if counting and family and vertices <= _VERTEX_BOUND:
         # the rim's length, or the (u, k_prev, k) triples of each part, once
         # per sink-adjacent group drained, each charged by the 64-bit words
         # of a count of at most 2^bits; past the cap or the vertex bound the
         # walk runs, with its checks
         work, bits = 1, 0.0
         for d, c in groups:
-            work *= c if rotates else math.comb(c + 3, 3)
+            work *= math.comb(c + 3, 3) if parts else c
             bits += c * math.log2(d)
         if cls in _SEEDED:
             work *= sum(d > vertices - c for d, c in groups)
@@ -269,8 +254,7 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
     first_values = range(low, low + groups[0][0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return _search(g, low, checks, prev, first_values, walk == "necklaces",
-                   rank, record)
+    return _search(g, low, checks, prev, first_values, rank, record)
 
 
 def _listing(target: Target, cls: str, plan, first: Optional[int] = None
@@ -292,8 +276,8 @@ def _members(runs) -> Iterator[tuple[int, ...]]:
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range, rim: bool = False,
-            rank: Optional[list] = None, record: Optional[tuple] = None
+            first_values: range, rank: Optional[list] = None,
+            record: Optional[tuple] = None
             ) -> Iterator[tuple[list, int, int, int]]:
     """Depth-first walk over positions in declaration order.
 
@@ -317,28 +301,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     form one interval, found once per prefix, and on the last position the
     checks are exactly the class.  The checks read grains, ``conf``: a
     parking value is their degree complement, and ``parking`` only converts
-    values to grains and back.  Both orbit rules below cut the interval of
-    grains before the fixpoints, which stop once it is empty: a
-    representative holds at most the grains of ``prev[t]``.
-
-    A necklace walk (``rim``: the positions, in order, are one orbit of a
-    rotation fixing the sink) floors ``t`` at the grains of ``t - per``
-    instead, where ``per`` is the length of the longest Lyndon prefix of
-    ``0..t-1``: as a position ``j`` takes its value, ``per`` stays if the
-    value is its floor and becomes ``j + 1`` if above, in grains; the test
-    compares values only for equality.  The walked tuples of grains are the
-    prenecklaces (Fredricksen, Kessler and Maiorana; Ruskey, Savage and
-    Wang 1992), which hold every necklace, the rotation of its orbit least
-    in grains.  Each prefix of a necklace is a prenecklace and the prefix
-    cuts hold for any prefix, so every necklace of the class is reached.
-    The period floor stays out of ``prev``: the blocks, the drain skip and
-    the keys below hold only for twins.  A last value above its floor
-    ends a Lyndon word, whose orbit has ``k`` members; the floor itself
-    ends a necklace of period ``per`` when ``per`` divides ``k``, and a
-    prenecklace that is no necklace otherwise.  So a run weighs
-    ``k * (hi - lo + 1)``, less ``k`` and plus ``per`` or 0 when it holds
-    the floor's value (its ``lo`` for a configuration class, its ``hi``
-    for a parking class).
+    values to grains and back.  The orbit rule cuts the interval of grains
+    before the fixpoints, which stop once it is empty: a representative
+    holds at most the grains of ``prev[t]``.
 
     With ``rank`` (the index of each position in its part, from 1) a
     representative weighs its orbit, prod |part|! / prod mult!, kept per
@@ -452,8 +417,6 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         # keys[t]: the key of the prefix 0..t-1, a member of seen
         units, seen = record
         keys = [0] * k
-    if rim:
-        per = [1] * k    # per[t]: the longest Lyndon prefix of 0..t-1
     if rank:
         wt = [1] * k     # wt[t]: the orbit of the prefix 0..t-1
     if exists:
@@ -465,12 +428,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         if t == k - 1:
             if lo <= hi:
                 w = hi - lo + 1
-                if rim:
-                    w *= k
-                    q = per[t]
-                    if lo <= vals[t - q] <= hi:
-                        w += (q if k % q == 0 else 0) - k
-                elif rank:
+                if rank:
                     r = wt[t] * rank[t]
                     w *= r
                     if prev[t] is not None and lo <= vals[prev[t]] <= hi:
@@ -523,18 +481,8 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             deg_in[j] += m
             back += m
         deg_in[t] = back
-        # a representative holds at most the grains of prev[t], and a
-        # necklace at least those of t - per[t] (at t = 1, reading vals[-1],
-        # both branches give 1)
-        cmin, cmax = 0, d - 1
-        if prev[t] is not None:
-            cmax = conf[prev[t]]
-        elif rim:
-            q = per[t - 1]
-            if vals[t - 1] != vals[t - 1 - q]:
-                q = t
-            per[t] = q
-            cmin = conf[t - q]
+        # a representative holds at most the grains of prev[t]
+        cmin, cmax = 0, d - 1 if prev[t] is None else conf[prev[t]]
         if twins:
             p, s, parts = part[t], sink[t], state[t]
             # the r later part-mates of t, twins holding at most cmax grains
@@ -632,11 +580,10 @@ def _count_slice(args) -> int:
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    """Members of ``cls`` on ``target``, the weights of the runs of its
-    counting walk, or for every class but ``stable`` on a family with
-    parts, and ``recurrent`` and ``pf`` on a wheel, the count from its
-    burning states (the table above).  Representatives
-    and necklaces differ widely in work between first-value slices, so
+    """Members of ``cls`` on ``target``, for a family the count from its
+    degree groups (the table above) while its work fits the cap, and
+    otherwise the weights of the runs of its counting walk.
+    Representatives differ widely in work between first-value slices, so
     they are counted in one process whatever ``jobs`` is, as is the
     burning route.  Only a member walk of at least
     ``POOL_MIN_SPACE`` candidates is split across ``jobs`` workers, and only
@@ -687,10 +634,9 @@ def expected_count(target: Target, cls: str) -> Optional[tuple[int, str]]:
     if spec is None:
         return None
     try:
-        # on a family with parts one burning start decides both quantifiers
+        # on a family one burning start decides both quantifiers
         # (_burning_count)
-        if cls in ("ppf", "sr-forall") or (
-                cls == "sr-exists" and _FAMILY_TABLE[spec.family].parts):
+        if cls in ("ppf", "sr-forall", "sr-exists"):
             return closed_form_count(spec, "ppf"), "closed-form"
         if cls in ("ppf-inc", "min-recurrent"):
             return closed_form_count(spec, cls), "closed-form"

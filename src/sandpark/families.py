@@ -119,9 +119,6 @@ class _Family:
     # one per part when the family has parts
     groups: Callable[..., tuple[tuple[int, int], ...]]
     parts: tuple[tuple[str, str], ...] = ()  # (name prefix, size parameter)
-    # the non-sink vertices, in declaration order, are one orbit of a
-    # rotation that fixes the sink
-    rotates: bool = False
     first_part: Optional[str] = None        # the deletion bijections' name
     min_n: int = 1
 
@@ -135,7 +132,7 @@ _FAMILY_TABLE = {
     "wheel": _Family(("n",), wheel_graph, "W{n}^0", {
         "ppf": lambda n: n + 1, "sr-wheel": lambda n: n + 1,
         "min-recurrent": _wheel_min_recurrent},
-        groups=lambda n: ((3, n),), rotates=True, min_n=3),
+        groups=lambda n: ((3, n),), min_n=3),
     "tripartite": _Family(("p", "q"), tripartite_graph, "K({p},{q})^0", {
         "ppf": lambda p, q: (p ** q * (q - 1) ** (p - 1) + q ** p * (p - 1) ** (q - 1)
                              - (p + q - 1) * (p - 1) ** (q - 1) * (q - 1) ** (p - 1))},
@@ -206,9 +203,8 @@ def _degree_groups(spec: FamilySpec) -> tuple[tuple[int, int], ...]:
 
 def _interchangeable(spec: FamilySpec) -> tuple[tuple[str, str], ...]:
     """The table's parts of ``spec``; wheels have none, so they are
-    rejected.  Their rim vertices are only cyclically symmetric: a wheel is
-    counted from one rim rotation per orbit (``rotates``), and has no
-    increasing classes."""
+    rejected.  Their rim vertices are only cyclically symmetric, so a
+    wheel has no increasing classes."""
     parts = _FAMILY_TABLE[spec.family].parts
     if not parts:
         raise ValueError(f"family {spec.family!r} has no interchangeable parts")

@@ -359,6 +359,14 @@ class TestEnumerate:
         assert "count=6" in out.stdout
         assert "match=true" in out.stdout
 
+    def test_wheel_sr_exists_matches_the_sr_forall_form(self, capsys):
+        # one burning start's drain decides both quantifiers on a wheel
+        rc, out, err = run_main(capsys, "enumerate", "--family", "wheel",
+                                "--n", "9", "--class", "sr-exists",
+                                "--expected")
+        assert (rc, err) == (0, "")
+        assert out == "wheel n=9 sr-exists: count=10 expected=10 match=true\n"
+
     def test_complete_prime_count(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "4",
                       "--class", "ppf", "--expected")

@@ -287,10 +287,10 @@ class TestCounting:
         # the cap is also below its 1,771 burning states
         with pytest.raises(SizeCapError, match="search space of 68923264410"):
             count_class(FamilySpec("complete", n=20), "ppf-inc", cap=1770)
-        # positive control on the class a family's count still walks: K3
-        # counts every other class from its burning states, with no graph
+        # positive control on a call that still builds the graph: K3
+        # counts every class from its degree groups, with no graph
         with pytest.raises(AssertionError, match="graph was built"):
-            count_class(FamilySpec("complete", n=3), "stable")
+            expected_count(FamilySpec("complete", n=3), "recurrent")
 
     def test_jobs_below_one_rejected_before_the_walk(self, monkeypatch):
         def untouchable(*args):
@@ -317,9 +317,9 @@ class TestCounting:
                               "sr-exists") == (809, "closed-form")
         assert expected_count(FamilySpec("bipartite", p=2, q=2),
                               "sr-exists") is None
-        # but not on a wheel, whose min-recurrent count is 2^n - 2
+        # and on a wheel, whose min-recurrent count is 2^n - 2
         w6 = FamilySpec("wheel", n=6)
-        assert expected_count(w6, "sr-exists") is None
+        assert expected_count(w6, "sr-exists") == (7, "closed-form")
         assert expected_count(w6, "min-recurrent") == (62, "closed-form")
 
     def test_shifted_increasing_formulas(self):
@@ -351,31 +351,20 @@ def _full_space(spec):
     return math.prod(d ** c for d, c in _degree_groups(spec))
 
 
-# the classes a wheel counts from its burning states, not by a walk; a
-# family with parts counts every class but stable from them
-BURNING = ("recurrent", "pf")
-
-
-def _burns(spec, cls):
-    """Whether ``count_class`` counts ``cls`` on ``spec`` from its burning
-    states at the default cap."""
-    return cls in BURNING if spec.family == "wheel" else cls != "stable"
-
-
 def _walk_count(target, cls, walk, first=None):
-    """The weights of the runs of ``walk`` ("orbits", "reps", "necklaces"
-    or "members") on ``target``: the walks stay the reference for the
-    classes that count from the burning states."""
+    """The weights of the runs of ``walk`` ("orbits", "reps" or "members")
+    on ``target``: the walks stay the reference for the counts a family
+    takes from its degree groups."""
     groups = _plan(target, cls, None, check=False)[1]
     return sum(w for _, _, _, w in _runs(target, cls, (None, groups, walk),
                                          first))
 
 
 def _replaced_walk(spec, cls):
-    """The walk that counted ``cls`` on ``spec`` before the burning route."""
+    """The walk that counts ``cls`` on ``spec`` past the burning route."""
     if cls.endswith("-inc"):
         return "reps"
-    return "necklaces" if spec.family == "wheel" else "orbits"
+    return "members" if spec.family == "wheel" else "orbits"
 
 
 # the battery's families whose full space the direct walk covers; wheels
@@ -421,6 +410,23 @@ def _tree_count(parts):
     return n ** (len(parts) - 2) * math.prod((n - m) ** (m - 1) for m in parts)
 
 
+def _wheel_brute_counts(n):
+    """Every class of W_n, from the rims in {0, 1, 2}^n that
+    ``families.wheel_recurrent``, ``wheel_strongly_recurrent`` and the n
+    grains of level 0 admit; a parking candidate counts as its degree
+    complement."""
+    stable = recurrent = strong = level = 0
+    for c in product(range(3), repeat=n):
+        stable += 1
+        if families.wheel_recurrent(c):
+            recurrent += 1
+            strong += families.wheel_strongly_recurrent(c)
+            level += sum(c) == n
+    return {"stable": stable, "recurrent": recurrent, "sr-forall": strong,
+            "sr-exists": strong, "min-recurrent": level, "pf": recurrent,
+            "ppf": strong}
+
+
 def _lucas(n):
     a, b = 2, 1
     for _ in range(n):
@@ -429,9 +435,9 @@ def _lucas(n):
 
 
 class TestOrbitRoute:
-    """Counting a family with parts walks one representative per orbit and
-    weighs it by the orbit's size; counting a wheel walks one rotation of
-    the rim per orbit, its necklace."""
+    """Counting a family with parts past the burning route walks one
+    representative per orbit and weighs it by the orbit's size; a wheel
+    walks its members."""
 
     @pytest.mark.parametrize("spec,cls", ORBIT_CASES,
                              ids=[f"{spec.label()}-{cls}"
@@ -442,8 +448,8 @@ class TestOrbitRoute:
         else:
             want = count_class(make_family(spec), cls)
         assert count_class(spec, cls) == want
-        if _burns(spec, cls):    # and through the walk the route replaced
-            assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == want
+        # and through the walk the route replaced
+        assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == want
 
     @pytest.fixture()
     def prevs(self, monkeypatch):
@@ -457,37 +463,15 @@ class TestOrbitRoute:
         monkeypatch.setattr(enumeration, "_search", spy)
         return seen
 
-    @pytest.fixture()
-    def walked(self, monkeypatch):
-        """The members of each walk's runs, in call order."""
-        seen = []
-        real = enumeration._search
-
-        def spy(*args, **options):
-            members = []
-            seen.append(members)
-            for run in real(*args, **options):
-                members += enumeration._members([run])
-                yield run
-
-        monkeypatch.setattr(enumeration, "_search", spy)
-        return seen
-
     @pytest.mark.parametrize("spec,cls,count", [
         (FamilySpec("complete", n=6), "recurrent", 16807),
         (FamilySpec("complete", n=6), "ppf", 3125),
         (FamilySpec("tripartite", p=4, q=3), "ppf", 809)])
     def test_family_counts_walk_representatives(self, prevs, spec, cls, count):
-        def family(jobs):
-            if _burns(spec, cls):    # counted from the burning states
-                return _walk_count(spec, cls, "orbits")
-            return count_class(spec, cls, jobs=jobs)
-
-        assert family(1) == count
-        assert family(2) == count
+        # the walk the burning route replaced
+        assert _walk_count(spec, cls, "orbits") == count
         assert count_class(make_family(spec), cls) == count
-        orbit, orbit_jobs, direct = prevs
-        assert orbit == orbit_jobs
+        orbit, direct = prevs
         assert orbit.count(None) == len(family_parts(spec))
         assert direct == [None] * len(direct)
         # listing walks the representatives, then reads the members off
@@ -495,30 +479,6 @@ class TestOrbitRoute:
         prevs.clear()
         assert len(list(iter_class(spec, cls))) == count
         assert prevs == [orbit]
-
-    def test_wheel_counts_walk_necklaces(self, walked, prevs, fixpoints):
-        w6 = FamilySpec("wheel", n=6)
-        members = list(iter_class(w6, "recurrent"))
-        # listing walks every member
-        assert walked == [members] and len(members) == 320
-        walked.clear()
-        assert _walk_count(w6, "recurrent", "necklaces") == 320
-        # counting walks the members that are prenecklaces, every suffix at
-        # least the prefix of its length; they hold each orbit's least
-        # rotation
-        (walk,) = walked
-        assert walk == [c for c in members
-                        if all(c[i:] >= c[:6 - i] for i in range(1, 6))]
-        assert {min(c[i:] + c[:i] for i in range(6)) for c in members} \
-            <= set(walk)
-        assert len(walk) == 71     # of 320
-        # the period floor stays out of prev, when listing and counting
-        assert prevs == [[None] * 6] * 2
-        # 10,944 fixpoints when every member is walked
-        fixpoints.clear()
-        assert _walk_count(FamilySpec("wheel", n=10), "recurrent",
-                           "necklaces") == 15125
-        assert 0 < len(fixpoints) <= 2500
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS,
                              ids=[spec.label() for spec in SWEEP_SPECS])
@@ -539,42 +499,25 @@ class TestOrbitRoute:
             counts, walks = [], []
             for cls in pair:
                 fixpoints.clear()
-                if _burns(spec, cls):    # counted from the burning states
-                    counts.append(_walk_count(spec, cls,
-                                              _replaced_walk(spec, cls)))
-                else:
-                    counts.append(count_class(spec, cls))
+                counts.append(_walk_count(spec, cls, _replaced_walk(spec, cls)))
                 walks.append(len(fixpoints))
             assert counts[0] == counts[1], pair
             assert walks[0] == walks[1] > 0, pair
-
-    def test_wheel_parking_count_walks_configuration_necklaces(self, walked):
-        w6 = FamilySpec("wheel", n=6)
-        assert _walk_count(w6, "recurrent", "necklaces") == \
-            _walk_count(w6, "pf", "necklaces") == 320
-        configs, parking = walked
-        assert len(configs) == len(parking) == 71
-        assert {tuple(3 - x for x in c) for c in configs} == set(parking)
 
     @pytest.mark.parametrize("spec", [
         pytest.param(FamilySpec("wheel", n=n), id=str(n))
         for n in (11, 12, 13)]
         + [pytest.param(spec, id=spec.label()) for spec in LONG_PARTS])
     def test_wheel_slices_sum_to_the_count(self, spec):
-        # each slice weighs its runs inside its own walk; a family with
-        # parts is held to its bare graph's count
+        # each slice weighs its runs inside its own walk, the one the
+        # burning route replaced; a family with parts is held to its bare
+        # graph's count
         firsts = make_family(spec).nonsink_degrees[0]
         for cls in WHEEL_CLASSES:
-            if _burns(spec, cls):    # counted from the burning states
-                slices = [_walk_count(spec, cls, _replaced_walk(spec, cls),
-                                      first) for first in range(firsts)]
-            else:
-                plan = _plan(spec, cls, DEFAULT_SPACE_CAP, True)
-                slices = [enumeration._count_slice((spec, cls, plan, first))
-                          for first in range(firsts)]
+            slices = [_walk_count(spec, cls, _replaced_walk(spec, cls), first)
+                      for first in range(firsts)]
             if spec.family == "wheel":
-                want = expected_count(spec, cls)
-                want = want[0] if want else count_class(spec, cls)
+                want = expected_count(spec, cls)[0]
             else:
                 want = count_class(make_family(spec), cls)
             assert sum(slices) == want, (spec, cls)
@@ -609,24 +552,25 @@ class TestOrbitRoute:
 
     def test_cap_bounds_the_walked_space(self, monkeypatch):
         k9 = FamilySpec("complete", n=9)
-        # stable, which a family's count still walks: 9^9 members from
-        # C(17, 9) representatives
-        assert count_class(k9, "stable", cap=24310) == 9 ** 9
-        with pytest.raises(SizeCapError, match="search space of 24310 "):
-            count_class(k9, "stable", cap=24309)
-        # ppf counts 8^8 from 220 burning states, and below them its walk's
-        # check runs
-        assert count_class(k9, "ppf", cap=220) == 8 ** 8
-        with pytest.raises(SizeCapError, match="search space of 24310 "):
-            count_class(k9, "ppf", cap=219)
+        # stable's walk counts 9^9 members from C(17, 9) representatives
+        assert _walk_count(k9, "stable", "orbits") == 9 ** 9
+        # stable and ppf count from 220 burning states, and below them the
+        # walk's check runs
+        for cls, count in (("stable", 9 ** 9), ("ppf", 8 ** 8)):
+            assert count_class(k9, cls, cap=220) == count
+            with pytest.raises(SizeCapError, match="search space of 24310 "):
+                count_class(k9, cls, cap=219)
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             iter_class(k9, "ppf")
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             count_class(make_family(k9), "ppf")
-        # C(16, 8)^2 representatives, which ppf and ppf-inc no longer walk
+        # C(16, 8)^2 representatives, which stable, ppf and ppf-inc no
+        # longer walk; below stable's C(11, 3)^2 burning states the walk's
+        # check runs
         k88 = FamilySpec("tripartite", p=8, q=8)
+        assert count_class(k88, "stable") == 9 ** 16
         with pytest.raises(SizeCapError, match="search space of 165636900 "):
-            count_class(k88, "stable")
+            count_class(k88, "stable", cap=math.comb(11, 3) ** 2 - 1)
         for cls in ("ppf-inc", "ppf"):
             assert _plan(k88, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
 
@@ -662,8 +606,8 @@ class TestOrbitRoute:
         for target in (w13, make_family(w13)):
             assert count_class(target, "sr-forall", jobs=2) == \
                 count_class(target, "sr-forall") == 14
-        # only the bare graph's walk visits every member; the family's
-        # necklace walk runs in one process
+        # only the bare graph's walk visits every member; the family counts
+        # from its degree groups
         assert forks == ["fork"]
 
     def test_expected_stable_builds_no_graph(self, monkeypatch):
@@ -730,16 +674,16 @@ def _wheel_grains(n):
 
 
 class TestBurningRoute:
-    """A family counts from the states of Dhar's burning, with no graph and
-    no walk: a family with parts every class but ``stable`` from its
-    unburnt vectors, the strongly recurrent and prime classes from the
-    drain of one burning start, and a wheel ``recurrent`` and ``pf`` from a
-    two-state automaton along the rim.  The walks stay the reference."""
+    """A family counts every class from its degree groups, with no graph
+    and no walk: ``stable`` as their product, a family with parts every
+    other class from its unburnt vectors, the strongly recurrent and prime
+    classes from the drain of one burning start, and a wheel from
+    two-state automata along the rim.  The walks stay the reference."""
 
     @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=FamilySpec.label)
     def test_route_equals_the_walks(self, spec):
         g = make_family(spec) if _full_space(spec) <= 2 * 10 ** 5 else None
-        for cls in CLASSES[1:]:
+        for cls in CLASSES:
             assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
             count = count_class(spec, cls)
             assert count == _walk_count(spec, cls, _replaced_walk(spec, cls))
@@ -763,11 +707,9 @@ class TestBurningRoute:
     def test_route_counts_the_spanning_trees(self, spec, parts, walked):
         trees = make_family(spec).spanning_tree_count()
         assert trees == _tree_count(parts)
-        # the representative walk the route replaced, which stable still
-        # counts, fits the default cap only for K(1,300)
-        if not walked:
-            with pytest.raises(SizeCapError):
-                _plan(spec, "stable", DEFAULT_SPACE_CAP, True)
+        # the representative walk the route replaced fits the default cap
+        # only for K(1,300)
+        assert (_walked_space(spec, True) <= DEFAULT_SPACE_CAP) == walked
         assert count_class(spec, "recurrent") == count_class(spec, "pf") \
             == trees
 
@@ -827,16 +769,27 @@ class TestBurningRoute:
     def test_wheel_route_equals_the_walks(self):
         for n in range(3, 14):
             w = FamilySpec("wheel", n=n)
-            for cls in ("recurrent", "pf"):
+            brute = _wheel_brute_counts(n)
+            for cls in WHEEL_CLASSES:
                 assert _plan(w, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
                 assert count_class(w, cls) == \
-                    _walk_count(w, cls, "necklaces") == \
-                    _walk_count(w, cls, "members"), (n, cls)
+                    _walk_count(w, cls, "members") == brute[cls], (n, cls)
 
     def test_wheel_route_counts_lucas_numbers(self):
         for n in range(3, 301):
             assert count_class(FamilySpec("wheel", n=n), "recurrent") == \
                 _lucas(2 * n) - 2, n
+
+    def test_wheel_route_counts_the_closed_forms(self):
+        # far past the member walk
+        for n in range(14, 301):
+            w = FamilySpec("wheel", n=n)
+            want = {"stable": 3 ** n, "recurrent": _lucas(2 * n) - 2,
+                    "sr-forall": n + 1, "sr-exists": n + 1,
+                    "min-recurrent": 2 ** n - 2, "pf": _lucas(2 * n) - 2,
+                    "ppf": n + 1}
+            assert {cls: count_class(w, cls) for cls in WHEEL_CLASSES} \
+                == want, n
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_wheel_automaton_grades_the_member_walk(self, n):
@@ -855,18 +808,19 @@ class TestBurningRoute:
         monkeypatch.setattr(families, "build_graph", untouchable)
         monkeypatch.setattr(enumeration, "_search", untouchable)
         k6, w10 = FamilySpec("complete", n=6), FamilySpec("wheel", n=10)
+        assert count_class(k6, "stable") == 6 ** 6
         for cls in ("recurrent", "pf"):
             assert count_class(k6, cls) == 7 ** 5
-            assert count_class(w10, cls, jobs=2) == 15125
         assert count_class(k6, "pf-inc") == catalan(6)
         for cls in ("ppf", "sr-forall", "sr-exists"):
             assert count_class(k6, cls, jobs=2) == 5 ** 5
         assert count_class(k6, "ppf-inc") == catalan(5)
         assert count_class(k6, "min-recurrent") == math.factorial(6)
-        for target, cls in ((k6, "stable"), (w10, "sr-forall"),
-                            (w10, "min-recurrent")):
-            with pytest.raises(AssertionError, match="walk started"):
-                count_class(target, cls)
+        wheel = {"stable": 3 ** 10, "recurrent": 15125, "sr-forall": 11,
+                 "sr-exists": 11, "min-recurrent": 2 ** 10 - 2, "pf": 15125,
+                 "ppf": 11}
+        assert {cls: count_class(w10, cls, jobs=2)
+                for cls in WHEEL_CLASSES} == wheel
 
     def test_cap_bounds_the_burning_states(self, monkeypatch):
         # K12: C(15, 3) = 455 triples; below them the walk's check runs,
@@ -1011,10 +965,8 @@ class TestLookAhead:
              "K10-recurrent", "K(5,5)-min-recurrent", "K10-sr-exists"])
     def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
                                              count, most):
-        if _burns(spec, cls):    # counted from the burning states
-            assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == count
-        else:
-            assert count_class(spec, cls) == count
+        # the walk the burning route replaced
+        assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == count
         assert 0 < len(fixpoints) <= most
 
     @pytest.mark.parametrize("cls,most", [("pf", 2001), ("ppf", 4002)])
@@ -1123,20 +1075,18 @@ class TestBlockFixpoint:
 
 # once a burning start is assigned, its drain bounds t at least as high as
 # the pinned fixpoint, which is skipped; with it these ran 5,683, 607 and
-# 170 fixpoints, against 3,001, 517 and 140 (the K6 listing, which walked
+# 598 fixpoints, against 3,001, 517 and 513 (the K6 listing, which walked
 # the members, now walks the representatives in 226)
 @pytest.mark.parametrize("spec,count,most", [
     (FamilySpec("complete", n=10), 9 ** 9, 3200),
     (FamilySpec("complete", n=6), 5 ** 5, 550),
-    (FamilySpec("wheel", n=12), 13, 150)], ids=["K10", "K6-listing", "W12"])
+    (FamilySpec("wheel", n=12), 13, 550)], ids=["K10", "K6-listing", "W12"])
 def test_drains_skip_the_pinned_fixpoint(fixpoints, spec, count, most):
-    # K10 and the K6 listing walk representatives, W12 necklaces
+    # K10 and the K6 listing walk representatives, W12 its members
     if spec.n == 6:
         assert sum(1 for _ in iter_class(spec, "ppf")) == count
-    elif _burns(spec, "ppf"):    # counted from the burning states
-        assert _walk_count(spec, "ppf", "orbits") == count
-    else:
-        assert count_class(spec, "ppf") == count
+    else:    # the walk the burning route replaced
+        assert _walk_count(spec, "ppf", _replaced_walk(spec, "ppf")) == count
     assert 0 < len(fixpoints) <= most
 
 
@@ -1241,15 +1191,22 @@ class TestListingMemo:
                     for v in units[-1][1:]}) == 20001
 
 
+def _walked_space(spec, counting):
+    """The space ``stable``'s walk visits on ``spec``: counting a family
+    with parts walks its representatives, and the rest walk every tuple."""
+    reps = counting and families._FAMILY_TABLE[spec.family].parts
+    return math.prod(math.comb(d + c - 1, c) if reps else d ** c
+                     for d, c in _degree_groups(spec))
+
+
 # the battery's families and the LONG_PARTS shapes, each walked listing
-# and counting when the planned space is at most 10^6 (K8-K10 and
-# K(5,5)^0 listing and W13 either way plan more)
+# and counting when the walked space is at most 10^6 (K8-K10 and
+# K(5,5)^0 listing and W13 either way walk more)
 PLAN_SPECS = sorted({spec for spec, _ in default_suite()} | set(LONG_PARTS),
                     key=FamilySpec.label)
 PLAN_CASES = [(spec, counting) for spec in PLAN_SPECS
               for counting in (False, True)
-              if _plan(spec, "stable", None, counting,
-                       check=False)[0] <= 10 ** 6]
+              if _walked_space(spec, counting) <= 10 ** 6]
 
 
 class TestPlan:
@@ -1259,19 +1216,24 @@ class TestPlan:
     @pytest.mark.parametrize("spec,counting", PLAN_CASES,
                              ids=[f"{spec.label()}-{'count' if c else 'list'}"
                                   for spec, c in PLAN_CASES])
-    def test_space_is_the_tuples_stable_walks(self, spec, counting):
+    def test_space_is_the_tuples_stable_walks(self, monkeypatch, spec,
+                                              counting):
         plan = space, groups, walk = _plan(spec, "stable", DEFAULT_SPACE_CAP,
                                            counting)
         assert groups == _degree_groups(spec)
+        if counting:
+            # counted from the degrees; past the vertex bound, as past the
+            # burning work, the walk the route replaced runs
+            assert walk == "burning"
+            assert count_class(spec, "stable") == _full_space(spec)
+            monkeypatch.setattr(enumeration, "_VERTEX_BOUND", 0)
+            plan = space, groups, walk = _plan(spec, "stable", None, True,
+                                               check=False)
         walked = sum(hi - lo + 1 for _, lo, hi, _ in _runs(spec, "stable",
                                                            plan))
-        if not counting:
-            assert (walk, walked) == ("members", space)
-        elif spec.family == "wheel":
-            # the prenecklaces, fewer than the full space the cap bounds
-            assert walk == "necklaces" and 0 < walked <= space
-        else:
-            assert (walk, walked) == ("orbits", space)
+        want = _replaced_walk(spec, "stable") if counting else "members"
+        assert (walk, walked) == (want, space) and \
+            space == _walked_space(spec, counting)
 
     @pytest.mark.parametrize(
         "spec", [s for s in PLAN_SPECS if families._FAMILY_TABLE[s.family].parts],
@@ -1377,10 +1339,10 @@ class TestRunStreams:
     def test_prefix_cuts_bound_the_fixpoints(self, fixpoints, cls, count,
                                              most):
         w10 = FamilySpec("wheel", n=10)
-        assert count_class(w10, cls) == count
+        assert _walk_count(w10, cls, "members") == count
         cut = len(fixpoints)
         fixpoints.clear()
-        assert _walk_count(w10, "recurrent", "necklaces") == 15125
+        assert _walk_count(w10, "recurrent", "members") == 15125
         # no run is visited that the prefix rules out: at most half the
         # fixpoints of the recurrent walk
         assert 0 < cut <= most and 2 * cut <= len(fixpoints)
