@@ -7,22 +7,22 @@ domain).
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
-from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import SandparkError, SizeCapError
 from .enumeration import (
     CLASSES,
     DEFAULT_SPACE_CAP,
-    _check_space,
     _decimal,
     _make_report,
+    _pairs,
+    _plan,
     count_class,
     expected_count,
-    iter_class,
     reports_to_csv,
 )
 from .families import (
@@ -186,18 +186,61 @@ def _count_line(report) -> str:
     return line
 
 
-def _listing_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` for a payload whose last key,
-    ``elements``, lists integer tuples of one length.  With ``indent``
-    CPython encodes in pure Python, so only the header goes through
-    ``json``, and each element fills one ``%d`` row built once."""
-    elements = payload["elements"]
-    head = json.dumps({**payload, "elements": []}, indent=2)
-    if not elements:
+# (row opening, value separator, row close, row separator) of a listing's
+# text: a row per line, or the rows of ``json.dumps(..., indent=2)``
+_LIST = ("", ",", "\n", "")
+_JSON = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
+# rows per write of a list
+_CHUNK = 4096
+
+
+def _render(fmt):
+    """The texts of a block's rows in the format ``fmt``: each row's
+    values, separated, then the row close."""
+    _, sep, close, _ = fmt
+    return lambda rows: [sep.join(map(str, row)) + close for row in rows]
+
+
+def _chunks(pairs, fmt) -> Iterator[tuple[int, str]]:
+    """The text of a listing's ``(prefix, texts)`` pairs (``_pairs`` with
+    ``_render(fmt)``) in the format ``fmt``, as ``(rows, text)`` chunks of
+    ``_CHUNK`` rows, the last of fewer; the row separator joins the chunks.
+
+    Each prefix renders its text once, and its rows are that text followed
+    by each of its texts, joined in one call.  A block is split where a
+    chunk ends, and an empty block writes nothing.
+    """
+    opening, sep, close, rowsep = fmt
+    pieces: list = []
+    room = _CHUNK
+    for prefix, texts in pairs:
+        if not texts:
+            continue
+        # an empty suffix renders as the row close alone, and takes no
+        # separator after the prefix
+        head = (opening + sep.join(map(str, prefix))
+                + (sep if prefix and texts[0] != close else ""))
+        glue = rowsep + head
+        while len(texts) >= room:
+            pieces.append(head + glue.join(texts[:room]))
+            yield _CHUNK, rowsep.join(pieces)
+            pieces, texts, room = [], texts[room:], _CHUNK
+        if texts:
+            pieces.append(head + glue.join(texts))
+            room -= len(texts)
+    if pieces:
+        yield _CHUNK - room, rowsep.join(pieces)
+
+
+def _listing_json(payload: dict, texts: list) -> str:
+    """``json.dumps(payload, indent=2)`` with its last key, ``elements``,
+    an empty list, filled with the rows of ``texts``, the chunks' texts of
+    ``_chunks`` in ``_JSON``.  With ``indent`` CPython encodes in pure
+    Python, so only the header goes through ``json``."""
+    head = json.dumps(payload, indent=2)
+    if not texts:
         return head
-    row = "    [\n      " + ",\n      ".join(["%d"] * len(elements[0])) \
-        + "\n    ]"
-    body = ",\n".join([row % e for e in elements])
+    body = _JSON[3].join(texts)
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
 
 
@@ -210,34 +253,35 @@ def cmd_enumerate(args) -> int:
     target = spec if spec is not None else load_graph(args.graph)
     # the walk its output runs (the table in enumeration) is checked before
     # expected_count builds a family's graph
-    listing = args.output in ("list", "json")
-    _check_space(target, args.cls, args.cap, not listing)
+    fmt = {"list": _LIST, "json": _JSON}.get(args.output)
+    plan = _plan(target, args.cls, args.cap, fmt is None)
     expected = expected_count(target, args.cls) if args.expected else None
     if args.expected and expected is None:
         name = f"{spec.family} {spec.params()}" if spec else args.graph
         raise ValueError(f"no exact prediction for class {args.cls} on {name}")
 
+    if fmt is not None:
+        # one serial walk gives both the rows and the count; the output
+        # carries no timing
+        chunks = _chunks(_pairs(target, args.cls, plan, render=_render(fmt)),
+                         fmt)
     if args.output == "list":
         count = 0
-        members = iter_class(target, args.cls, cap=args.cap)
-        # one write per chunk of members, never the whole listing at once,
-        # each member filling one "%d" row built per chunk
-        while chunk := list(islice(members, 4096)):
-            row = ",".join(["%d"] * len(chunk[0])) + "\n"
-            sys.stdout.write("".join([row % item for item in chunk]))
-            count += len(chunk)
+        # one write per chunk, never the whole listing at once
+        for rows, text in chunks:
+            sys.stdout.write(text)
+            count += rows
         report = _make_report(target, args.cls, count, 0.0, expected)
         print(_count_line(report))
     elif args.output == "json":
-        elements = list(iter_class(target, args.cls, cap=args.cap))
-        # one serial walk gives both the elements and the count; the
-        # payload carries no timing
-        report = _make_report(target, args.cls, len(elements), 0.0, expected)
+        chunks = list(chunks)
+        report = _make_report(target, args.cls,
+                              sum(rows for rows, _ in chunks), 0.0, expected)
         payload = {"family": report.family, "params": report.params,
                    "class": report.cls, "count": report.count,
                    "expected": report.expected, "match": report.match,
-                   "elements": elements}
-        print(_listing_json(payload))
+                   "elements": []}
+        print(_listing_json(payload, [text for _, text in chunks]))
     else:
         start = time.perf_counter()
         count = count_class(target, args.cls, jobs=args.jobs, cap=args.cap)
@@ -374,7 +418,10 @@ def cmd_paths(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by every caller."""
     parser = argparse.ArgumentParser(
         prog="sandpark",
         description="Sandpile recurrence and parking functions on rooted "
@@ -390,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="forall")
     check.add_argument("--oracle", choices=list(dict.fromkeys(
         oracle for routes in _ROUTES.values() for oracle in routes)))
-    check.set_defaults(func=cmd_check)
 
     enum = sub.add_parser("enumerate", help="list or count a class")
     enum.add_argument("--family", choices=FAMILIES)
@@ -406,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--jobs", type=int, default=1)
     enum.add_argument("--cap", type=int, default=DEFAULT_SPACE_CAP,
                       help="maximum candidate-space size")
-    enum.set_defaults(func=cmd_enumerate)
 
     dec = sub.add_parser("decompose",
                          help="split a parking function into prime blocks")
@@ -414,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--pf", required=True, help="parking JSON file")
     dec.add_argument("--all", action="store_true",
                      help="print every ordered prime decomposition")
-    dec.set_defaults(func=cmd_decompose)
 
     sim = sub.add_parser("simulate", help="run the grain-dropping chain")
     sim.add_argument("--graph", required=True)
@@ -424,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--start",
                      help="stable start configuration (default all zeros)")
     sim.add_argument("--trace", help="write the step trace to this CSV file")
-    sim.set_defaults(func=cmd_simulate)
 
     paths = sub.add_parser("paths", help="lattice-path encodings")
     paths.add_argument("--pf", help="comma-separated parking function")
@@ -434,16 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="semicolon-separated pair of lattice vectors, "
                             "e.g. '0,0,2,2,3;0,0,1,2'")
     paths.add_argument("--svg", help="write the path(s) as an SVG file")
-    paths.set_defaults(func=cmd_paths)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, not bound into the shared parser
+        return globals()[f"cmd_{args.command}"](args)
     except (SandparkError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -14,8 +14,9 @@ forbidden-set fixpoint per check turns the prefix into the interval of
 values the position may take; ``min-recurrent`` first clips it to the
 grains level 0 leaves.  The last position is not listed: the walk yields
 ``(prefix, lo, hi, w)`` runs, where ``w`` is the number of members the run
-stands for, so counting adds up the weights, listing expands the runs, and
-no member is tested on its own.
+stands for, so counting adds up the weights, listing reads each run as its
+prefix and the rows ``lo..hi`` (``_pairs``), and no member is tested on its
+own.
 
 Which walk runs is decided once (``_plan``), from the target's non-sink
 degree groups: a family's, one ``(degree, count)`` group per part (or for
@@ -47,7 +48,8 @@ product of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
 wheel's rim length, times the sink-adjacent groups whose drain a strongly
 recurrent or prime class runs, and times the 64-bit words of the count,
 which is at most the full space (an increasing class: the
-representatives').
+representatives'); ``stable``, whose count is the full space, is charged
+its words alone.
 
 The orbit rule is stated in grains, the quantity every prefix check reads:
 a configuration's values, or the degree complement of a parking
@@ -87,7 +89,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain
 from multiprocessing import get_context
 from operator import mul
 from typing import Iterable, Iterator, Optional, Union
@@ -117,6 +118,8 @@ _EXACT_SPACE_BITS = 1 << 16
 POOL_MIN_SPACE = 600_000
 # the most non-sink vertices a walk's target may have
 _VERTEX_BOUND = 100_000
+# the most rows of a run that one listed pair holds
+_RUN_ROWS = 4096
 
 Target = Union[RootedMultigraph, FamilySpec]
 
@@ -186,11 +189,13 @@ def _plan(target: Target, cls: str, cap: Optional[int],
     if counting and family and vertices <= _VERTEX_BOUND:
         # the rim's length, or the (u, k_prev, k) triples of each part, once
         # per sink-adjacent group drained, each charged by the 64-bit words
-        # of a count of at most 2^bits; past the cap or the vertex bound the
+        # of a count of at most 2^bits; stable multiplies the degrees, so it
+        # is charged only the words; past the cap or the vertex bound the
         # walk runs, with its checks
         work, bits = 1, 0.0
         for d, c in groups:
-            work *= math.comb(c + 3, 3) if parts else c
+            if cls != "stable":
+                work *= math.comb(c + 3, 3) if parts else c
             bits += c * math.log2(d)
         if cls in _SEEDED:
             work *= sum(d > vertices - c for d, c in groups)
@@ -229,12 +234,6 @@ def _space_bits(groups, reps: bool) -> float:
         return math.inf
 
 
-def _check_space(target: Target, cls: str, cap: int,
-                 counting: bool = False) -> int:
-    """The space of the walk ``_plan`` chooses, checked as there."""
-    return _plan(target, cls, cap, counting)[0]
-
-
 def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
           record: Optional[tuple] = None):
     """The run stream (``_search``, given ``record``) of the walk ``plan``
@@ -257,22 +256,37 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
     return _search(g, low, checks, prev, first_values, rank, record)
 
 
+def _pairs(target: Target, cls: str, plan, first: Optional[int] = None,
+           render=None) -> Iterator[tuple[tuple, list]]:
+    """The members of ``cls`` on ``target``, lexicographically, as
+    ``(prefix, rows)`` pairs: each member is a prefix followed by one of
+    its rows, the tuples ``_by_keys`` reads off the prefix's key or the
+    last values ``lo..hi`` of a run of the walk ``plan`` chose (``_members``).
+    With ``render``, a function of a list of rows, a pair carries
+    ``render(rows)`` instead, called once per key or per pair of a run.
+    ``first`` slices as in ``_runs``."""
+    if plan[2] == "keys":
+        return _by_keys(target, cls, plan[1], first, render)
+    return _members(_runs(target, cls, plan, first), render)
+
+
 def _listing(target: Target, cls: str, plan, first: Optional[int] = None
              ) -> Iterator[tuple[int, ...]]:
-    """The members of ``cls`` on ``target``, lexicographically: the runs
-    of the walk ``plan`` chose, expanded, or the blocks ``_by_keys`` reads
-    off the keys.  ``first`` slices as in ``_runs``."""
-    if plan[2] == "keys":
-        return chain.from_iterable(_by_keys(target, cls, plan[1], first))
-    return _members(_runs(target, cls, plan, first))
+    """The members of ``cls`` on ``target``, lexicographically: the pairs
+    of ``_pairs``, expanded."""
+    return (prefix + row for prefix, rows in _pairs(target, cls, plan, first)
+            for row in rows)
 
 
-def _members(runs) -> Iterator[tuple[int, ...]]:
-    """Expand ``(prefix, lo, hi, w)`` runs into members, lexicographically."""
+def _members(runs, render=None) -> Iterator[tuple[tuple, list]]:
+    """Each ``(prefix, lo, hi, w)`` run as its prefix and the rows
+    ``(lo,)`` to ``(hi,)``, or ``render`` of them, ``_RUN_ROWS`` at most
+    to a pair, so that a run of any length streams."""
     for vals, lo, hi, _ in runs:
         prefix = tuple(vals[:-1])
-        for x in range(lo, hi + 1):
-            yield prefix + (x,)
+        for start in range(lo, hi + 1, _RUN_ROWS):
+            rows = [(x,) for x in range(start, min(start + _RUN_ROWS, hi + 1))]
+            yield prefix, rows if render is None else render(rows)
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
@@ -534,13 +548,14 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
-def _by_keys(target: Target, cls: str, groups, first: Optional[int]
-             ) -> Iterator[list]:
-    """The members of a family with parts, lexicographically, in lists of
-    one prefix's, read (``keys._keyed_members``) off the keys
-    (``keys._prefix_units``) its representative walk records (``_search``
-    with ``record``).  The representatives start from every first value
-    even when ``first`` is set, as a member's may begin with another.
+def _by_keys(target: Target, cls: str, groups, first: Optional[int],
+             render=None) -> Iterator[tuple[tuple, list]]:
+    """The members of a family with parts, lexicographically, as the
+    ``(prefix, block)`` pairs (or with ``render`` its blocks rendered)
+    that ``keys._keyed_members`` reads off the keys (``keys._prefix_units``)
+    its representative walk records (``_search`` with ``record``).  The
+    representatives start from every first value even when ``first`` is
+    set, as a member's may begin with another.
     """
     low = _CLASS_WALKS[cls][0]
     units = _prefix_units(groups, low)
@@ -550,7 +565,7 @@ def _by_keys(target: Target, cls: str, groups, first: Optional[int]
     firsts = range(low, len(units[0]))
     if first is not None:
         firsts = firsts[first:first + 1]
-    yield from _keyed_members(units, low, seen, firsts)
+    yield from _keyed_members(units, low, seen, firsts, render)
 
 
 def iter_class(target: Target, cls: str, *,

@@ -6,6 +6,11 @@ multiset of values each part holds.  A member prefix passes every check
 exactly when the representative with its key does (``enumeration._search``),
 so what it admits depends only on its key, and the second pass reads the
 members off the recorded keys with no fixpoint.
+
+The second pass keeps each block it builds in a memo dropped with its
+generator; a listing written as text keeps a block of the first tail
+position only as rendered, once.  So beside the recorded keys a listing
+holds at most one block or rendered block per key, whatever its length.
 """
 
 from __future__ import annotations
@@ -41,20 +46,23 @@ def _prefix_units(groups, low: int) -> list:
     return units
 
 
-def _keyed_members(units: list, low: int, seen: set, firsts: range
-                   ) -> Iterator[list]:
+def _keyed_members(units: list, low: int, seen: set, firsts: range,
+                   render=None) -> Iterator[tuple[tuple, list]]:
     """The members all of whose prefix keys are in ``seen``, from the
-    first values ``firsts``, lexicographically, in lists of one prefix's:
-    a member prefix of key ``K`` admits ``x`` exactly when
+    first values ``firsts``, lexicographically, as ``(prefix, block)``
+    pairs: a member prefix of key ``K`` admits ``x`` exactly when
     ``K + unit[x]`` is in ``seen``.
 
     The first position and those before the last ``_TAIL`` are walked one
     by one, and each prefix takes the block of its key (``_block``), built
-    once.  The memo holds at most one block per recorded key and dies with
-    the generator; each tuple of a block ends a member.
+    once: the tuples of the later positions that end a member after it.
+    With ``render``, a function of a block, each prefix takes instead
+    ``render`` of its key's block, called once per key, and the block
+    itself is not kept.  A block may be empty.
     """
     head = max(len(units) - _TAIL, 1)    # the positions walked one by one
     blocks: dict = {}    # key -> its block, once built
+    texts: dict = {}     # key -> render of its block, once rendered
     vals = [0] * head
     keys = [0] * head    # keys[t]: the key of the prefix 0..t-1
     # options[t]: the admitted values position t has still to take, set
@@ -75,11 +83,19 @@ def _keyed_members(units: list, low: int, seen: set, firsts: range
             keys[t], unit = key, units[t]
             options[t] = iter([y for y in range(low, len(unit))
                                if key + unit[y] in seen])
+            continue
+        if render is None:
+            block = blocks[key] if key in blocks else _block(
+                blocks, units, low, seen, head, key)
+        elif key in texts:
+            block = texts[key]
         else:
-            prefix = tuple(vals)
-            yield [prefix + s for s in (blocks[key] if key in blocks else
-                                        _block(blocks, units, low, seen,
-                                               head, key))]
+            # no other block reads a block of the first tail position, so
+            # only its rendering is kept (a one-position family keeps none)
+            block = texts[key] = render(_block(blocks, units, low, seen,
+                                               head, key))
+            blocks.pop(key, None)
+        yield tuple(vals), block
 
 
 def _block(blocks: dict, units: list, low: int, seen: set, t: int, key: int

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sandpark import (FamilySpec, cli, complete_graph, enumeration, families,
-                      sandpile, save_graph)
+from sandpark import (FamilySpec, build_graph, cli, complete_graph,
+                      enumeration, families, make_family, sandpile, save_graph)
 from conftest import giant_triangle, grid_with_sink_border
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -351,6 +352,19 @@ class TestCheckRoutes:
         assert err.startswith("error: mu document must be")
 
 
+# a small instance of every family of the battery, listed as the family and
+# as its bare graph, one of a single position whose prefix is the whole
+# member, and two more wheels
+LISTED_SPECS = [FamilySpec("complete", n=5), FamilySpec("wheel", n=6),
+                FamilySpec("tripartite", p=2, q=3),
+                FamilySpec("bipartite", p=3, q=2),
+                FamilySpec("split", m=2, n=2), FamilySpec("complete", n=1)]
+LISTED = {**{spec.label(): spec for spec in LISTED_SPECS},
+          **{f"{spec.label()}-graph": make_family(spec)
+             for spec in LISTED_SPECS},
+          "W3^0": FamilySpec("wheel", n=3), "W8^0": FamilySpec("wheel", n=8)}
+
+
 class TestEnumerate:
     def test_wheel_strong_count_matches(self):
         out = run_cli("enumerate", "--family", "wheel", "--n", "5",
@@ -413,10 +427,12 @@ class TestEnumerate:
                  for item in enumeration.iter_class(target, cls)]
         count = len(lines)
         writes = []
+        rows = []
         write = sys.stdout.write
 
         def counted(text):
             writes.append(len(text))
+            rows.append(text.count("\n"))
             return write(text)
 
         monkeypatch.setattr(sys.stdout, "write", counted)
@@ -428,6 +444,7 @@ class TestEnumerate:
         chunks = -(-count // 4096)
         assert chunks < len(writes) <= chunks + 2
         assert max(writes) <= 4096 * max(map(len, lines))
+        assert rows[:chunks] == [4096] * (chunks - 1) + [count % 4096 or 4096]
 
     def test_json_round_trips_elements(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
@@ -446,13 +463,106 @@ class TestEnumerate:
         payload = {"family": "complete", "params": "n=3", "class": "ppf",
                    "count": len(elements), "expected": None, "match": None,
                    "elements": elements}
-        assert cli._listing_json(payload) == json.dumps(payload, indent=2)
-        monkeypatch.setattr(cli, "iter_class",
-                            lambda target, cls, cap: iter(elements))
+
+        def pairs(target, cls, plan, render):
+            # one pair per element, split after a different number of
+            # values each time: an empty prefix and an empty suffix among
+            # them
+            return ((e[:i % (len(e) + 1)], render([e[i % (len(e) + 1):]]))
+                    for i, e in enumerate(elements))
+
+        fmt = cli._JSON
+        texts = [text for _, text in cli._chunks(
+            pairs(None, None, None, cli._render(fmt)), fmt)]
+        assert cli._listing_json({**payload, "elements": []}, texts) == \
+            json.dumps(payload, indent=2)
+        monkeypatch.setattr(cli, "_pairs", pairs)
         rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
                               "--n", "3", "--class", "ppf", "--output", "json")
         assert rc == 0
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("target", LISTED.values(), ids=LISTED)
+    def test_listing_bytes_equal_per_member_formatting(self, capsys, tmp_path,
+                                                       target):
+        # list prints each member on its line, and json is json.dumps of
+        # the payload, whichever walk lists the members
+        if isinstance(target, FamilySpec):
+            args = ("--family", target.family,
+                    *(f"--{param}" for param in target.params().split(",")))
+        else:
+            path = tmp_path / "g.json"
+            save_graph(target, path)
+            args = ("--graph", str(path))
+        # the increasing classes need a family with parts
+        parts = isinstance(target, FamilySpec) and target.family != "wheel"
+        for cls in [c for c in enumeration.CLASSES
+                    if parts or not c.endswith("-inc")]:
+            members = list(enumeration.iter_class(target, cls))
+            report = enumeration._make_report(target, cls, len(members), 0.0,
+                                              None)
+            lines = io.StringIO()
+            for member in members:
+                print(",".join(str(x) for x in member), file=lines)
+            rc, out, err = run_main(capsys, "enumerate", *args, "--class",
+                                    cls, "--output", "list")
+            assert (rc, err) == (0, ""), cls
+            assert out == lines.getvalue() + f"count={len(members)}\n", cls
+            payload = {"family": report.family, "params": report.params,
+                       "class": cls, "count": len(members), "expected": None,
+                       "match": None, "elements": [list(m) for m in members]}
+            rc, out, err = run_main(capsys, "enumerate", *args, "--class",
+                                    cls, "--output", "json")
+            assert (rc, err) == (0, ""), cls
+            assert out == json.dumps(payload, indent=2) + "\n", cls
+
+    @pytest.mark.parametrize("cls,empty", [("ppf", 58), ("recurrent", 0)])
+    def test_json_skips_empty_blocks_and_spans_chunks(self, capsys, cls,
+                                                      empty):
+        # K6 ppf: 58 of the 166 prefixes the keyed walk yields have an
+        # empty block, and write nothing; K6 recurrent's 16,807 members
+        # span five chunks
+        spec = FamilySpec("complete", n=6)
+        plan = enumeration._plan(spec, cls, enumeration.DEFAULT_SPACE_CAP)
+        assert plan[2] == "keys"
+        pairs = list(enumeration._pairs(spec, cls, plan))
+        assert sum(not rows for _, rows in pairs) == empty
+        members = [list(m) for m in enumeration.iter_class(spec, cls)]
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "6", "--class", cls, "--output", "json")
+        assert rc == 0
+        assert out == json.dumps(
+            {"family": "complete", "params": "n=6", "class": cls,
+             "count": len(members), "expected": None, "match": None,
+             "elements": members}, indent=2) + "\n"
+
+    def test_empty_listing(self, capsys, tmp_path):
+        # the star with two leaves has no prime parking function
+        path = tmp_path / "star.json"
+        save_graph(build_graph(["s", "a", "b"], "s",
+                               [("s", "a", 1), ("s", "b", 1)]), path)
+        args = ("enumerate", "--graph", str(path), "--class", "ppf")
+        assert run_main(capsys, *args, "--output", "list") == \
+            (0, "count=0\n", "")
+        rc, out, err = run_main(capsys, *args, "--output", "json")
+        assert (rc, err) == (0, "")
+        assert out == json.dumps(
+            {"family": "custom", "params": "|V|=3,sink=s", "class": "ppf",
+             "count": 0, "expected": None, "match": None, "elements": []},
+            indent=2) + "\n"
+
+    def test_json_mismatch_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "expected_count",
+                            lambda target, cls: (5, "closed-form"))
+        rc, out, _ = run_main(capsys, "enumerate", "--family", "complete",
+                              "--n", "3", "--class", "ppf", "--output", "json",
+                              "--expected")
+        assert rc == 1
+        members = enumeration.iter_class(FamilySpec("complete", n=3), "ppf")
+        assert out == json.dumps(
+            {"family": "complete", "params": "n=3", "class": "ppf",
+             "count": 4, "expected": 5, "match": False,
+             "elements": [list(m) for m in members]}, indent=2) + "\n"
 
     def test_csv_output(self):
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
@@ -631,6 +741,41 @@ class TestEnumerate:
         assert (rc, out) == (2, "")
         assert err == ("error: target of 200001 non-sink vertices exceeds "
                        "bound 100000\n")
+
+
+class TestParser:
+    """``main`` parses with one parser per process."""
+
+    @pytest.mark.parametrize("calls", [
+        [("enumerate", "--family", "complete", "--n", "3", "--class", "ppf",
+          "--output", "json", "--expected", "--cap", "1000"),
+         ("enumerate", "--family", "wheel", "--n", "5", "--class",
+          "recurrent"),
+         ("enumerate", "--family", "complete", "--n", "9", "--class", "ppf",
+          "--output", "list")],
+        [("paths", "--pf", "1,1,2", "--kind", "lukasiewicz"),
+         ("paths", "--pf", "1,1,2"),
+         ("enumerate", "--family", "complete", "--n", "3", "--class", "ppf",
+          "--cap", "1")]],
+        ids=["enumerate", "paths"])
+    def test_calls_in_one_process_match_fresh_ones(self, capsys, calls):
+        # a value given to one call is not the default of the next, nor
+        # is its subcommand
+        assert cli.build_parser() is cli.build_parser()
+        for args in calls:
+            fresh = run_cli(*args)
+            assert run_main(capsys, *args) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), args
+
+    def test_help_is_unchanged(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        for args in (["--help"], ["enumerate", "--help"], ["--help"]):
+            fresh = run_cli(*args)
+            assert fresh.returncode == 0 and "usage: sandpark" in fresh.stdout
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh.stdout, args
 
 
 class TestEnumerateMatch:

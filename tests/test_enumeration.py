@@ -43,7 +43,7 @@ from sandpark import (
 )
 from sandpark import burning, enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
-                                  _check_space, _listing, _plan, _runs)
+                                  _listing, _pairs, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
 from conftest import giant_triangle, reference_iter_class, triangle
 
@@ -554,23 +554,22 @@ class TestOrbitRoute:
         k9 = FamilySpec("complete", n=9)
         # stable's walk counts 9^9 members from C(17, 9) representatives
         assert _walk_count(k9, "stable", "orbits") == 9 ** 9
-        # stable and ppf count from 220 burning states, and below them the
-        # walk's check runs
-        for cls, count in (("stable", 9 ** 9), ("ppf", 8 ** 8)):
-            assert count_class(k9, cls, cap=220) == count
+        # ppf counts from 220 burning states and stable from the one word
+        # of 9^9, and below them the walk's check runs
+        for cls, count, work in (("stable", 9 ** 9, 1), ("ppf", 8 ** 8, 220)):
+            assert count_class(k9, cls, cap=work) == count
             with pytest.raises(SizeCapError, match="search space of 24310 "):
-                count_class(k9, cls, cap=219)
+                count_class(k9, cls, cap=work - 1)
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             iter_class(k9, "ppf")
         with pytest.raises(SizeCapError, match="search space of 387420489 "):
             count_class(make_family(k9), "ppf")
         # C(16, 8)^2 representatives, which stable, ppf and ppf-inc no
-        # longer walk; below stable's C(11, 3)^2 burning states the walk's
-        # check runs
+        # longer walk; below stable's one word (9^16) the walk's check runs
         k88 = FamilySpec("tripartite", p=8, q=8)
         assert count_class(k88, "stable") == 9 ** 16
         with pytest.raises(SizeCapError, match="search space of 165636900 "):
-            count_class(k88, "stable", cap=math.comb(11, 3) ** 2 - 1)
+            count_class(k88, "stable", cap=0)
         for cls in ("ppf-inc", "ppf"):
             assert _plan(k88, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
 
@@ -582,8 +581,7 @@ class TestOrbitRoute:
         # the orbit route's space is the representatives': C(13, 7) for K7
         k7 = FamilySpec("complete", n=7)
         assert _full_space(k7) >= POOL_MIN_SPACE
-        assert _check_space(k7, "recurrent", DEFAULT_SPACE_CAP,
-                            counting=True) \
+        assert _plan(k7, "recurrent", DEFAULT_SPACE_CAP, counting=True)[0] \
             < POOL_MIN_SPACE
         w10 = FamilySpec("wheel", n=10)
         for target, cls in ((k7, "recurrent"), (k7, "ppf"), (w10, "recurrent"),
@@ -601,7 +599,7 @@ class TestOrbitRoute:
 
         monkeypatch.setattr(enumeration, "get_context", counted)
         w13 = FamilySpec("wheel", n=13)
-        assert _check_space(w13, "sr-forall", DEFAULT_SPACE_CAP) \
+        assert _plan(w13, "sr-forall", DEFAULT_SPACE_CAP)[0] \
             >= POOL_MIN_SPACE
         for target in (w13, make_family(w13)):
             assert count_class(target, "sr-forall", jobs=2) == \
@@ -870,6 +868,17 @@ class TestBurningRoute:
                      DEFAULT_SPACE_CAP, True)[0] == math.comb(23, 3) ** 2 * 2 * 3
         assert _plan(FamilySpec("bipartite", p=20, q=20), "ppf-inc",
                      DEFAULT_SPACE_CAP, True)[0] == math.comb(23, 3) ** 2 * 1 * 2
+
+    def test_stable_is_charged_only_its_words(self):
+        # K600 stable is 600^600, 5,537 bits: 87 words, where the charge of
+        # C(603, 3) states per word was past the cap; its listing walks the
+        # 600^600 members, and is refused
+        k600 = FamilySpec("complete", n=600)
+        assert _plan(k600, "stable", DEFAULT_SPACE_CAP, True) == \
+            (87, ((600, 600),), "burning")
+        assert count_class(k600, "stable") == math.prod([600] * 600)
+        with pytest.raises(SizeCapError, match="exceeds cap 100000000$"):
+            iter_class(k600, "stable")
 
     def test_rests_that_count_zero_form_no_weight(self, monkeypatch):
         # bipartite(20000*, 1): the Q-vertex burns first, and then every
@@ -1172,6 +1181,30 @@ class TestListingMemo:
                       for item in _listing(spec, cls, plan, first)]
             assert slices == list(iter_class(make_family(spec), cls)), cls
 
+    def test_rendered_blocks_are_one_per_recorded_key(self):
+        # a listing renders each key's block once and keeps it until the
+        # walk ends: never more rendered blocks than recorded keys
+        spec = FamilySpec("tripartite", p=4, q=3)
+        rendered = []
+
+        def render(rows):
+            rendered.append(rows)
+            return [",".join(map(str, row)) for row in rows]
+
+        plan = _plan(spec, "ppf", DEFAULT_SPACE_CAP)
+        pairs = _pairs(spec, "ppf", plan, render=render)
+        listed, prefixes = [], 0
+        for prefix, texts in pairs:
+            walk = pairs.gi_yieldfrom.gi_frame.f_locals
+            memo, seen = walk["texts"], walk["seen"]
+            assert len(memo) <= len(seen)
+            listed += [",".join(map(str, prefix)) + "," + text
+                       for text in texts]
+            prefixes += 1
+        assert len(rendered) == len(memo) < prefixes
+        assert listed == [",".join(map(str, m))
+                          for m in iter_class(make_family(spec), "ppf")]
+
     def test_long_single_path_runs_no_more_fixpoints(self, fixpoints):
         # the one member is all ones, and the two fixpoints are those of
         # the Q-vertex, the only one with edges into its prefix
@@ -1264,7 +1297,7 @@ class TestPlan:
                 call()
         # at the bound the plan passes
         at = FamilySpec("bipartite", p=99999, q=1)
-        assert _check_space(at, "recurrent", DEFAULT_SPACE_CAP, True) == \
+        assert _plan(at, "recurrent", DEFAULT_SPACE_CAP, True)[0] == \
             100000
         # the space is refused first
         with pytest.raises(SizeCapError, match="search space of "):
