@@ -1,9 +1,8 @@
 """Counting a family's classes from the states of Dhar's burning.
 
 A family's degree groups decide its counts: no graph is built and no
-configuration is walked.  ``enumeration._plan`` routes a count here when
-its work fits the cap, and the walks of ``enumeration`` stay the
-reference.
+configuration is walked.  ``enumeration._plan`` routes every count on a
+family here, and the walks of ``enumeration`` stay the reference.
 """
 
 from __future__ import annotations
@@ -119,9 +118,10 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     round-1 width is 0).  There Z's k burners and v are k + 1 of Z's c_Z
     vertices in a window of width w, at least one at the top: they weigh
     C(c_Z, k + 1) * (w^(k + 1) - (w - 1)^(k + 1)), or as multisets
-    C(w + k - 1, k).  So the first round, or the first two, are peeled by
-    hand (``_peel``) and the loop runs on.  A Z of one vertex holds only v,
-    at its one value, and drops out.
+    C(w + k - 1, k).  So the first round, or the first two, run from the
+    drain alone, the round of Z's top weighing Z so (``_round`` with
+    ``top``), and the loop runs on.  A Z of one vertex holds only v, at its
+    one value, and drops out.
     """
     if cls == "stable":
         return math.prod(d ** c for d, c in groups)
@@ -149,80 +149,74 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
         if not sink[z]:
             continue
         # v's drain: G - sink burnt from v, every group but an independent
-        # Z seeing v, and the sink-adjacent groups before Z holding no start
+        # Z seeing v, and the sink-adjacent groups before Z holding no
+        # start, so their round-1 windows have width 0
         u = tuple(x - (i == z) for i, x in enumerate(sizes))
-        w = tuple(int(i != z or clique[z]) for i in range(len(sizes)))
-        held = [i < z and s > 0 for i, s in enumerate(sink)]
-        layer = {(u, w): 1}
-        if c > 1 and not clique[z]:
-            layer = _peel(layer, clique, inc, held, None)
-            held = [False] * len(sizes)
-        layer = _peel(layer, clique, inc, held, (z, c) if c > 1 else None)
+        w = tuple(int((i != z or clique[z]) and not (i < z and s))
+                  for i, s in enumerate(sink))
         states = [{} for _ in range(total)]
-        for (rest, nxt), f in layer.items():
-            states[sum(rest)][rest, nxt] = f
+        states[-1][u, w] = 1
+        # Z's top value has the window of round 1, or of round 2 for an
+        # independent Z, which sees no v
+        for top in ((z,) if clique[z] else (None, z)) if c > 1 else ():
+            layers, states = states, [{} for _ in range(total)]
+            for layer in layers:
+                _round(layer, states, clique, inc, top)
         count += _burn_out(states, clique, inc)
     return count
 
 
-def _peel(layer: dict, clique, inc: bool, held, top) -> dict:
-    """One round of ``_burn_out`` from each ``(u, w)`` state of ``layer``,
-    to the states it leaves: a ``held`` group burns nothing, and with
-    ``top`` ``(z, c)`` the round is the window of group z's top value, its
-    burners joining the start among z's c vertices (``_burning_count``).
+def _burn_out(states: list, clique, inc: bool, level: bool = False) -> int:
+    """Burn every ``(u, w)`` state of ``states`` (indexed by unburnt total)
+    down to nothing, round by round (``_round``, given ``level``), and sum
+    the weights of the sequences that burn everything.
     """
-    out: dict = {}
+    for left in range(len(states) - 1, 0, -1):
+        _round(states[left], states, clique, inc, None, level)
+    return sum(states[0].values())
+
+
+def _round(layer: dict, states: list, clique, inc: bool, top=None,
+           level: bool = False) -> None:
+    """One round of Dhar's burning from each ``(u, w)`` state of ``layer``,
+    adding the states it leaves to ``states`` by unburnt total.  With
+    ``top`` the round is the window of group ``top``'s top value, its
+    burners joining the start among its vertices; with ``level`` it burns
+    one group, each burner at the bottom of its window.
+    """
     for (u, w), f in layer.items():
-        for k in product(*[range(x + 1) if y and not h else (0,)
-                           for x, y, h in zip(u, w, held)]):
+        moves = _moves(u, w, clique, level)
+        if level:
+            w = (1,) * len(u)    # one value in each window
+        left = sum(u)
+        for k in moves:
             burnt = sum(k)
+            if not burnt:
+                continue
             rest = tuple(map(sub, u, k))
             nxt = tuple(burnt if q else burnt - j for q, j in zip(clique, k))
             if any(rest) and not any(map(mul, rest, nxt)):
-                continue     # nothing more burns, or nothing burnt
-            weight = f
-            for i, (x, j, y) in enumerate(zip(u, k, w)):
-                if top and i == top[0] and not inc:
-                    weight *= (math.comb(top[1], j + 1)
-                               * (y ** (j + 1) - (y - 1) ** (j + 1)))
-                elif j:
+                continue     # nothing more burns
+            weight, plain = f, k
+            if top is not None and not inc:
+                x, j, y = u[top], k[top], w[top]
+                weight *= (math.comb(x + 1, j + 1)
+                           * (y ** (j + 1) - (y - 1) ** (j + 1)))
+                plain = k[:top] + (0,) + k[top + 1:]
+            for x, j, y in zip(u, plain, w):
+                if j:
                     weight *= (math.comb(y + j - 1, j) if inc
                                else math.comb(x, j) * y ** j)
+            out = states[left - burnt]
             out[rest, nxt] = out.get((rest, nxt), 0) + weight
-    return out
 
 
-def _burn_out(states: list, clique, inc: bool, level: bool = False) -> int:
-    """Burn every ``(u, w)`` state of ``states`` (indexed by unburnt total)
-    down to nothing, round by round (``_burning_count``), and sum the
-    weights of the sequences that burn everything.  With ``level`` a round
-    burns one group, each burner at the bottom of its window.
-    """
-    n = len(clique)
-    for left in range(len(states) - 1, 0, -1):
-        for (u, w), f in states[left].items():
-            if level:
-                moves = [(0,) * i + (j,) + (0,) * (n - i - 1)
-                         for i, (x, y) in enumerate(zip(u, w)) if x and y
-                         for j in range(1, 2 if clique[i] else x + 1)]
-                w = (1,) * n     # one value in each window
-            else:
-                moves = product(*[range(x + 1) if y else (0,)
-                                  for x, y in zip(u, w)])
-            for k in moves:
-                burnt = sum(k)
-                if not burnt:
-                    continue
-                rest = tuple(map(sub, u, k))
-                nxt = tuple(burnt if q else burnt - j
-                            for q, j in zip(clique, k))
-                if any(rest) and not any(map(mul, rest, nxt)):
-                    continue     # nothing more burns
-                weight = f
-                for x, j, y in zip(u, k, w):
-                    if j:
-                        weight *= (math.comb(y + j - 1, j) if inc
-                                   else math.comb(x, j) * y ** j)
-                layer = states[left - burnt]
-                layer[rest, nxt] = layer.get((rest, nxt), 0) + weight
-    return sum(states[0].values())
+def _moves(u, w, clique, level: bool):
+    """The ``k`` vectors a round from ``(u, w)`` tries: any number of each
+    group with width, or with ``level`` some of one group, one of a clique
+    group."""
+    if level:
+        return [(0,) * i + (j,) + (0,) * (len(u) - i - 1)
+                for i, (x, y) in enumerate(zip(u, w)) if x and y
+                for j in range(1, 2 if clique[i] else x + 1)]
+    return product(*[range(x + 1) if y else (0,) for x, y in zip(u, w)])

@@ -13,10 +13,9 @@ positions in declaration order, and as each position joins, one pinned
 forbidden-set fixpoint per check turns the prefix into the interval of
 values the position may take; ``min-recurrent`` first clips it to the
 grains level 0 leaves.  The last position is not listed: the walk yields
-``(prefix, lo, hi, w)`` runs, where ``w`` is the number of members the run
-stands for, so counting adds up the weights, listing reads each run as its
-prefix and the rows ``lo..hi`` (``_pairs``), and no member is tested on its
-own.
+``(prefix, lo, hi)`` runs, so counting adds up their lengths, listing reads
+each run as its prefix and the rows ``lo..hi`` (``_pairs``), and no member
+is tested on its own.
 
 Which walk runs is decided once (``_plan``), from the target's non-sink
 degree groups: a family's, one ``(degree, count)`` group per part (or for
@@ -25,58 +24,56 @@ graph's, one ``(degree, 1)`` group per vertex.  A group's positions are
 contiguous, and the vertices of a part are twins.  The first row that fits
 decides:
 
-====================  ======  ========================  ===============
+====================  ======  ========================  ==========================
 target                output  walk                      cap bounds
-====================  ======  ========================  ===============
-family, any class     count   burning states, no walk   burning work
-family, ``-inc``      any     representatives           representatives
-family with parts     count   representatives, weighed  representatives
+====================  ======  ========================  ==========================
+family, any class     count   burning states, no walk   work, else representatives
+family, ``-inc``      list    representatives           representatives
 family with parts     list    members, by key blocks    full space
 wheel, bare graph     any     members                   full space
-====================  ======  ========================  ===============
+====================  ======  ========================  ==========================
 
 A family counts every class from its degree groups
-(``burning._burning_count``).  That row fits only while its work is within
-the cap and the target within the vertex bound; otherwise the next row
-that fits runs, with its checks and messages.  The class, the cap and the
-space are checked when the walk is chosen, before any graph is built, and
-then the vertex count: degree-1 vertices add nothing to the space, so a
-target of more than ``_VERTEX_BOUND`` non-sink vertices is refused apart.
-The full space is the product of ``d ** c`` over the ``(d, c)`` groups,
-the representatives' that of ``C(d + c - 1, c)``.  The burning work is the
-product of ``C(c + 3, 3)``, the ``(u, k_prev, k)`` triples of a part, or a
-wheel's rim length, times the sink-adjacent groups whose drain a strongly
-recurrent or prime class runs, and times the 64-bit words of the count,
-which is at most the full space (an increasing class: the
-representatives'); ``stable``, whose count is the full space, is charged
-its words alone.
+(``burning._burning_count``).  The cap bounds its burning work while the
+target is within the vertex bound; past that work or that bound it bounds
+the space of the representatives (a wheel's: the full space), with their
+checks and messages, and the count still runs from the burning states.
+The class, the cap and the space are checked when the walk is chosen,
+before any graph is built, and then the vertex count: degree-1 vertices
+add nothing to the space, so a target of more than ``_VERTEX_BOUND``
+non-sink vertices is refused apart.  The full space is the product of
+``d ** c`` over the ``(d, c)`` groups, the representatives' that of
+``C(d + c - 1, c)``.  The burning work is the product of ``C(c + 3, 3)``,
+the ``(u, k_prev, k)`` triples of a part, or a wheel's rim length, times
+the sink-adjacent groups whose drain a strongly recurrent or prime class
+runs, and times the 64-bit words of the count, which is at most the full
+space (an increasing class: the representatives'); ``stable``, whose
+count is the full space, is charged its words alone.
 
-The orbit rule is stated in grains, the quantity every prefix check reads:
-a configuration's values, or the degree complement of a parking
-candidate's, so a class and its degree-complement twin (``recurrent`` and
-``pf``, ``sr-forall`` and ``ppf``) walk one set of orbits.  A member walk
-weighs a run by the number of its values.  A representative walk visits,
-per orbit of the permutations inside the parts, the member whose grains
-never rise inside a part (the parking candidates non-decreasing there,
-which the increasing classes list); counting weighs a run by the orbits of
-its values, and an increasing class by the number of its values.  Its
-fixpoints run over blocks of twins holding one value, hold a position's
-later part-mates at the most grains the part's order leaves them, and
-drain one burning start per block.  A family with parts is listed in two
-passes: its representative walk, without the look-ahead, records the key
-of every prefix it admits, the multiset of values each part holds.  What a
-member prefix admits depends only on its key, so the member prefixes are
-walked up to the last three positions, and each takes its key's block of
-those, built once per key off the recorded keys with no fixpoint
-(``keys``; ``stable``, which runs none, walks the members).  The burning
-route walks no configuration: it counts the sequences of unburnt vectors
-of Dhar's burning, one entry per part, from the sink or from one drained
-burning start, reads a wheel's rim with two-state automata, or for
-``stable`` multiplies the degrees.  So the walks, which listing, bare
-graphs and work past the cap still take, are its reference.  Counting a
-member walk splits a large space by the first coordinate across worker
-processes; every other walk, and the burning route, runs in one process.
-The count does not depend on the worker count.
+The representative rule is stated in grains, the quantity every prefix
+check reads: a configuration's values, or the degree complement of a
+parking candidate's, so a class and its degree-complement twin
+(``recurrent`` and ``pf``, ``sr-forall`` and ``ppf``) walk one set of
+representatives.  A representative walk visits, per orbit of the
+permutations inside the parts, the member whose grains never rise inside a
+part (the parking candidates non-decreasing there, which the increasing
+classes list).  Its fixpoints run over blocks of twins holding one value,
+hold a position's later part-mates at the most grains the part's order
+leaves them, and drain one burning start per block.  A family with parts
+is listed in two passes: its representative walk, without the look-ahead,
+records the key of every prefix it admits, the multiset of values each
+part holds.  What a member prefix admits depends only on its key, so the
+member prefixes are walked up to the last three positions, and each takes
+its key's block of those, built once per key off the recorded keys with no
+fixpoint (``keys``; ``stable``, which runs none, walks the members).  The
+burning route walks no configuration: it counts the sequences of unburnt
+vectors of Dhar's burning, one entry per part, from the sink or from one
+drained burning start, reads a wheel's rim with two-state automata, or for
+``stable`` multiplies the degrees.  So the walks, which listing and bare
+graphs still take, are its reference.  Counting a bare graph's member walk
+splits a large space by the first coordinate across worker processes; the
+burning route runs in one process.  The count does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -152,14 +149,16 @@ def _plan(target: Target, cls: str, cap: Optional[int],
     table above), the target's degree groups and the size of the space the
     walk visits, before any graph is built.
 
-    ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` (representatives
-    weighing one member each), ``"orbits"`` (representatives weighing
-    their orbits) or ``"burning"`` (no walk, whose space is its work,
-    charged by the words of the count).  With ``check``, ``cap`` must be
-    an integer, a space above it is refused, and then a target of more
-    than ``_VERTEX_BOUND`` non-sink vertices.  A space whose logarithm
-    puts it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is refused
-    without being computed.
+    ``walk`` is ``"members"``, ``"keys"``, ``"reps"`` or ``"burning"``
+    (no walk, whose space is its work, charged by the words of the count),
+    which every count on a family takes.  Past its work or the vertex
+    bound, a family's count is charged the space of its representatives
+    (a wheel's: its tuples), which bounds the transitions its burning loop
+    tries (``test_transitions_stay_within_the_charge``).  With ``check``,
+    ``cap`` must be an integer, a space above it is refused, and then a
+    target of more than ``_VERTEX_BOUND`` non-sink vertices.  A space whose
+    logarithm puts it past both ``cap`` and 2^``_EXACT_SPACE_BITS`` is
+    refused without being computed.
     """
     if cls not in _CLASS_WALKS:
         raise ValueError(f"unknown class {cls!r}; choose from {CLASSES}")
@@ -179,19 +178,16 @@ def _plan(target: Target, cls: str, cap: Optional[int],
     else:
         parts = ()
         groups = tuple((d, 1) for d in target.nonsink_degrees)
-    if inc or (counting and parts):
-        walk = "orbits" if counting and not inc else "reps"
-    elif parts and _CLASS_WALKS[cls][1] != _NONE:
-        walk = "keys"
-    else:
-        walk = "members"
+    walk = ("burning" if counting and family else "reps" if inc
+            else "keys" if parts and _CLASS_WALKS[cls][1] != _NONE
+            else "members")
+    reps = inc or (counting and parts)
     vertices = sum(c for _, c in groups)
-    if counting and family and vertices <= _VERTEX_BOUND:
+    if walk == "burning" and vertices <= _VERTEX_BOUND:
         # the rim's length, or the (u, k_prev, k) triples of each part, once
         # per sink-adjacent group drained, each charged by the 64-bit words
         # of a count of at most 2^bits; stable multiplies the degrees, so it
-        # is charged only the words; past the cap or the vertex bound the
-        # walk runs, with its checks
+        # is charged only the words
         work, bits = 1, 0.0
         for d, c in groups:
             if cls != "stable":
@@ -203,8 +199,7 @@ def _plan(target: Target, cls: str, cap: Optional[int],
             bits = _space_bits(groups, True)
         work *= int(bits) // 64 + 1
         if not check or work <= cap:
-            return work, groups, "burning"
-    reps = walk in ("reps", "orbits")
+            return work, groups, walk
     if check:
         limit = max(cap.bit_length(), _EXACT_SPACE_BITS) + 1
         if _space_bits(groups, reps) > limit:
@@ -245,15 +240,14 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
     low, checks = _CLASS_WALKS[cls]
     g = make_family(target) if isinstance(target, FamilySpec) else target
     # each position's index in its group; a representative's prev is the
-    # position before it in its part, and its rank that index from 1
+    # position before it in its part
     index = [i for _, c in groups for i in range(c)]
-    reps = walk in ("reps", "orbits")
-    prev = [t - 1 if reps and i else None for t, i in enumerate(index)]
-    rank = [i + 1 for i in index] if walk == "orbits" else None
+    prev = [t - 1 if walk == "reps" and i else None
+            for t, i in enumerate(index)]
     first_values = range(low, low + groups[0][0])
     if first is not None:
         first_values = first_values[first:first + 1]
-    return _search(g, low, checks, prev, first_values, rank, record)
+    return _search(g, low, checks, prev, first_values, record)
 
 
 def _pairs(target: Target, cls: str, plan, first: Optional[int] = None,
@@ -279,10 +273,10 @@ def _listing(target: Target, cls: str, plan, first: Optional[int] = None
 
 
 def _members(runs, render=None) -> Iterator[tuple[tuple, list]]:
-    """Each ``(prefix, lo, hi, w)`` run as its prefix and the rows
-    ``(lo,)`` to ``(hi,)``, or ``render`` of them, ``_RUN_ROWS`` at most
-    to a pair, so that a run of any length streams."""
-    for vals, lo, hi, _ in runs:
+    """Each ``(prefix, lo, hi)`` run as its prefix and the rows ``(lo,)``
+    to ``(hi,)``, or ``render`` of them, ``_RUN_ROWS`` at most to a pair,
+    so that a run of any length streams."""
+    for vals, lo, hi in runs:
         prefix = tuple(vals[:-1])
         for start in range(lo, hi + 1, _RUN_ROWS):
             rows = [(x,) for x in range(start, min(start + _RUN_ROWS, hi + 1))]
@@ -290,15 +284,13 @@ def _members(runs, render=None) -> Iterator[tuple[tuple, list]]:
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range, rank: Optional[list] = None,
-            record: Optional[tuple] = None
-            ) -> Iterator[tuple[list, int, int, int]]:
+            first_values: range, record: Optional[tuple] = None
+            ) -> Iterator[tuple[list, int, int]]:
     """Depth-first walk over positions in declaration order.
 
-    Yields ``(vals, lo, hi, w)`` runs: each value ``lo..hi`` of the last
+    Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
     position completes the prefix ``vals[:-1]`` (one list, reused) to a
-    candidate that passes every prefix check, and the run stands for ``w``
-    members.  ``w`` is ``hi - lo + 1`` unless the walk weighs orbits.
+    candidate that passes every prefix check.
 
     The prefix ``0..t-1`` has passed when ``t`` joins, so each forbidden
     subconfiguration (Dhar 1990) of ``0..t`` holds ``t``.  One fixpoint with
@@ -315,18 +307,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     form one interval, found once per prefix, and on the last position the
     checks are exactly the class.  The checks read grains, ``conf``: a
     parking value is their degree complement, and ``parking`` only converts
-    values to grains and back.  The orbit rule cuts the interval of grains
-    before the fixpoints, which stop once it is empty: a representative
-    holds at most the grains of ``prev[t]``.
-
-    With ``rank`` (the index of each position in its part, from 1) a
-    representative weighs its orbit, prod |part|! / prod mult!, kept per
-    depth as a running multinomial ``wt[t]`` of the prefix ``0..t-1``.  As
-    ``j`` takes its value it is the ``m``-th of its part to hold it, ``m``
-    the count of its block (below), and weighs ``rank[j] / m``; every
-    partial product is a multinomial, so each exact divide leaves an
-    integer.  The last position's values weigh ``wt * rank`` each, and
-    ``vals[prev]``, when the run holds it, that divided by ``m + 1``.
+    values to grains and back.  The representative rule cuts the interval
+    of grains before the fixpoints, which stop once it is empty: a
+    representative holds at most the grains of ``prev[t]``.
 
     A representative walk runs its fixpoints over blocks (``_burn``): its
     parts, the runs of ``prev`` links, are twins, and a maximal run of one
@@ -352,12 +335,11 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     that fixes the sink and every later position.  It maps the forbidden
     sets, the burning starts and their drains of one prefix onto those of
     the other and keeps its grains, so a member prefix passes every check
-    exactly when the representative with its key does.  So the walk weighs
-    no orbits and runs without the look-ahead, which rules out a prefix
-    that no representative completes, mates holding at most the part's
-    least grains, while a member prefix with its key may still be
-    completed by mates holding more (with it, K6 ``ppf`` would list 702 of
-    its 3,125 members).
+    exactly when the representative with its key does.  So the walk runs
+    without the look-ahead, which rules out a prefix that no representative
+    completes, mates holding at most the part's least grains, while a
+    member prefix with its key may still be completed by mates holding more
+    (with it, K6 ``ppf`` would list 702 of its 3,125 members).
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
@@ -431,8 +413,6 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         # keys[t]: the key of the prefix 0..t-1, a member of seen
         units, seen = record
         keys = [0] * k
-    if rank:
-        wt = [1] * k     # wt[t]: the orbit of the prefix 0..t-1
     if exists:
         # opts[t]: (start, least value of t) per start open when t joins
         last = max(i for i, s in enumerate(sink) if s)
@@ -441,15 +421,9 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     while True:
         if t == k - 1:
             if lo <= hi:
-                w = hi - lo + 1
-                if rank:
-                    r = wt[t] * rank[t]
-                    w *= r
-                    if prev[t] is not None and lo <= vals[prev[t]] <= hi:
-                        w += r // (state[t][-1][-1][1] + 1) - r
-                elif record:
+                if record:
                     seen.update(map(keys[t].__add__, units[t][lo:hi + 1]))
-                yield vals, lo, hi, w
+                yield vals, lo, hi
             hi = lo - 1
         vals[t], top[t] = lo - 1, hi
         while vals[t] >= top[t]:
@@ -484,9 +458,6 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         if record:
             keys[t] = key = keys[t - 1] + units[t - 1][x]
             seen.add(key)
-        if rank:     # m: t - 1's block so far (parts of one vertex: 1)
-            m = state[t][part[t - 1]][-1][1] if twins else 1
-            wt[t] = wt[t - 1] * rank[t - 1] // m
         d = degs[t]
         back = 0
         for j, m in rows[t]:
@@ -585,24 +556,21 @@ def iter_class(target: Target, cls: str, *,
 
 def _count_slice(args) -> int:
     """Members of one slice of the counting walk ``plan`` (from ``_plan``)
-    chose: the weights of its runs, or the whole count from the burning
+    chose: the lengths of its runs, or the whole count from the burning
     states."""
     target, cls, plan, first = args
     if plan[2] == "burning":
         return _burning_count(target, plan[1], cls)
-    return sum(w for _, _, _, w in _runs(target, cls, plan, first))
+    return sum(hi - lo + 1 for _, lo, hi in _runs(target, cls, plan, first))
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
-    """Members of ``cls`` on ``target``, for a family the count from its
-    degree groups (the table above) while its work fits the cap, and
-    otherwise the weights of the runs of its counting walk.
-    Representatives differ widely in work between first-value slices, so
-    they are counted in one process whatever ``jobs`` is, as is the
-    burning route.  Only a member walk of at least
-    ``POOL_MIN_SPACE`` candidates is split across ``jobs`` workers, and only
-    when more than one worker would run.
+    """Members of ``cls`` on ``target``: for a family the count from its
+    degree groups (the table above), in one process whatever ``jobs`` is,
+    and for a bare graph the lengths of the runs of its member walk.  Only
+    a walk of at least ``POOL_MIN_SPACE`` candidates is split across
+    ``jobs`` workers, and only when more than one worker would run.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")

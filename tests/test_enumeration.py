@@ -351,20 +351,44 @@ def _full_space(spec):
     return math.prod(d ** c for d, c in _degree_groups(spec))
 
 
+def _orbit(sizes, rep):
+    """The members a representative stands for, its values permuted inside
+    the parts of these sizes: prod |part|! / prod mult!."""
+    weight, end = 1, 0
+    for c in sizes:
+        weight *= math.factorial(c)
+        for mult in Counter(rep[end:end + c]).values():
+            weight //= math.factorial(mult)
+        end += c
+    return weight
+
+
 def _walk_count(target, cls, walk, first=None):
-    """The weights of the runs of ``walk`` ("orbits", "reps" or "members")
-    on ``target``: the walks stay the reference for the counts a family
-    takes from its degree groups."""
+    """Members of ``cls`` on ``target`` from the runs of ``walk`` ("reps"
+    or "members"): the walks stay the reference for the counts a family
+    takes from its degree groups.  A member, or a representative of an
+    increasing class, counts once, and any other representative weighs its
+    orbit (``_orbit``), each value of a run's last position joining the
+    prefix's part-mates that hold it."""
     groups = _plan(target, cls, None, check=False)[1]
-    return sum(w for _, _, _, w in _runs(target, cls, (None, groups, walk),
-                                         first))
+    runs = _runs(target, cls, (None, groups, walk), first)
+    if walk == "members" or cls.endswith("-inc"):
+        return sum(hi - lo + 1 for _, lo, hi in runs)
+    sizes = [c for _, c in groups]
+    *heads, last = sizes
+    total = 0
+    for vals, lo, hi in runs:
+        prefix = vals[:-1]
+        weight = _orbit(heads + [last - 1], prefix) * last
+        mates = prefix[len(prefix) - last + 1:]
+        total += sum(weight // (mates.count(x) + 1) for x in range(lo, hi + 1))
+    return total
 
 
-def _replaced_walk(spec, cls):
-    """The walk that counts ``cls`` on ``spec`` past the burning route."""
-    if cls.endswith("-inc"):
-        return "reps"
-    return "members" if spec.family == "wheel" else "orbits"
+def _reference_walk(spec, cls):
+    """The walk the tests count ``cls`` on ``spec`` with: a wheel's
+    members, or a family's representatives."""
+    return "members" if spec.family == "wheel" else "reps"
 
 
 # the battery's families whose full space the direct walk covers; wheels
@@ -435,9 +459,9 @@ def _lucas(n):
 
 
 class TestOrbitRoute:
-    """Counting a family with parts past the burning route walks one
-    representative per orbit and weighs it by the orbit's size; a wheel
-    walks its members."""
+    """The walks the burning route is checked against: a family with parts
+    walks one representative per orbit, weighed by the orbit's size in the
+    test, and a wheel walks its members."""
 
     @pytest.mark.parametrize("spec,cls", ORBIT_CASES,
                              ids=[f"{spec.label()}-{cls}"
@@ -448,8 +472,8 @@ class TestOrbitRoute:
         else:
             want = count_class(make_family(spec), cls)
         assert count_class(spec, cls) == want
-        # and through the walk the route replaced
-        assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == want
+        # and through the reference walk
+        assert _walk_count(spec, cls, _reference_walk(spec, cls)) == want
 
     @pytest.fixture()
     def prevs(self, monkeypatch):
@@ -468,8 +492,8 @@ class TestOrbitRoute:
         (FamilySpec("complete", n=6), "ppf", 3125),
         (FamilySpec("tripartite", p=4, q=3), "ppf", 809)])
     def test_family_counts_walk_representatives(self, prevs, spec, cls, count):
-        # the walk the burning route replaced
-        assert _walk_count(spec, cls, "orbits") == count
+        # the reference walk
+        assert _walk_count(spec, cls, "reps") == count
         assert count_class(make_family(spec), cls) == count
         orbit, direct = prevs
         assert orbit.count(None) == len(family_parts(spec))
@@ -486,20 +510,21 @@ class TestOrbitRoute:
         g = make_family(spec)
         for cls in ("sr-exists", "min-recurrent", "sr-forall", "recurrent"):
             assert count_class(spec, cls) == count_class(g, cls), cls
-        # and through the walk the burning route replaced
-        assert _walk_count(spec, "recurrent", "orbits") == \
+        # and through the reference walk
+        assert _walk_count(spec, "recurrent", "reps") == \
             count_class(g, "recurrent")
 
     @pytest.mark.parametrize("spec", PAIR_SPECS,
                              ids=[spec.label() for spec in PAIR_SPECS])
     def test_degree_complement_pairs_walk_alike(self, fixpoints, spec):
-        # a class and its parking twin state their orbit rules in grains,
-        # so both walk one set of orbit representatives
+        # a class and its parking twin state their representative rules in
+        # grains, so both walk one set of representatives
         for pair in (("recurrent", "pf"), ("sr-forall", "ppf")):
             counts, walks = [], []
             for cls in pair:
                 fixpoints.clear()
-                counts.append(_walk_count(spec, cls, _replaced_walk(spec, cls)))
+                counts.append(_walk_count(spec, cls,
+                                          _reference_walk(spec, cls)))
                 walks.append(len(fixpoints))
             assert counts[0] == counts[1], pair
             assert walks[0] == walks[1] > 0, pair
@@ -509,12 +534,11 @@ class TestOrbitRoute:
         for n in (11, 12, 13)]
         + [pytest.param(spec, id=spec.label()) for spec in LONG_PARTS])
     def test_wheel_slices_sum_to_the_count(self, spec):
-        # each slice weighs its runs inside its own walk, the one the
-        # burning route replaced; a family with parts is held to its bare
-        # graph's count
+        # each slice of the reference walk is weighed apart; a family with
+        # parts is held to its bare graph's count
         firsts = make_family(spec).nonsink_degrees[0]
         for cls in WHEEL_CLASSES:
-            slices = [_walk_count(spec, cls, _replaced_walk(spec, cls), first)
+            slices = [_walk_count(spec, cls, _reference_walk(spec, cls), first)
                       for first in range(firsts)]
             if spec.family == "wheel":
                 want = expected_count(spec, cls)[0]
@@ -540,8 +564,8 @@ class TestOrbitRoute:
         trees = _tree_count(parts)
         for cls in ("recurrent", "pf"):
             assert count_class(spec, cls) == trees, cls
-            # and through the walk the burning route replaced
-            assert _walk_count(spec, cls, "orbits") == trees, cls
+            # and through the reference walk
+            assert _walk_count(spec, cls, "reps") == trees, cls
 
     def test_wheel_recurrent_counts_are_lucas_numbers(self):
         # the spanning trees of the wheel with n rim vertices number
@@ -553,7 +577,7 @@ class TestOrbitRoute:
     def test_cap_bounds_the_walked_space(self, monkeypatch):
         k9 = FamilySpec("complete", n=9)
         # stable's walk counts 9^9 members from C(17, 9) representatives
-        assert _walk_count(k9, "stable", "orbits") == 9 ** 9
+        assert _walk_count(k9, "stable", "reps") == 9 ** 9
         # ppf counts from 220 burning states and stable from the one word
         # of 9^9, and below them the walk's check runs
         for cls, count, work in (("stable", 9 ** 9, 1), ("ppf", 8 ** 8, 220)):
@@ -578,7 +602,7 @@ class TestOrbitRoute:
             raise AssertionError("a pool was forked")
 
         monkeypatch.setattr(enumeration, "get_context", untouchable)
-        # the orbit route's space is the representatives': C(13, 7) for K7
+        # the burning route's space is its work
         k7 = FamilySpec("complete", n=7)
         assert _full_space(k7) >= POOL_MIN_SPACE
         assert _plan(k7, "recurrent", DEFAULT_SPACE_CAP, counting=True)[0] \
@@ -636,6 +660,13 @@ MULTIPARTITE = ([FamilySpec("complete", n=n) for n in range(1, 7)]
 ROUTE_SPECS = sorted(set(SWEEP_SPECS) | set(LONG_PARTS)
                      | {spec for spec, _ in default_suite()
                         if spec.family != "wheel"}, key=FamilySpec.label)
+# shapes with one long part, which the burning work charges far above the
+# transitions its loop tries
+ONE_LONG_PART = [FamilySpec("tripartite", p=1, q=300),
+                 FamilySpec("tripartite", p=300, q=1),
+                 FamilySpec("bipartite", p=300, q=2),
+                 FamilySpec("bipartite", p=1, q=300),
+                 FamilySpec("split", m=1, n=300)]
 
 
 def _sorted_in_parts(spec):
@@ -684,7 +715,7 @@ class TestBurningRoute:
         for cls in CLASSES:
             assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
             count = count_class(spec, cls)
-            assert count == _walk_count(spec, cls, _replaced_walk(spec, cls))
+            assert count == _walk_count(spec, cls, _reference_walk(spec, cls))
             if g is None:
                 continue
             if cls.endswith("-inc"):
@@ -705,8 +736,8 @@ class TestBurningRoute:
     def test_route_counts_the_spanning_trees(self, spec, parts, walked):
         trees = make_family(spec).spanning_tree_count()
         assert trees == _tree_count(parts)
-        # the representative walk the route replaced fits the default cap
-        # only for K(1,300)
+        # the representatives' space, which the cap charges past the burning
+        # work, fits the default cap only for K(1,300)
         assert (_walked_space(spec, True) <= DEFAULT_SPACE_CAP) == walked
         assert count_class(spec, "recurrent") == count_class(spec, "pf") \
             == trees
@@ -728,8 +759,8 @@ class TestBurningRoute:
     def test_sr_exists_equals_sr_forall_through_the_walks(self, spec):
         # on a complete multipartite graph the drains of any two burning
         # starts are recurrent together (_burning_count)
-        assert _walk_count(spec, "sr-exists", "orbits") == \
-            _walk_count(spec, "sr-forall", "orbits") == \
+        assert _walk_count(spec, "sr-exists", "reps") == \
+            _walk_count(spec, "sr-forall", "reps") == \
             count_class(spec, "sr-exists")
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 4)
@@ -895,8 +926,6 @@ class TestBurningRoute:
                 return math.comb(n, k)
 
         spec = FamilySpec("bipartite", p=20000, q=1)
-        assert _plan(spec, "recurrent", DEFAULT_SPACE_CAP, True)[2] != \
-            "burning"
         for module in (enumeration, burning):
             monkeypatch.setattr(module, "math", Counted())
         assert count_class(spec, "recurrent", cap=10 ** 14) == 1
@@ -904,13 +933,65 @@ class TestBurningRoute:
         # weighs each of the two rounds
         assert combs[2:] == [(1, 1), (20000, 20000)] and len(combs) == 4
 
+    @pytest.mark.parametrize("spec", ROUTE_SPECS + ONE_LONG_PART,
+                             ids=FamilySpec.label)
+    def test_transitions_stay_within_the_charge(self, monkeypatch, spec):
+        # past the burning work the cap charges the representatives' space:
+        # the loop tries at most twice as many nonzero k vectors, the
+        # one-group moves of min-recurrent too (K(1,300)^0 recurrent tries
+        # 90,901 against a space of 90,601)
+        tried = []
+        real = burning._moves
+
+        def spy(*args):
+            moves = list(real(*args))
+            tried.append(sum(1 for k in moves if any(k)))
+            return moves
+
+        monkeypatch.setattr(burning, "_moves", spy)
+        bound = 2 * _walked_space(spec, True)
+        tries = {}
+        for cls in CLASSES:
+            tried.clear()
+            assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
+            count_class(spec, cls)
+            tries[cls] = sum(tried)
+        assert max(tries.values()) <= bound and tries["recurrent"] > 0, tries
+
+    @pytest.mark.parametrize("spec,cls,want", [
+        (FamilySpec("tripartite", p=1, q=500), "recurrent",
+         _tree_count((1, 1, 500))),
+        (FamilySpec("bipartite", p=300, q=2), "recurrent",
+         _tree_count((301, 2))),
+        (FamilySpec("tripartite", p=1, q=300), "ppf",
+         closed_form_count(FamilySpec("tripartite", p=1, q=300), "ppf")),
+        (FamilySpec("tripartite", p=300, q=1), "ppf",
+         closed_form_count(FamilySpec("tripartite", p=300, q=1), "ppf")),
+        (FamilySpec("bipartite", p=300, q=2), "min-recurrent",
+         int("40740719526689721725368913768187563221029367873318"
+             "72501272280898708762599526673412366794751")),
+        (FamilySpec("bipartite", p=1000, q=1), "pf-inc",
+         expected_count(FamilySpec("bipartite", p=1000, q=1), "pf-inc")[0]),
+        (FamilySpec("bipartite", p=20000, q=1), "recurrent", 1)],
+        ids=["K(1,500)^0-recurrent", "K(300*,2)-recurrent", "K(1,300)^0-ppf",
+             "K(300,1)^0-ppf", "K(300*,2)-min-recurrent", "K(1000*,1)-pf-inc",
+             "K(20000*,1)-recurrent"])
+    def test_counts_past_the_work(self, spec, cls, want):
+        # the burning work passes the default cap, and the representatives'
+        # space, which the cap then charges, fits it
+        assert _plan(spec, cls, None, True, check=False)[0] > \
+            DEFAULT_SPACE_CAP
+        assert _plan(spec, cls, DEFAULT_SPACE_CAP, True) == \
+            (_walked_space(spec, True), _degree_groups(spec), "burning")
+        assert count_class(spec, cls) == want
+
 
 # Observed, not proved: the prime parking functions of bipartite K(p*, q)
 # are exactly as many as those of tripartite K(p, q)^0, which have a closed
 # form.  No prediction of ``expected_count`` rests on it.
 BIPARTITE_PPF = ([(p, q, "direct") for p, q in ((2, 2), (2, 3), (3, 2), (3, 3),
                                                 (2, 4), (4, 2), (3, 4))]
-                 + [(p, q, "orbits") for p, q in ((5, 5), (6, 4), (4, 6))])
+                 + [(p, q, "family") for p, q in ((5, 5), (6, 4), (4, 6))])
 
 
 @pytest.mark.parametrize("p,q,route", BIPARTITE_PPF,
@@ -974,8 +1055,8 @@ class TestLookAhead:
              "K10-recurrent", "K(5,5)-min-recurrent", "K10-sr-exists"])
     def test_look_ahead_bounds_the_fixpoints(self, fixpoints, spec, cls,
                                              count, most):
-        # the walk the burning route replaced
-        assert _walk_count(spec, cls, _replaced_walk(spec, cls)) == count
+        # the reference walk
+        assert _walk_count(spec, cls, _reference_walk(spec, cls)) == count
         assert 0 < len(fixpoints) <= most
 
     @pytest.mark.parametrize("cls,most", [("pf", 2001), ("ppf", 4002)])
@@ -1078,7 +1159,7 @@ class TestBlockFixpoint:
         # undrained and 15,223 when every open start was drained (sr-forall
         # runs 3,001)
         assert _walk_count(FamilySpec("complete", n=10), "sr-exists",
-                           "orbits") == 9 ** 9
+                           "reps") == 9 ** 9
         assert 0 < len(fixpoints) <= 6000
 
 
@@ -1094,8 +1175,8 @@ def test_drains_skip_the_pinned_fixpoint(fixpoints, spec, count, most):
     # K10 and the K6 listing walk representatives, W12 its members
     if spec.n == 6:
         assert sum(1 for _ in iter_class(spec, "ppf")) == count
-    else:    # the walk the burning route replaced
-        assert _walk_count(spec, "ppf", _replaced_walk(spec, "ppf")) == count
+    else:    # the reference walk
+        assert _walk_count(spec, "ppf", _reference_walk(spec, "ppf")) == count
     assert 0 < len(fixpoints) <= most
 
 
@@ -1225,16 +1306,17 @@ class TestListingMemo:
 
 
 def _walked_space(spec, counting):
-    """The space ``stable``'s walk visits on ``spec``: counting a family
-    with parts walks its representatives, and the rest walk every tuple."""
+    """The space the cap charges ``stable`` on ``spec`` past the burning
+    work: a count on a family with parts is charged its representatives,
+    and the rest every tuple, which listing walks."""
     reps = counting and families._FAMILY_TABLE[spec.family].parts
     return math.prod(math.comb(d + c - 1, c) if reps else d ** c
                      for d, c in _degree_groups(spec))
 
 
-# the battery's families and the LONG_PARTS shapes, each walked listing
-# and counting when the walked space is at most 10^6 (K8-K10 and
-# K(5,5)^0 listing and W13 either way walk more)
+# the battery's families and the LONG_PARTS shapes, each planned listing
+# and counting when the charged space is at most 10^6 (K8-K10 and
+# K(5,5)^0 listing and W13 either way charge more)
 PLAN_SPECS = sorted({spec for spec, _ in default_suite()} | set(LONG_PARTS),
                     key=FamilySpec.label)
 PLAN_CASES = [(spec, counting) for spec in PLAN_SPECS
@@ -1256,17 +1338,17 @@ class TestPlan:
         assert groups == _degree_groups(spec)
         if counting:
             # counted from the degrees; past the vertex bound, as past the
-            # burning work, the walk the route replaced runs
+            # burning work, the space of the representatives is charged
             assert walk == "burning"
             assert count_class(spec, "stable") == _full_space(spec)
             monkeypatch.setattr(enumeration, "_VERTEX_BOUND", 0)
-            plan = space, groups, walk = _plan(spec, "stable", None, True,
-                                               check=False)
-        walked = sum(hi - lo + 1 for _, lo, hi, _ in _runs(spec, "stable",
-                                                           plan))
-        want = _replaced_walk(spec, "stable") if counting else "members"
-        assert (walk, walked) == (want, space) and \
-            space == _walked_space(spec, counting)
+            space, _, walk = _plan(spec, "stable", None, True, check=False)
+            assert (walk, space) == ("burning", _walked_space(spec, True))
+        else:
+            walked = sum(hi - lo + 1 for _, lo, hi in _runs(spec, "stable",
+                                                            plan))
+            assert (walk, walked) == ("members", space) and \
+                space == _walked_space(spec, False)
 
     @pytest.mark.parametrize(
         "spec", [s for s in PLAN_SPECS if families._FAMILY_TABLE[s.family].parts],
