@@ -57,9 +57,9 @@ parking candidate's, so a class and its degree-complement twin
 representatives.  A representative walk visits, per orbit of the
 permutations inside the parts, the member whose grains never rise inside a
 part (the parking candidates non-decreasing there, which the increasing
-classes list).  Its fixpoints run over blocks of twins holding one value,
-hold a position's later part-mates at the most grains the part's order
-leaves them, and drain one burning start per block.  A family with parts
+classes list).  Its fixpoints hold a position's later part-mates at the
+most grains the part's order leaves them, and drain one burning start per
+run of twins holding one value.  A family with parts
 is listed in two passes: its representative walk, without the look-ahead,
 records the key of every prefix it admits, the multiset of values each
 part holds.  What a member prefix admits depends only on its key, so the
@@ -87,7 +87,6 @@ import random
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from .burning import _SEEDED, _burning_count
@@ -99,7 +98,6 @@ from .keys import _keyed_members, _prefix_units
 from .parking import prime_decompositions
 from .sandpile import (
     Config,
-    _burn,
     _discard,
     config_from_dict,
     config_to_dict,
@@ -250,25 +248,23 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
     return _search(g, low, checks, prev, first_values, record)
 
 
-def _pairs(target: Target, cls: str, plan, first: Optional[int] = None,
-           render=None) -> Iterator[tuple[tuple, list]]:
+def _pairs(target: Target, cls: str, plan, render=None
+           ) -> Iterator[tuple[tuple, list]]:
     """The members of ``cls`` on ``target``, lexicographically, as
     ``(prefix, rows)`` pairs: each member is a prefix followed by one of
     its rows, the tuples ``_by_keys`` reads off the prefix's key or the
     last values ``lo..hi`` of a run of the walk ``plan`` chose (``_members``).
     With ``render``, a function of a list of rows, a pair carries
-    ``render(rows)`` instead, called once per key or per pair of a run.
-    ``first`` slices as in ``_runs``."""
+    ``render(rows)`` instead, called once per key or per pair of a run."""
     if plan[2] == "keys":
-        return _by_keys(target, cls, plan[1], first, render)
-    return _members(_runs(target, cls, plan, first), render)
+        return _by_keys(target, cls, plan[1], render)
+    return _members(_runs(target, cls, plan), render)
 
 
-def _listing(target: Target, cls: str, plan, first: Optional[int] = None
-             ) -> Iterator[tuple[int, ...]]:
+def _listing(target: Target, cls: str, plan) -> Iterator[tuple[int, ...]]:
     """The members of ``cls`` on ``target``, lexicographically: the pairs
     of ``_pairs``, expanded."""
-    return (prefix + row for prefix, rows in _pairs(target, cls, plan, first)
+    return (prefix + row for prefix, rows in _pairs(target, cls, plan)
             for row in rows)
 
 
@@ -311,21 +307,21 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     of grains before the fixpoints, which stop once it is empty: a
     representative holds at most the grains of ``prev[t]``.
 
-    A representative walk runs its fixpoints over blocks (``_burn``): its
-    parts, the runs of ``prev`` links, are twins, and a maximal run of one
-    part holding one value burns whole.  ``t``, pinned, is a block of its
-    own, and so is a drained start, which burns at once.  The rest of
-    ``t``'s part joins too, one block of twins holding at most ``cmax``:
-    extra grains never make a forbidden set, so one forbidden with them at
-    their most rules out every completion (one without ``t`` holds a mate,
-    and adding ``t`` keeps it forbidden).  If they would burn at once they
-    stay out, and the last position has none.  In a drain they hold
-    ``cmax - s``, as no mate is its start: ``forall`` drains assigned
-    starts only, and a mate joins an ``exists`` walk only holding fewer
-    grains than its edges into the prefix and the part, so fewer than the
-    ``d - s`` of a start.  Only a start that opens its block is drained:
-    swapping it with a twin holding its value fixes every other position,
-    so both drains give one bound.
+    On a representative walk with checks the fixpoints look ahead to the
+    end of ``t``'s part, the run of ``prev`` links after ``t``.  Those
+    later part-mates are twins of ``t`` and hold at most ``cmax`` grains,
+    since none holds more than the position before it.  Extra grains never
+    make a forbidden set, so one forbidden with the mates at their most
+    rules out every completion (one without ``t`` holds a mate, and adding
+    ``t``, its twin, keeps it forbidden).  The mates enter ``conf`` at
+    ``cmax`` and ``drained`` at ``cmax - s``, as no mate is a start:
+    ``forall`` drains assigned starts only, and a mate joins an ``exists``
+    walk only holding fewer grains than its edges into the domain, so fewer
+    than the ``d - s`` of a start.  Mates that would burn at once stay out,
+    as do mates with no edges into the domain, and the last position has
+    none.  A start whose ``prev`` holds its value is not drained: swapping
+    the two twins fixes every other position, so both drains give one
+    bound.
 
     A representative walk listing a family with parts, given ``record``
     ``(units, seen)``, adds to ``seen`` the key (``_prefix_units``) of
@@ -343,7 +339,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     """
     degs = g.nonsink_degrees
     sink = g.sink_mults + (0,)
-    nbrs = rows = g.nonsink_nbrs
+    nbrs = g.nonsink_nbrs
     k = len(degs)
     parking = low == 1
     drains = checks == _DRAINS
@@ -355,48 +351,25 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
     deg_in = [0] * k     # edges of each assigned position into the prefix
     starts: list[int] = []   # assigned burning starts, ascending
     top = [0] * k        # the last admissible value of each position
-    heads = [t for t, j in enumerate(prev) if j is None]
-    twins = len(heads) < k
-    if twins:    # the parts, runs of prev links, are twins
-        ends = heads[1:] + [k]
-        size = [e - h for h, e in zip(heads, ends)]
-        part = [p for p, c in enumerate(size) for _ in range(c)]
-        # adj[p][q]: the edges from a vertex of part p to one of part q;
-        # full[p]: its edges into the parts 0..p
-        adj = [[row.get(e - 1, 0) for e in ends]
-               for row in map(dict, map(nbrs.__getitem__, heads))]
-        full = [sum(map(mul, row, size[:p + 1])) - row[p]
-                for p, row in enumerate(adj)]
-        lift = list(map(sink.__getitem__, heads))
-        flat = [0] * len(heads)
-        state = [((),)] * k  # state[t]: 0..t-1's blocks, part by part to t's
-        rows = [()] * k      # deg_in goes unread
-        ahead = checks and not record    # the look-ahead over part-mates
+    # a representative's part-mates still to come, t+1..e on the run of
+    # prev links after t: (e, t's edges into 0..e) when it has any
+    ahead: list = [None] * k
+    e = k - 1
+    for u in reversed(range(k - 1) if checks and not record else ()):
+        e = e if prev[u + 1] == u else u
+        reach = e > u and sum(m for j, m in nbrs[u] if j <= e)
+        if reach:
+            ahead[u] = e, reach
 
-        # k comes in as a default, so the walk's reads stay local
-        def fix(t, drain, v, k=k):
-            """t's edges into what the fixpoint leaves, and how many
-            positions it leaves; ``v < k``, a start, is drained whole."""
-            blocks = list(parts)
-            blocks[p] += mates
-            left = size[:p] + [here]
-            if v < k:        # v burns at once, so its block loses it
-                q = part[v]
-                left[q] -= 1
-                if v < t:    # v opens its block, its part's last in 0..v
-                    blocks[q] = own = list(blocks[q])
-                    i = len(state[v + 1][q]) - 1
-                    own[i] = own[i][0], own[i][1] - 1
-            _burn(blocks, left, adj, lift if drain else flat)
-            return sum(map(mul, adj[p], left)) - adj[p][p], sum(left)
-    else:
-        def fix(t, drain, v, drained=drained, deg_in=deg_in, nbrs=nbrs):
-            """As above, over positions, for a drain."""
-            drained[t], saved, drained[v] = -1, drained[v], math.inf
-            pinned = deg_in[:t + 1]
-            left = _discard(drained, pinned, nbrs)
-            drained[v] = saved
-            return pinned[t], left
+    # drained and nbrs come in as defaults, so the walk's reads stay local
+    def fix(t, v, drained=drained, nbrs=nbrs):
+        """t's edges into what the drain of the start ``v`` leaves of the
+        domain, t pinned, and how many positions it leaves."""
+        drained[t], saved, drained[v] = -1, drained[v], math.inf
+        pinned = dom[:n]
+        left = _discard(drained, pinned, nbrs)
+        drained[v] = saved
+        return pinned[t], left
     lo, hi = first_values.start, first_values.stop - 1
     if budget:
         # level 0's grains less the most (under) and least (over) after t
@@ -428,7 +401,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         vals[t], top[t] = lo - 1, hi
         while vals[t] >= top[t]:
             # t leaves the prefix
-            for j, m in rows[t]:
+            for j, m in nbrs[t]:
                 if j >= t:
                     break
                 deg_in[j] -= m
@@ -438,14 +411,6 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         vals[t] = x = vals[t] + 1
         c = degs[t] - x if parking else x
         conf[t] = c
-        if twins:    # t < k - 1: the last position takes no value here
-            *rest, own = state[t]
-            if own and own[-1][0] == c:
-                own = own[:-1] + ((c, own[-1][1] + 1),)
-            else:
-                own += (c, 1),     # t opens a block
-            state[t + 1] = ((*rest, own) if prev[t + 1] is not None
-                            else (*rest, own, ()))
         if drains:
             while starts and starts[-1] >= t:
                 starts.pop()
@@ -460,7 +425,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             seen.add(key)
         d = degs[t]
         back = 0
-        for j, m in rows[t]:
+        for j, m in nbrs[t]:
             if j >= t:
                 break
             deg_in[j] += m
@@ -468,27 +433,32 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         deg_in[t] = back
         # a representative holds at most the grains of prev[t]
         cmin, cmax = 0, d - 1 if prev[t] is None else conf[prev[t]]
-        if twins:
-            p, s, parts = part[t], sink[t], state[t]
-            # the r later part-mates of t, twins holding at most cmax grains
-            # (less s once drained), join unless they would burn at once
-            r = ends[p] - 1 - t
-            back, here = full[p] - adj[p][p] * r, t + 1 - heads[p]
-            mates = ()
-            if ahead and r and full[p] > max(cmax - s if drains else cmax, 0):
-                back, here = full[p], here + r
-                mates = (cmax, r),
+        n, dom = t + 1, deg_in   # the fixpoints' domain is 0..n-1
+        if ahead[t]:
+            e, reach = ahead[t]
+            s = sink[t]
+            # the later part-mates t+1..e, twins of t holding at most cmax
+            # grains (cmax - s drained), join unless they would burn at once
+            if reach > (cmax - s if drains else cmax):
+                n, r = e + 1, e - t
+                conf[t + 1:n] = [cmax] * r
+                drained[t + 1:n] = [cmax - s] * r
+                dom = deg_in[:t]
+                for j, m in nbrs[t]:
+                    if j >= t:
+                        break
+                    dom[j] += m * r
+                back = reach    # t's edges into the domain, and each mate's
+                dom += [back] * (r + 1)
         if budget:
             held[t] = held[t - 1] + conf[t - 1]
             cmin = max(cmin, under[t] - held[t])
             cmax = min(cmax, over[t] - held[t])
         if drains and starts:
             pass     # a drain bounds t at least as high
-        elif checks and back and twins:
-            cmin = max(cmin, fix(t, False, k)[0])
         elif checks and back:
             conf[t] = -1
-            pinned = deg_in[:t + 1]
+            pinned = dom[:n]
             _discard(conf, pinned, nbrs)
             cmin = max(cmin, pinned[t])
         if drains:
@@ -496,47 +466,42 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
             for v in starts:
                 if cmin >= s + back or cmin > cmax:
                     break
-                cmin = max(cmin, s + fix(t, True, v)[0])
+                cmin = max(cmin, s + fix(t, v)[0])
             # t would be a burning start: its drain keeps t, discarded first
-            if s and cmax >= max(cmin, d - s) and fix(t, True, t)[1]:
+            if s and cmax >= max(cmin, d - s) and fix(t, t)[1]:
                 cmax = d - s - 1
         elif exists and cmin <= cmax:
             s = sink[t]
             drained[t - 1] = conf[t - 1] - sink[t - 1]
             opts[t] = open_ = []
             for v, b in opts[t - 1]:
-                if conf[t - 1] < b or (v == t - 1 and twins and
-                                       state[t][part[v]][-1][1] > 1):
-                    continue     # closed by t - 1, or one drain per block
+                if conf[t - 1] < b or (v == t - 1 and prev[v] is not None
+                                       and vals[prev[v]] == x):
+                    continue     # closed by t - 1, or one drain per run
                 if v == k:
                     # t as a start (c >= d - s) drains like k: no forbidden set
                     open_.append((t, d - s))
                     if t >= last:
                         continue
-                b = cmin if cmin >= s + back else s + fix(t, True, v)[0]
+                b = cmin if cmin >= s + back else s + fix(t, v)[0]
                 open_.append((v, b))
             cmin = max(cmin, min((b for _, b in open_), default=cmax + 1))
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
-def _by_keys(target: Target, cls: str, groups, first: Optional[int],
-             render=None) -> Iterator[tuple[tuple, list]]:
+def _by_keys(target: Target, cls: str, groups, render=None
+             ) -> Iterator[tuple[tuple, list]]:
     """The members of a family with parts, lexicographically, as the
     ``(prefix, block)`` pairs (or with ``render`` its blocks rendered)
     that ``keys._keyed_members`` reads off the keys (``keys._prefix_units``)
-    its representative walk records (``_search`` with ``record``).  The
-    representatives start from every first value even when ``first`` is
-    set, as a member's may begin with another.
+    its representative walk records (``_search`` with ``record``).
     """
     low = _CLASS_WALKS[cls][0]
     units = _prefix_units(groups, low)
     seen: set = set()
     for _ in _runs(target, cls, (None, groups, "reps"), record=(units, seen)):
         pass
-    firsts = range(low, len(units[0]))
-    if first is not None:
-        firsts = firsts[first:first + 1]
-    yield from _keyed_members(units, low, seen, firsts, render)
+    yield from _keyed_members(units, low, seen, render)
 
 
 def iter_class(target: Target, cls: str, *,

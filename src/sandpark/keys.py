@@ -46,12 +46,11 @@ def _prefix_units(groups, low: int) -> list:
     return units
 
 
-def _keyed_members(units: list, low: int, seen: set, firsts: range,
-                   render=None) -> Iterator[tuple[tuple, list]]:
-    """The members all of whose prefix keys are in ``seen``, from the
-    first values ``firsts``, lexicographically, as ``(prefix, block)``
-    pairs: a member prefix of key ``K`` admits ``x`` exactly when
-    ``K + unit[x]`` is in ``seen``.
+def _keyed_members(units: list, low: int, seen: set, render=None
+                   ) -> Iterator[tuple[tuple, list]]:
+    """The members all of whose prefix keys are in ``seen``,
+    lexicographically, as ``(prefix, block)`` pairs: a member prefix of
+    key ``K`` admits ``x`` exactly when ``K + unit[x]`` is in ``seen``.
 
     The first position and those before the last ``_TAIL`` are walked one
     by one, and each prefix takes the block of its key (``_block``), built
@@ -67,7 +66,8 @@ def _keyed_members(units: list, low: int, seen: set, firsts: range,
     keys = [0] * head    # keys[t]: the key of the prefix 0..t-1
     # options[t]: the admitted values position t has still to take, set
     # as t is reached
-    options = [iter([x for x in firsts if units[0][x] in seen])] * head
+    options = [iter([x for x in range(low, len(units[0]))
+                     if units[0][x] in seen])] * head
     t = 0
     while True:
         x = next(options[t], None)

@@ -11,11 +11,10 @@ oracle of ``reference``.
 
 A public function checks its configuration once (``_check_config``) and
 hands the checked tuple, and what it derives from it, to the private
-cores, which check nothing: ``_recurrent``, the fixpoint ``_discard`` and
-its form over blocks of twins ``_burn``, the burning-start positions
-``_starts``, the one drain loop ``_first_drain`` behind both quantifiers of
-strong recurrence, the order-free toppling kernel ``_relax`` and the
-declaration-order replay ``_ordered_log``.
+cores, which check nothing: ``_recurrent``, the fixpoint ``_discard``, the
+burning-start positions ``_starts``, the one drain loop ``_first_drain``
+behind both quantifiers of strong recurrence, the order-free toppling
+kernel ``_relax`` and the declaration-order replay ``_ordered_log``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate, islice
 from numbers import Real
-from operator import mul
 from typing import Optional
 
 from .errors import SizeCapError, ToppleLimitError, UnknownVertexError, _size
@@ -352,32 +350,6 @@ def _discard(c: Sequence[int], deg_in: list, nbrs) -> int:
                 else:
                     deg_in[j] = d
     return left
-
-
-def _burn(parts: list, live: list, adj: list, lift: list) -> None:
-    """``_discard`` over blocks of twins, each burnt whole.
-
-    ``parts[p]`` lists part ``p``'s blocks ``(grains, count)``, most grains
-    first, and ``live[p]`` counts its live positions (updated in place).
-    Each has ``sum(adj[p][q] * live[q]) - adj[p][p]`` edges into the live
-    ones, and a block whose grains less ``lift[p]`` reach that burns.  The
-    parts take turns, each burning down its blocks, until none moves.
-    """
-    at = [0] * len(parts)
-    p = idle = 0
-    while idle < len(at):
-        blocks, row, i = parts[p], adj[p], at[p]
-        if i < len(blocks):     # a part burnt out has nothing to check
-            edges = sum(map(mul, row, live)) - row[p] + lift[p]
-            for grains, n in blocks[i:]:
-                if grains < edges:
-                    break
-                live[p] -= n
-                edges -= row[p] * n
-                i += 1
-        idle = 1 if i > at[p] else idle + 1
-        at[p] = i
-        p = (p + 1) % len(at)
 
 
 def max_forbidden_set(g: RootedMultigraph, c: Sequence[int]) -> tuple[str, ...]:

@@ -16,6 +16,7 @@ from sandpark import (build_graph, boost_except, burning_starts_pf,
                       is_minimal_recurrent, is_prime, is_recurrent,
                       is_recurrent_burning, is_strongly_recurrent, make_family, FamilySpec,
                       StabilisationTrace, ToppleLimitError)
+from sandpark.enumeration import _runs
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
 settings.register_profile("suite", deadline=None)
@@ -238,6 +239,15 @@ def reference_iter_class(target, cls, first=None):
             ranges[0] = ranges[0][first:first + 1]
         cands = product(*ranges)
     return [c for c in cands if test is None or test(g, c)]
+
+
+def walked_slice(target, cls, plan, first):
+    """The members of ``cls`` on ``target`` whose first value is the
+    ``first``-th: the runs of that slice of the walk ``plan`` chose,
+    expanded.  The reference above lists the same slice."""
+    return [tuple(vals[:-1]) + (x,)
+            for vals, lo, hi in _runs(target, cls, plan, first)
+            for x in range(lo, hi + 1)]
 
 
 @pytest.fixture(scope="session")

@@ -50,10 +50,10 @@ from sandpark import (
     stabilize,
     topple,
 )
-from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _listing, _plan
+from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _plan
 from conftest import (boost_witness, carried, graph_pool,
                       grid_with_sink_border, redeclared, reference_iter_class,
-                      reference_stabilize, reference_tree_count)
+                      reference_stabilize, reference_tree_count, walked_slice)
 
 SEEDS = range(16)
 
@@ -280,6 +280,6 @@ def test_pruned_walk_matches_generate_and_test(label, target, cls):
     want = []
     for first in range(g.nonsink_degrees[0]):
         part = reference_iter_class(target, cls, first)
-        assert list(_listing(target, cls, plan, first)) == part, first
+        assert walked_slice(target, cls, plan, first) == part, first
         want += part
     assert list(iter_class(target, cls)) == want

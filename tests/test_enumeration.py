@@ -45,7 +45,8 @@ from sandpark import burning, enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
                                   _listing, _pairs, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
-from conftest import giant_triangle, reference_iter_class, triangle
+from conftest import (giant_triangle, reference_iter_class, triangle,
+                      walked_slice)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -105,7 +106,7 @@ class TestIterClass:
                     continue
                 plan = _plan(g, cls, DEFAULT_SPACE_CAP)
                 slices = [item for first in range(g.nonsink_degrees[0])
-                          for item in _listing(g, cls, plan, first)]
+                          for item in walked_slice(g, cls, plan, first)]
                 assert slices == list(iter_class(g, cls)), (label, cls)
 
     def test_increasing_classes_are_sorted_members(self):
@@ -1006,9 +1007,8 @@ def test_bipartite_ppf_observed_equal_to_tripartite_closed_form(p, q, route):
 
 @pytest.fixture()
 def fixpoints(monkeypatch):
-    """The length of the domain of every fixpoint, in either module: its
-    positions for ``_discard``, its blocks for ``_burn``, the block routine
-    of the representative walks."""
+    """The length of the domain of every fixpoint ``_discard`` runs, in
+    either module: its positions."""
     lengths = []
     for module in (enumeration, sandpile):
         real = module._discard
@@ -1018,16 +1018,6 @@ def fixpoints(monkeypatch):
             return _real(c, deg_in, nbrs)
 
         monkeypatch.setattr(module, "_discard", counted)
-    burn = enumeration._burn
-
-    def burned(parts, live, adj, lift):
-        # each part's blocks come most grains first, as the sweep needs
-        assert all(a >= b for run in parts
-                   for (a, _), (b, _) in zip(run, run[1:]))
-        lengths.append(sum(map(len, parts)))
-        return burn(parts, live, adj, lift)
-
-    monkeypatch.setattr(enumeration, "_burn", burned)
     return lengths
 
 
@@ -1036,13 +1026,14 @@ class TestLookAhead:
     part, at the most grains the part's order leaves them; the walk visits
     fewer prefixes and yields the same runs."""
 
-    # over blocks these run 943, 3,001, 598, 3,001, 9,900, 6,521 and 5,710
-    # fixpoints (7,424 while the sr-exists mates were undrained); over
-    # positions 1,766, 5,683, 698, 5,683, 9,900, 6,521 and 15,223 (the
-    # drains also ran the pinned fixpoint, and sr-exists drained every
-    # open start); on the prefix alone the parking classes
-    # ran 13,735, 47,744 and 182,000, and the configuration classes 62,320,
-    # 41,989, 15,408 and 30,785 when only the parking classes looked ahead
+    # these run 943, 3,001, 598, 3,001, 9,900, 6,521 and 5,710 fixpoints,
+    # over positions as they did over blocks of twins (7,424 while the
+    # sr-exists mates were undrained); 1,766, 5,683, 698, 5,683, 9,900,
+    # 6,521 and 15,223 while the drains also ran the pinned fixpoint and
+    # sr-exists drained every open start; on the prefix alone the parking
+    # classes ran 13,735, 47,744 and 182,000, and the configuration classes
+    # 62,320, 41,989, 15,408 and 30,785 when only the parking classes
+    # looked ahead
     @pytest.mark.parametrize("spec,cls,count,most", [
         (FamilySpec("complete", n=9), "ppf-inc", 1430, 2500),
         (FamilySpec("complete", n=10), "ppf", 9 ** 9, 8000),
@@ -1062,105 +1053,21 @@ class TestLookAhead:
     @pytest.mark.parametrize("cls,most", [("pf", 2001), ("ppf", 4002)])
     def test_mates_without_edges_stay_out(self, fixpoints, cls, most):
         # the P-vertices share no edge and the Q-vertex comes last, so no
-        # fixpoint reaches past the prefix: over blocks the one fixpoint of
-        # pf holds 1 block and the two of ppf 2, where over positions they
-        # held 2,001 and 4,002
-        assert count_class(FamilySpec("bipartite", p=2000, q=1), cls) == 1
-        assert sum(fixpoints) <= most
+        # fixpoint reaches past the prefix: the one fixpoint of pf spans
+        # the 2,001 positions and the two of ppf 4,002
+        assert _walk_count(FamilySpec("bipartite", p=2000, q=1), cls,
+                           "reps") == 1
+        assert 0 < len(fixpoints) and sum(fixpoints) <= most
 
 
-# the battery's families with parts and the LONG_PARTS shapes
-BLOCK_SPECS = sorted({spec for spec, _ in default_suite()
-                      if spec.family != "wheel"} | set(LONG_PARTS),
-                     key=FamilySpec.label)
-
-
-def _part_edges(g, sizes):
-    """Edges from a vertex of each part to one of each part, checked
-    equal over every pair of distinct vertices: the parts are twins."""
-    heads = [sum(sizes[:p]) for p in range(len(sizes))]
-    rows = [dict(row) for row in g.nonsink_nbrs]
-    adj = []
-    for h, a in zip(heads, sizes):
-        adj.append([])
-        for hq, b in zip(heads, sizes):
-            seen = {rows[i].get(j, 0) for i in range(h, h + a)
-                    for j in range(hq, hq + b) if i != j}
-            assert len(seen) <= 1
-            adj[-1].append(seen.pop() if seen else 0)
-    return adj
-
-
-class TestBlockFixpoint:
-    """A representative walk's fixpoints run over blocks of twins holding
-    one value (``sandpile._burn``); each equals ``_discard`` over the
-    positions the blocks stand for."""
-
-    @pytest.mark.parametrize("spec", BLOCK_SPECS,
-                             ids=[spec.label() for spec in BLOCK_SPECS])
-    def test_blocks_burn_as_their_positions(self, spec):
-        g = make_family(spec)
-        nbrs, degs, sink = g.nonsink_nbrs, g.nonsink_degrees, g.sink_mults
-        sizes = [c for _, c in _degree_groups(spec)]
-        adj = _part_edges(g, sizes)
-        heads = [sum(sizes[:p]) for p in range(len(sizes))]
-        part = [p for p, c in enumerate(sizes) for _ in range(c)]
-        rng = random.Random(spec.label())
-        for _ in range(150):
-            t = rng.randrange(len(part))
-            p = part[t]
-            # the domain: the prefix 0..t and r of t's later part-mates
-            r = rng.randrange(heads[p] + sizes[p] - t)
-            end = t + 1 + r
-            lift = [sink[h] if rng.random() < 0.5 else 0 for h in heads]
-            # the prefix's grains, never rising inside a part
-            conf = []
-            for j in range(t):
-                top = degs[j] - 1 if j in heads else conf[-1]
-                conf.append(rng.randint(max(0, top - 2), top))
-            # the mates block, at any most, above the prefix's or below
-            mate = rng.randint(-1, degs[t])
-            # a drained start opens its block and holds its edges, so it
-            # burns at once; t too may be the start
-            starts = [j for j in range(t) if conf[j] >= degs[j] - sink[j]
-                      and (j in heads or conf[j] != conf[j - 1])]
-            v = rng.choice(starts + [t, None])
-            values = [c - lift[part[j]] for j, c in enumerate(conf)]
-            values += [-1] + [mate - lift[p]] * r
-            if v is not None:
-                values[v] = degs[v]
-            pinned = [sum(m for i, m in nbrs[j] if i < end)
-                      for j in range(end)]
-            left = sandpile._discard(values, pinned, nbrs)
-            # the same domain as blocks: runs of one part holding one value
-            # (the start taken out), t only counted, the mates one block
-            parts = [[] for _ in range(p + 1)]
-            live = [0] * (p + 1)
-            for j in range(end):
-                live[part[j]] += j != v
-            for j, c in enumerate(conf):
-                run = parts[part[j]]
-                if j in heads or c != conf[j - 1]:
-                    run.append((c, 0))
-                run[-1] = (c, run[-1][1] + (j != v))
-            if r:
-                parts[p].append((mate, r))
-            parts = [sorted(run, reverse=True) for run in parts]
-            sandpile._burn(parts, live, adj, lift)
-            assert sum(live) == left
-            if v != t:
-                assert pinned[t] == \
-                    sum(a * n for a, n in zip(adj[p], live)) - adj[p][p]
-
-    def test_exists_drains_one_start_per_block(self, fixpoints):
-        # two starts of one part holding one value give one bound, so only
-        # the first is drained, and the mates hold their drained grains, as
-        # none is a start: 5,710 fixpoints, against 7,424 with the mates
-        # undrained and 15,223 when every open start was drained (sr-forall
-        # runs 3,001)
-        assert _walk_count(FamilySpec("complete", n=10), "sr-exists",
-                           "reps") == 9 ** 9
-        assert 0 < len(fixpoints) <= 6000
+def test_exists_drains_one_start_per_block(fixpoints):
+    # two starts of one part holding one value give one bound, so only the
+    # first is drained, and the mates hold their drained grains, as none is
+    # a start: 5,710 fixpoints, against 7,424 with the mates undrained and
+    # 15,223 when every open start was drained (sr-forall runs 3,001)
+    assert _walk_count(FamilySpec("complete", n=10), "sr-exists",
+                       "reps") == 9 ** 9
+    assert 0 < len(fixpoints) <= 6000
 
 
 # once a burning start is assigned, its drain bounds t at least as high as
@@ -1206,14 +1113,9 @@ class TestListingMemo:
                              ids=[f"{spec.label()}-{cls}"
                                   for spec, cls in LISTING_CASES])
     def test_family_lists_the_bare_graph_walk(self, spec, cls):
-        # the bare graph walks the members; the first-value slices
-        # partition the listing
+        # the bare graph walks the members
         want = list(iter_class(make_family(spec), cls))
         assert list(iter_class(spec, cls)) == want
-        plan = _plan(spec, cls, DEFAULT_SPACE_CAP)
-        slices = [item for first in range(plan[1][0][0])
-                  for item in _listing(spec, cls, plan, first)]
-        assert slices == want
 
     @pytest.mark.parametrize("n,cls,count,most", [
         (6, "ppf", 5 ** 5, 1000), (7, "ppf", 6 ** 6, 3000),
@@ -1245,22 +1147,6 @@ class TestListingMemo:
         keyed, plain = (list(_listing(g, cls, (None, groups, walk)))
                         for walk in ("keys", "members"))
         assert keyed == plain != []
-        slices = [item for first in range(groups[0][0])
-                  for item in _listing(g, cls, (None, groups, "keys"), first)]
-        assert slices == plain
-
-    @pytest.mark.parametrize("spec", [FamilySpec("tripartite", p=4, q=3),
-                                      FamilySpec("split", m=2, n=4)],
-                             ids=FamilySpec.label)
-    def test_first_value_slices_partition_the_walk(self, spec):
-        # each slice reads the keys of every representative, whatever
-        # value it starts from
-        for cls in ("sr-exists", "min-recurrent", "ppf"):
-            plan = _plan(spec, cls, DEFAULT_SPACE_CAP)
-            assert plan[2] == "keys"
-            slices = [item for first in range(plan[1][0][0])
-                      for item in _listing(spec, cls, plan, first)]
-            assert slices == list(iter_class(make_family(spec), cls)), cls
 
     def test_rendered_blocks_are_one_per_recorded_key(self):
         # a listing renders each key's block once and keeps it until the
@@ -1483,7 +1369,7 @@ class TestRunStreams:
         want = []
         for first in range(g.nonsink_degrees[0]):
             part = reference_iter_class(g, cls, first)
-            assert list(_listing(g, cls, plan, first)) == part, first
+            assert walked_slice(g, cls, plan, first) == part, first
             want += part
         assert list(iter_class(g, cls)) == want
         assert count_class(g, cls) == len(want)
