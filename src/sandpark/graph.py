@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -165,40 +165,44 @@ class RootedMultigraph:
         keep = [v2 for v2 in self.nonsink if v2 != v]
         return self.induced_with_sink(keep)
 
-    def _reachable(self, start: int, allowed: Collection[int]) -> set[int]:
-        """Indices reachable from ``start`` through vertices in ``allowed``."""
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            for j, _ in self.rows[queue.popleft()]:
-                if j in allowed and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
+    def _reachable(self, start: int, blocked: Iterable[int] = ()) -> bytearray:
+        """Flags, by index, of ``blocked`` and of the vertices a walk from
+        ``start`` reaches without entering ``blocked``."""
+        seen = bytearray(len(self.rows))
+        for i in blocked:
+            seen[i] = 1
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            for j, _ in self.rows[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
         return seen
 
     def is_connected(self) -> bool:
-        n = len(self.vertices)
-        return len(self._reachable(self.sink_index, range(n))) == n
+        return 0 not in self._reachable(self.sink_index)
 
     def sink_is_cut_vertex(self) -> bool:
         """True iff removing the sink disconnects the remaining vertices."""
-        rest = self.nonsink_indices
-        return len(self._reachable(rest[0], set(rest))) != len(rest)
+        return 0 in self._reachable(self.nonsink_indices[0], (self.sink_index,))
 
     def spanning_tree_count(self) -> int:
         """Number of spanning trees: the reduced Laplacian determinant.
 
         The reduced Laplacian of a connected graph is positive definite, and
         so is any symmetric permutation of it.  Its rows are eliminated in
-        greedy minimum-degree order, which keeps the fill small; every
-        leading minor in that order is a principal minor of the original, a
-        positive integer at most the product of its diagonal (Hadamard's
-        inequality), hence at most the product of the non-sink degrees.
-        Sparse elimination with diagonal pivots modulo a Mersenne prime above
-        that product meets no zero pivot, and the residue is the exact
-        count.  A zero pivot therefore means the graph is disconnected and
-        raises ``DisconnectedGraphError``.  Raises ``SizeCapError`` before
-        any elimination when the product exceeds the largest tabulated prime.
+        greedy minimum-degree order, which keeps the fill small: each pivot
+        has the fewest off-diagonal entries (zeros included) in the live
+        Schur complement, ties to the lowest position.  Every leading minor
+        in that order is a principal minor of the original, a positive
+        integer at most the product of its diagonal (Hadamard's inequality),
+        hence at most the product of the non-sink degrees.  Sparse
+        elimination with diagonal pivots modulo a Mersenne prime above that
+        product meets no zero pivot, and the residue is the exact count.  A
+        zero pivot therefore means the graph is disconnected and raises
+        ``DisconnectedGraphError``.  Raises ``SizeCapError`` before any
+        elimination when the product exceeds the largest tabulated prime.
         """
         deg = self.nonsink_degrees
         bound = math.prod(deg)
@@ -210,58 +214,39 @@ class RootedMultigraph:
             raise SizeCapError(
                 f"spanning-tree count capped at a degree-product bound of "
                 f"2^{e}, graph has about 2^{bound.bit_length() - 1}")
-        nbrs = self.nonsink_nbrs
-        order = _min_degree_order(nbrs)
-        new_pos = {old: i for i, old in enumerate(order)}
-        # Upper triangle only: the Schur complements stay symmetric.
-        # Entries are reduced loosely by folding, since 2^e = 1 mod p
-        # gives v = (v & p) + (v >> e) mod p, also for negative v.
-        rows = [{i: deg[old]} | {new_pos[j]: -m for j, m in nbrs[old]
-                                 if new_pos[j] > i}
-                for i, old in enumerate(order)]
+        # Off-diagonal entries sit in both rows, so a row's length is its
+        # live degree; stale heap entries are skipped.  Entries are reduced
+        # loosely by folding, since 2^e = 1 mod p gives
+        # v = (v & p) + (v >> e) mod p, also for negative v.
+        diag = list(deg)
+        rows = [{j: -m for j, m in row} for row in self.nonsink_nbrs]
+        heap = [(len(row), i) for i, row in enumerate(rows)]
+        heapify(heap)
         count = 1
-        for k, row in enumerate(rows):
+        while heap:
+            n, k = heappop(heap)
+            row = rows[k]
+            if row is None or n != len(row):
+                continue
             rows[k] = None
-            pivot = row.pop(k) % p
+            pivot = diag[k] % p
             if not pivot:
                 raise DisconnectedGraphError("graph is not connected")
             count = count * pivot % p
             inv = pow(pivot, -1, p)
-            tail = sorted(row.items())
+            tail = list(row.items())
             for a, (i, x) in enumerate(tail):
-                factor = x * inv % p
                 target = rows[i]
-                for j, y in tail[a:]:
+                del target[k]
+                factor = x * inv
+                factor = (factor & p) + (factor >> e)
+                v = diag[i] - factor * x
+                diag[i] = (v & p) + (v >> e)
+                for j, y in tail[a + 1:]:
                     v = target.get(j, 0) - factor * y
-                    target[j] = (v & p) + (v >> e)
+                    target[j] = rows[j][i] = (v & p) + (v >> e)
+                heappush(heap, (len(target), i))
         return count
-
-
-def _min_degree_order(nbrs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """Greedy minimum-degree elimination order of a sparse symmetric pattern.
-
-    Each step takes the position with the fewest remaining neighbours, ties
-    to the lowest position, and joins its neighbours into a clique, as
-    eliminating it would.  Stale heap entries are skipped on pop.
-    """
-    adj = [{j for j, _ in row} for row in nbrs]
-    heap = [(len(a), i) for i, a in enumerate(adj)]
-    heapify(heap)
-    order = []
-    while heap:
-        d, i = heappop(heap)
-        nb = adj[i]
-        if nb is None or d != len(nb):
-            continue
-        adj[i] = None
-        order.append(i)
-        for j in nb:
-            a = adj[j]
-            a.discard(i)
-            a |= nb
-            a.discard(j)
-            heappush(heap, (len(a), j))
-    return order
 
 
 # Exponents e of the Mersenne primes 2^e - 1 that spanning_tree_count works

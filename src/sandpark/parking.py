@@ -118,8 +118,8 @@ def restrict_partition(g: RootedMultigraph, p: Sequence[int],
 
 
 def _connected_with_sink(g: RootedMultigraph, block: tuple[str, ...]) -> bool:
-    members = {g.index[v] for v in block} | {g.sink_index}
-    return len(g._reachable(g.sink_index, members)) == len(members)
+    rest = set(g.nonsink_indices) - {g.index[v] for v in block}
+    return 0 not in g._reachable(g.sink_index, rest)
 
 
 def _restriction(g: RootedMultigraph, p: Parking, a: tuple[str, ...],

@@ -186,12 +186,14 @@ def _relax(g: RootedMultigraph, cur: list[int], pending: list[int],
     crosses its degree is appended.  The order is breadth-first, so a
     position gathers its neighbours' grains before it fires, which the
     abelian property allows; the budget is checked on the running total.
+    A position read holds x >= deg, as it was appended on crossing its
+    degree and only its own firing lowers it, so x < 2 * deg fires once.
     On a graph whose non-sink edges are all single (``simple_nbrs``) the
-    rows carry no multiplicities and each neighbour gains q.
+    rows carry no multiplicities and each neighbour gains q; one firing
+    needs no division, and a neighbour crosses exactly when it reaches deg.
 
-    ``pending`` keeps one slot per step read.  Each step fires at least
-    once, so it ends with at most k + ``max_topplings`` entries, k being
-    the number of non-sink vertices.
+    Each step fires at least once, so ``pending``, one slot per step read,
+    ends with at most k + ``max_topplings`` entries (k non-sink vertices).
     """
     degs = g.nonsink_degrees
     simple = g.simple_nbrs
@@ -200,12 +202,25 @@ def _relax(g: RootedMultigraph, cur: list[int], pending: list[int],
     fired = 0
     for i in pending:
         d = degs[i]
-        q = cur[i] // d
+        x = cur[i]
+        if x < d + d and simple is not None:
+            fired += 1
+            if fired > max_topplings:
+                raise ToppleLimitError(
+                    f"stabilisation exceeded {max_topplings} topplings")
+            cur[i] = x - d
+            odometer[i] += 1
+            for j in simple[i]:
+                cur[j] = y = cur[j] + 1
+                if y == degs[j]:
+                    push(j)
+            continue
+        q = x // d
         fired += q
         if fired > max_topplings:
             raise ToppleLimitError(
                 f"stabilisation exceeded {max_topplings} topplings")
-        cur[i] -= q * d
+        cur[i] = x - q * d
         odometer[i] += q
         if simple is None:
             for j, m in nbrs[i]:

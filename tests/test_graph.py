@@ -398,9 +398,12 @@ class TestLargeSparse:
 
     def test_grid100_tree_count_capped_before_elimination(self, monkeypatch):
         # degree product 4^10000 = 2^20000, above 2^11213 - 1
-        def no_order(*args):
+        def no_heap(*args):
             raise AssertionError("elimination started")
 
-        monkeypatch.setattr(graph_module, "_min_degree_order", no_order)
+        # the elimination's first step is heaping the row lengths
+        monkeypatch.setattr(graph_module, "heapify", no_heap)
+        with pytest.raises(AssertionError, match="elimination started"):
+            grid_with_sink_border(4).spanning_tree_count()
         with pytest.raises(SizeCapError):
             grid_with_sink_border(100).spanning_tree_count()

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -244,6 +245,55 @@ class TestStabilize:
         assert g.simple_nbrs is None
         c = [0] * 256
         c[g.nonsink_pos[edge[0]]] = 300
+        tr = stabilize(g, c)
+        ref = reference_stabilize(g, c)
+        assert (tr.final, tr.odometer, tr.log) == \
+            (ref.final, ref.odometer, ref.log)
+
+    @staticmethod
+    def grid16(doubled):
+        """The 16x16 sink-border grid, its non-sink edges doubled or not."""
+        g = grid_with_sink_border(16)
+        if doubled:
+            data = graph_to_dict(g)
+            data["edges"] = [[v, w, m if "s" in (v, w) else 2 * m]
+                             for v, w, m in data["edges"]]
+            g = graph_from_dict(data)
+        assert (g.simple_nbrs is None) == doubled
+        return g
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["simple", "doubled"])
+    def test_one_grain_on_the_top_fires_once_per_step(self, doubled):
+        # no position the avalanche reads reaches twice its degree
+        g = self.grid16(doubled)
+        c = [d - 1 for d in g.nonsink_degrees]
+        c[8 * 16 + 8] += 1
+        pending, odometer = [8 * 16 + 8], [0] * 256
+        sandpile._relax(g, list(c), pending, odometer,
+                        max_topplings=sandpile.DEFAULT_MAX_TOPPLINGS)
+        total = sum(odometer)
+        assert len(pending) == total and max(odometer) > 1
+        tr = stabilize(g, c)
+        ref = reference_stabilize(g, c)
+        assert (tr.final, tr.odometer, tr.log) == \
+            (ref.final, ref.odometer, ref.log)
+        assert tr.odometer == tuple(odometer)
+        with pytest.raises(ToppleLimitError):
+            stabilize(g, c, max_topplings=total - 1)
+        assert sum(stabilize(g, c, max_topplings=total).odometer) == total
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["simple", "doubled"])
+    def test_pile_mixing_single_and_bulk_steps(self, doubled):
+        g = self.grid16(doubled)
+        c = [0] * 256
+        c[5 * 16 + 6] = 500
+        pending, odometer = [5 * 16 + 6], [0] * 256
+        sandpile._relax(g, list(c), pending, odometer,
+                        max_topplings=sandpile.DEFAULT_MAX_TOPPLINGS)
+        # a position read as often as it fired took single steps only
+        steps = Counter(pending)
+        assert any(steps[i] == odometer[i] for i in steps)
+        assert any(steps[i] < odometer[i] for i in steps)
         tr = stabilize(g, c)
         ref = reference_stabilize(g, c)
         assert (tr.final, tr.odometer, tr.log) == \
