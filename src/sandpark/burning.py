@@ -8,8 +8,6 @@ family here, and the walks of ``enumeration`` stay the reference.
 from __future__ import annotations
 
 import math
-from itertools import product
-from operator import mul, sub
 
 from .families import _FAMILY_TABLE, FamilySpec
 
@@ -69,7 +67,7 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     part and the sink unless it shares the sink's part, so a clique group
     (vertices in parts of their own) has degree N, the non-sink total, and
     an independent part of c vertices N - c plus its sink edges (0 or 1).
-    Burn in rounds (``_burn_out``).  With u_X of group X unburnt (U in
+    Burn in rounds (``_burn``).  With u_X of group X unburnt (U in
     all), a vertex of X sees e_X(u) = U - u_X unburnt neighbours, or U - 1
     in a clique group, so one that burns in round r holds a value in
     [e_X(u_r), e_X(u_(r-1))), u_r being the vector round r starts from.
@@ -81,8 +79,10 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     C(w_X + k_X - 1, k_X).  The states are ``(u, w)``, by unburnt total.
     A rest counts zero exactly when every group left has width 0: burning
     every group of positive width leaves at most the one independent part
-    that alone burnt last, whose width then is positive.  Such rests are
-    skipped before the weight is formed.
+    that alone burnt last, whose width then is positive.  A group left has
+    width 0 only when it is an independent part that alone burnt, so a rest
+    counts zero exactly when a lone unburnt independent part burns only
+    partly, and such a part burns whole (``_moves``).
 
     ``min-recurrent`` holds one grain per non-sink edge (level 0).  Each
     vertex holds at least the bottom of its window, and summed over the
@@ -119,7 +119,7 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     vertices in a window of width w, at least one at the top: they weigh
     C(c_Z, k + 1) * (w^(k + 1) - (w - 1)^(k + 1)), or as multisets
     C(w + k - 1, k).  So the first round, or the first two, run from the
-    drain alone, the round of Z's top weighing Z so (``_round`` with
+    drain alone, the round of Z's top weighing Z so (``_moves`` with
     ``top``), and the loop runs on.  A Z of one vertex holds only v, at its
     one value, and drops out.
     """
@@ -140,83 +140,88 @@ def _burning_count(target: FamilySpec, groups, cls: str) -> int:
     sink = tuple(d - total + (1 if q else c)
                  for (d, c), q in zip(groups, clique))
     sizes = tuple(c for _, c in groups)
-    if cls not in _SEEDED:
-        states: list = [{} for _ in range(total + 1)]   # by unburnt total
-        states[total][sizes, sink] = 1
-        return _burn_out(states, clique, inc, cls == "min-recurrent")
+    # a state (u, w) is the integer sum of u_X a_X + w_X b_X in radix
+    # total + 1, the widths low, so a move k leaves the unburnt digits
+    # shifted by sum k_X d_X, d_X = sum b - a_X - b_X [X independent]
+    n1 = total + 1
+    span = n1 ** len(sizes)
+    shape = span, n1, tuple(
+        (span * b, b, (span - 1) // total - span * b - (not q) * b, q)
+        for b, q in zip((n1 ** i for i in range(len(sizes))), clique))
+    # v's drain: G - sink burnt from v, every group but an independent Z
+    # seeing v, and the sink-adjacent groups before Z holding no start, so
+    # their round-1 windows have width 0
+    starts = [(sizes, sink, ())] if cls not in _SEEDED else [
+        (tuple(x - (i == z) for i, x in enumerate(sizes)),
+         tuple(int((i != z or clique[z]) and not (i < z and s))
+               for i, s in enumerate(sink)),
+         # Z's top value has the window of round 1, or of round 2 for an
+         # independent Z, which sees no v
+         ((z,) if clique[z] else (None, z)) if c > 1 else ())
+        for z, c in enumerate(sizes) if sink[z]]
     count = 0
-    for z, c in enumerate(sizes):
-        if not sink[z]:
-            continue
-        # v's drain: G - sink burnt from v, every group but an independent
-        # Z seeing v, and the sink-adjacent groups before Z holding no
-        # start, so their round-1 windows have width 0
-        u = tuple(x - (i == z) for i, x in enumerate(sizes))
-        w = tuple(int((i != z or clique[z]) and not (i < z and s))
-                  for i, s in enumerate(sink))
-        states = [{} for _ in range(total)]
-        states[-1][u, w] = 1
-        # Z's top value has the window of round 1, or of round 2 for an
-        # independent Z, which sees no v
-        for top in ((z,) if clique[z] else (None, z)) if c > 1 else ():
-            layers, states = states, [{} for _ in range(total)]
-            for layer in layers:
-                _round(layer, states, clique, inc, top)
-        count += _burn_out(states, clique, inc)
+    for u, w, tops in starts:
+        states: list = [{} for _ in range(total + 1)]   # by unburnt total
+        states[sum(u)][sum(x * a + y * b for x, y, (a, b, _, _)
+                           in zip(u, w, shape[2]))] = 1
+        for top in tops:
+            states = _burn(states, shape, inc, top, out=[{} for _ in states])
+        count += sum(_burn(states, shape, inc, None,
+                           cls == "min-recurrent")[0].values())
     return count
 
 
-def _burn_out(states: list, clique, inc: bool, level: bool = False) -> int:
-    """Burn every ``(u, w)`` state of ``states`` (indexed by unburnt total)
-    down to nothing, round by round (``_round``, given ``level``), and sum
-    the weights of the sequences that burn everything.
+def _burn(states: list, shape, inc: bool, top=None, level: bool = False,
+          out=None) -> list:
+    """Add the moves (``_moves``) of each state of ``states`` (integer
+    keys by unburnt total) to ``out`` by the total they leave and return
+    it: one round from every state, or with ``out`` None into ``states``
+    itself, which burns everything down to its layer 0.
     """
+    out = states if out is None else out
     for left in range(len(states) - 1, 0, -1):
-        _round(states[left], states, clique, inc, None, level)
-    return sum(states[0].values())
+        for key, f in states[left].items():
+            for burnt, rest, weight in _moves(key, f, shape, inc, top, level):
+                if burnt:
+                    layer = out[left - burnt]
+                    layer[rest] = layer.get(rest, 0) + weight
+    return out
 
 
-def _round(layer: dict, states: list, clique, inc: bool, top=None,
-           level: bool = False) -> None:
-    """One round of Dhar's burning from each ``(u, w)`` state of ``layer``,
-    adding the states it leaves to ``states`` by unburnt total.  With
-    ``top`` the round is the window of group ``top``'s top value, its
-    burners joining the start among its vertices; with ``level`` it burns
-    one group, each burner at the bottom of its window.
+def _moves(key: int, f: int, shape, inc: bool, top=None,
+           level: bool = False) -> list:
+    """The ``(burnt, key, weight)`` moves of one round from state ``key``
+    of weight ``f``, folded group by group from the ``(k_X, k_X d_X,
+    factor)`` options of each group with width: any k_X, or all of a lone
+    independent part.  With ``top`` the round is the window of group
+    ``top``'s top value, its burners joining the start; with ``level`` it
+    burns some of one group, one of a clique group, at the window bottom.
     """
-    for (u, w), f in layer.items():
-        moves = _moves(u, w, clique, level)
+    span, n1, groups = shape
+    xs = [key // a % n1 for a, _, _, _ in groups]
+    lone = xs.count(0) == len(xs) - 1
+    moves = [(0, key - key % span, f)]
+    for i, (x, (_, b, d, q)) in enumerate(zip(xs, groups)):
+        y = key // b % n1
+        if not (x and y):
+            continue
+        y = 1 if level else y    # one value in each window
+        s = i == top and not inc    # the start joins this group's burners
+        m = x + s
+        if lone and not q:
+            opts = [(x, x * d, math.comb(y + x - 1, x) if inc else
+                     y ** m - (y - 1) ** m if s else y ** x)]
+        else:
+            # C(x, k) y^k, C(y + k - 1, k) as multisets, or at the top
+            # C(x + 1, k + 1) (y^(k + 1) - (y - 1)^(k + 1)), over k
+            opts, hi, lo = [] if s else [(0, 0, 1)], 1, 1
+            for j in range(1, 2 if level and q else m + 1):
+                hi = hi * (y + j - 1 if inc else (m - j + 1) * y) // j
+                lo = lo * (m - j + 1) * (y - 1) // j if s else 0
+                opts.append((j - s, (j - s) * d, hi - lo))
         if level:
-            w = (1,) * len(u)    # one value in each window
-        left = sum(u)
-        for k in moves:
-            burnt = sum(k)
-            if not burnt:
-                continue
-            rest = tuple(map(sub, u, k))
-            nxt = tuple(burnt if q else burnt - j for q, j in zip(clique, k))
-            if any(rest) and not any(map(mul, rest, nxt)):
-                continue     # nothing more burns
-            weight, plain = f, k
-            if top is not None and not inc:
-                x, j, y = u[top], k[top], w[top]
-                weight *= (math.comb(x + 1, j + 1)
-                           * (y ** (j + 1) - (y - 1) ** (j + 1)))
-                plain = k[:top] + (0,) + k[top + 1:]
-            for x, j, y in zip(u, plain, w):
-                if j:
-                    weight *= (math.comb(y + j - 1, j) if inc
-                               else math.comb(x, j) * y ** j)
-            out = states[left - burnt]
-            out[rest, nxt] = out.get((rest, nxt), 0) + weight
-
-
-def _moves(u, w, clique, level: bool):
-    """The ``k`` vectors a round from ``(u, w)`` tries: any number of each
-    group with width, or with ``level`` some of one group, one of a clique
-    group."""
-    if level:
-        return [(0,) * i + (j,) + (0,) * (len(u) - i - 1)
-                for i, (x, y) in enumerate(zip(u, w)) if x and y
-                for j in range(1, 2 if clique[i] else x + 1)]
-    return product(*[range(x + 1) if y else (0,) for x, y in zip(u, w)])
+            moves += [(k, moves[0][1] + t, f * p) for k, t, p in opts if k]
+        else:
+            moves = [(burnt + k, r + t, p * g) for burnt, r, p in moves
+                     for k, t, g in opts]
+    return moves

@@ -5,8 +5,10 @@ them have at most 6 non-sink vertices so full stable/candidate spaces stay
 cheap to enumerate.
 """
 
+import math
 from functools import partial
 from itertools import combinations_with_replacement, product
+from operator import mul, sub
 
 import pytest
 from hypothesis import settings
@@ -16,7 +18,9 @@ from sandpark import (build_graph, boost_except, burning_starts_pf,
                       is_minimal_recurrent, is_prime, is_recurrent,
                       is_recurrent_burning, is_strongly_recurrent, make_family, FamilySpec,
                       StabilisationTrace, ToppleLimitError)
+from sandpark.burning import _SEEDED
 from sandpark.enumeration import _runs
+from sandpark.families import _degree_groups
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
 settings.register_profile("suite", deadline=None)
@@ -248,6 +252,82 @@ def walked_slice(target, cls, plan, first):
     return [tuple(vals[:-1]) + (x,)
             for vals, lo, hi in _runs(target, cls, plan, first)
             for x in range(lo, hi + 1)]
+
+
+def reference_burning_count(target, cls):
+    """``burning._burning_count`` on a family with parts, its states kept
+    as ``(u, w)`` tuples of unburnt counts and window widths, and every
+    ``k`` vector of a round tried and weighed with ``math.comb`` and
+    ``pow`` unless its rest counts zero.  Reference for the integer-keyed
+    loop."""
+    groups = _degree_groups(target)
+    if cls == "stable":
+        return math.prod(d ** c for d, c in groups)
+    inc = cls.endswith("-inc")
+    total = sum(c for _, c in groups)
+    clique = [d == total for d, _ in groups]
+    sink = tuple(d - total + (1 if q else c)
+                 for (d, c), q in zip(groups, clique))
+    sizes = tuple(c for _, c in groups)
+    if cls not in _SEEDED:
+        states = [{} for _ in range(total + 1)]
+        states[total][sizes, sink] = 1
+        return _reference_burn_out(states, clique, inc,
+                                   cls == "min-recurrent")
+    count = 0
+    for z, c in enumerate(sizes):
+        if not sink[z]:
+            continue
+        u = tuple(x - (i == z) for i, x in enumerate(sizes))
+        w = tuple(int((i != z or clique[z]) and not (i < z and s))
+                  for i, s in enumerate(sink))
+        states = [{} for _ in range(total)]
+        states[-1][u, w] = 1
+        for top in ((z,) if clique[z] else (None, z)) if c > 1 else ():
+            layers, states = states, [{} for _ in range(total)]
+            for layer in layers:
+                _reference_round(layer, states, clique, inc, top)
+        count += _reference_burn_out(states, clique, inc)
+    return count
+
+
+def _reference_burn_out(states, clique, inc, level=False):
+    for left in range(len(states) - 1, 0, -1):
+        _reference_round(states[left], states, clique, inc, None, level)
+    return sum(states[0].values())
+
+
+def _reference_round(layer, states, clique, inc, top=None, level=False):
+    for (u, w), f in layer.items():
+        if level:
+            moves = [(0,) * i + (j,) + (0,) * (len(u) - i - 1)
+                     for i, (x, y) in enumerate(zip(u, w)) if x and y
+                     for j in range(1, 2 if clique[i] else x + 1)]
+            w = (1,) * len(u)    # one value in each window
+        else:
+            moves = product(*[range(x + 1) if y else (0,)
+                              for x, y in zip(u, w)])
+        left = sum(u)
+        for k in moves:
+            burnt = sum(k)
+            if not burnt:
+                continue
+            rest = tuple(map(sub, u, k))
+            nxt = tuple(burnt if q else burnt - j for q, j in zip(clique, k))
+            if any(rest) and not any(map(mul, rest, nxt)):
+                continue     # nothing more burns
+            weight, plain = f, k
+            if top is not None and not inc:
+                x, j, y = u[top], k[top], w[top]
+                weight *= (math.comb(x + 1, j + 1)
+                           * (y ** (j + 1) - (y - 1) ** (j + 1)))
+                plain = k[:top] + (0,) + k[top + 1:]
+            for x, j, y in zip(u, plain, w):
+                if j:
+                    weight *= (math.comb(y + j - 1, j) if inc
+                               else math.comb(x, j) * y ** j)
+            out = states[left - burnt]
+            out[rest, nxt] = out.get((rest, nxt), 0) + weight
 
 
 @pytest.fixture(scope="session")

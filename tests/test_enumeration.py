@@ -45,8 +45,8 @@ from sandpark import burning, enumeration, families, reference, sandpile
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
                                   _listing, _pairs, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
-from conftest import (giant_triangle, reference_iter_class, triangle,
-                      walked_slice)
+from conftest import (giant_triangle, reference_burning_count,
+                      reference_iter_class, triangle, walked_slice)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -670,6 +670,39 @@ ONE_LONG_PART = [FamilySpec("tripartite", p=1, q=300),
                  FamilySpec("split", m=1, n=300)]
 
 
+# shapes past the walks' reach, which the tuple-keyed burning loop counts
+PAST_THE_WALKS = ([FamilySpec("complete", n=n) for n in range(1, 26)]
+                  + [FamilySpec(family, **{a: x, b: y})
+                     for family, a, b in (("tripartite", "p", "q"),
+                                          ("bipartite", "p", "q"),
+                                          ("split", "m", "n"))
+                     for x, y in ((1, 12), (12, 1), (2, 11), (11, 2),
+                                  (5, 12), (12, 5), (8, 9), (9, 8))])
+
+
+def _spy_moves(monkeypatch):
+    """Spy on ``burning._moves``: a list that collects each move it lists
+    that burns something, each checked to leave nothing unburnt or some
+    group with unburnt vertices and a window of positive width."""
+    listed = []
+    real = burning._moves
+
+    def spy(key, f, shape, *args):
+        moves = real(key, f, shape, *args)
+        _, n1, groups = shape
+        for move in moves:
+            if move[0]:
+                rest = [(move[1] // a % n1, move[1] // b % n1)
+                        for a, b, _, _ in groups]
+                assert (not any(x for x, _ in rest)
+                        or any(x and y for x, y in rest)), move
+                listed.append(move)
+        return moves
+
+    monkeypatch.setattr(burning, "_moves", spy)
+    return listed
+
+
 def _sorted_in_parts(spec):
     """Whether a tuple is non-decreasing inside every part of ``spec``."""
     cuts, end = [], 0
@@ -914,8 +947,8 @@ class TestBurningRoute:
 
     def test_rests_that_count_zero_form_no_weight(self, monkeypatch):
         # bipartite(20000*, 1): the Q-vertex burns first, and then every
-        # P-vertex at once, as a P-vertex left after a round of P alone
-        # never burns; those 19,999 rests are skipped unweighed
+        # P-vertex at once, as a lone independent part burns whole; none of
+        # the 19,999 partial burns that burn nothing more is listed
         combs = []
 
         class Counted:
@@ -926,37 +959,53 @@ class TestBurningRoute:
                 combs.append((n, k))
                 return math.comb(n, k)
 
+        listed = _spy_moves(monkeypatch)
         spec = FamilySpec("bipartite", p=20000, q=1)
         for module in (enumeration, burning):
             monkeypatch.setattr(module, "math", Counted())
         assert count_class(spec, "recurrent", cap=10 ** 14) == 1
-        # count_class plans once, taking two for the work bound, and one
-        # weighs each of the two rounds
-        assert combs[2:] == [(1, 1), (20000, 20000)] and len(combs) == 4
+        assert [(burnt, weight) for burnt, _, weight in listed] == \
+            [(1, 1), (20000, 1)]
+        # count_class plans once, taking two for the work bound, and the
+        # loop weighs its moves with no comb
+        assert combs == [(20003, 3), (4, 3)]
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_a_lone_independent_part_burns_whole(self, monkeypatch, n):
+        # K(N,1)^0: once the one-vertex part has burnt, the long part is
+        # alone and burns whole, so the count lists 5N moves, where trying
+        # its partial burns took (N + 1)^2 (1,003,001 at N = 1000)
+        listed = _spy_moves(monkeypatch)
+        for p, q in ((n, 1), (1, n)):
+            listed.clear()
+            spec = FamilySpec("tripartite", p=p, q=q)
+            assert count_class(spec, "recurrent") == _tree_count((1, 1, n))
+            assert 0 < len(listed) <= 5 * n
+
+    @pytest.mark.parametrize("spec", PAST_THE_WALKS, ids=FamilySpec.label)
+    def test_keys_equal_the_tuple_states(self, spec):
+        # past the walks' reach the tuple-keyed loop, which tries and
+        # weighs every k vector, is the reference
+        for cls in CLASSES:
+            assert count_class(spec, cls, cap=10 ** 30) == \
+                reference_burning_count(spec, cls), cls
 
     @pytest.mark.parametrize("spec", ROUTE_SPECS + ONE_LONG_PART,
                              ids=FamilySpec.label)
     def test_transitions_stay_within_the_charge(self, monkeypatch, spec):
         # past the burning work the cap charges the representatives' space:
-        # the loop tries at most twice as many nonzero k vectors, the
-        # one-group moves of min-recurrent too (K(1,300)^0 recurrent tries
-        # 90,901 against a space of 90,601)
-        tried = []
-        real = burning._moves
-
-        def spy(*args):
-            moves = list(real(*args))
-            tried.append(sum(1 for k in moves if any(k)))
-            return moves
-
-        monkeypatch.setattr(burning, "_moves", spy)
+        # the loop lists at most twice as many moves that burn something,
+        # the one-group moves of min-recurrent too (K(1,300)^0 recurrent
+        # lists 1,500 against a space of 90,601, where trying every k
+        # vector took 90,901)
+        listed = _spy_moves(monkeypatch)
         bound = 2 * _walked_space(spec, True)
         tries = {}
         for cls in CLASSES:
-            tried.clear()
+            listed.clear()
             assert _plan(spec, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
             count_class(spec, cls)
-            tries[cls] = sum(tried)
+            tries[cls] = len(listed)
         assert max(tries.values()) <= bound and tries["recurrent"] > 0, tries
 
     @pytest.mark.parametrize("spec,cls,want", [
