@@ -327,18 +327,23 @@ def cmd_simulate(args) -> int:
     mu = _load_mu(args.mu) if args.mu else None
     run = markov_run(g, start, args.steps, args.seed, mu=mu)
 
-    # The chain's states are stable and checked, and stay packed: one
-    # verdict per distinct state, then one per step from step 0 (the start).
-    stored = run.trace._stored()
-    decided = {s: _recurrent(g, s) for s in dict.fromkeys(stored)}
-    verdicts = [decided[s] for s in stored]
+    # The chain's states are stable and checked, and stay packed, read one
+    # step at a time from step 0 (the start): one verdict per distinct state.
+    decided, first, later = {}, None, True
+    for step, s in enumerate(run.trace._stored()):
+        verdict = decided.get(s)
+        if verdict is None:
+            verdict = decided[s] = _recurrent(g, s)
+        if first is not None:
+            later = later and verdict
+        elif verdict:
+            first = step
     print(f"steps={args.steps} seed={args.seed}")
     print(f"distinct stable states visited: {len(decided)}")
     print(f"recurrent among visited: {sum(decided.values())}")
-    if True in verdicts:
-        first = verdicts.index(True)
+    if first is not None:
         print(f"first recurrent state at step {first}; all later states "
-              f"recurrent: {str(all(verdicts[first:])).lower()}")
+              f"recurrent: {str(later).lower()}")
     if args.trace:
         write_trace_csv(g, run, args.trace)
         print(f"trace written to {args.trace}")

@@ -30,7 +30,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate
 from numbers import Real
 from typing import Optional
 
@@ -40,10 +40,9 @@ from .graph import RootedMultigraph
 Config = tuple[int, ...]
 
 DEFAULT_MAX_TOPPLINGS = 10_000_000
-# Largest steps * non-sink vertices a grain-drop chain may store.
+# Largest steps * non-sink vertices of a grain-drop chain: the values a
+# full iteration of its trace yields.
 CHAIN_CAP = 100_000_000
-# One-byte strings, indexed by their value: a quiet drop's packed entry.
-_ONE_BYTE = tuple(bytes((b,)) for b in range(256))
 
 
 def _check_config(g: RootedMultigraph, c: Sequence[int]) -> Config:
@@ -484,21 +483,40 @@ def is_minimal_recurrent(g: RootedMultigraph, c: Sequence[int]) -> bool:
 # grain-dropping Markov chain
 
 
+def _redrop(g: RootedMultigraph, cur: list[int], drops):
+    """Drop a grain at each position of ``drops`` onto the stable ``cur`` in
+    place, stabilising after each with ``_relax`` and the default budget;
+    yield each drop's work: 1 if quiet, else the kernel's steps."""
+    degs = g.nonsink_degrees
+    odometer = [0] * len(cur)  # one for all the drops, none allocated per drop
+    for i in drops:
+        cur[i] = x = cur[i] + 1
+        if x < degs[i]:
+            yield 1
+        else:
+            pending = [i]
+            _relax(g, cur, pending, odometer, max_topplings=DEFAULT_MAX_TOPPLINGS)
+            yield len(pending)
+
+
 class ChainTrace(Sequence):
     """Read-only steps of a grain-drop chain: ``trace[i]`` is
-    ``(i + 1, dropped vertex, state)``, decoded on access.
+    ``(i + 1, dropped vertex, state)``, rebuilt on access.
 
-    Dropped positions sit in one ``array('I')``; the start and each state
-    are ``bytes`` (one byte per non-sink vertex) when every value the chain
-    can reach fits in 0..255, and exact tuples otherwise.  Slices return
-    lists; ``==`` compares element-wise with lists and other traces.
+    Dropped positions sit in one ``array('I')``, and ``markov_run`` stores a
+    few states packed: ``bytes`` (one byte per non-sink vertex) when every
+    value the chain can reach fits in 0..255, exact tuples otherwise.  A read
+    drops the same grains again from the nearest stored state at or before
+    it, on the same kernel with the same budget, so no rebuild raises.  Slices
+    return lists; ``==`` compares element-wise with lists and other traces.
     """
 
-    __slots__ = ("_names", "_drops", "_states")
+    __slots__ = ("_g", "_drops", "_at", "_states")
 
-    def __init__(self, names: Sequence[str], drops: array, states: list):
-        self._names = names
+    def __init__(self, g: RootedMultigraph, drops: array, at: array, states: list):
+        self._g = g
         self._drops = drops
+        self._at = at  # states[j] is the state after at[j] drops; at[0] == 0
         self._states = states
 
     def __len__(self) -> int:
@@ -512,17 +530,24 @@ class ChainTrace(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError("trace index out of range")
-        return (i + 1, self._names[self._drops[i]], tuple(self._states[i + 1]))
+        j = bisect(self._at, i + 1) - 1
+        cur = list(self._states[j])
+        for _ in _redrop(self._g, cur, self._drops[self._at[j]:i + 1]):
+            pass
+        return (i + 1, self._g.nonsink[self._drops[i]], tuple(cur))
 
     def __iter__(self):
-        names = self._names
-        states = islice(self._states, 1, None)
-        for step, (i, state) in enumerate(zip(self._drops, states), 1):
-            yield step, names[i], tuple(state)
+        names, drops = self._g.nonsink, self._drops
+        cur = list(self._states[0])
+        for step, (i, _) in enumerate(zip(drops, _redrop(self._g, cur, drops)), 1):
+            yield step, names[i], tuple(cur)
 
-    def _stored(self) -> list:
-        """The stored states, the start first: one per step from 0."""
-        return self._states
+    def _stored(self):
+        """The packed state of each step from 0 (the start), in one replay."""
+        pack, cur = type(self._states[0]), list(self._states[0])
+        yield self._states[0]
+        for _ in _redrop(self._g, cur, self._drops):
+            yield pack(cur)
 
     def __eq__(self, other):
         if not isinstance(other, (ChainTrace, list)):
@@ -556,9 +581,11 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     Bad arguments raise before any step runs.  The run is a pure function of
     its arguments; its ``trace`` is a ``ChainTrace``.
 
-    A drop that makes its vertex unstable runs the kernel ``_relax`` from
-    that one position and stores the whole state packed anew; a quiet drop
-    splices its one changed entry into the previous stored state.
+    The trace keeps the drops, drawn first, and a packed state at step 0
+    and wherever the work since the last stored state reaches k =
+    ``len(g.nonsink)``: one unit per quiet drop, else the avalanche's kernel
+    steps.  So ``trace[i]`` costs O(k) work plus one avalanche, and
+    iteration replays the chain once.
     """
     start = _check_config(g, start)
     if any(x >= d for x, d in zip(start, g.nonsink_degrees)):
@@ -598,36 +625,19 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     # firing lowers an entry, and it leaves it non-negative, so no entry
     # falls below min(0, *start).  Bytes hold every value in that range
     # when the start has no negative entry and no degree exceeds 256.
-    if min(start) >= 0 and max(degs) <= 256:
-        # bytes(bytearray(list)) packs about twice as fast as bytes(list)
-        def pack(c):
-            return bytes(bytearray(c))
-
-        unit = _ONE_BYTE.__getitem__
-    else:
-        pack = tuple
-
-        def unit(x):
-            return (x,)
-    drops = array("I")
-    state = pack(start)
-    states = [state]
-    cur = list(start)
-    # firings per vertex over the whole run, so no drop allocates its own
-    odometer = [0] * k
-    for _ in range(steps):
-        i = bisect(cum, draw() * total, 0, k - 1)
-        cur[i] += 1
-        if cur[i] >= degs[i]:
-            _relax(g, cur, [i], odometer, max_topplings=DEFAULT_MAX_TOPPLINGS)
-            state = pack(cur)
-        else:
-            # a quiet drop changes one entry: splice it into the last state
-            state = state[:i] + unit(cur[i]) + state[i + 1:]
-        drops.append(i)
-        states.append(state)
+    pack = bytes if min(start) >= 0 and max(degs) <= 256 else tuple
+    drops = array("I", (bisect(cum, draw() * total, 0, k - 1)
+                        for _ in range(steps)))
+    cur, work = list(start), 0
+    at, states = array("I", [0]), [pack(start)]
+    for step, done in enumerate(_redrop(g, cur, drops), 1):
+        work += done
+        if work >= k:
+            work = 0
+            at.append(step)
+            states.append(pack(cur))
     return MarkovRun(start=start, steps=steps, seed=seed,
-                     trace=ChainTrace(g.nonsink, drops, states))
+                     trace=ChainTrace(g, drops, at, states))
 
 
 def _write_trace(fh, run: MarkovRun) -> None:

@@ -247,6 +247,42 @@ class TestSpanningTrees:
         g = build_graph(["h", *leaves, "s"], "s", edges)
         assert g.spanning_tree_count() == reference_tree_count(g)
 
+    @pytest.mark.parametrize("case", ["grid", "multigraph"])
+    def test_pivots_in_minimum_degree_order(self, case, monkeypatch):
+        # Each pivot is a live row with the fewest off-diagonal entries in
+        # the Schur complement (entries that cancel still count), ties to
+        # the lowest position.  A symbolic elimination follows the heap:
+        # a pop is a pivot exactly when it names a live row at its length.
+        if case == "grid":
+            g = grid_with_sink_border(5)
+        else:
+            g = random_connected_multigraph(random.Random(3), 14, max_mult=3,
+                                            extra_edges=10)
+        live = {i: {j for j, _ in row} for i, row in enumerate(g.nonsink_nbrs)}
+        pivots, ties = [], 0
+        pop = graph_module.heappop
+
+        def spy(heap):
+            nonlocal ties
+            n, k = entry = pop(heap)
+            row = live.get(k)
+            if row is not None and n == len(row):
+                least = min(len(r) for r in live.values())
+                tied = [i for i, r in live.items() if len(r) == least]
+                ties += len(tied) > 1
+                assert k == min(tied), (k, tied)
+                pivots.append(k)
+                del live[k]
+                for i in row:
+                    live[i] |= row - {i}
+                    live[i].discard(k)
+            return entry
+
+        monkeypatch.setattr(graph_module, "heappop", spy)
+        assert g.spanning_tree_count() == reference_tree_count(g)
+        assert sorted(pivots) == list(range(len(g.nonsink))) and not live
+        assert ties > 1
+
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_declaration_order(self, seed):
         rng = random.Random(seed)

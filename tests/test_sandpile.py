@@ -691,37 +691,46 @@ class TestMarkov:
         assert min(run.trace[0][2]) < 0
         assert run.trace == self.expected_trace(k2, run)
 
-    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
-                                      "multi-bytes"])
-    def test_stored_states_equal_packed_from_scratch(self, case, k2):
-        # quiet drops splice one entry into the last stored state; each
-        # stored state must still be what packing the whole state gives
+    @staticmethod
+    def chain_case(case, k2):
+        """(graph, start, packing type, steps) of a chain test case."""
         if case == "grid-bytes":
             g = grid_with_sink_border(16)
             start = tuple(d - 1 for d in g.nonsink_degrees)
-            pack, steps = bytes, 1500
-        elif case == "negative":
-            g, start, pack, steps = k2, (-3, 1), tuple, 200
-        elif case == "wide":
+            return g, start, bytes, 1500
+        if case == "negative":
+            return k2, (-3, 1), tuple, 200
+        if case == "wide":
             # a vertex of degree 301 holds values no byte can
             g = build_graph(["0", "a", "b", "c"], "0",
                             [("0", "a", 300), ("a", "b", 1), ("b", "c", 2),
                              ("0", "c", 1)])
-            start, pack, steps = (250, 0, 1), tuple, 600
-        else:
-            # parallel non-sink edges, every degree within a byte
-            g = build_graph(["0", "a", "b", "c", "d"], "0",
-                            [("0", "a", 1), ("a", "b", 2), ("b", "c", 3),
-                             ("c", "d", 2), ("a", "d", 3), ("b", "d", 2),
-                             ("0", "c", 1)])
-            start = tuple(d - 1 for d in g.nonsink_degrees)
-            pack, steps = bytes, 600
+            return g, (250, 0, 1), tuple, 600
+        if case == "huge":
+            huge = 10 ** 30
+            g = build_graph(["0", "a", "b"], "0",
+                            [("0", "a", huge), ("a", "b", huge),
+                             ("0", "b", huge)])
+            return g, tuple(d - 1 for d in g.nonsink_degrees), tuple, 300
+        # parallel non-sink edges, every degree within a byte
+        g = build_graph(["0", "a", "b", "c", "d"], "0",
+                        [("0", "a", 1), ("a", "b", 2), ("b", "c", 3),
+                         ("c", "d", 2), ("a", "d", 3), ("b", "d", 2),
+                         ("0", "c", 1)])
+        return g, tuple(d - 1 for d in g.nonsink_degrees), bytes, 600
+
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
+                                      "multi-bytes"])
+    def test_stored_states_equal_packed_from_scratch(self, case, k2):
+        # the summary reads one packed state per step from one replay;
+        # each must be what packing the whole state gives
+        g, start, pack, steps = self.chain_case(case, k2)
         # the wide and multi-bytes graphs fire along the (j, m) rows
         assert (g.simple_nbrs is None) == (case in ("wide", "multi-bytes"))
         run = markov_run(g, start, steps, seed=13)
         expected = [pack(start)] + [pack(cfg) for _, _, cfg
                                     in self.expected_trace(g, run)]
-        stored = run.trace._stored()
+        stored = list(run.trace._stored())
         assert [type(s) for s in stored] == [pack] * (steps + 1)
         assert stored == expected
         # a quiet drop changes one entry, a firing at least two
@@ -729,10 +738,54 @@ class TestMarkov:
                     for a, b in zip(stored, stored[1:]))
         assert 0 < quiet < steps
 
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
+                                      "multi-bytes", "huge"])
+    def test_every_step_rebuilt_from_a_checkpoint(self, case, k2):
+        g, start, pack, steps = self.chain_case(case, k2)
+        run = markov_run(g, start, steps, seed=13)
+        trace = run.trace
+        # the chain crosses many checkpoints, so most reads start past 0
+        assert len(trace._states) >= 20
+        assert [type(s) for s in trace._states] == [pack] * len(trace._states)
+        steps_seen = list(trace)
+        assert [trace[i] for i in range(steps)] == steps_seen
+        # drop by drop, against the scan-order reference stabiliser
+        prev = start
+        for step, vertex, cfg in steps_seen:
+            pos = g.nonsink_pos[vertex]
+            prev = reference_stabilize(
+                g, prev[:pos] + (prev[pos] + 1,) + prev[pos + 1:]).final
+            assert cfg == prev, step
+
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
+                                      "multi-bytes", "huge"])
+    def test_stored_states_bounded_by_work(self, case, k2, monkeypatch):
+        # a state is stored at step 0 and whenever the work since the last
+        # one reaches k: one unit per quiet drop, else the kernel's steps
+        g, start, _, steps = self.chain_case(case, k2)
+        kernel_steps = []
+        relax = sandpile._relax
+
+        def spy(g, cur, pending, odometer, **kwargs):
+            relax(g, cur, pending, odometer, **kwargs)
+            kernel_steps.append(len(pending))
+
+        monkeypatch.setattr(sandpile, "_relax", spy)
+        run = markov_run(g, start, steps, seed=13)
+        assert kernel_steps
+        k = len(g.nonsink)
+        stored = len(run.trace._states)
+        assert 1 < stored <= 1 + (steps + sum(kernel_steps)) / k
+
     def test_trace_memory(self):
         g = grid_with_sink_border(16)
         top = tuple(d - 1 for d in g.nonsink_degrees)
         markov_run(g, top, 1, seed=3)  # build the graph's lazy rows first
+        # 2,000 drops at 4 bytes each, and at most 1 + (2,000 + kernel
+        # steps) / 256 stored states of 256 bytes (under 300 with their
+        # headers and slots); from the maximal stable state each drop
+        # takes about 12 single-firing kernel steps, so allow 200 states
+        bound = 2000 * 4 + 200 * 300 + 4096
         tracemalloc.start()
         try:
             run = markov_run(g, top, 2000, seed=3)
@@ -740,7 +793,7 @@ class TestMarkov:
         finally:
             tracemalloc.stop()
         assert len(run.trace) == 2000
-        assert held < 1_000_000, held
+        assert held < bound, (held, bound)
 
     def test_mu_mapping_matches_sequence(self, k2):
         by_map = markov_run(k2, (0, 0), 100, seed=4, mu={"v1": 0.25, "v2": 0.75})
