@@ -15,18 +15,12 @@ from sandpark import default_suite, reports_to_csv, reports_to_json, verify_coun
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="verify enumeration counts against exact predictions")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for a bare-graph row's count; "
-                             "the default battery has only family rows, "
-                             "which count in one process")
     parser.add_argument("--format", choices=("text", "csv", "json"),
                         default="text")
     parser.add_argument("--output", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
-    reports = verify_counts(default_suite(), jobs=args.jobs)
+    reports = verify_counts(default_suite())
     if args.format == "csv":
         rendered = reports_to_csv(reports)
     elif args.format == "json":

@@ -248,8 +248,6 @@ def cmd_enumerate(args) -> int:
     spec = _family_from_args(args)
     if spec is None and args.graph is None:
         raise ValueError("need either --family or --graph")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     target = spec if spec is not None else load_graph(args.graph)
     # the walk its output runs (the table in enumeration) is checked before
     # expected_count builds a family's graph
@@ -261,7 +259,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"no exact prediction for class {args.cls} on {name}")
 
     if fmt is not None:
-        # one serial walk gives both the rows and the count; the output
+        # one walk gives both the rows and the count; the output
         # carries no timing
         chunks = _chunks(_pairs(target, args.cls, plan, render=_render(fmt)),
                          fmt)
@@ -284,7 +282,7 @@ def cmd_enumerate(args) -> int:
         print(_listing_json(payload, [text for _, text in chunks]))
     else:
         start = time.perf_counter()
-        count = count_class(target, args.cls, jobs=args.jobs, cap=args.cap)
+        count = count_class(target, args.cls, cap=args.cap)
         report = _make_report(target, args.cls, count,
                               (time.perf_counter() - start) * 1000.0, expected)
         if args.output == "csv":
@@ -454,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--output", choices=["csv", "json", "list"])
     enum.add_argument("--expected", action="store_true",
                       help="compare against the known exact count")
-    enum.add_argument("--jobs", type=int, default=1)
     enum.add_argument("--cap", type=int, default=DEFAULT_SPACE_CAP,
                       help="maximum candidate-space size")
 

@@ -70,10 +70,7 @@ burning route walks no configuration: it counts the sequences of unburnt
 vectors of Dhar's burning, one entry per part, from the sink or from one
 drained burning start, reads a wheel's rim with two-state automata, or for
 ``stable`` multiplies the degrees.  So the walks, which listing and bare
-graphs still take, are its reference.  Counting a bare graph's member walk
-splits a large space by the first coordinate across worker processes; the
-burning route runs in one process.  The count does not depend on the
-worker count.
+graphs still take, are its reference.
 """
 
 from __future__ import annotations
@@ -82,11 +79,9 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional, Union
 
 from .burning import _SEEDED, _burning_count
@@ -107,10 +102,6 @@ from .sandpile import (
 DEFAULT_SPACE_CAP = 100_000_000
 # A candidate space past this many bits is refused from its logarithm.
 _EXACT_SPACE_BITS = 1 << 16
-# count_class forks worker processes only for a member walk (a bare
-# graph's count) of at least this many candidates; below it one process
-# finishes first.
-POOL_MIN_SPACE = 600_000
 # the most non-sink vertices a walk's target may have
 _VERTEX_BOUND = 100_000
 # the most rows of a run that one listed pair holds
@@ -227,13 +218,9 @@ def _space_bits(groups, reps: bool) -> float:
         return math.inf
 
 
-def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
-          record: Optional[tuple] = None):
+def _runs(target: Target, cls: str, plan, record: Optional[tuple] = None):
     """The run stream (``_search``, given ``record``) of the walk ``plan``
-    (from ``_plan``) chose for ``cls`` on ``target``.  With ``first`` set,
-    only the slice holding the ``first``-th value of the first coordinate
-    is walked; the slices partition the space in order.
-    """
+    (from ``_plan``) chose for ``cls`` on ``target``."""
     _, groups, walk = plan
     low, checks = _CLASS_WALKS[cls]
     g = make_family(target) if isinstance(target, FamilySpec) else target
@@ -242,10 +229,7 @@ def _runs(target: Target, cls: str, plan, first: Optional[int] = None,
     index = [i for _, c in groups for i in range(c)]
     prev = [t - 1 if walk == "reps" and i else None
             for t, i in enumerate(index)]
-    first_values = range(low, low + groups[0][0])
-    if first is not None:
-        first_values = first_values[first:first + 1]
-    return _search(g, low, checks, prev, first_values, record)
+    return _search(g, low, checks, prev, record)
 
 
 def _pairs(target: Target, cls: str, plan, render=None
@@ -280,8 +264,7 @@ def _members(runs, render=None) -> Iterator[tuple[tuple, list]]:
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
-            first_values: range, record: Optional[tuple] = None
-            ) -> Iterator[tuple[list, int, int]]:
+            record: Optional[tuple] = None) -> Iterator[tuple[list, int, int]]:
     """Depth-first walk over positions in declaration order.
 
     Yields ``(vals, lo, hi)`` runs: each value ``lo..hi`` of the last
@@ -370,7 +353,7 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         left = _discard(drained, pinned, nbrs)
         drained[v] = saved
         return pinned[t], left
-    lo, hi = first_values.start, first_values.stop - 1
+    lo, hi = low, low + degs[0] - 1
     if budget:
         # level 0's grains less the most (under) and least (over) after t
         grains = g.edge_total - sum(sink)
@@ -516,41 +499,25 @@ def iter_class(target: Target, cls: str, *,
 
 
 # ----------------------------------------------------------------------
-# counting, optionally across worker processes
-
-
-def _count_slice(args) -> int:
-    """Members of one slice of the counting walk ``plan`` (from ``_plan``)
-    chose: the lengths of its runs, or the whole count from the burning
-    states."""
-    target, cls, plan, first = args
-    if plan[2] == "burning":
-        return _burning_count(target, plan[1], cls)
-    return sum(hi - lo + 1 for _, lo, hi in _runs(target, cls, plan, first))
+# counting
 
 
 def count_class(target: Target, cls: str, *, jobs: int = 1,
                 cap: int = DEFAULT_SPACE_CAP) -> int:
     """Members of ``cls`` on ``target``: for a family the count from its
-    degree groups (the table above), in one process whatever ``jobs`` is,
-    and for a bare graph the lengths of the runs of its member walk.  Only
-    a walk of at least ``POOL_MIN_SPACE`` candidates is split across
-    ``jobs`` workers, and only when more than one worker would run.
+    degree groups (the table above), and for a bare graph the lengths of
+    the runs of its member walk.  ``jobs``, an integer of at least 1, is
+    checked and changes nothing: every count runs in one process.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # raises on bad input before any candidate is tested
-    plan = space, groups, walk = _plan(target, cls, cap, True)
-    if jobs > 1 and space >= POOL_MIN_SPACE and walk == "members":
-        firsts = groups[0][0]
-        processes = min(jobs, firsts, os.cpu_count() or 1)
-        if processes > 1:
-            tasks = [(target, cls, plan, first) for first in range(firsts)]
-            with get_context("fork").Pool(processes=processes) as pool:
-                return sum(pool.map(_count_slice, tasks))
-    return _count_slice((target, cls, plan, None))
+    plan = _plan(target, cls, cap, True)
+    if plan[2] == "burning":
+        return _burning_count(target, plan[1], cls)
+    return sum(hi - lo + 1 for _, lo, hi in _runs(target, cls, plan))
 
 
 @dataclass
@@ -609,17 +576,17 @@ def _make_report(target: Target, cls: str, count: int, millis: float,
                              millis=millis)
 
 
-def class_count(target: Target, cls: str, *, jobs: int = 1,
+def class_count(target: Target, cls: str, *,
                 cap: int = DEFAULT_SPACE_CAP) -> EnumerationReport:
     start = time.perf_counter()
-    count = count_class(target, cls, jobs=jobs, cap=cap)
+    count = count_class(target, cls, cap=cap)
     millis = (time.perf_counter() - start) * 1000.0
     return _make_report(target, cls, count, millis, expected_count(target, cls))
 
 
-def verify_counts(suite: Iterable[tuple[Target, str]], *,
-                  jobs: int = 1) -> list[EnumerationReport]:
-    return [class_count(target, cls, jobs=jobs) for target, cls in suite]
+def verify_counts(suite: Iterable[tuple[Target, str]]
+                  ) -> list[EnumerationReport]:
+    return [class_count(target, cls) for target, cls in suite]
 
 
 def default_suite() -> list[tuple[FamilySpec, str]]:

@@ -507,8 +507,10 @@ class ChainTrace(Sequence):
     few states packed: ``bytes`` (one byte per non-sink vertex) when every
     value the chain can reach fits in 0..255, exact tuples otherwise.  A read
     drops the same grains again from the nearest stored state at or before
-    it, on the same kernel with the same budget, so no rebuild raises.  Slices
-    return lists; ``==`` compares element-wise with lists and other traces.
+    it, on the same kernel with the same budget, so no rebuild raises.  A
+    slice replays once, from the stored state at or before its lowest step
+    to its highest, and returns a list; ``==`` compares element-wise with
+    lists and other traces.
     """
 
     __slots__ = ("_g", "_drops", "_at", "_states")
@@ -522,32 +524,41 @@ class ChainTrace(Sequence):
     def __len__(self) -> int:
         return len(self._drops)
 
+    def _replay(self, lo: int, hi: int):
+        """``(i, cur)`` for each step ``i`` in ``lo..hi``: ``cur``, one list
+        reused, is the state after drop ``i`` (step -1: the start), dropped
+        again from the stored state at or before step ``lo``."""
+        j = bisect(self._at, lo + 1) - 1
+        a, cur = self._at[j], list(self._states[j])
+        if a > lo:           # the stored state is step lo's
+            yield lo, cur
+        for i, _ in enumerate(_redrop(self._g, cur, self._drops[a:hi + 1]), a):
+            if i >= lo:
+                yield i, cur
+
     def __getitem__(self, i):
+        n, names, drops = len(self._drops), self._g.nonsink, self._drops
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self._drops)
+            steps = range(*i.indices(n))
+            ends = min(steps, default=0), max(steps, default=0)
+            got = {j: (j + 1, names[drops[j]], tuple(cur))
+                   for j, cur in self._replay(*ends) if j in steps}
+            return [got[j] for j in steps]
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("trace index out of range")
-        j = bisect(self._at, i + 1) - 1
-        cur = list(self._states[j])
-        for _ in _redrop(self._g, cur, self._drops[self._at[j]:i + 1]):
-            pass
-        return (i + 1, self._g.nonsink[self._drops[i]], tuple(cur))
+        return i + 1, names[drops[i]], tuple(next(self._replay(i, i))[1])
 
     def __iter__(self):
         names, drops = self._g.nonsink, self._drops
-        cur = list(self._states[0])
-        for step, (i, _) in enumerate(zip(drops, _redrop(self._g, cur, drops)), 1):
-            yield step, names[i], tuple(cur)
+        for i, cur in self._replay(0, len(drops) - 1):
+            yield i + 1, names[drops[i]], tuple(cur)
 
     def _stored(self):
         """The packed state of each step from 0 (the start), in one replay."""
-        pack, cur = type(self._states[0]), list(self._states[0])
-        yield self._states[0]
-        for _ in _redrop(self._g, cur, self._drops):
-            yield pack(cur)
+        pack = type(self._states[0])
+        return (pack(cur) for _, cur in self._replay(-1, len(self) - 1))
 
     def __eq__(self, other):
         if not isinstance(other, (ChainTrace, list)):

@@ -19,7 +19,6 @@ from sandpark import (build_graph, boost_except, burning_starts_pf,
                       is_recurrent_burning, is_strongly_recurrent, make_family, FamilySpec,
                       StabilisationTrace, ToppleLimitError)
 from sandpark.burning import _SEEDED
-from sandpark.enumeration import _runs
 from sandpark.families import _degree_groups
 from sandpark.sandpile import DEFAULT_MAX_TOPPLINGS
 
@@ -222,11 +221,10 @@ _REFERENCE_MEMBERSHIP = {
 }
 
 
-def reference_iter_class(target, cls, first=None):
+def reference_iter_class(target, cls):
     """Generate-and-test enumeration: every candidate of the full space in
     lexicographic order, filtered by the class's membership test.  Increasing
     classes take the candidates non-decreasing inside each family part.
-    ``first`` keeps only the ``first``-th value of the first coordinate.
     Reference for the pruned walk of ``iter_class``."""
     test, low = _REFERENCE_MEMBERSHIP[cls]
     g = make_family(target) if isinstance(target, FamilySpec) else target
@@ -235,23 +233,9 @@ def reference_iter_class(target, cls, first=None):
                  for part in family_parts(target)]
         cands = (sum(chunks, ()) for chunks in product(
             *(combinations_with_replacement(r, s) for r, s in parts)))
-        if first is not None:
-            cands = (c for c in cands if c[0] == low + first)
     else:
-        ranges = [range(low, low + d) for d in g.nonsink_degrees]
-        if first is not None:
-            ranges[0] = ranges[0][first:first + 1]
-        cands = product(*ranges)
+        cands = product(*(range(low, low + d) for d in g.nonsink_degrees))
     return [c for c in cands if test is None or test(g, c)]
-
-
-def walked_slice(target, cls, plan, first):
-    """The members of ``cls`` on ``target`` whose first value is the
-    ``first``-th: the runs of that slice of the walk ``plan`` chose,
-    expanded.  The reference above lists the same slice."""
-    return [tuple(vals[:-1]) + (x,)
-            for vals, lo, hi in _runs(target, cls, plan, first)
-            for x in range(lo, hi + 1)]
 
 
 def reference_burning_count(target, cls):

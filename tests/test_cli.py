@@ -580,13 +580,12 @@ class TestEnumerate:
                                                    "count=3"]
 
     def test_jobs_flag(self):
+        # --jobs is gone: every count runs in one process
         serial = run_cli("enumerate", "--family", "complete", "--n", "4",
                          "--class", "recurrent")
-        parallel = run_cli("enumerate", "--family", "complete", "--n", "4",
-                           "--class", "recurrent", "--jobs", "2")
-        assert serial.returncode == parallel.returncode == 0
+        assert serial.returncode == 0
         assert "count=125" in serial.stdout
-        assert "count=125" in parallel.stdout
+        self.assert_no_jobs_option("2")
 
     def test_cap_breach(self):
         # below K12's 455 burning states min-recurrent walks C(23, 12)
@@ -621,15 +620,21 @@ class TestEnumerate:
         assert "search space of 24310 exceeds cap 219" in err
 
     def test_jobs_below_one_rejected(self):
+        self.assert_no_jobs_option("0")
+
+    @staticmethod
+    def assert_no_jobs_option(jobs):
+        """``--jobs`` is refused as an unknown option by the CLI and by
+        ``scripts/verify_counts.py``, before any count."""
         out = run_cli("enumerate", "--family", "complete", "--n", "3",
-                      "--class", "ppf", "--jobs", "0")
-        assert out.returncode == 2
-        assert out.stdout == ""
+                      "--class", "ppf", "--jobs", jobs)
         script = Path(__file__).parent.parent / "scripts" / "verify_counts.py"
-        out = subprocess.run([sys.executable, str(script), "--jobs", "0"],
-                             capture_output=True, text=True)
-        assert out.returncode == 2
-        assert out.stdout == ""
+        by_script = subprocess.run([sys.executable, str(script), "--jobs", jobs],
+                                   capture_output=True, text=True)
+        for run in (out, by_script):
+            assert run.returncode == 2
+            assert run.stdout == ""
+            assert "unrecognized arguments: --jobs" in run.stderr
 
     def test_needs_target(self):
         out = run_cli("enumerate", "--class", "recurrent")

@@ -16,9 +16,9 @@ same on a copy of the graph with its non-sink vertices redeclared in a
 shuffled order.
 
 The pruned enumeration walk is checked against generate-and-test
-(``conftest.reference_iter_class``) for every class and every first-value
-slice, on the pool, the increasing-class families, the random multigraphs
-and smaller ones with up to triple edges.  Generate-and-test visits the
+(``conftest.reference_iter_class``) for every class, on the pool, the
+increasing-class families, the random multigraphs and smaller ones with up
+to triple edges.  Generate-and-test visits the
 whole candidate space, up to 18.7 million candidates on the random
 multigraphs, so each multigraph is cut to the leading induced subgraph
 (first non-sink vertices in declaration order, plus the sink) whose space
@@ -50,10 +50,10 @@ from sandpark import (
     stabilize,
     topple,
 )
-from sandpark.enumeration import CLASSES, DEFAULT_SPACE_CAP, _plan
+from sandpark.enumeration import CLASSES
 from conftest import (boost_witness, carried, graph_pool,
                       grid_with_sink_border, redeclared, reference_iter_class,
-                      reference_stabilize, reference_tree_count, walked_slice)
+                      reference_stabilize, reference_tree_count)
 
 SEEDS = range(16)
 
@@ -275,11 +275,4 @@ WALK_CASES = (
 @pytest.mark.parametrize("label,target,cls", WALK_CASES,
                          ids=[f"{label}-{cls}" for label, _, cls in WALK_CASES])
 def test_pruned_walk_matches_generate_and_test(label, target, cls):
-    g = make_family(target) if isinstance(target, FamilySpec) else target
-    plan = _plan(target, cls, DEFAULT_SPACE_CAP)
-    want = []
-    for first in range(g.nonsink_degrees[0]):
-        part = reference_iter_class(target, cls, first)
-        assert walked_slice(target, cls, plan, first) == part, first
-        want += part
-    assert list(iter_class(target, cls)) == want
+    assert list(iter_class(target, cls)) == reference_iter_class(target, cls)

@@ -42,11 +42,11 @@ from sandpark import (
     verify_counts,
 )
 from sandpark import burning, enumeration, families, reference, sandpile
-from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, POOL_MIN_SPACE,
-                                  _listing, _pairs, _plan, _runs)
+from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, _listing,
+                                  _pairs, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
 from conftest import (giant_triangle, reference_burning_count,
-                      reference_iter_class, triangle, walked_slice)
+                      reference_iter_class, triangle)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -98,16 +98,6 @@ class TestIterClass:
         assert len(list(iter_class(spec, "ppf-inc", cap=24310))) == 1430
         with pytest.raises(SizeCapError):
             iter_class(spec, "ppf-inc", cap=1000)
-
-    def test_first_value_slices_partition_the_walk(self, pool):
-        for label, g in pool:
-            for cls in CLASSES:
-                if cls.endswith("-inc"):
-                    continue
-                plan = _plan(g, cls, DEFAULT_SPACE_CAP)
-                slices = [item for first in range(g.nonsink_degrees[0])
-                          for item in walked_slice(g, cls, plan, first)]
-                assert slices == list(iter_class(g, cls)), (label, cls)
 
     def test_increasing_classes_are_sorted_members(self):
         specs = [FamilySpec("complete", n=n) for n in (2, 3, 4)]
@@ -192,70 +182,15 @@ class TestCounting:
     def test_matches_matrix_tree(self, k2):
         assert count_class(k2, "recurrent") == k2.spanning_tree_count() == 3
 
-    def test_parallel_agrees_with_serial(self):
-        spec = FamilySpec("complete", n=4)
-        for cls in ("recurrent", "pf", "ppf", "pf-inc", "ppf-inc"):
-            assert count_class(spec, cls, jobs=2) == count_class(spec, cls)
-        for spec in (FamilySpec("bipartite", p=3, q=3),
-                     FamilySpec("split", m=3, n=2)):
-            for cls in ("pf-inc", "ppf-inc"):
-                assert count_class(spec, cls, jobs=2) == \
-                    count_class(spec, cls), (spec, cls)
-
-    def test_pool_size_is_clamped(self, monkeypatch):
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return list(map(fn, tasks))
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(enumeration, "get_context", lambda method: FakeContext)
-        # every space forks the pool
-        monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
-        # the bare K4 graph, as a family count runs serially; first
-        # coordinate: 4 slices
-        spec = make_family(FamilySpec("complete", n=4))
-        for cpus, jobs, clamped in ((3, 10**9, 3), (64, 10**9, 4),
-                                    (64, 2, 2)):
-            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-            assert count_class(spec, "recurrent", jobs=jobs) == 125
-            assert sizes.pop() == clamped
-        # a pool of one process is not forked: the count runs serially
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-        assert count_class(spec, "recurrent", jobs=8) == 125
-        assert sizes == []
-        # below K12's 455 burning states min-recurrent walks C(23, 12)
-        # representatives, above the cap
-        with pytest.raises(SizeCapError):
-            count_class(FamilySpec("complete", n=12), "min-recurrent", jobs=2,
-                        cap=454)
-        assert sizes == []
-
     @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", None])
     def test_jobs_and_cap_must_be_integers(self, monkeypatch, bad):
         def untouchable(*args):
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(enumeration, "_search", untouchable)
-        monkeypatch.setattr(enumeration, "get_context", untouchable)
         spec = FamilySpec("complete", n=4)
-        for call in (lambda: count_class(spec, "recurrent", jobs=bad),
-                     lambda: class_count(spec, "recurrent", jobs=bad),
-                     lambda: verify_counts([(spec, "recurrent")], jobs=bad)):
-            with pytest.raises(ValueError, match="jobs must be an integer"):
-                call()
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            count_class(spec, "recurrent", jobs=bad)
         for call in (lambda: count_class(spec, "recurrent", cap=bad),
                      lambda: count_class(spec, "recurrent", jobs=2, cap=bad),
                      lambda: iter_class(spec, "recurrent", cap=bad),
@@ -297,13 +232,18 @@ class TestCounting:
         def untouchable(*args):
             raise AssertionError("the walk started")
 
+        # any accepted jobs changes nothing: every count runs in one process
+        k7 = make_family(FamilySpec("complete", n=7))
+        w13 = make_family(FamilySpec("wheel", n=13))
+        for target, cls, count in ((k7, "recurrent", 8 ** 6),
+                                   (w13, "sr-forall", 14)):
+            assert [count_class(target, cls, jobs=jobs)
+                    for jobs in (1, 2, 64)] == [count] * 3, cls
         monkeypatch.setattr(enumeration, "_search", untouchable)
         spec = FamilySpec("complete", n=4)
         for jobs in (0, -5):
             with pytest.raises(ValueError, match="jobs must be at least 1"):
                 count_class(spec, "recurrent", jobs=jobs)
-            with pytest.raises(ValueError, match="jobs must be at least 1"):
-                class_count(spec, "recurrent", jobs=jobs)
 
     def test_expected_count_sources(self, k2):
         assert expected_count(k2, "stable") == (4, "degree-product")
@@ -364,7 +304,7 @@ def _orbit(sizes, rep):
     return weight
 
 
-def _walk_count(target, cls, walk, first=None):
+def _walk_count(target, cls, walk):
     """Members of ``cls`` on ``target`` from the runs of ``walk`` ("reps"
     or "members"): the walks stay the reference for the counts a family
     takes from its degree groups.  A member, or a representative of an
@@ -372,7 +312,7 @@ def _walk_count(target, cls, walk, first=None):
     orbit (``_orbit``), each value of a run's last position joining the
     prefix's part-mates that hold it."""
     groups = _plan(target, cls, None, check=False)[1]
-    runs = _runs(target, cls, (None, groups, walk), first)
+    runs = _runs(target, cls, (None, groups, walk))
     if walk == "members" or cls.endswith("-inc"):
         return sum(hi - lo + 1 for _, lo, hi in runs)
     sizes = [c for _, c in groups]
@@ -535,28 +475,15 @@ class TestOrbitRoute:
         for n in (11, 12, 13)]
         + [pytest.param(spec, id=spec.label()) for spec in LONG_PARTS])
     def test_wheel_slices_sum_to_the_count(self, spec):
-        # each slice of the reference walk is weighed apart; a family with
-        # parts is held to its bare graph's count
-        firsts = make_family(spec).nonsink_degrees[0]
+        # the whole reference walk; a family with parts is held to its bare
+        # graph's count
         for cls in WHEEL_CLASSES:
-            slices = [_walk_count(spec, cls, _reference_walk(spec, cls), first)
-                      for first in range(firsts)]
             if spec.family == "wheel":
                 want = expected_count(spec, cls)[0]
             else:
                 want = count_class(make_family(spec), cls)
-            assert sum(slices) == want, (spec, cls)
-
-    def test_wheel_pool_counts_the_serial_count(self, monkeypatch):
-        def untouchable(method):
-            raise AssertionError("a pool was forked")
-
-        w7 = FamilySpec("wheel", n=7)
-        serial = [count_class(w7, cls) for cls in WHEEL_CLASSES]
-        monkeypatch.setattr(enumeration, "POOL_MIN_SPACE", 0)
-        monkeypatch.setattr(enumeration, "get_context", untouchable)
-        assert [count_class(w7, cls, jobs=2) for cls in WHEEL_CLASSES] \
-            == serial
+            assert _walk_count(spec, cls, _reference_walk(spec, cls)) == \
+                want, (spec, cls)
 
     @pytest.mark.parametrize("spec,parts", TREE_CASES,
                              ids=[spec.label() for spec, _ in TREE_CASES])
@@ -597,41 +524,6 @@ class TestOrbitRoute:
             count_class(k88, "stable", cap=0)
         for cls in ("ppf-inc", "ppf"):
             assert _plan(k88, cls, DEFAULT_SPACE_CAP, True)[2] == "burning"
-
-    def test_small_spaces_count_without_a_pool(self, monkeypatch):
-        def untouchable(method):
-            raise AssertionError("a pool was forked")
-
-        monkeypatch.setattr(enumeration, "get_context", untouchable)
-        # the burning route's space is its work
-        k7 = FamilySpec("complete", n=7)
-        assert _full_space(k7) >= POOL_MIN_SPACE
-        assert _plan(k7, "recurrent", DEFAULT_SPACE_CAP, counting=True)[0] \
-            < POOL_MIN_SPACE
-        w10 = FamilySpec("wheel", n=10)
-        for target, cls in ((k7, "recurrent"), (k7, "ppf"), (w10, "recurrent"),
-                            (make_family(w10), "sr-forall")):
-            assert count_class(target, cls, jobs=2) == \
-                count_class(target, cls), (target, cls)
-
-    def test_large_spaces_fork_a_pool(self, monkeypatch):
-        forks = []
-        real = enumeration.get_context
-
-        def counted(method):
-            forks.append(method)
-            return real(method)
-
-        monkeypatch.setattr(enumeration, "get_context", counted)
-        w13 = FamilySpec("wheel", n=13)
-        assert _plan(w13, "sr-forall", DEFAULT_SPACE_CAP)[0] \
-            >= POOL_MIN_SPACE
-        for target in (w13, make_family(w13)):
-            assert count_class(target, "sr-forall", jobs=2) == \
-                count_class(target, "sr-forall") == 14
-        # only the bare graph's walk visits every member; the family counts
-        # from its degree groups
-        assert forks == ["fork"]
 
     def test_expected_stable_builds_no_graph(self, monkeypatch):
         def unbuildable(spec):
@@ -892,9 +784,11 @@ class TestBurningRoute:
         assert _plan(k12, "recurrent", 455, True) == (455, ((12, 12),),
                                                       "burning")
         assert count_class(k12, "recurrent", cap=455) == 13 ** 11
-        with pytest.raises(SizeCapError) as exc:
-            count_class(k12, "recurrent", cap=454)
-        assert str(exc.value) == "search space of 1352078 exceeds cap 454"
+        # min-recurrent walks the same C(23, 12) representatives
+        for cls in ("recurrent", "min-recurrent"):
+            with pytest.raises(SizeCapError) as exc:
+                count_class(k12, cls, cap=454)
+            assert str(exc.value) == "search space of 1352078 exceeds cap 454"
         # refused at the default cap before: W17 (3^17 candidates) and
         # K(8,8) (C(16, 8)^2 representatives)
         w17 = FamilySpec("wheel", n=17)
@@ -1309,7 +1203,7 @@ class TestPlan:
         for call in (lambda: count_class(big, "recurrent"),
                      lambda: iter_class(big, "ppf"),
                      lambda: iter_class(big, "pf-inc"),
-                     lambda: class_count(big, "min-recurrent", jobs=2)):
+                     lambda: class_count(big, "min-recurrent")):
             with pytest.raises(SizeCapError, match=message):
                 call()
         # at the bound the plan passes
@@ -1414,12 +1308,7 @@ class TestRunStreams:
     @pytest.mark.parametrize("label,g,cls", CUT_CASES,
                              ids=[f"{label}-{cls}" for label, _, cls in CUT_CASES])
     def test_cut_runs_match_generate_and_test(self, label, g, cls):
-        plan = _plan(g, cls, DEFAULT_SPACE_CAP)
-        want = []
-        for first in range(g.nonsink_degrees[0]):
-            part = reference_iter_class(g, cls, first)
-            assert walked_slice(g, cls, plan, first) == part, first
-            want += part
+        want = reference_iter_class(g, cls)
         assert list(iter_class(g, cls)) == want
         assert count_class(g, cls) == len(want)
 

@@ -653,6 +653,33 @@ class TestMarkov:
         assert isinstance(tail, list) and tail == steps[500:]
         assert trace[::-7] == steps[::-7]
 
+    @pytest.mark.parametrize("case", ["grid-bytes", "negative", "wide",
+                                      "multi-bytes", "huge"])
+    def test_trace_slices_replay_once(self, case, k2, monkeypatch):
+        g, start, _, steps = self.chain_case(case, k2)
+        trace = markov_run(g, start, steps, seed=13).trace
+        items = list(trace)
+        consumed = []
+        redrop = sandpile._redrop
+
+        def spy(g, cur, drops):
+            consumed.append(len(drops))
+            return redrop(g, cur, drops)
+
+        monkeypatch.setattr(sandpile, "_redrop", spy)
+        # a checkpoint gap holds at most k drops, each at least 1 unit of work
+        k = len(g.nonsink)
+        a, b = steps // 5, steps // 2
+        for s in (slice(None), slice(a, b), slice(a, b, 7), slice(None, None, -7),
+                  slice(b, a), slice(-10 * steps, 10 * steps),
+                  slice(b, 10 * steps, 3), slice(-10 * steps, a, -1)):
+            consumed.clear()
+            assert trace[s] == items[s], s
+            picked = range(*s.indices(steps))
+            assert len(consumed) <= 1, s
+            if picked:
+                assert sum(consumed) <= max(picked) - min(picked) + 1 + k, s
+
     def test_trace_equality(self, k2):
         a = markov_run(k2, (0, 0), 50, seed=9).trace
         b = markov_run(k2, (0, 0), 50, seed=9).trace
