@@ -194,32 +194,23 @@ _JSON = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
 _CHUNK = 4096
 
 
-def _render(fmt):
-    """The texts of a block's rows in the format ``fmt``: each row's
-    values, separated, then the row close."""
-    _, sep, close, _ = fmt
-    return lambda rows: [sep.join(map(str, row)) + close for row in rows]
-
-
 def _chunks(pairs, fmt) -> Iterator[tuple[int, str]]:
-    """The text of a listing's ``(prefix, texts)`` pairs (``_pairs`` with
-    ``_render(fmt)``) in the format ``fmt``, as ``(rows, text)`` chunks of
-    ``_CHUNK`` rows, the last of fewer; the row separator joins the chunks.
+    """The text of a listing's ``(prefix, texts)`` pairs in the format
+    ``fmt``, as ``(rows, text)`` chunks of ``_CHUNK`` rows, the last of fewer.
 
-    Each prefix renders its text once, and its rows are that text followed
-    by each of its texts, joined in one call.  A block is split where a
-    chunk ends, and an empty block writes nothing.
+    A prefix's text ends on a value, and each of its texts is a cell per
+    later value, the value separator then its digits, then the row close
+    (``_pairs``).  A prefix's rows are its text followed by each of its
+    texts, joined in one call, and the row separator joins the chunks.  A
+    block is split where a chunk ends, and an empty block writes nothing.
     """
-    opening, sep, close, rowsep = fmt
+    opening, sep, _, rowsep = fmt
     pieces: list = []
     room = _CHUNK
     for prefix, texts in pairs:
         if not texts:
             continue
-        # an empty suffix renders as the row close alone, and takes no
-        # separator after the prefix
-        head = (opening + sep.join(map(str, prefix))
-                + (sep if prefix and texts[0] != close else ""))
+        head = opening + sep.join(map(str, prefix))
         glue = rowsep + head
         while len(texts) >= room:
             pieces.append(head + glue.join(texts[:room]))
@@ -261,8 +252,8 @@ def cmd_enumerate(args) -> int:
     if fmt is not None:
         # one walk gives both the rows and the count; the output
         # carries no timing
-        chunks = _chunks(_pairs(target, args.cls, plan, render=_render(fmt)),
-                         fmt)
+        chunks = _chunks(_pairs(target, args.cls, plan,
+                                (fmt[1] + "{}").format, fmt[2]), fmt)
     if args.output == "list":
         count = 0
         # one write per chunk, never the whole listing at once

@@ -232,17 +232,16 @@ def _runs(target: Target, cls: str, plan, record: Optional[tuple] = None):
     return _search(g, low, checks, prev, record)
 
 
-def _pairs(target: Target, cls: str, plan, render=None
+def _pairs(target: Target, cls: str, plan, cell=lambda x: (x,), end=()
            ) -> Iterator[tuple[tuple, list]]:
     """The members of ``cls`` on ``target``, lexicographically, as
-    ``(prefix, rows)`` pairs: each member is a prefix followed by one of
-    its rows, the tuples ``_by_keys`` reads off the prefix's key or the
-    last values ``lo..hi`` of a run of the walk ``plan`` chose (``_members``).
-    With ``render``, a function of a list of rows, a pair carries
-    ``render(rows)`` instead, called once per key or per pair of a run."""
+    ``(prefix, rows)`` pairs: each member is a prefix followed by one of its
+    rows, those ``_by_keys`` reads off the prefix's key or the last values
+    ``lo..hi`` of a run of the walk ``plan`` chose (``_members``).  A row is
+    ``cell(x)`` of each later value ``x``, then ``end``: by default a tuple."""
     if plan[2] == "keys":
-        return _by_keys(target, cls, plan[1], render)
-    return _members(_runs(target, cls, plan), render)
+        return _by_keys(target, cls, plan[1], cell, end)
+    return _members(_runs(target, cls, plan), cell, end)
 
 
 def _listing(target: Target, cls: str, plan) -> Iterator[tuple[int, ...]]:
@@ -252,15 +251,19 @@ def _listing(target: Target, cls: str, plan) -> Iterator[tuple[int, ...]]:
             for row in rows)
 
 
-def _members(runs, render=None) -> Iterator[tuple[tuple, list]]:
-    """Each ``(prefix, lo, hi)`` run as its prefix and the rows ``(lo,)``
-    to ``(hi,)``, or ``render`` of them, ``_RUN_ROWS`` at most to a pair,
-    so that a run of any length streams."""
+def _members(runs, cell, end) -> Iterator[tuple[tuple, list]]:
+    """Each ``(prefix, lo, hi)`` run as its prefix and the rows ``cell(x) +
+    end`` for ``x`` in ``lo..hi``, ``_RUN_ROWS`` at most to a pair, so that a
+    run of any length streams.  With no prefix (one non-sink vertex), each
+    value is a prefix of the one row ``end``, so no row opens with a cell."""
     for vals, lo, hi in runs:
         prefix = tuple(vals[:-1])
+        if not prefix:
+            yield from (((x,), [end]) for x in range(lo, hi + 1))
+            continue
         for start in range(lo, hi + 1, _RUN_ROWS):
-            rows = [(x,) for x in range(start, min(start + _RUN_ROWS, hi + 1))]
-            yield prefix, rows if render is None else render(rows)
+            yield prefix, [cell(x) + end
+                           for x in range(start, min(start + _RUN_ROWS, hi + 1))]
 
 
 def _search(g: RootedMultigraph, low: int, checks: int, prev,
@@ -472,11 +475,11 @@ def _search(g: RootedMultigraph, low: int, checks: int, prev,
         lo, hi = (d - cmax, d - cmin) if parking else (cmin, cmax)
 
 
-def _by_keys(target: Target, cls: str, groups, render=None
+def _by_keys(target: Target, cls: str, groups, cell, end
              ) -> Iterator[tuple[tuple, list]]:
     """The members of a family with parts, lexicographically, as the
-    ``(prefix, block)`` pairs (or with ``render`` its blocks rendered)
-    that ``keys._keyed_members`` reads off the keys (``keys._prefix_units``)
+    ``(prefix, block)`` pairs, rows of ``cell`` and ``end``, that
+    ``keys._keyed_members`` reads off the keys (``keys._prefix_units``)
     its representative walk records (``_search`` with ``record``).
     """
     low = _CLASS_WALKS[cls][0]
@@ -484,7 +487,7 @@ def _by_keys(target: Target, cls: str, groups, render=None
     seen: set = set()
     for _ in _runs(target, cls, (None, groups, "reps"), record=(units, seen)):
         pass
-    yield from _keyed_members(units, low, seen, render)
+    yield from _keyed_members(units, low, seen, cell, end)
 
 
 def iter_class(target: Target, cls: str, *,

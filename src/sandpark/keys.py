@@ -7,10 +7,13 @@ exactly when the representative with its key does (``enumeration._search``),
 so what it admits depends only on its key, and the second pass reads the
 members off the recorded keys with no fixpoint.
 
-The second pass keeps each block it builds in a memo dropped with its
-generator; a listing written as text keeps a block of the first tail
-position only as rendered, once.  So beside the recorded keys a listing
-holds at most one block or rendered block per key, whatever its length.
+The second pass builds each key's block once, off the blocks of the
+next position, and keeps it in a memo dropped with its generator.  A
+block's rows are made of a cell per value and an end: tuples for
+``iter_class``, and for ``--output list|json`` the listing's text, so
+each row's text is built once per key, not per member.  So beside the
+recorded keys a listing holds at most one block per key, tuples or text,
+whatever its length.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _prefix_units(groups, low: int) -> list:
     return units
 
 
-def _keyed_members(units: list, low: int, seen: set, render=None
+def _keyed_members(units: list, low: int, seen: set, cell, end
                    ) -> Iterator[tuple[tuple, list]]:
     """The members all of whose prefix keys are in ``seen``,
     lexicographically, as ``(prefix, block)`` pairs: a member prefix of
@@ -54,14 +57,11 @@ def _keyed_members(units: list, low: int, seen: set, render=None
 
     The first position and those before the last ``_TAIL`` are walked one
     by one, and each prefix takes the block of its key (``_block``), built
-    once: the tuples of the later positions that end a member after it.
-    With ``render``, a function of a block, each prefix takes instead
-    ``render`` of its key's block, called once per key, and the block
-    itself is not kept.  A block may be empty.
+    once: the rows ``cell(x) + ... + end`` of the later values ``x`` that
+    end a member after it.  A block may be empty.
     """
     head = max(len(units) - _TAIL, 1)    # the positions walked one by one
     blocks: dict = {}    # key -> its block, once built
-    texts: dict = {}     # key -> render of its block, once rendered
     vals = [0] * head
     keys = [0] * head    # keys[t]: the key of the prefix 0..t-1
     # options[t]: the admitted values position t has still to take, set
@@ -84,34 +84,23 @@ def _keyed_members(units: list, low: int, seen: set, render=None
             options[t] = iter([y for y in range(low, len(unit))
                                if key + unit[y] in seen])
             continue
-        if render is None:
-            block = blocks[key] if key in blocks else _block(
-                blocks, units, low, seen, head, key)
-        elif key in texts:
-            block = texts[key]
-        else:
-            # no other block reads a block of the first tail position, so
-            # only its rendering is kept (a one-position family keeps none)
-            block = texts[key] = render(_block(blocks, units, low, seen,
-                                               head, key))
-            blocks.pop(key, None)
-        yield tuple(vals), block
+        yield tuple(vals), (blocks[key] if key in blocks else _block(
+            blocks, units, low, seen, head, key, cell, end))
 
 
-def _block(blocks: dict, units: list, low: int, seen: set, t: int, key: int
-           ) -> list:
+def _block(blocks: dict, units: list, low: int, seen: set, t: int, key: int,
+           cell, end) -> list:
     """Build and keep in ``blocks`` the block of key ``key``: the admitted
-    tuples of the positions ``t`` to the last, lexicographically, read off
-    the blocks of ``t + 1``."""
+    rows of the positions ``t`` to the last, lexicographically, each
+    ``cell(x)`` followed by a row of the block of ``t + 1`` it reaches.
+    Past the last position the block is the one row ``end``, not kept."""
     if t == len(units):
-        return [()]
+        return [end]
     unit = units[t]
-    if t == len(units) - 1:
-        block = [(x,) for x in range(low, len(unit)) if key + unit[x] in seen]
-    else:
-        block = [(x,) + rest for x in range(low, len(unit))
-                 if (later := key + unit[x]) in seen
-                 for rest in (blocks[later] if later in blocks else
-                              _block(blocks, units, low, seen, t + 1, later))]
-    blocks[key] = block
+    block = blocks[key] = [
+        c + rest for x in range(low, len(unit))
+        if (later := key + unit[x]) in seen
+        for c in (cell(x),)
+        for rest in (blocks[later] if later in blocks else
+                     _block(blocks, units, low, seen, t + 1, later, cell, end))]
     return block

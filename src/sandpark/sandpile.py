@@ -30,7 +30,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, islice
 from numbers import Real
 from typing import Optional
 
@@ -499,6 +499,11 @@ def _redrop(g: RootedMultigraph, cur: list[int], drops):
             yield len(pending)
 
 
+def _pack(cur, wide: bool):
+    """A state stored: a tuple if ``wide``, else bytes via a bytearray."""
+    return tuple(cur) if wide else bytes(bytearray(cur))
+
+
 class ChainTrace(Sequence):
     """Read-only steps of a grain-drop chain: ``trace[i]`` is
     ``(i + 1, dropped vertex, state)``, rebuilt on access.
@@ -507,10 +512,10 @@ class ChainTrace(Sequence):
     few states packed: ``bytes`` (one byte per non-sink vertex) when every
     value the chain can reach fits in 0..255, exact tuples otherwise.  A read
     drops the same grains again from the nearest stored state at or before
-    it, on the same kernel with the same budget, so no rebuild raises.  A
-    slice replays once, from the stored state at or before its lowest step
-    to its highest, and returns a list; ``==`` compares element-wise with
-    lists and other traces.
+    it, on the same kernel with the same budget, so no rebuild raises.
+    Iteration and a slice replay once, in increasing step order, restarting
+    from each stored state that lies past the step before; a slice returns
+    a list.  ``==`` compares element-wise with lists and other traces.
     """
 
     __slots__ = ("_g", "_drops", "_at", "_states")
@@ -524,41 +529,52 @@ class ChainTrace(Sequence):
     def __len__(self) -> int:
         return len(self._drops)
 
-    def _replay(self, lo: int, hi: int):
-        """``(i, cur)`` for each step ``i`` in ``lo..hi``: ``cur``, one list
-        reused, is the state after drop ``i`` (step -1: the start), dropped
-        again from the stored state at or before step ``lo``."""
-        j = bisect(self._at, lo + 1) - 1
-        a, cur = self._at[j], list(self._states[j])
-        if a > lo:           # the stored state is step lo's
-            yield lo, cur
-        for i, _ in enumerate(_redrop(self._g, cur, self._drops[a:hi + 1]), a):
-            if i >= lo:
-                yield i, cur
+    def _replay(self, steps: range):
+        """``(i, cur)`` for each step ``i`` of the increasing ``steps``:
+        ``cur``, one list reused, is the state after drop ``i`` (step -1:
+        the start), dropped again in one ``_redrop`` from the step before,
+        or from the stored state at or before ``i`` past the step before."""
+        # a: the drops cur holds at the step before.  The first pass gathers
+        # the drops each step replays, and the second replays them
+        at, feed, a = self._at, array("I"), -1
+        for i in steps:
+            a = max(a, at[bisect(at, i + 1) - 1])
+            feed += self._drops[a:i + 1]
+            a = i + 1
+        cur: list = []       # filled from a stored state before any drop
+        redone, a = _redrop(self._g, cur, feed), -1
+        for i in steps:
+            j = bisect(at, i + 1) - 1
+            if at[j] > a:    # a stored state lies past the step before
+                cur[:] = self._states[j]
+                a = at[j]
+            for _ in islice(redone, i + 1 - a):
+                pass
+            a = i + 1
+            yield i, cur
 
     def __getitem__(self, i):
         n, names, drops = len(self._drops), self._g.nonsink, self._drops
         if isinstance(i, slice):
             steps = range(*i.indices(n))
-            ends = min(steps, default=0), max(steps, default=0)
-            got = {j: (j + 1, names[drops[j]], tuple(cur))
-                   for j, cur in self._replay(*ends) if j in steps}
+            got = {j: (j + 1, names[drops[j]], tuple(cur)) for j, cur
+                   in self._replay(steps if steps.step > 0 else steps[::-1])}
             return [got[j] for j in steps]
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("trace index out of range")
-        return i + 1, names[drops[i]], tuple(next(self._replay(i, i))[1])
+        return i + 1, names[drops[i]], tuple(next(self._replay(range(i, i + 1)))[1])
 
     def __iter__(self):
         names, drops = self._g.nonsink, self._drops
-        for i, cur in self._replay(0, len(drops) - 1):
+        for i, cur in self._replay(range(len(drops))):
             yield i + 1, names[drops[i]], tuple(cur)
 
     def _stored(self):
         """The packed state of each step from 0 (the start), in one replay."""
-        pack = type(self._states[0])
-        return (pack(cur) for _, cur in self._replay(-1, len(self) - 1))
+        wide = type(self._states[0]) is tuple
+        return (_pack(cur, wide) for _, cur in self._replay(range(-1, len(self))))
 
     def __eq__(self, other):
         if not isinstance(other, (ChainTrace, list)):
@@ -636,17 +652,17 @@ def markov_run(g: RootedMultigraph, start: Sequence[int], steps: int, seed: int,
     # firing lowers an entry, and it leaves it non-negative, so no entry
     # falls below min(0, *start).  Bytes hold every value in that range
     # when the start has no negative entry and no degree exceeds 256.
-    pack = bytes if min(start) >= 0 and max(degs) <= 256 else tuple
+    wide = min(start) < 0 or max(degs) > 256
     drops = array("I", (bisect(cum, draw() * total, 0, k - 1)
                         for _ in range(steps)))
     cur, work = list(start), 0
-    at, states = array("I", [0]), [pack(start)]
+    at, states = array("I", [0]), [_pack(start, wide)]
     for step, done in enumerate(_redrop(g, cur, drops), 1):
         work += done
         if work >= k:
             work = 0
             at.append(step)
-            states.append(pack(cur))
+            states.append(_pack(cur, wide))
     return MarkovRun(start=start, steps=steps, seed=seed,
                      trace=ChainTrace(g, drops, at, states))
 

@@ -464,16 +464,19 @@ class TestEnumerate:
                    "count": len(elements), "expected": None, "match": None,
                    "elements": elements}
 
-        def pairs(target, cls, plan, render):
-            # one pair per element, split after a different number of
-            # values each time: an empty prefix and an empty suffix among
-            # them
-            return ((e[:i % (len(e) + 1)], render([e[i % (len(e) + 1):]]))
-                    for i, e in enumerate(elements))
-
         fmt = cli._JSON
+
+        def pairs(target, cls, plan, cell, end):
+            # one pair per element, split after a different number of
+            # values each time: an empty prefix, whose row opens without
+            # the separator, and an empty suffix among them
+            for i, e in enumerate(elements):
+                cut = i % (len(e) + 1)
+                row = "".join(map(cell, e[cut:])) + end
+                yield e[:cut], [row if cut else row[len(fmt[1]):]]
+
         texts = [text for _, text in cli._chunks(
-            pairs(None, None, None, cli._render(fmt)), fmt)]
+            pairs(None, None, None, lambda x: fmt[1] + str(x), fmt[2]), fmt)]
         assert cli._listing_json({**payload, "elements": []}, texts) == \
             json.dumps(payload, indent=2)
         monkeypatch.setattr(cli, "_pairs", pairs)

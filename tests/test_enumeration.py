@@ -41,7 +41,8 @@ from sandpark import (
     reports_to_json,
     verify_counts,
 )
-from sandpark import burning, enumeration, families, reference, sandpile
+from sandpark import (burning, enumeration, families, keys, reference,
+                      sandpile)
 from sandpark.enumeration import (CLASSES, DEFAULT_SPACE_CAP, _listing,
                                   _pairs, _plan, _runs)
 from sandpark.families import _degree_groups, catalan, family_parts
@@ -1091,27 +1092,32 @@ class TestListingMemo:
                         for walk in ("keys", "members"))
         assert keyed == plain != []
 
-    def test_rendered_blocks_are_one_per_recorded_key(self):
-        # a listing renders each key's block once and keeps it until the
-        # walk ends: never more rendered blocks than recorded keys
+    def test_rendered_blocks_are_one_per_recorded_key(self, monkeypatch):
+        # a listing builds each key's block once, as text, and keeps it
+        # until the walk ends: never more blocks than recorded keys, and
+        # fewer blocks of the first tail position than prefixes taking them
         spec = FamilySpec("tripartite", p=4, q=3)
-        rendered = []
+        built = []
+        block = keys._block
 
-        def render(rows):
-            rendered.append(rows)
-            return [",".join(map(str, row)) for row in rows]
+        def spy(blocks, units, low, seen, t, key, cell, end):
+            if t < len(units):      # past the last position nothing is kept
+                built.append((t, key))
+            return block(blocks, units, low, seen, t, key, cell, end)
 
+        monkeypatch.setattr(keys, "_block", spy)
         plan = _plan(spec, "ppf", DEFAULT_SPACE_CAP)
-        pairs = _pairs(spec, "ppf", plan, render=render)
+        pairs = _pairs(spec, "ppf", plan, ",{}".format, "")
         listed, prefixes = [], 0
         for prefix, texts in pairs:
             walk = pairs.gi_yieldfrom.gi_frame.f_locals
-            memo, seen = walk["texts"], walk["seen"]
-            assert len(memo) <= len(seen)
-            listed += [",".join(map(str, prefix)) + "," + text
-                       for text in texts]
+            blocks, seen, head = walk["blocks"], walk["seen"], walk["head"]
+            assert len(blocks) <= len(seen)
+            listed += [",".join(map(str, prefix)) + text for text in texts]
             prefixes += 1
-        assert len(rendered) == len(memo) < prefixes
+        keys_built = [key for _, key in built]
+        assert len(set(keys_built)) == len(built) == len(blocks)
+        assert 0 < sum(t == head for t, _ in built) < prefixes
         assert listed == [",".join(map(str, m))
                           for m in iter_class(make_family(spec), "ppf")]
 

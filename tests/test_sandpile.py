@@ -680,6 +680,28 @@ class TestMarkov:
             if picked:
                 assert sum(consumed) <= max(picked) - min(picked) + 1 + k, s
 
+    def test_long_slice_steps_restart_from_stored_states(self, monkeypatch):
+        # a slice step longer than a checkpoint gap restarts from the
+        # stored state at or before each wanted step, as an index read
+        # does, instead of dropping every grain in between
+        g = grid_with_sink_border(16)
+        top = tuple(d - 1 for d in g.nonsink_degrees)
+        trace = markov_run(g, top, 5000, seed=3).trace
+        dropped = []
+        redrop = sandpile._redrop
+
+        def spy(g, cur, drops):
+            for work in redrop(g, cur, drops):
+                dropped.append(work)
+                yield work
+
+        monkeypatch.setattr(sandpile, "_redrop", spy)
+        reads = [trace[i] for i in range(0, 5000, 1000)]
+        by_index = len(dropped)
+        dropped.clear()
+        assert trace[::1000] == reads
+        assert len(dropped) <= by_index
+
     def test_trace_equality(self, k2):
         a = markov_run(k2, (0, 0), 50, seed=9).trace
         b = markov_run(k2, (0, 0), 50, seed=9).trace
